@@ -7,27 +7,25 @@ elementary-basis coefficients, and leading-term predictions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
-from .exactcore import MultiPoly, TruncationPolicy, UniPoly, interpolate
+from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
+                        interpolate, xvars)
 from .rising import RisingProductSpec, stirling_coefficient
 from .specialization import stirling_first
-from .symfunc import (BASES, check_partition, conjugate, enumerate_partitions,
+from .symfunc import (BASES, check_partition, enumerate_partitions,
                       convert_expansion, expand_in_basis, syt_count,
                       validate_basis_index)
 
 FORMAT_VERSION = "chernpol-cache-1"
 
 
-class OutOfDomainError(ValueError):
-    pass
-
-
-def _xvars(n: int) -> tuple:
-    return tuple(f"x{i+1}" for i in range(n))
+def check_degree(d) -> None:
+    """c(Pol^d(C^n)) is defined for d >= -1 (d = -1 is the empty product)."""
+    if d < -1:
+        raise OutOfDomainError("d must be >= -1")
 
 
 def weight_vectors(n: int, d: int):
@@ -46,21 +44,14 @@ _direct_cache: dict = {}
 def chern_direct(n: int, d: int, policy: TruncationPolicy) -> MultiPoly:
     """prod over (d_1..d_n) with sum d of (1 + d_1 x_1 + ... + d_n x_n),
     truncated.  d = -1 gives 1 (empty product); d = 0 gives 1."""
-    if d < -1:
-        raise OutOfDomainError("d must be >= -1")
+    check_degree(d)
     key = (n, d, policy.max_total_degree)
     if key in _direct_cache:
         return _direct_cache[key]
-    xs = _xvars(n)
-    out = MultiPoly.const(1, xs)
+    out = MultiPoly.const(1, xvars(n))
     if d >= 1:
         for weights in weight_vectors(n, d):
-            terms = {(0,) * n: Fraction(1)}
-            for i, w in enumerate(weights):
-                if w:
-                    ev = tuple(1 if j == i else 0 for j in range(n))
-                    terms[ev] = Fraction(w)
-            out = out.mul_truncated(MultiPoly(xs, terms),
+            out = out.mul_truncated(MultiPoly.linear_factor(weights),
                                     policy.max_total_degree)
     _direct_cache[key] = out
     return out
@@ -77,7 +68,8 @@ class ChernPolynomial:
     samples: list = field(default_factory=list)
 
     def evaluate(self, d) -> dict:
-        """{partition: Fraction} at a concrete d."""
+        """{partition: Fraction} at a concrete d >= -1."""
+        check_degree(d)
         return {lam: p(Fraction(d)) for lam, p in self.terms.items()}
 
     def in_basis(self, basis: str) -> "ChernPolynomial":
@@ -130,6 +122,8 @@ def chern_interpolated(n: int, k: int, basis: str = "monomial") -> ChernPolynomi
     then convert exactly to the requested basis."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
+    if n < 1 or k < 0:
+        raise OutOfDomainError("need n >= 1 and k >= 0")
     bound = n * k
     samples = list(range(-1, bound + 1))
     policy = TruncationPolicy(k)

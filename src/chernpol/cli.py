@@ -15,20 +15,18 @@ import tempfile
 from fractions import Fraction
 
 from . import chern, enumgeo, orbits, rising
-from .exactcore import TruncationPolicy, UniPoly, rat_to_str
+from .exactcore import (InconsistentDataError, OutOfDomainError,
+                        TruncationPolicy, UniPoly, rat_to_str)
+from .symfunc import BASES, expand_in_basis
 
 CACHE_ENV = "CHERNPOL_CACHE_DIR"
 
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
+EXIT_CHECK = 4
 
-BASIS_NAMES = {"m": "monomial", "e": "elementary", "s": "schur",
-               "monomial": "monomial", "elementary": "elementary",
-               "schur": "schur", "power": "power", "p": "power"}
-
-DOMAIN_ERRORS = (chern.OutOfDomainError, rising.OutOfDomainError,
-                 enumgeo.EmptyFanoError, enumgeo.UnsupportedDegreeError,
-                 enumgeo.UnsupportedMethodError)
+DOMAIN_ERRORS = (OutOfDomainError, enumgeo.EmptyFanoError,
+                 enumgeo.UnsupportedDegreeError, enumgeo.UnsupportedMethodError)
 
 
 class UsageError(ValueError):
@@ -59,8 +57,9 @@ def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
                          no_cache: bool = False) -> chern.ChernPolynomial:
     """Monomial-basis ChernPolynomial for (n, k), through the JSON cache.
 
-    Corrupt or stale files are recomputed and overwritten (with a warning);
-    writes are atomic (write-temp-then-rename).
+    Corrupt or stale files, and files holding another (n, k) or basis, are
+    recomputed and overwritten (with a warning); writes are atomic
+    (write-temp-then-rename).
     """
     if no_cache:
         return chern.chern_interpolated(n, k, "monomial")
@@ -73,8 +72,12 @@ def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
             payload = doc["payload"]
             if doc.get("checksum") != _checksum(payload):
                 raise ValueError("checksum mismatch")
-            return chern.ChernPolynomial.from_json(payload)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+            cp = chern.ChernPolynomial.from_json(payload)
+            if (cp.n, cp.k, cp.basis) != (n, k, "monomial"):
+                raise ValueError(f"entry is for n={cp.n}, k={cp.k}, "
+                                 f"{cp.basis} basis")
+            return cp
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
             print(f"warning: recomputing corrupt/stale cache entry {path}: {exc}",
                   file=sys.stderr)
     result = chern.chern_interpolated(n, k, "monomial")
@@ -158,21 +161,25 @@ def factored_str(p: UniPoly) -> str:
 
 
 def _partition_label(lam, basis: str) -> str:
-    letter = {"monomial": "m", "elementary": "e", "schur": "s",
-              "power": "p"}[basis]
-    return f"{letter}[{','.join(map(str, lam)) or ''}]"
+    return f"{BASES[basis]}[{','.join(map(str, lam))}]"
+
+
+def _render_text(cp: chern.ChernPolynomial, d, shown: dict) -> str:
+    """Header for c_k at degree ``d`` (a number or "d"), then one line per
+    basis element with its coefficient as shown."""
+    lines = [f"c_{cp.k}(Pol^{d}(C^{cp.n})) in {cp.basis} basis:"]
+    lines += [f"  {_partition_label(lam, cp.basis)}: {v}"
+              for lam, v in sorted(shown.items())]
+    if len(lines) == 1:
+        lines.append("  0")
+    return "\n".join(lines)
 
 
 def render_chern(cp: chern.ChernPolynomial, fmt: str, factored: bool) -> str:
     if fmt == "json":
         return json.dumps(cp.to_json(), indent=2)
-    lines = [f"c_{cp.k}(Pol^d(C^{cp.n})) in {cp.basis} basis:"]
-    for lam, p in sorted(cp.terms.items()):
-        shown = factored_str(p) if factored else repr(p)
-        lines.append(f"  {_partition_label(lam, cp.basis)}: {shown}")
-    if len(lines) == 1:
-        lines.append("  0")
-    return "\n".join(lines)
+    show = factored_str if factored else repr
+    return _render_text(cp, "d", {lam: show(p) for lam, p in cp.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -186,48 +193,40 @@ def _parse_vector(s: str) -> tuple:
         raise UsageError(f"not a comma-separated integer vector: {s!r}")
 
 
-def _require(args, names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            raise UsageError(f"--{name} is required for this command")
-
-
 def _get_chern(args) -> chern.ChernPolynomial:
     cp = cache_get_or_compute(args.n, args.k, args.cache_dir, args.no_cache)
-    return cp.in_basis(BASIS_NAMES[args.basis])
+    return cp.in_basis(args.basis)
 
 
 def cmd_chern(args) -> str:
-    _require(args, ["n", "k"])
     return render_chern(_get_chern(args), args.format, args.factored)
 
 
 def cmd_chern_eval(args) -> str:
-    _require(args, ["n", "k", "d"])
+    chern.check_degree(args.d)      # before anything is computed or cached
     cp = _get_chern(args)
-    values = {lam: p(Fraction(args.d)) for lam, p in cp.terms.items()}
+    values = cp.evaluate(args.d)
     if args.format == "json":
         return json.dumps({"n": cp.n, "k": cp.k, "basis": cp.basis,
                            "d": args.d,
                            "terms": [[list(lam), rat_to_str(v)]
                                      for lam, v in sorted(values.items())]},
                           indent=2)
-    lines = [f"c_{cp.k}(Pol^{args.d}(C^{cp.n})) in {cp.basis} basis:"]
-    for lam, v in sorted(values.items()):
-        if v:
-            lines.append(f"  {_partition_label(lam, cp.basis)}: {rat_to_str(v)}")
-    if len(lines) == 1:
-        lines.append("  0")
-    return "\n".join(lines)
+    return _render_text(cp, args.d, {lam: rat_to_str(v)
+                                     for lam, v in values.items() if v})
 
 
 def cmd_stirling_coeff(args) -> str:
-    _require(args, ["spec_file", "type"])
-    with open(args.spec_file) as fh:
-        spec = rising.RisingProductSpec.from_json(json.load(fh))
+    try:
+        with open(args.spec_file) as fh:
+            spec = rising.RisingProductSpec.from_json(json.load(fh))
+    except (OSError, ValueError, LookupError, TypeError,
+            ZeroDivisionError) as exc:
+        raise UsageError(f"cannot read spec file {args.spec_file!r}: {exc}")
     H = _parse_vector(args.type)
-    if len(H) != spec.nx:
-        raise UsageError(f"exponent vector must have length {spec.nx}")
+    if len(H) != spec.nx or any(h < 0 for h in H):
+        raise UsageError(f"exponent vector must have length {spec.nx} "
+                         f"and no negative entry")
     poly = spec._unipoly(rising.stirling_coefficient(spec, H))
     if args.format == "json":
         return json.dumps({"H": list(H), "coefficient": poly.to_json()},
@@ -236,15 +235,14 @@ def cmd_stirling_coeff(args) -> str:
 
 
 def cmd_orbits(args) -> str:
-    _require(args, ["n", "d"])
-    if args.type is not None:
-        u = _parse_vector(args.type)
-        if sum(u) != args.n or any(x < 1 for x in u):
-            raise UsageError(f"--type must be a composition of n={args.n}")
-        data = {u: orbits.enumerate_orbit(u, args.d)}
+    if args.type is None:
+        types = orbits.orbit_types(args.n)
     else:
-        data = {u: orbits.enumerate_orbit(u, args.d)
-                for u in orbits.orbit_types(args.n)}
+        u = _parse_vector(args.type)
+        if not u or sum(u) != args.n or any(x < 1 for x in u):
+            raise UsageError(f"--type must be a composition of n={args.n}")
+        types = [u]
+    data = {u: orbits.enumerate_orbit(u, args.d) for u in types}
     if args.format == "json":
         return json.dumps({"n": args.n, "d": args.d,
                            "orbits": [[list(u), [list(v) for v in vs]]
@@ -258,7 +256,6 @@ def cmd_orbits(args) -> str:
 
 
 def cmd_sigma_degree(args) -> str:
-    _require(args, ["m", "r"])
     if args.d is not None:
         val = enumgeo.sigma_degree(args.d, args.m, args.r)
         warnings = enumgeo.sigma_validity_warnings(args.d, args.m, args.r)
@@ -277,34 +274,27 @@ def cmd_sigma_degree(args) -> str:
     return factored_str(poly) if args.factored else repr(poly)
 
 
-def cmd_fano_degree(args) -> str:
-    _require(args, ["d", "m"])
+def _fano(args, key: str, invariant) -> str:
+    """``invariant(d, m, method)`` by each requested method; the methods must
+    agree."""
     methods = (["closed", "integral"] if args.method == "both"
                else [args.method])
-    vals = {meth: enumgeo.fano_degree_lines(args.d, args.m, meth)
-            for meth in methods}
+    vals = {meth: invariant(args.d, args.m, meth) for meth in methods}
     if len(set(vals.values())) != 1:
-        raise RuntimeError(f"method disagreement: {vals}")
-    val = next(iter(vals.values()))
+        raise InconsistentDataError(f"method disagreement: {vals}")
+    val = vals[methods[0]]
     if args.format == "json":
-        return json.dumps({"d": args.d, "m": args.m, "degree": val,
+        return json.dumps({"d": args.d, "m": args.m, key: val,
                            "methods": methods}, indent=2)
     return str(val)
+
+
+def cmd_fano_degree(args) -> str:
+    return _fano(args, "degree", enumgeo.fano_degree_lines)
 
 
 def cmd_fano_chi(args) -> str:
-    _require(args, ["d", "m"])
-    methods = (["closed", "integral"] if args.method == "both"
-               else [args.method])
-    vals = {meth: enumgeo.fano_chi_lines(args.d, args.m, meth)
-            for meth in methods}
-    if len(set(vals.values())) != 1:
-        raise RuntimeError(f"method disagreement: {vals}")
-    val = next(iter(vals.values()))
-    if args.format == "json":
-        return json.dumps({"d": args.d, "m": args.m, "chi": val,
-                           "methods": methods}, indent=2)
-    return str(val)
+    return _fano(args, "chi", enumgeo.fano_chi_lines)
 
 
 def cmd_verify(args) -> str:
@@ -323,17 +313,20 @@ def cmd_verify(args) -> str:
         cp = chern.chern_interpolated(2, 3, "monomial")
         for d in (7, 8):
             direct = chern.chern_direct(2, d, TruncationPolicy(3))
-            from .symfunc import expand_in_basis
             mono = expand_in_basis(direct.homogeneous_component(3), "monomial")
             if cp.evaluate(d) != {lam: mono.get(lam, Fraction(0))
                                   for lam in cp.terms}:
                 return False
         return True
 
+    def euler_closed_vs_direct(d):
+        schur = expand_in_basis(enumgeo.euler_class_c2(d), "schur")
+        return all(v == schur.get((d + 1 - j, j) if j else (d + 1,), 0)
+                   for j, v in chern.euler_c2_closed(d))
+
     check("interpolation matches direct product (n=2, k=3)", interp_vs_direct)
     check("Euler closed formula matches direct product (d=4)",
-          lambda: dict(chern.euler_c2_closed(4)) == {
-              j: v for (j, v) in _euler_oracle(4)})
+          lambda: euler_closed_vs_direct(4))
     check("Fano degree methods agree (d=3, m=3)",
           lambda: enumgeo.fano_degree_lines(3, 3, "closed")
           == enumgeo.fano_degree_lines(3, 3, "integral") == 27)
@@ -349,34 +342,48 @@ def cmd_verify(args) -> str:
         all_ok = all_ok and ok
     lines.append("all checks passed" if all_ok else "some checks FAILED")
     if not all_ok:
-        raise RuntimeError("\n".join(lines))
+        raise InconsistentDataError("\n".join(lines))
     return "\n".join(lines)
-
-
-def _euler_oracle(d):
-    from .symfunc import expand_in_basis
-    top = chern.chern_direct(2, d, TruncationPolicy(d + 1)).homogeneous_component(d + 1)
-    schur = expand_in_basis(top, "schur")
-    out = []
-    for j in range((d + 1) // 2 + 1):
-        lam = (d + 1 - j, j) if j else (d + 1,)
-        out.append((j, int(schur.get(lam, Fraction(0)))))
-    return out
 
 
 # ---------------------------------------------------------------------------
 # argument parsing / dispatch
 # ---------------------------------------------------------------------------
 
+def _basis_name(s: str) -> str:
+    """The basis name for a basis's letter (m, e, s, p); names pass through."""
+    return next((name for name, letter in BASES.items() if letter == s), s)
+
+
+# flag -> add_argument keywords, shared by the subcommands that take it
+FLAGS = {
+    "n": {"type": int}, "k": {"type": int}, "d": {"type": int},
+    "m": {"type": int}, "r": {"type": int},
+    "basis": {"type": _basis_name, "choices": BASES, "default": "m",
+              "help": "basis name or letter (m, e, s, p)"},
+    "type": {"help": "comma-separated integer vector"},
+    "format": {"choices": ["json", "text"], "default": "text"},
+    "cache-dir": {},
+    "no-cache": {"action": "store_true"},
+    "method": {"choices": ["closed", "integral", "both"], "default": "both"},
+    "spec-file": {},
+    "factored": {"action": "store_true"},
+}
+
+# subcommand -> (handler, required flags, optional flags); every subcommand
+# also takes --format, which sets the form of its output and error body
 COMMANDS = {
-    "chern": cmd_chern,
-    "chern-eval": cmd_chern_eval,
-    "stirling-coeff": cmd_stirling_coeff,
-    "orbits": cmd_orbits,
-    "sigma-degree": cmd_sigma_degree,
-    "fano-degree": cmd_fano_degree,
-    "fano-chi": cmd_fano_chi,
-    "verify": cmd_verify,
+    "chern": (cmd_chern, ("n", "k"),
+              ("basis", "cache-dir", "no-cache", "factored")),
+    "chern-eval": (cmd_chern_eval, ("n", "k", "d"),
+                   ("basis", "cache-dir", "no-cache")),
+    "stirling-coeff": (cmd_stirling_coeff, ("spec-file", "type"),
+                       ("factored",)),
+    "orbits": (cmd_orbits, ("n", "d"), ("type",)),
+    "sigma-degree": (cmd_sigma_degree, ("m", "r"), ("d", "factored")),
+    "fano-degree": (cmd_fano_degree, ("d", "m"), ("method",)),
+    "fano-chi": (cmd_fano_chi, ("d", "m"), ("method",)),
+    "verify": (cmd_verify, (), ()),
 }
 
 
@@ -386,23 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact Chern-class computations for spaces of forms, "
                     "rising products, and enumerative invariants.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, required, optional) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--n", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--d", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--r", type=int)
-        p.add_argument("--basis", choices=sorted(BASIS_NAMES), default="m")
-        p.add_argument("--type", help="comma-separated integer vector")
-        p.add_argument("--format", choices=["json", "text"], default="text")
-        p.add_argument("--cache-dir")
-        p.add_argument("--no-cache", action="store_true")
-        p.add_argument("--method", choices=["closed", "integral", "both"],
-                       default="both" if name.startswith("fano") else "closed")
-        p.add_argument("--spec-file")
-        p.add_argument("--factored", action="store_true")
+        for flag in required:
+            p.add_argument("--" + flag, required=True, **FLAGS[flag])
+        for flag in optional + ("format",):
+            p.add_argument("--" + flag, **FLAGS[flag])
     return parser
+
+
+def _report(args, exc: Exception, label: str, code: int) -> int:
+    err = {"error": type(exc).__name__, "message": str(exc)}
+    print(json.dumps(err) if args.format == "json" else f"{label}: {exc}",
+          file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -412,15 +416,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        out = COMMANDS[args.command](args)
+        out = COMMANDS[args.command][0](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DOMAIN_ERRORS as exc:
-        err = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(err) if args.format == "json" else
-              f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _report(args, exc, "domain error", EXIT_DOMAIN)
+    except InconsistentDataError as exc:
+        return _report(args, exc, "check failed", EXIT_CHECK)
     print(out)
     return 0
 

@@ -10,7 +10,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .chern import chern_direct, chern_interpolated, euler_coefficient
-from .exactcore import MultiPoly, TruncationPolicy, UniPoly, series_invert
+from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
+                        as_integer, series_invert, xvars)
 from .symfunc import catalan_triangle, expand_in_basis
 
 
@@ -29,10 +30,6 @@ class UnsupportedMethodError(ValueError):
 def expected_dimension(d: int, m: int, r: int) -> int:
     """delta(d,m,r) = (r+1)(m-r) - binom(r+d, r)."""
     return (r + 1) * (m - r) - comb(r + d, r)
-
-
-def _xvars(k: int) -> tuple:
-    return tuple(f"x{i+1}" for i in range(k))
 
 
 def grassmann_integral(f: MultiPoly, k: int, n_amb: int) -> Fraction:
@@ -54,7 +51,7 @@ def chern_grassmannian(k: int, n_amb: int,
     Chern roots x_1..x_k of the dual tautological bundle, truncated."""
     maxdeg = (policy.max_total_degree if policy is not None
               else k * (n_amb - k))
-    xs = _xvars(k)
+    xs = xvars(k)
     one = MultiPoly.const(1, xs)
     num = one
     den = one
@@ -87,8 +84,14 @@ def sigma_validity_warnings(d: int, m: int, r: int) -> list:
     return out
 
 
+def _check_sigma_domain(m: int, r: int) -> None:
+    if not 0 <= r < m:
+        raise OutOfDomainError("need 0 <= r < m")
+
+
 def sigma_degree(d: int, m: int, r: int) -> Fraction:
     """deg Sigma(d,m,r) = coef(s_((m-r)^(r+1)), c(Pol^d(C^(r+1))))."""
+    _check_sigma_domain(m, r)
     k = r + 1
     dim = k * (m - r)
     f = chern_direct(k, d, TruncationPolicy(dim))
@@ -98,6 +101,7 @@ def sigma_degree(d: int, m: int, r: int) -> Fraction:
 def sigma_degree_symbolic(m: int, r: int) -> UniPoly:
     """deg Sigma(d,m,r) as a polynomial in d (valid in the regime d >= 3,
     expected dimension < 0), by exact interpolation."""
+    _check_sigma_domain(m, r)
     k = r + 1
     cp = chern_interpolated(k, k * (m - r), "schur")
     return cp.terms.get(((m - r),) * k, UniPoly.const(0, var="d"))
@@ -158,11 +162,10 @@ def fano_degree_lines(d: int, m: int, method: str = "closed") -> int:
             total += catalan_triangle(delta, j) * euler_coefficient(d, d - m + 2 + j)
         return total
     if method == "integral":
-        xs = _xvars(2)
+        xs = xvars(2)
         e1 = MultiPoly(xs, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
         val = grassmann_integral(euler_class_c2(d) * e1 ** delta, 2, m + 1)
-        assert val.denominator == 1
-        return val.numerator
+        return as_integer(val, f"Fano degree ({d}, {m})")
     raise UnsupportedMethodError(f"unknown method {method!r}")
 
 
@@ -180,8 +183,7 @@ def fano_chi_lines(d: int, m: int, method: str = "integral") -> int:
                              TruncationPolicy(dim - (d + 1)))
         integrand = cgr.mul_truncated(e, dim).mul_truncated(cinv, dim)
         val = grassmann_integral(integrand, 2, m + 1)
-        assert val.denominator == 1
-        return val.numerator
+        return as_integer(val, f"Fano Euler characteristic ({d}, {m})")
     if method == "closed":
         if delta == 1:
             return euler_coefficient(d, m - 2) * (m + 1 - comb(2 * m - 3, 2))
@@ -194,8 +196,7 @@ def fano_chi_lines(d: int, m: int, method: str = "integral") -> int:
                  + 59 * m**2 - Fraction(211, 3) * m + 26)
             val = (euler_coefficient(d, m - 2) * a
                    + euler_coefficient(d, m - 3) * b)
-            assert Fraction(val).denominator == 1
-            return int(val)
+            return as_integer(val, f"Fano Euler characteristic ({d}, {m})")
         raise UnsupportedMethodError(
             "closed Euler-characteristic formulas cover expected "
             "dimensions 1 and 2 only")

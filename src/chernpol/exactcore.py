@@ -16,7 +16,13 @@ class DuplicateAbscissaError(ValueError):
 
 
 class InconsistentDataError(ValueError):
-    """Extra interpolation points do not lie on the fitted polynomial."""
+    """An internal cross-check failed: an interpolation guard point is off
+    the fitted polynomial, a result that must be an integer is not, or two
+    independent methods disagree."""
+
+
+class OutOfDomainError(ValueError):
+    """Input outside the domain where the requested quantity is defined."""
 
 
 class NotInvertibleError(ValueError):
@@ -37,8 +43,17 @@ def rat_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rat_from_str(s: str) -> Fraction:
-    return Fraction(s)
+def as_integer(q, what: str) -> int:
+    """``q`` as an int; InconsistentDataError if it is not integral."""
+    q = rat(q)
+    if q.denominator != 1:
+        raise InconsistentDataError(f"{what} is not an integer: {q}")
+    return q.numerator
+
+
+def xvars(n: int) -> tuple:
+    """The variable names x1..xn."""
+    return tuple(f"x{i+1}" for i in range(n))
 
 
 class TruncationPolicy:
@@ -235,7 +250,7 @@ class UniPoly:
 
     @classmethod
     def from_json(cls, data: Sequence, var: str = "d") -> "UniPoly":
-        return cls({int(e): rat_from_str(c) for e, c in data}, var=var)
+        return cls({int(e): Fraction(c) for e, c in data}, var=var)
 
     def __repr__(self):
         if not self.coeffs:
@@ -273,6 +288,16 @@ class MultiPoly:
     @classmethod
     def const(cls, c, vars: Sequence[str]) -> "MultiPoly":
         return cls(vars, {(0,) * len(vars): rat(c)})
+
+    @classmethod
+    def linear_factor(cls, weights: Sequence[int]) -> "MultiPoly":
+        """1 + w_1 x_1 + ... + w_n x_n in the variables xvars(n)."""
+        n = len(weights)
+        terms = {(0,) * n: Fraction(1)}
+        for i, w in enumerate(weights):
+            if w:
+                terms[tuple(1 if j == i else 0 for j in range(n))] = Fraction(w)
+        return cls(xvars(n), terms)
 
     @classmethod
     def var(cls, name: str, vars: Sequence[str]) -> "MultiPoly":
@@ -424,7 +449,7 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, data: Sequence, vars: Sequence[str]) -> "MultiPoly":
-        return cls(vars, {tuple(ev): rat_from_str(c) for ev, c in data})
+        return cls(vars, {tuple(ev): Fraction(c) for ev, c in data})
 
     def __repr__(self):
         if not self.terms:
@@ -521,14 +546,3 @@ def series_divide(f: MultiPoly, g: MultiPoly, policy: TruncationPolicy) -> Multi
     return f.truncate(policy).mul_truncated(series_invert(g, policy),
                                             policy.max_total_degree)
 
-
-def series_arith(op: str, operands: Sequence[MultiPoly], policy: TruncationPolicy) -> MultiPoly:
-    if op == "multiply":
-        return series_multiply(operands, policy)
-    if op == "invert":
-        (f,) = operands
-        return series_invert(f, policy)
-    if op == "divide":
-        f, g = operands
-        return series_divide(f, g, policy)
-    raise ValueError(f"unknown series operation {op!r}")

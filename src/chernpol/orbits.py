@@ -11,8 +11,8 @@ from fractions import Fraction
 from functools import reduce
 
 from .chern import chern_direct
-from .exactcore import (InconsistentDataError, MultiPoly, TruncationPolicy,
-                        UniPoly, interpolate)
+from .exactcore import (InconsistentDataError, MultiPoly, OutOfDomainError,
+                        TruncationPolicy, interpolate, xvars)
 from .symfunc import expand_in_basis
 
 
@@ -20,7 +20,7 @@ def orbit_types(n: int) -> list:
     """All 2^(n-1) compositions of n, longest first, larger leading parts
     first within a length."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise OutOfDomainError("n must be >= 1")
     out = []
     for cuts in itertools.product((0, 1), repeat=n - 1):
         comp = []
@@ -96,15 +96,9 @@ def orbit_term(values) -> MultiPoly:
     weight tuple of (1 + sum_i w_i x_i), re-expressed exactly in e_1..e_n."""
     values = tuple(int(v) for v in values)
     n = len(values)
-    xs = tuple(f"x{i+1}" for i in range(n))
-    out = MultiPoly.const(1, xs)
+    out = MultiPoly.const(1, xvars(n))
     for perm in sorted(set(itertools.permutations(values))):
-        terms = {(0,) * n: Fraction(1)}
-        for i, w in enumerate(perm):
-            if w:
-                ev = tuple(1 if j == i else 0 for j in range(n))
-                terms[ev] = Fraction(w)
-        out = out * MultiPoly(xs, terms)
+        out = out * MultiPoly.linear_factor(perm)
     return _expansion_to_epoly(expand_in_basis(out, "elementary"), n)
 
 

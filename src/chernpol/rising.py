@@ -10,16 +10,14 @@ import itertools
 from fractions import Fraction
 from math import factorial
 
-from .exactcore import MultiPoly, TruncationPolicy, UniPoly
+from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
+                        xvars)
 from .specialization import M_tilde
+from .symfunc import mult_factorial
 
 
 class InvalidBoundError(ValueError):
     """The proposed linear form does not bound the coefficient table."""
-
-
-class OutOfDomainError(ValueError):
-    """Product evaluated where the bound polynomial is < -1."""
 
 
 # ---------------------------------------------------------------------------
@@ -54,21 +52,6 @@ def vector_partitions(H) -> list[tuple]:
                 yield (b,) + rest
 
     return list(rec(H, H))
-
-
-def mult_factorial(J) -> int:
-    """mult(J)! for a partition with weakly decreasing equal blocks grouped."""
-    out = 1
-    run = 1
-    for i in range(1, len(J)):
-        if J[i] == J[i - 1]:
-            run += 1
-        else:
-            out *= factorial(run)
-            run = 1
-    if J:
-        out *= factorial(run)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +266,7 @@ def direct_rising_oracle(spec: RisingProductSpec, params,
     k0 = k0.numerator
     if k0 < -1:
         raise OutOfDomainError("K(params) < -1")
-    xs = tuple(f"x{i+1}" for i in range(spec.nx))
+    xs = xvars(spec.nx)
     out = MultiPoly.const(1, xs)
     for t in range(k0 + 1):
         factor_terms = {(0,) * spec.nx: Fraction(1)}

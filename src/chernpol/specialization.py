@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
 
 from .exactcore import UniPoly, interpolate
+from .symfunc import mult_factorial
 
 
 @lru_cache(maxsize=None)
@@ -149,13 +149,7 @@ def M_plain(lam: tuple) -> UniPoly:
     """M_tilde divided by mult(lambda)!, i.e. the specialization of the plain
     monomial symmetric polynomial."""
     lam = _sorted_partition(int(p) for p in lam)
-    mult_fact = 1
-    counts: dict[int, int] = {}
-    for p in lam:
-        counts[p] = counts.get(p, 0) + 1
-    for m in counts.values():
-        mult_fact *= factorial(m)
-    return M_tilde(lam).scale(Fraction(1, mult_fact))
+    return M_tilde(lam).scale(Fraction(1, mult_factorial(lam)))
 
 
 def aug_monomial_bruteforce(lam: tuple, v: int) -> Fraction:

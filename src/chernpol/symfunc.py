@@ -10,9 +10,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exactcore import MultiPoly, TruncationPolicy, rat_to_str, rat_from_str
+from .exactcore import (MultiPoly, TruncationPolicy, UniPoly, as_integer,
+                        rat_to_str, xvars)
 
-BASES = ("monomial", "elementary", "schur", "power")
+# basis name -> the letter that labels its elements (m[2,1], e[1], ...)
+BASES = {"monomial": "m", "elementary": "e", "schur": "s", "power": "p"}
 
 
 class InvalidIndexError(ValueError):
@@ -40,10 +42,6 @@ def check_partition(parts) -> tuple:
     return parts
 
 
-def weight(parts) -> int:
-    return sum(parts)
-
-
 def conjugate(parts) -> tuple:
     parts = tuple(parts)
     if not parts:
@@ -56,6 +54,14 @@ def multiplicities(parts) -> dict:
     out: dict[int, int] = {}
     for p in parts:
         out[p] = out.get(p, 0) + 1
+    return out
+
+
+def mult_factorial(parts) -> int:
+    """mult(lambda)! = prod over the distinct parts of (multiplicity)!."""
+    out = 1
+    for m in multiplicities(parts).values():
+        out *= factorial(m)
     return out
 
 
@@ -92,12 +98,8 @@ def dominance_key(parts) -> tuple:
 # expansions into the x-variables
 # ---------------------------------------------------------------------------
 
-def _xvars(n: int) -> tuple:
-    return tuple(f"x{i+1}" for i in range(n))
-
-
 def _monomial_x(lam: tuple, n: int) -> MultiPoly:
-    xs = _xvars(n)
+    xs = xvars(n)
     terms = {}
     padded = tuple(lam) + (0,) * (n - len(lam))
     for perm in set(itertools.permutations(padded)):
@@ -107,7 +109,7 @@ def _monomial_x(lam: tuple, n: int) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def _elementary_one_x(k: int, n: int) -> MultiPoly:
-    xs = _xvars(n)
+    xs = xvars(n)
     terms = {}
     for combo in itertools.combinations(range(n), k):
         ev = tuple(1 if i in combo else 0 for i in range(n))
@@ -116,21 +118,21 @@ def _elementary_one_x(k: int, n: int) -> MultiPoly:
 
 
 def _elementary_x(nu: tuple, n: int) -> MultiPoly:
-    out = MultiPoly.const(1, _xvars(n))
+    out = MultiPoly.const(1, xvars(n))
     for part in nu:
         out = out * _elementary_one_x(part, n)
     return out
 
 
 def _power_one_x(k: int, n: int) -> MultiPoly:
-    xs = _xvars(n)
+    xs = xvars(n)
     terms = {tuple(k if j == i else 0 for j in range(n)): Fraction(1)
              for i in range(n)}
     return MultiPoly(xs, terms)
 
 
 def _power_x(lam: tuple, n: int) -> MultiPoly:
-    out = MultiPoly.const(1, _xvars(n))
+    out = MultiPoly.const(1, xvars(n))
     for part in lam:
         out = out * _power_one_x(part, n)
     return out
@@ -138,7 +140,7 @@ def _power_x(lam: tuple, n: int) -> MultiPoly:
 
 @lru_cache(maxsize=None)
 def _complete_one_x(k: int, n: int) -> MultiPoly:
-    xs = _xvars(n)
+    xs = xvars(n)
     terms = {}
     for combo in itertools.combinations_with_replacement(range(n), k):
         ev = [0] * n
@@ -154,15 +156,15 @@ def _schur_x(lam: tuple, n: int) -> MultiPoly:
     # the matrix size is len(lambda) <= n
     m = len(lam)
     if m == 0:
-        return MultiPoly.const(1, _xvars(n))
+        return MultiPoly.const(1, xvars(n))
 
     def h(k):
         if k < 0:
-            return MultiPoly.const(0, _xvars(n))
+            return MultiPoly.const(0, xvars(n))
         return _complete_one_x(k, n)
 
     mat = [[h(lam[i] - i + j) for j in range(m)] for i in range(m)]
-    return _det(mat, _xvars(n))
+    return _det(mat, xvars(n))
 
 
 def _det(mat, xs) -> MultiPoly:
@@ -245,10 +247,7 @@ def expand_in_basis(f: MultiPoly, basis: str) -> dict:
             raise NotSymmetricError("symmetric reduction failed")
         if basis == "power":
             lam = min(support, key=dominance_key)
-            mult_fact = 1
-            for m in multiplicities(lam).values():
-                mult_fact *= factorial(m)
-            c = support[lam] / mult_fact
+            c = support[lam] / mult_factorial(lam)
             piv = _power_x(lam, n)
         elif basis == "schur":
             lam = max(support, key=dominance_key)
@@ -304,8 +303,7 @@ def syt_count(lam: tuple) -> int:
     den = 1
     for i in range(l):
         den *= factorial(lam[i] + l - 1 - i)
-    assert num % den == 0
-    return num // den
+    return as_integer(Fraction(num, den), f"syt_count{lam}")
 
 
 def catalan_triangle(delta: int, j: int) -> int:
@@ -330,12 +328,11 @@ def expansion_to_json(basis: str, n: int, terms: dict) -> dict:
 
 
 def expansion_from_json(data: dict) -> tuple:
-    from .exactcore import UniPoly
     terms = {}
     for lam, c in data["terms"]:
         lam = check_partition(lam) if lam else ()
         if isinstance(c, str):
-            terms[lam] = rat_from_str(c)
+            terms[lam] = Fraction(c)
         else:
             terms[lam] = UniPoly.from_json(c)
     return data["basis"], data["n"], terms

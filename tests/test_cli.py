@@ -1,11 +1,14 @@
 import json
+import shlex
+import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from chernpol import cli
+from chernpol import cli, enumgeo
 from chernpol.chern import ChernPolynomial, chern_interpolated
 from chernpol.exactcore import UniPoly
 from chernpol.rising import RisingProductSpec
@@ -241,3 +244,102 @@ def test_factored_str():
     assert cli.factored_str(UniPoly.const(0, "d")) == "0"
     irred = UniPoly({2: F(1), 0: F(1)}, var="d")
     assert "d^2+1" in cli.factored_str(irred).replace(" ", "")
+
+
+# ---------------------------------------------------------------------------
+# argument schemas
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["chern", "--n", "2", "--k", "1", "--spec-file", "x"],
+    ["fano-degree", "--d", "3", "--m", "3", "--basis", "e"],
+    ["orbits", "--n", "3", "--d", "4", "--method", "integral"],
+])
+def test_foreign_flag_is_usage_error(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == cli.EXIT_USAGE
+    assert "unrecognized arguments" in err
+
+
+def test_readme_examples_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = [shlex.split(line, comments=True)[1:]
+                for line in readme.read_text().splitlines()
+                if line.startswith("chernpol ")]
+    assert {argv[0] for argv in examples} == set(cli.COMMANDS)
+    parser = cli.build_parser()
+    for argv in examples:
+        parser.parse_args(argv)
+
+
+# ---------------------------------------------------------------------------
+# invalid input and failed cross-checks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv, expected", [
+    (["chern", "--n", "0", "--k", "1"], cli.EXIT_DOMAIN),
+    (["chern", "--n", "2", "--k", "-1"], cli.EXIT_DOMAIN),
+    (["chern-eval", "--n", "2", "--k", "1", "--d", "-5"], cli.EXIT_DOMAIN),
+    (["orbits", "--n", "0", "--d", "3"], cli.EXIT_DOMAIN),
+    (["orbits", "--n", "0", "--d", "3", "--type", ""], cli.EXIT_USAGE),
+    (["sigma-degree", "--m", "3", "--r", "-1"], cli.EXIT_DOMAIN),
+    (["sigma-degree", "--m", "3", "--r", "5"], cli.EXIT_DOMAIN),
+    (["sigma-degree", "--m", "3", "--r", "3", "--d", "4"], cli.EXIT_DOMAIN),
+    (["stirling-coeff", "--spec-file", "{tmp}/missing.json", "--type", "1"],
+     cli.EXIT_USAGE),
+    (["stirling-coeff", "--spec-file", "{tmp}/spec.json", "--type=-1"],
+     cli.EXIT_USAGE),
+    (["stirling-coeff", "--spec-file", "{tmp}/malformed.json", "--type", "1"],
+     cli.EXIT_USAGE),
+])
+def test_invalid_input_exits_cleanly(argv, expected, capsys, tmp_path,
+                                     monkeypatch):
+    cache = tmp_path / "cache"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+    (tmp_path / "malformed.json").write_text("{not json")
+    spec = RisingProductSpec.single("d", {((1,), 1): 1}, UniPoly.x("d"), 1)
+    (tmp_path / "spec.json").write_text(json.dumps(spec.to_json()))
+    code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
+    assert code == expected
+    assert out == ""
+    assert "Traceback" not in err
+    assert not cache.exists()
+
+
+def test_method_disagreement_exits_check(capsys, monkeypatch):
+    monkeypatch.setattr(enumgeo, "fano_degree_lines",
+                        lambda d, m, method: {"closed": 27,
+                                              "integral": 28}[method])
+    code, out, err = run_cli(["fano-degree", "--d", "3", "--m", "3"], capsys)
+    assert code == cli.EXIT_CHECK
+    assert out == ""
+    assert "method disagreement" in err and "Traceback" not in err
+    code, _, err = run_cli(["fano-degree", "--d", "3", "--m", "3",
+                            "--format", "json"], capsys)
+    assert code == cli.EXIT_CHECK
+    assert json.loads(err)["error"] == "InconsistentDataError"
+
+
+def test_failed_verify_exits_check(capsys, monkeypatch):
+    monkeypatch.setattr(enumgeo, "fano_chi_lines",
+                        lambda d, m, method: {"closed": 1,
+                                              "integral": 2}[method])
+    code, out, err = run_cli(["verify"], capsys)
+    assert code == cli.EXIT_CHECK
+    assert out == ""
+    assert "FAIL: Fano chi" in err and "Traceback" not in err
+
+
+def test_cache_rejects_payload_for_other_key(capsys, tmp_path):
+    cli.cache_get_or_compute(2, 1, str(tmp_path))
+    shutil.copy(tmp_path / "chern_n2_k1.json", tmp_path / "chern_n2_k2.json")
+    cp = cli.cache_get_or_compute(2, 2, str(tmp_path))
+    assert "warning" in capsys.readouterr().err
+    assert cp == chern_interpolated(2, 2)
+    assert cli.cache_get_or_compute(2, 2, str(tmp_path)) == cp
+    assert capsys.readouterr().err == ""
+    # a checksummed payload that is not an object is stale too
+    (tmp_path / "chern_n2_k2.json").write_text(json.dumps(
+        {"checksum": cli._checksum([]), "payload": []}))
+    assert cli.cache_get_or_compute(2, 2, str(tmp_path)) == cp
+    assert "warning" in capsys.readouterr().err

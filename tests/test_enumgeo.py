@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from chernpol import enumgeo
 from chernpol.chern import chern_direct, euler_coefficient
 from chernpol.enumgeo import (EmptyFanoError, UnsupportedDegreeError,
                               UnsupportedMethodError, chern_grassmannian,
@@ -12,7 +13,8 @@ from chernpol.enumgeo import (EmptyFanoError, UnsupportedDegreeError,
                               sigma_degree, sigma_degree_hyperplane,
                               sigma_degree_leading, sigma_degree_symbolic,
                               sigma_validity_warnings)
-from chernpol.exactcore import MultiPoly, TruncationPolicy, UniPoly
+from chernpol.exactcore import (InconsistentDataError, MultiPoly,
+                                TruncationPolicy, UniPoly)
 from chernpol.symfunc import expand_in_basis, to_x_expansion
 
 
@@ -196,3 +198,9 @@ def test_euler_class_c2_matches_coefficients():
         schur = expand_in_basis(top, "schur")
         for j in range(1, (d + 1) // 2 + 1):
             assert schur.get((d + 1 - j, j), F(0)) == euler_coefficient(d, j)
+
+
+def test_non_integral_fano_degree_is_inconsistent(monkeypatch):
+    monkeypatch.setattr(enumgeo, "grassmann_integral", lambda *args: F(1, 2))
+    with pytest.raises(InconsistentDataError):
+        fano_degree_lines(3, 3, "integral")
