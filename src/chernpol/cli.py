@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -57,9 +56,10 @@ def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
                          no_cache: bool = False) -> chern.ChernPolynomial:
     """Monomial-basis ChernPolynomial for (n, k), through the JSON cache.
 
-    Corrupt or stale files, and files holding another (n, k) or basis, are
-    recomputed and overwritten (with a warning); writes are atomic
-    (write-temp-then-rename).
+    Unreadable, corrupt or stale files, and files holding another (n, k) or
+    basis, are recomputed and overwritten (with a warning); writes are
+    atomic (write-temp-then-rename), and a cache that cannot be written
+    gives a warning and the uncached answer.
     """
     if no_cache:
         return chern.chern_interpolated(n, k, "monomial")
@@ -77,22 +77,25 @@ def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
                 raise ValueError(f"entry is for n={cp.n}, k={cp.k}, "
                                  f"{cp.basis} basis")
             return cp
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, LookupError, TypeError,
+                AttributeError) as exc:
             print(f"warning: recomputing corrupt/stale cache entry {path}: {exc}",
                   file=sys.stderr)
     result = chern.chern_interpolated(n, k, "monomial")
     payload = result.to_json()
     doc = {"checksum": _checksum(payload), "payload": payload}
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             json.dump(doc, fh)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        print(f"warning: not caching {path}: {exc}", file=sys.stderr)
+    finally:
+        if tmp and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
     return result
 
 
@@ -100,53 +103,16 @@ def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
 # rendering
 # ---------------------------------------------------------------------------
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    return [i for i in range(1, n + 1) if n % i == 0]
-
-
-def _rational_root(p: UniPoly):
-    """Some rational root of p (nonzero constant term assumed), or None."""
-    denom = 1
-    for c in p.coeffs.values():
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ip = {e: int(c * denom) for e, c in p.coeffs.items()}
-    for num in _divisors(ip.get(0, 0)):
-        for den in _divisors(ip[max(ip)]):
-            for sign in (1, -1):
-                cand = Fraction(sign * num, den)
-                if p(cand) == 0:
-                    return cand
-    return None
-
-
 def factored_str(p: UniPoly) -> str:
     """Display form with rational roots pulled out as linear factors."""
     if p.is_zero():
         return "0"
     var = p.var
-    factors = []
-
-    def record(root):
-        for i, (r0, mult) in enumerate(factors):
-            if r0 == root:
-                factors[i] = (r0, mult + 1)
-                return
-        factors.append((root, 1))
-
-    rest = p
-    low = min(rest.coeffs)
-    for _ in range(low):
-        record(Fraction(0))
-    rest = UniPoly({e - low: c for e, c in rest.coeffs.items()}, var=var)
-    while rest.degree() not in (None, 0):
-        root = _rational_root(rest)
-        if root is None:
-            break
-        record(root)
-        rest = rest.exact_div(UniPoly({1: Fraction(1), 0: -root}, var=var))
+    roots = p.rational_roots()
+    rest = p.exact_div(UniPoly.from_roots(
+        [r for r, mult in roots for _ in range(mult)], var=var))
     parts = []
-    for root, mult in factors:
+    for root, mult in roots:
         if root == 0:
             base = var
         elif root > 0:
@@ -154,7 +120,7 @@ def factored_str(p: UniPoly) -> str:
         else:
             base = f"({var}+{rat_to_str(-root)})"
         parts.append(base if mult == 1 else f"{base}^{mult}")
-    if rest.degree() in (None, 0) and not parts:
+    if rest.degree() == 0 and not parts:
         return repr(rest)
     tail = "" if rest == 1 else f"({rest!r})"
     return "*".join(parts + ([tail] if tail else [])) or "1"
@@ -418,8 +384,7 @@ def main(argv=None) -> int:
     try:
         out = COMMANDS[args.command][0](args)
     except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _report(args, exc, "usage error", EXIT_USAGE)
     except DOMAIN_ERRORS as exc:
         return _report(args, exc, "domain error", EXIT_DOMAIN)
     except InconsistentDataError as exc:

@@ -28,8 +28,9 @@ class UnsupportedMethodError(ValueError):
 
 
 def expected_dimension(d: int, m: int, r: int) -> int:
-    """delta(d,m,r) = (r+1)(m-r) - binom(r+d, r)."""
-    return (r + 1) * (m - r) - comb(r + d, r)
+    """delta(d,m,r) = (r+1)(m-r) - binom(r+d, r), the binomial being the
+    number of degree-d monomials in r+1 variables (none for d < 0)."""
+    return (r + 1) * (m - r) - (comb(r + d, r) if d >= 0 else 0)
 
 
 def grassmann_integral(f: MultiPoly, k: int, n_amb: int) -> Fraction:

@@ -1,5 +1,6 @@
 """Exact rational polynomial arithmetic: univariate and sparse multivariate
-polynomials over Q, truncated power-series operations, and exact Lagrange
+polynomials over Q on one shared core, rational roots of univariate
+polynomials, truncated power-series operations, and exact Lagrange
 interpolation.
 
 All coefficients are ``fractions.Fraction``; nothing here ever rounds.
@@ -7,6 +8,7 @@ All coefficients are ``fractions.Fraction``; nothing here ever rounds.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -56,6 +58,13 @@ def xvars(n: int) -> tuple:
     return tuple(f"x{i+1}" for i in range(n))
 
 
+def _divisors(n: int) -> list:
+    """The positive divisors of the nonzero integer ``n``, ascending."""
+    n = abs(n)
+    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
+    return small + [n // i for i in reversed(small) if i * i != n]
+
+
 class TruncationPolicy:
     """Discard every term of total degree strictly above ``max_total_degree``."""
 
@@ -70,23 +79,93 @@ class TruncationPolicy:
         return f"TruncationPolicy({self.max_total_degree})"
 
 
-class UniPoly:
+class _Poly:
+    """The arithmetic UniPoly and MultiPoly share, over one sparse ``terms``
+    dict {exponent key: nonzero Fraction}.
+
+    A subclass supplies ``_new(terms)`` (a polynomial in its own variables),
+    ``_coerce`` (numbers become constants), ``__mul__``, and for ``repr`` the
+    display order ``_repr_key`` and the monomial text ``_mono`` of a key.
+    """
+
+    __slots__ = ("terms",)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, Fraction(0)) + c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+        return self._new(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        result = self._coerce(1)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def scale(self, c):
+        c = rat(c)
+        return self._new({e: v * c for e, v in self.terms.items()})
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for e in sorted(self.terms, key=self._repr_key):
+            c = self.terms[e]
+            mono = self._mono(e)
+            if not mono:
+                parts.append(rat_to_str(c))
+            elif c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{rat_to_str(c)}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+
+class UniPoly(_Poly):
     """Univariate polynomial over Q, sparse dict {exponent: coefficient}.
 
     The zero polynomial has ``degree() is None`` (a sentinel distinct from
     any integer, so it cannot collide with evaluation points like -1).
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var",)
 
-    def __init__(self, coeffs: Mapping[int, Fraction] | None = None, var: str = "d"):
+    def __init__(self, terms: Mapping[int, Fraction] | None = None, var: str = "d"):
         self.var = var
-        self.coeffs = {}
-        if coeffs:
-            for e, c in coeffs.items():
+        self.terms = {}
+        if terms:
+            for e, c in terms.items():
                 c = rat(c)
                 if c != 0:
-                    self.coeffs[int(e)] = c
+                    self.terms[int(e)] = c
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -104,66 +183,44 @@ class UniPoly:
             p = p * cls({1: Fraction(1), 0: -rat(r)}, var=var)
         return p
 
-    # -- basics ---------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    def _new(self, terms) -> "UniPoly":
+        return UniPoly(terms, var=self.var)
 
-    def degree(self):
-        if not self.coeffs:
-            return None
-        return max(self.coeffs)
-
-    def coeff(self, e: int) -> Fraction:
-        return self.coeffs.get(e, Fraction(0))
-
-    def leading_coeff(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[max(self.coeffs)]
-
-    def __eq__(self, other):
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == UniPoly.const(other, var=self.var)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.var, tuple(sorted(self.coeffs.items()))))
-
-    # -- arithmetic -----------------------------------------------------
     def _coerce(self, other) -> "UniPoly":
         if isinstance(other, UniPoly):
             return other
         return UniPoly.const(other, var=self.var)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return UniPoly(out, var=self.var)
+    # -- basics ---------------------------------------------------------
+    def degree(self):
+        if not self.terms:
+            return None
+        return max(self.terms)
 
-    __radd__ = __add__
+    def coeff(self, e: int) -> Fraction:
+        return self.terms.get(e, Fraction(0))
 
-    def __neg__(self):
-        return UniPoly({e: -c for e, c in self.coeffs.items()}, var=self.var)
+    def leading_coeff(self) -> Fraction:
+        if not self.terms:
+            return Fraction(0)
+        return self.terms[max(self.terms)]
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
+    def __eq__(self, other):
+        if isinstance(other, UniPoly):
+            return self.terms == other.terms
+        if isinstance(other, (int, Fraction)):
+            return self == UniPoly.const(other, var=self.var)
+        return NotImplemented
 
-    def __rsub__(self, other):
-        return self._coerce(other) - self
+    def __hash__(self):
+        return hash((self.var, tuple(sorted(self.terms.items()))))
 
+    # -- arithmetic -----------------------------------------------------
     def __mul__(self, other):
         other = self._coerce(other)
         out: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
                 e = e1 + e2
                 s = out.get(e, Fraction(0)) + c1 * c2
                 if s:
@@ -173,22 +230,6 @@ class UniPoly:
         return UniPoly(out, var=self.var)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = UniPoly.const(1, var=self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def scale(self, c) -> "UniPoly":
-        c = rat(c)
-        return UniPoly({e: v * c for e, v in self.coeffs.items()}, var=self.var)
 
     def divmod(self, other: "UniPoly"):
         if other.is_zero():
@@ -214,64 +255,85 @@ class UniPoly:
         return self.divmod(other)[1].is_zero()
 
     def derivative(self) -> "UniPoly":
-        return UniPoly({e - 1: c * e for e, c in self.coeffs.items() if e > 0},
+        return UniPoly({e - 1: c * e for e, c in self.terms.items() if e > 0},
                        var=self.var)
+
+    def rational_roots(self) -> list:
+        """[(root, multiplicity)] of every rational root of a nonzero
+        polynomial: 0 first, then the others in the order of (|numerator|,
+        denominator, sign), positive before negative.
+
+        One pass: a root p/q in lowest terms of the integer polynomial has p
+        dividing its constant term and q its leading coefficient, so the
+        divisors of those two are listed once, by trial division up to the
+        square root, and each candidate is divided out while it vanishes.
+        """
+        if not self.terms:
+            raise ValueError("the zero polynomial has every root")
+        low = min(self.terms)
+        roots = [(Fraction(0), low)] if low else []
+        rest = UniPoly({e - low: c for e, c in self.terms.items()}, var=self.var)
+        top = rest.degree()
+        if not top:
+            return roots
+        denom = math.lcm(*(c.denominator for c in rest.terms.values()))
+        dens = _divisors((rest.terms[top] * denom).numerator)
+        for num in _divisors((rest.terms[0] * denom).numerator):
+            for den in dens:
+                if math.gcd(num, den) != 1:
+                    continue
+                for root in (Fraction(num, den), Fraction(-num, den)):
+                    mult = 0
+                    while rest.degree() and rest(root) == 0:
+                        rest = rest.exact_div(UniPoly({1: Fraction(1), 0: -root},
+                                                      var=self.var))
+                        mult += 1
+                    if mult:
+                        roots.append((root, mult))
+                        if not rest.degree():
+                            return roots
+        return roots
 
     # -- evaluation / composition ---------------------------------------
     def __call__(self, value):
         """Horner evaluation; ``value`` may be a Fraction, int, UniPoly or
         MultiPoly (polynomial composition)."""
-        if isinstance(value, (UniPoly, MultiPoly)):
-            acc = value * 0
+        if isinstance(value, _Poly):
+            result = value * 0
         else:
-            acc = Fraction(0)
-            value = rat(value)
-        result = None
-        prev_e = None
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            if result is None:
-                result = acc + c
-                prev_e = e
-            else:
-                for _ in range(prev_e - e):
-                    result = result * value
-                result = result + c
-                prev_e = e
-        if result is None:
-            return acc
-        for _ in range(prev_e):
+            result, value = Fraction(0), rat(value)
+        top = self.degree()
+        if top is None:
+            return result
+        result = result + self.terms[top]
+        for e in range(top - 1, -1, -1):
             result = result * value
+            if e in self.terms:
+                result = result + self.terms[e]
         return result
 
     # -- io ---------------------------------------------------------------
     def to_json(self) -> list:
-        return [[e, rat_to_str(c)] for e, c in sorted(self.coeffs.items())]
+        return [[e, rat_to_str(c)] for e, c in sorted(self.terms.items())]
 
     @classmethod
     def from_json(cls, data: Sequence, var: str = "d") -> "UniPoly":
         return cls({int(e): Fraction(c) for e, c in data}, var=var)
 
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for e in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[e]
-            cs = rat_to_str(c)
-            if e == 0:
-                parts.append(cs)
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else f"{cs}*")
-                xs = self.var if e == 1 else f"{self.var}^{e}"
-                parts.append(f"{head}{xs}")
-        return " + ".join(parts).replace("+ -", "- ")
+    @staticmethod
+    def _repr_key(e: int) -> int:
+        return -e
+
+    def _mono(self, e: int) -> str:
+        if e == 0:
+            return ""
+        return self.var if e == 1 else f"{self.var}^{e}"
 
 
-class MultiPoly:
+class MultiPoly(_Poly):
     """Sparse multivariate polynomial over Q: {exponent tuple: Fraction}."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars",)
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Fraction] | None = None):
         self.vars = tuple(vars)
@@ -306,8 +368,15 @@ class MultiPoly:
         ev = tuple(1 if j == i else 0 for j in range(len(vars)))
         return cls(vars, {ev: Fraction(1)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _new(self, terms) -> "MultiPoly":
+        return MultiPoly(self.vars, terms)
+
+    def _coerce(self, other) -> "MultiPoly":
+        if isinstance(other, MultiPoly):
+            if other.vars != self.vars:
+                raise ValueError("variable mismatch")
+            return other
+        return MultiPoly.const(other, self.vars)
 
     def coeff(self, ev: tuple) -> Fraction:
         return self.terms.get(tuple(ev), Fraction(0))
@@ -330,39 +399,9 @@ class MultiPoly:
     def __hash__(self):
         return hash((self.vars, tuple(sorted(self.terms.items()))))
 
-    def _coerce(self, other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            if other.vars != self.vars:
-                raise ValueError("variable mismatch")
-            return other
-        return MultiPoly.const(other, self.vars)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for ev, c in other.terms.items():
-            s = out.get(ev, Fraction(0)) + c
-            if s:
-                out[ev] = s
-            else:
-                out.pop(ev, None)
-        return MultiPoly(self.vars, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.vars, {ev: -c for ev, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = rat(other)
-            return MultiPoly(self.vars, {ev: v * c for ev, v in self.terms.items()})
+            return self.scale(other)
         other = self._coerce(other)
         return self.mul_truncated(other, None)
 
@@ -383,18 +422,6 @@ class MultiPoly:
                 else:
                     out.pop(ev, None)
         return MultiPoly(self.vars, out)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.const(1, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def truncate(self, policy: TruncationPolicy | int) -> "MultiPoly":
         m = policy.max_total_degree if isinstance(policy, TruncationPolicy) else policy
@@ -451,27 +478,13 @@ class MultiPoly:
     def from_json(cls, data: Sequence, vars: Sequence[str]) -> "MultiPoly":
         return cls(vars, {tuple(ev): Fraction(c) for ev, c in data})
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        def key(ev):
-            return (sum(ev), ev)
-        parts = []
-        for ev in sorted(self.terms, key=key):
-            c = self.terms[ev]
-            mono = "*".join(
-                (v if e == 1 else f"{v}^{e}")
-                for v, e in zip(self.vars, ev) if e)
-            cs = rat_to_str(c)
-            if not mono:
-                parts.append(cs)
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{cs}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
+    @staticmethod
+    def _repr_key(ev: tuple) -> tuple:
+        return (sum(ev), ev)
+
+    def _mono(self, ev: tuple) -> str:
+        return "*".join((v if e == 1 else f"{v}^{e}")
+                        for v, e in zip(self.vars, ev) if e)
 
 
 # ---------------------------------------------------------------------------

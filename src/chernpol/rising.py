@@ -90,7 +90,7 @@ class RisingProductSpec:
             if self.params != (c.var,):
                 raise ValueError("parameter mismatch")
             return MultiPoly(self.params,
-                             {(e,): v for e, v in c.coeffs.items()})
+                             {(e,): v for e, v in c.terms.items()})
         return MultiPoly.const(c, self.params)
 
     def support(self, E: tuple) -> list[int]:

@@ -275,13 +275,7 @@ def convert_expansion(terms: dict, src_basis: str, dst_basis: str, n: int) -> di
             cur = out.get(mu)
             add = c * k
             out[mu] = add if cur is None else cur + add
-    return {mu: c for mu, c in out.items() if not _is_zero_coeff(c)}
-
-
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, Fraction) or isinstance(c, int):
-        return c == 0
-    return c.is_zero()
+    return {mu: c for mu, c in out.items() if c != 0}
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
+import os
 import shlex
 import shutil
 import subprocess
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chernpol import cli, enumgeo
 from chernpol.chern import ChernPolynomial, chern_interpolated
@@ -233,6 +238,30 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "chern_n2_k1.json").exists()
 
 
+def test_unusable_cache_dir_warns_and_answers(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["chern", "--n", "2", "--k", "1", "--basis", "e"]
+    _, uncached, _ = run_cli(argv + ["--no-cache"], capsys)
+    code, out, err = run_cli(argv + ["--cache-dir", str(blocker / "sub")],
+                             capsys)
+    assert code == 0
+    assert out == uncached
+    assert "warning: not caching" in err and "Traceback" not in err
+
+
+def test_cache_entry_that_is_a_directory(capsys, tmp_path):
+    (tmp_path / "chern_n2_k1.json").mkdir()
+    argv = ["chern", "--n", "2", "--k", "1", "--basis", "e"]
+    _, uncached, _ = run_cli(argv + ["--no-cache"], capsys)
+    code, out, err = run_cli(argv + ["--cache-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert out == uncached
+    assert "warning: recomputing" in err and "warning: not caching" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chern_n2_k1.json"]
+
+
 # ---------------------------------------------------------------------------
 # rendering helpers
 # ---------------------------------------------------------------------------
@@ -244,6 +273,14 @@ def test_factored_str():
     assert cli.factored_str(UniPoly.const(0, "d")) == "0"
     irred = UniPoly({2: F(1), 0: F(1)}, var="d")
     assert "d^2+1" in cli.factored_str(irred).replace(" ", "")
+
+
+def test_factored_str_multiplicities_and_large_roots():
+    p = UniPoly.from_roots([0, F(-1, 2), F(3, 4), F(3, 4), 2, -2]).scale(5)
+    assert cli.factored_str(p) == "d*(d+1/2)*(d-2)*(d+2)*(d-3/4)^2*(5)"
+    # the divisor search is O(sqrt(|constant term|)), not linear in it
+    assert (cli.factored_str(UniPoly.from_roots([2, -3, 1000000007]))
+            == "(d-2)*(d+3)*(d-1000000007)")
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +343,23 @@ def test_invalid_input_exits_cleanly(argv, expected, capsys, tmp_path,
     assert not cache.exists()
 
 
+def test_usage_error_json_body(capsys, tmp_path):
+    code, out, err = run_cli(["stirling-coeff", "--spec-file",
+                              str(tmp_path / "missing.json"), "--type", "1",
+                              "--format", "json"], capsys)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert json.loads(err)["error"] == "UsageError"
+
+
+def test_sigma_degree_empty_product(capsys):
+    # d = -1 is the empty product, as for chern-eval
+    code, out, err = run_cli(["sigma-degree", "--m", "1", "--r", "0",
+                              "--d", "-1"], capsys)
+    assert code == 0 and out.startswith("0\n")
+    assert "Traceback" not in err
+
+
 def test_method_disagreement_exits_check(capsys, monkeypatch):
     monkeypatch.setattr(enumgeo, "fano_degree_lines",
                         lambda d, m, method: {"closed": 27,
@@ -343,3 +397,81 @@ def test_cache_rejects_payload_for_other_key(capsys, tmp_path):
         {"checksum": cli._checksum([]), "payload": []}))
     assert cli.cache_get_or_compute(2, 2, str(tmp_path)) == cp
     assert "warning" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing argument vectors
+# ---------------------------------------------------------------------------
+
+# Values are kept small so that the whole test runs in about 10 s: n, k <= 3,
+# symbolic sigma-degree with m <= 3, --type entries <= 2.
+SMALL = st.sampled_from(["1", "2", "3", "0", "-1", "-2"])
+JUNK = st.sampled_from(["junk", "", "-1", "1.5", "--bogus", "-x", "--",
+                        "--n=2", "--help", "\u00e9"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    """Cache dirs and spec files, usable and not."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "file").write_text("")
+    (root / "malformed.json").write_text("{not json")
+    spec = RisingProductSpec.single("d", {((1,), 1): 1}, UniPoly.x("d"), 1)
+    (root / "spec.json").write_text(json.dumps(spec.to_json()))
+    return {"root": root,
+            "cache-dir": [root / "cache", root / "file", root / "file" / "sub",
+                          root / "spec.json"],
+            "spec-file": [root / "spec.json", root / "malformed.json",
+                          root / "missing.json", root, root / "file"]}
+
+
+def _mostly(strategy):
+    """``strategy`` seven times in eight, a junk token otherwise."""
+    return st.integers(0, 7).flatmap(lambda i: strategy if i else JUNK)
+
+
+def _values(flag: str, paths: dict):
+    if flag in paths:       # no junk: a junk cache dir is a relative path
+        return st.sampled_from([str(p) for p in paths[flag]])
+    if flag == "basis":
+        return _mostly(st.sampled_from(["m", "e", "s", "p", "schur"]))
+    if "choices" in cli.FLAGS[flag]:
+        return _mostly(st.sampled_from(cli.FLAGS[flag]["choices"]))
+    if flag == "type":
+        return _mostly(st.lists(st.integers(-1, 2), max_size=3).map(
+            lambda v: ",".join(map(str, v))))
+    return _mostly(SMALL)
+
+
+@st.composite
+def _argv(draw, paths):
+    """A subcommand with its required flags (each dropped one time in
+    ten), each of its optional flags one time in two, and one time in
+    eight each a foreign flag and a junk token."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS) + ["bogus"]))
+    _, required, optional = cli.COMMANDS.get(command, (None, (), ()))
+    flags = [f for f in required if draw(st.integers(0, 9))]
+    flags += [f for f in optional + ("format",) if draw(st.booleans())]
+    if not draw(st.integers(0, 7)):
+        flags.append(draw(st.sampled_from(sorted(cli.FLAGS))))
+    argv = [command]
+    for flag in flags:
+        argv.append("--" + flag)
+        if cli.FLAGS[flag].get("action") != "store_true":
+            argv.append(draw(_values(flag, paths)))
+    if not draw(st.integers(0, 7)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_fuzz_argv_exits_cleanly(data, fuzz_paths):
+    argv = data.draw(_argv(fuzz_paths), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    cache = str(fuzz_paths["root"] / "default-cache")
+    with mock.patch.dict(os.environ, {cli.CACHE_ENV: cache}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in {0, cli.EXIT_USAGE, cli.EXIT_DOMAIN, cli.EXIT_CHECK}
+    assert "Traceback" not in err.getvalue()

@@ -72,6 +72,40 @@ def test_unipoly_arith_is_pointwise(a, b, v):
     assert (pa - pb)(v) == pa(v) - pb(v)
 
 
+def test_rational_roots_with_multiplicities():
+    p = UniPoly.from_roots([0, F(-1, 2), F(3, 4), F(3, 4), 2, -2]).scale(5)
+    assert p.rational_roots() == [(0, 1), (F(-1, 2), 1), (2, 1), (-2, 1),
+                                  (F(3, 4), 2)]
+    assert UniPoly({3: F(2)}).rational_roots() == [(0, 3)]
+    assert UniPoly({2: F(1), 0: F(1)}).rational_roots() == []
+    with pytest.raises(ValueError):
+        UniPoly({}).rational_roots()
+
+
+@settings(max_examples=40)
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                max_size=5),
+       st.integers(1, 5), st.integers(-3, 3).filter(bool))
+def test_rational_roots_finds_every_root(roots, c, scale):
+    # (d^2 + c) has no rational root
+    p = (UniPoly.from_roots(roots) * UniPoly({2: F(1), 0: F(c)})).scale(scale)
+    found = [r for r, m in p.rational_roots() for _ in range(m)]
+    assert sorted(found) == sorted(roots)
+
+
+def test_shared_arithmetic_on_both_classes():
+    xs = ("x1", "x2")
+    f = MultiPoly(xs, {(1, 0): F(1), (0, 1): F(-1, 2)})
+    assert repr(f ** 2 - 1) == "-1 + 1/4*x2^2 - x1*x2 + x1^2"
+    assert repr(3 - f.scale(2)) == "3 + x2 - 2*x1"
+    assert f * F(2) == f.scale(2) == f + f
+    assert (f - f).is_zero()
+    p = UniPoly({2: F(-1), 0: F(1, 3)})
+    assert repr(p ** 2 - 1) == "d^4 - 2/3*d^2 - 8/9"
+    assert repr(2 - p.scale(3)) == "3*d^2 + 1"
+    assert repr(UniPoly({1: F(-1)})) == "-d"
+
+
 def test_multipoly_basics():
     xs = ("x1", "x2")
     f = MultiPoly(xs, {(1, 0): F(1), (0, 1): F(1)})
