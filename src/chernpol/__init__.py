@@ -12,7 +12,7 @@ from .symfunc import (BASES, catalan_triangle, conjugate, convert_expansion,
                       enumerate_partitions, expand_in_basis, syt_count,
                       to_x_expansion)
 from .specialization import (M_plain, M_tilde, eulerian_second, faulhaber,
-                             stirling_first, stirling_second)
+                             simplex_moment, stirling_first, stirling_second)
 from .rising import (RisingProductSpec, direct_rising_oracle,
                      leading_coefficient, simple_coefficient,
                      stirling_coefficient, vector_partitions)

@@ -1,31 +1,37 @@
 """Total Chern class of the space of degree-d forms in n variables: the
-direct product over the weight simplex, exact interpolation of the c_k
-coefficients as polynomials in d in any symmetric-function basis, the closed
-Stirling-number formula for the n=2 Euler class, the odd-d grouped
+direct product over the weight simplex at a concrete d, the c_k coefficients
+in closed form as polynomials in d in any symmetric-function basis, the
+closed Stirling-number formula for the n=2 Euler class, the odd-d grouped
 elementary-basis coefficients, and leading-term predictions.
+
+Closed form: c_k is the k-th elementary symmetric function of the forms w.x,
+|w| = d.  Their power sums p_j = sum over |alpha| = j of j!/alpha! *
+simplex_moment(alpha) * x^alpha are polynomial in d, so c_k is too, by
+Newton's identities m*c_m = sum_j (-1)^(j-1) p_j c_{m-j} (Macdonald, I.2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
-                        interpolate, xvars)
+                        xvars)
 from .rising import RisingProductSpec, stirling_coefficient
-from .specialization import stirling_first
-from .symfunc import (BASES, check_partition, enumerate_partitions,
-                      convert_expansion, expand_in_basis, syt_count,
+from .specialization import simplex_moment, stirling_first
+from .symfunc import (BASES, check_partition, convert_expansion, syt_count,
                       validate_basis_index)
 
-FORMAT_VERSION = "chernpol-cache-1"
+FORMAT_VERSION = "chernpol-cache-2"
 
 
-def check_degree(d) -> None:
-    """c(Pol^d(C^n)) is defined for d >= -1 (d = -1 is the empty product)."""
-    if d < -1:
-        raise OutOfDomainError("d must be >= -1")
+def check_degree(d, n: int | None = None) -> None:
+    """c(Pol^d(C^n)) is defined for d >= -1 (d = -1 is the empty product);
+    for n = 1 its polynomials hold only for d >= 0 (c_1 = d)."""
+    if d < -1 or (n == 1 and d < 0):
+        raise OutOfDomainError("d must be >= 0 for n = 1" if n == 1
+                               else "d must be >= -1")
 
 
 def weight_vectors(n: int, d: int):
@@ -64,20 +70,18 @@ class ChernPolynomial:
     k: int
     basis: str
     terms: dict = field(default_factory=dict)  # partition -> UniPoly in d
-    degree_bound: int = 0
-    samples: list = field(default_factory=list)
+    samples: list = field(default_factory=list)  # always []; kept for readers
 
     def evaluate(self, d) -> dict:
-        """{partition: Fraction} at a concrete d >= -1."""
-        check_degree(d)
+        """{partition: Fraction} at a concrete d >= -1 (d >= 0 for n = 1)."""
+        check_degree(d, self.n)
         return {lam: p(Fraction(d)) for lam, p in self.terms.items()}
 
     def in_basis(self, basis: str) -> "ChernPolynomial":
         if basis == self.basis:
             return self
         terms = convert_expansion(self.terms, self.basis, basis, self.n)
-        return ChernPolynomial(self.n, self.k, basis, terms,
-                               self.degree_bound, list(self.samples))
+        return ChernPolynomial(self.n, self.k, basis, terms)
 
     def divisibility_factor(self) -> UniPoly:
         """(d+1)d(d-1)...(d-(d0(k)-1)) with d0(k) minimal such that the
@@ -100,7 +104,6 @@ class ChernPolynomial:
         return {
             "format": FORMAT_VERSION,
             "n": self.n, "k": self.k, "basis": self.basis,
-            "degree_bound": self.degree_bound,
             "samples": list(self.samples),
             "terms": [[list(lam), p.to_json()]
                       for lam, p in sorted(self.terms.items())],
@@ -112,33 +115,33 @@ class ChernPolynomial:
             raise ValueError("stale cache format")
         terms = {tuple(lam): UniPoly.from_json(p, var="d")
                  for lam, p in data["terms"]}
-        return cls(data["n"], data["k"], data["basis"], terms,
-                   data["degree_bound"], list(data["samples"]))
+        return cls(data["n"], data["k"], data["basis"], terms)
 
 
 def chern_interpolated(n: int, k: int, basis: str = "monomial") -> ChernPolynomial:
-    """Interpolate every monomial coefficient of c_k(d) from samples
-    d = -1..n*k (degree bound n*k; the last sample is a consistency guard),
-    then convert exactly to the requested basis."""
+    """Every monomial coefficient of c_k as a polynomial in d, in closed
+    form (module docstring), converted exactly to the requested basis."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     if n < 1 or k < 0:
         raise OutOfDomainError("need n >= 1 and k >= 0")
-    bound = n * k
-    samples = list(range(-1, bound + 1))
-    policy = TruncationPolicy(k)
-    data = {}
-    for d in samples:
-        f = chern_direct(n, d, policy).homogeneous_component(k)
-        data[d] = expand_in_basis(f, "monomial")
-    terms = {}
-    for mu in enumerate_partitions(k, max_length=n):
-        pts = [(d, data[d].get(mu, Fraction(0))) for d in samples]
-        poly = interpolate(pts, bound, var="d")
-        if not poly.is_zero():
-            terms[mu] = poly
-    result = ChernPolynomial(n, k, "monomial", terms, bound, samples)
-    return result.in_basis(basis)
+    names = xvars(n) + ("d",)
+    p = [None]          # p[j]: the j-th power sum of the weight forms
+    c = [MultiPoly.const(1, names)]
+    for m in range(1, k + 1):
+        p.append(MultiPoly(names, {
+            alpha + (e,): coeff * Fraction(factorial(m),
+                                           prod(map(factorial, alpha)))
+            for alpha in weight_vectors(n, m)
+            for e, coeff in simplex_moment(alpha).terms.items()}))
+        c.append(sum(p[j] * c[m - j] * (-1) ** (j - 1)
+                     for j in range(1, m + 1)).scale(Fraction(1, m)))
+    terms: dict = {}    # non-increasing x-exponents are the partitions
+    for ev, coeff in c[k].terms.items():
+        if list(ev[:n]) == sorted(ev[:n], reverse=True):
+            terms.setdefault(tuple(e for e in ev[:n] if e), {})[ev[n]] = coeff
+    return ChernPolynomial(n, k, "monomial", {
+        lam: UniPoly(t, var="d") for lam, t in terms.items()}).in_basis(basis)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Command-line interface: compute Chern-class coefficient polynomials,
 Stirling coefficients of rising products, orbit enumerations and enumerative
-invariants, with JSON/text rendering and a persistent interpolation cache.
+invariants, with JSON/text rendering and a persistent Chern-coefficient cache.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ def cmd_chern(args) -> str:
 
 
 def cmd_chern_eval(args) -> str:
-    chern.check_degree(args.d)      # before anything is computed or cached
+    chern.check_degree(args.d, args.n)  # before anything is computed or cached
     cp = _get_chern(args)
     values = cp.evaluate(args.d)
     if args.format == "json":
@@ -275,7 +275,7 @@ def cmd_verify(args) -> str:
             detail = f" ({exc})"
         checks.append((name, ok, detail))
 
-    def interp_vs_direct():
+    def closed_vs_direct():
         cp = chern.chern_interpolated(2, 3, "monomial")
         for d in (7, 8):
             direct = chern.chern_direct(2, d, TruncationPolicy(3))
@@ -290,7 +290,7 @@ def cmd_verify(args) -> str:
         return all(v == schur.get((d + 1 - j, j) if j else (d + 1,), 0)
                    for j, v in chern.euler_c2_closed(d))
 
-    check("interpolation matches direct product (n=2, k=3)", interp_vs_direct)
+    check("closed form matches direct product (n=2, k=3)", closed_vs_direct)
     check("Euler closed formula matches direct product (d=4)",
           lambda: euler_closed_vs_direct(4))
     check("Fano degree methods agree (d=3, m=3)",

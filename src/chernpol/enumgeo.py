@@ -101,7 +101,7 @@ def sigma_degree(d: int, m: int, r: int) -> Fraction:
 
 def sigma_degree_symbolic(m: int, r: int) -> UniPoly:
     """deg Sigma(d,m,r) as a polynomial in d (valid in the regime d >= 3,
-    expected dimension < 0), by exact interpolation."""
+    expected dimension < 0), from the closed-form Chern coefficients."""
     _check_sigma_domain(m, r)
     k = r + 1
     cp = chern_interpolated(k, k * (m - r), "schur")

@@ -1,16 +1,18 @@
 """Arithmetic specializations: Stirling numbers of both kinds, second-order
-Eulerian numbers, Faulhaber power-sum polynomials, the power-sum expansion of
-augmented monomial symmetric polynomials, and the polynomials M_tilde(v)
-giving their values at (0, 1, ..., v) -- including weak partitions with
-zero parts.
+Eulerian numbers, simplex moments (Faulhaber polynomials among them), the
+power-sum expansion of augmented monomial symmetric polynomials, and the
+polynomials M_tilde(v) giving their values at (0, 1, ..., v) -- including
+weak partitions with zero parts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from math import factorial, prod
 
-from .exactcore import UniPoly, interpolate
+from .exactcore import UniPoly
 from .symfunc import mult_factorial
 
 
@@ -57,20 +59,32 @@ def eulerian_second(h: int, j: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def simplex_moment(alpha: tuple, var: str = "d") -> UniPoly:
+    """sum of w^alpha over w in N^n with |w| = d, n = len(alpha), as a
+    polynomial in d (0 at d = -1 for n >= 2); w_i^a = sum_b S(a,b) b! C(w_i,b)
+    gives sum_beta prod_i S(alpha_i,beta_i) beta_i! C(d+n-1, n-1+|beta|)."""
+    if not alpha or min(alpha) < 0:
+        raise ValueError("alpha must be non-empty and non-negative")
+    n = len(alpha)
+    by_size = [0] * (sum(alpha) + 1)
+    for beta in product(*(range(a + 1) for a in alpha)):
+        by_size[sum(beta)] += prod(stirling_second(a, b) * factorial(b)
+                                   for a, b in zip(alpha, beta))
+    out = UniPoly({}, var=var)
+    # binom(d+n-1, n-1+s) = (d+n-1)(d+n-2)...(d-s+1) / (n-1+s)!
+    falling = UniPoly.from_roots(range(1 - n, 0), var=var)
+    for size, c in enumerate(by_size):
+        out = out + falling.scale(Fraction(c, factorial(n - 1 + size)))
+        falling = falling * UniPoly({1: 1, 0: -size}, var=var)
+    return out
+
+
 def faulhaber(q: int) -> UniPoly:
     """The polynomial in v equal to 0^q + 1^q + ... + v^q for all v >= -1.
 
     Degree q+1, leading term v^(q+1)/(q+1); value 0 at v = -1.
     """
-    if q < 0:
-        raise ValueError("q must be non-negative")
-    pts = []
-    total = 0
-    pts.append((-1, Fraction(0)))
-    for v in range(0, q + 3):
-        total += v ** q
-        pts.append((v, Fraction(total)))
-    return interpolate(pts, q + 1, var="v")
+    return simplex_moment((q, 0), "v")
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +143,8 @@ def M_tilde(lam: tuple) -> UniPoly:
     star = tuple(p for p in lam if p > 0)
     if m0:
         # binom(v+1-len(star), m0) * m0! as a polynomial in v
-        prefactor = UniPoly.const(1, var="v")
-        for i in range(m0):
-            prefactor = prefactor * UniPoly(
-                {1: Fraction(1), 0: Fraction(1 - len(star) - i)}, var="v")
+        prefactor = UniPoly.from_roots(
+            range(len(star) - 1, len(star) - 1 + m0), var="v")
         return prefactor * M_tilde(star)
     if not lam:
         return UniPoly.const(1, var="v")

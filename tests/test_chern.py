@@ -54,7 +54,7 @@ def test_chern_direct_is_symmetric():
 # ---------------------------------------------------------------------------
 
 def test_interpolated_matches_direct_fresh_d():
-    for n in (2, 3, 4):
+    for n in (1, 2, 3, 4):
         for k in range(1, 5):
             cp = chern_interpolated(n, k)
             fresh = [n * k + 1, n * k + 2]
@@ -63,6 +63,30 @@ def test_interpolated_matches_direct_fresh_d():
                 mono = expand_in_basis(direct.homogeneous_component(k),
                                        "monomial")
                 assert cp.evaluate(d) == mono, (n, k, d)
+
+
+def test_closed_form_needs_no_sampling(monkeypatch):
+    from chernpol import chern, exactcore, specialization
+    expected = chern_interpolated(3, 3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed form must not sample or interpolate")
+
+    monkeypatch.setattr(chern, "chern_direct", forbidden)
+    monkeypatch.setattr(exactcore, "interpolate", forbidden)
+    specialization.simplex_moment.cache_clear()
+    assert chern_interpolated(3, 3) == expected
+
+
+def test_n1_polynomials_and_domain():
+    # one weight vector (d,): c = 1 + d*x, whose c_1 = d misses the empty
+    # product at d = -1
+    assert chern_interpolated(1, 1).terms == {(1,): D}
+    assert chern_interpolated(1, 2).terms == {}
+    assert chern_interpolated(1, 1).evaluate(0) == {(1,): 0}
+    with pytest.raises(OutOfDomainError):
+        chern_interpolated(1, 1).evaluate(-1)
+    assert chern_interpolated(2, 1).evaluate(-1) == {(1,): 0}
 
 
 def test_interpolated_divisibility():
@@ -237,6 +261,12 @@ def test_conjecture_report_runs():
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
+
+def test_chern_polynomial_json_has_no_sampling_record():
+    doc = chern_interpolated(2, 2).to_json()
+    assert doc["format"] == "chernpol-cache-2"
+    assert "degree_bound" not in doc and doc["samples"] == []
+
 
 def test_chern_polynomial_json_roundtrip():
     cp = chern_interpolated(2, 2, "schur")

@@ -76,6 +76,13 @@ def test_chern_json_roundtrip(capsys, tmp_path):
     assert cp == chern_interpolated(2, 2, "schur")
 
 
+def test_chern_n1(capsys, tmp_path):
+    code, out, err = run_cli(["chern", "--n", "1", "--k", "1",
+                              "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0 and err == ""
+    assert "  m[1]: d\n" in out
+
+
 def test_chern_eval(capsys, tmp_path):
     code, out, _ = run_cli(["chern-eval", "--n", "2", "--k", "1", "--d", "3",
                             "--basis", "e", "--cache-dir", str(tmp_path)],
@@ -224,6 +231,28 @@ def test_cache_checksum_mismatch_recovers(capsys, tmp_path):
     assert "warning" in err
 
 
+def test_cache_entry_of_old_format_is_recomputed(capsys, tmp_path):
+    argv = ["chern", "--n", "2", "--k", "2", "--basis", "e",
+            "--cache-dir", str(tmp_path)]
+    _, uncached, _ = run_cli(argv + ["--no-cache"], capsys)
+    # an entry as the sampling version wrote it: its own format tag, the
+    # degree bound and the sample points
+    payload = chern_interpolated(2, 2).to_json()
+    payload.update({"format": "chernpol-cache-1", "degree_bound": 4,
+                    "samples": list(range(-1, 5))})
+    path = tmp_path / "chern_n2_k2.json"
+    path.write_text(json.dumps({"checksum": cli._checksum(payload),
+                                "payload": payload}))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert out == uncached
+    assert "warning: recomputing" in err and "stale cache format" in err
+    assert json.loads(path.read_text())["payload"]["format"] == \
+        "chernpol-cache-2"
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (0, uncached, "")
+
+
 def test_no_cache_skips_write(capsys, tmp_path):
     code, _, _ = run_cli(["chern", "--n", "2", "--k", "1", "--no-cache",
                           "--cache-dir", str(tmp_path)], capsys)
@@ -328,6 +357,7 @@ def test_readme_examples_parse():
      cli.EXIT_USAGE),
     (["stirling-coeff", "--spec-file", "{tmp}/malformed.json", "--type", "1"],
      cli.EXIT_USAGE),
+    (["chern-eval", "--n", "1", "--k", "1", "--d", "-1"], cli.EXIT_DOMAIN),
 ])
 def test_invalid_input_exits_cleanly(argv, expected, capsys, tmp_path,
                                      monkeypatch):

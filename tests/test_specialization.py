@@ -4,11 +4,12 @@ from math import comb, factorial, prod
 
 import pytest
 
+from chernpol.chern import weight_vectors
 from chernpol.exactcore import UniPoly
 from chernpol.specialization import (M_plain, M_tilde, aug_monomial_bruteforce,
                                      aug_monomial_power_sums, eulerian_second,
-                                     faulhaber, stirling_first,
-                                     stirling_second)
+                                     faulhaber, simplex_moment,
+                                     stirling_first, stirling_second)
 from chernpol.symfunc import enumerate_partitions
 
 
@@ -78,6 +79,19 @@ def test_faulhaber():
         for v in range(0, 10):
             assert p(v) == sum(F(t) ** q for t in range(v + 1)), (q, v)
         assert p(-1) == 0
+
+
+def test_simplex_moment_matches_bruteforce():
+    for n in (1, 2, 3):
+        for size in range(5):
+            for alpha in weight_vectors(n, size):
+                p = simplex_moment(alpha)
+                for d in range(7):
+                    brute = sum(prod(w ** a for w, a in zip(ws, alpha))
+                                for ws in weight_vectors(n, d))
+                    assert p(d) == brute, (alpha, d)
+                if n >= 2:
+                    assert p(-1) == 0, alpha
 
 
 # ---------------------------------------------------------------------------
