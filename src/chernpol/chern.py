@@ -85,9 +85,13 @@ class ChernPolynomial:
 
     def divisibility_factor(self) -> UniPoly:
         """(d+1)d(d-1)...(d-(d0(k)-1)) with d0(k) minimal such that the
-        weight simplex has at least k points; c_1 additionally gets d."""
+        weight simplex has at least k points; c_1 additionally gets d.
+        For n = 1 the simplex is one point for every d, c_1 = d and c_k = 0
+        for k >= 2, so the factor is d."""
         if self.k == 0:
             return UniPoly.const(1, var="d")
+        if self.n == 1:
+            return UniPoly.x("d")
         d0 = 0
         while comb(d0 + self.n - 1, self.n - 1) < self.k:
             d0 += 1

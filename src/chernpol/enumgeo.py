@@ -6,13 +6,14 @@ characteristics of Fano schemes of lines.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import comb, factorial
 
 from .chern import chern_direct, chern_interpolated, euler_coefficient
 from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
                         as_integer, series_invert, xvars)
-from .symfunc import catalan_triangle, expand_in_basis
+from .symfunc import NotSymmetricError, catalan_triangle
 
 
 class EmptyFanoError(ValueError):
@@ -35,15 +36,34 @@ def expected_dimension(d: int, m: int, r: int) -> int:
 
 def grassmann_integral(f: MultiPoly, k: int, n_amb: int) -> Fraction:
     """Coefficient of the volume form s_((n_amb-k)^k) in the top-degree
-    component of a symmetric class on Gr_k(C^n_amb)."""
+    component of a symmetric class on Gr_k(C^n_amb).
+
+    Only that one Schur coefficient is computed, from s_lam = a_(lam+delta) /
+    a_delta (Macdonald, I.3): for f symmetric in x_1..x_n, the coefficient of
+    s_lam is that of x^(lam+delta) in f * a_delta, i.e.
+
+        sum over sigma in S_n of sgn(sigma) * coef(x^(lam+delta-sigma(delta)), f)
+
+    with lam padded by zeros to length n and delta = (n-1, ..., 1, 0).
+    """
     if not (1 <= k <= n_amb):
         raise ValueError("need 1 <= k <= n_amb")
-    dim = k * (n_amb - k)
-    top = f.homogeneous_component(dim)
-    if top.is_zero():
+    top = f.homogeneous_component(k * (n_amb - k))
+    if not top.is_symmetric():
+        raise NotSymmetricError("input is not symmetric in its variables")
+    n = len(f.vars)
+    if k > n:       # s_lam vanishes in fewer than k variables
         return Fraction(0)
-    schur = expand_in_basis(top, "schur")
-    return schur.get(((n_amb - k),) * k, Fraction(0))
+    lam = [n_amb - k] * k + [0] * (n - k)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        # delta_i = n-1-i and sigma(delta)_i = n-1-perm_i
+        c = top.terms.get(tuple(part - i + p for i, (part, p)
+                                in enumerate(zip(lam, perm))))
+        if c:
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            total += -c if inversions % 2 else c
+    return total
 
 
 def chern_grassmannian(k: int, n_amb: int,

@@ -148,11 +148,16 @@ def stirling_coefficient(spec: RisingProductSpec, H) -> MultiPoly:
     product of the table supports of
 
         1/mult(J)! * prod_s P_{J_s, lambda_s}(d) * M_tilde(lambda)(K(d)).
+
+    M_tilde(lambda) depends only on lambda sorted, so the table products are
+    first summed per sorted lambda and each M_tilde(lambda)(K(d)) is
+    composed once, for the sorted lambda whose sum is nonzero.
     """
     H = tuple(int(h) for h in H)
     if len(H) != spec.nx:
         raise ValueError("H length mismatch")
-    total = MultiPoly.const(0, spec.params)
+    zero = MultiPoly.const(0, spec.params)
+    grouped: dict[tuple, MultiPoly] = {}
     for J in vector_partitions(H):
         supports = [spec.support(Js) for Js in J]
         if any(not s for s in supports):
@@ -162,8 +167,12 @@ def stirling_coefficient(spec: RisingProductSpec, H) -> MultiPoly:
             coeff = MultiPoly.const(inv_mult, spec.params)
             for Js, ls in zip(J, lam):
                 coeff = coeff * spec.table[(Js, ls)]
-            mt = M_tilde(tuple(sorted(lam, reverse=True)))
-            total = total + coeff * mt(spec.K)
+            key = tuple(sorted(lam, reverse=True))
+            grouped[key] = grouped.get(key, zero) + coeff
+    total = zero
+    for lam, coeff in grouped.items():
+        if not coeff.is_zero():
+            total = total + coeff * M_tilde(lam)(spec.K)
     return total
 
 

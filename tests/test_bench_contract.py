@@ -38,3 +38,18 @@ def test_traced_replay_runs_and_reports_every_layer(tmp_path):
     # the two metrics layer_metrics leaves out need runs of their own
     assert set(metrics) | {"cli.import_s", "trace.overhead_ratio"} == \
         {m["name"] for m in declared}
+
+
+def test_traced_replay_reaches_rising_and_grassmann_layers():
+    tracing = _tracing()
+    queries = [["stirling-coeff", "--spec-file",
+                str(ROOT / "bench" / "odd_spec.json"), "--type", "2,1"],
+               ["fano-degree", "--d", "3", "--m", "3", "--method", "both"],
+               ["sigma-degree", "--r", "1", "--d", "3", "--m", "3"]]
+    replay = tracing.Replay(lambda: 60.0)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        _, results = replay.run(queries, tracer)
+    assert [code for _, code, _ in results] == [0, 0, 0]
+    assert tracer.counts["rising.stirling_coefficient.calls"] > 0
+    assert tracer.counts["enumgeo.grassmann_integral.calls"] > 0

@@ -96,6 +96,15 @@ def test_interpolated_divisibility():
             assert cp.divisibility_ok(), (n, k)
 
 
+def test_divisibility_n1():
+    # one weight vector for every d: c_1 = d, c_k = 0 for k >= 2; the
+    # simplex never reaches k >= 2 points, which must not loop forever
+    for k in range(4):
+        cp = chern_interpolated(1, k)
+        assert cp.divisibility_factor() == (D if k else UniPoly.const(1, var="d"))
+        assert cp.divisibility_ok(), k
+
+
 def test_interpolated_basis_agreement():
     cp = chern_interpolated(2, 3)
     s = cp.in_basis("schur")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import comb
 
@@ -14,8 +15,9 @@ from chernpol.enumgeo import (EmptyFanoError, UnsupportedDegreeError,
                               sigma_degree_leading, sigma_degree_symbolic,
                               sigma_validity_warnings)
 from chernpol.exactcore import (InconsistentDataError, MultiPoly,
-                                TruncationPolicy, UniPoly)
-from chernpol.symfunc import expand_in_basis, to_x_expansion
+                                TruncationPolicy, UniPoly, xvars)
+from chernpol.symfunc import (NotSymmetricError, enumerate_partitions,
+                              expand_in_basis, to_x_expansion)
 
 
 def test_expected_dimension():
@@ -44,6 +46,85 @@ def test_grassmann_integral_degree_of_grassmannian():
     assert grassmann_integral(e1 ** 4, 2, 4) == 2
     # deg Gr_2(C^5) = Catalan number 1/(k+1) binom(2k,k) pattern: 5
     assert grassmann_integral(e1 ** 6, 2, 5) == 5
+
+
+def _schur_oracle(f, k, n_amb):
+    """The volume-form coefficient read off the full Schur expansion."""
+    top = f.homogeneous_component(k * (n_amb - k))
+    return expand_in_basis(top, "schur").get(((n_amb - k),) * k, F(0))
+
+
+def _random_symmetric(rng, k, degrees):
+    """A random combination of products of basis elements in x1..xk, with
+    one summand of each total degree in ``degrees``."""
+    xs = xvars(k)
+    f = MultiPoly.const(0, xs)
+    for deg in degrees:
+        term = MultiPoly.const(rng.randint(-5, 5) or 1, xs)
+        rest = deg
+        while rest:
+            w = rng.randint(1, rest)
+            basis = rng.choice(["monomial", "elementary", "schur", "power"])
+            parts = [p for p in enumerate_partitions(w)
+                     if (max(p) <= k if basis == "elementary"
+                         else len(p) <= k)]
+            term = term * to_x_expansion(basis, rng.choice(parts), k)
+            rest -= w
+        f = f + term
+    return f
+
+
+def test_grassmann_integral_matches_schur_expansion():
+    rng = random.Random(5)
+    for k in (1, 2, 3):
+        for n_amb in range(k + 1, k + 4):
+            dim = k * (n_amb - k)
+            for degrees in ([dim], [dim, dim, dim - 1, 0], [dim - 1, dim + 1],
+                            [dim, rng.randint(0, dim + 2)]):
+                f = _random_symmetric(rng, k, degrees)
+                assert grassmann_integral(f, k, n_amb) == \
+                    _schur_oracle(f, k, n_amb), (k, n_amb, f)
+
+
+def test_grassmann_integral_over_a_point():
+    # Gr_k(C^k) is a point: the volume form is s_() = 1 and the integral is
+    # the constant term (the full Schur expansion has no key for s_())
+    for k in (1, 2, 3):
+        f = to_x_expansion("elementary", (1,), k) + 7
+        assert grassmann_integral(f, k, k) == 7
+
+
+def test_grassmann_integral_rejects_non_symmetric_top():
+    xs = ("x1", "x2")
+    top = MultiPoly(xs, {(2, 0): F(1)})          # x1^2 on Gr_2(C^3)
+    lower = MultiPoly(xs, {(1, 0): F(1)})        # non-symmetric, not top
+    with pytest.raises(NotSymmetricError):
+        grassmann_integral(top + 1, 2, 3)
+    assert grassmann_integral(lower + to_x_expansion("schur", (1, 1), 2),
+                              2, 3) == 1
+
+
+def test_grassmann_integral_needs_no_schur_expansion(monkeypatch):
+    from chernpol import symfunc
+    f = chern_direct(3, 4, TruncationPolicy(6))
+    expected = _schur_oracle(f, 3, 5)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the alternant needs no Schur expansion")
+
+    monkeypatch.setattr(symfunc, "expand_in_basis", forbidden)
+    monkeypatch.setattr(symfunc, "_schur_x", forbidden)
+    assert grassmann_integral(f, 3, 5) == expected
+
+
+def test_sigma_degree_matches_schur_expansion():
+    for r in (1, 2):
+        for m in range(r + 1, 6):
+            k, dim = r + 1, (r + 1) * (m - r)
+            for d in range(1, 5):
+                f = chern_direct(k, d, TruncationPolicy(dim))
+                assert sigma_degree(d, m, r) == \
+                    _schur_oracle(f, k, m + 1), (d, m, r)
 
 
 def test_chern_grassmannian_low_classes():

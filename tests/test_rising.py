@@ -5,6 +5,7 @@ from math import comb, factorial
 
 import pytest
 
+from chernpol.chern import odd_spec
 from chernpol.exactcore import MultiPoly, TruncationPolicy, UniPoly
 from chernpol.rising import (InvalidBoundError, OutOfDomainError,
                              RisingProductSpec, check_weight_bound,
@@ -12,7 +13,8 @@ from chernpol.rising import (InvalidBoundError, OutOfDomainError,
                              leading_coefficient, mult_factorial,
                              simple_coefficient, stirling_coefficient,
                              vector_partitions)
-from chernpol.specialization import M_plain, stirling_first, stirling_second
+from chernpol.specialization import (M_plain, M_tilde, stirling_first,
+                                     stirling_second)
 
 
 D = UniPoly.x("d")
@@ -38,6 +40,16 @@ def spec_two_vars():
     """prod_{t=0}^d (1 + t x1 + t^2 x2)."""
     return RisingProductSpec.single(
         "d", {((1, 0), 1): 1, ((0, 1), 2): 1}, D, 2)
+
+
+def spec_two_params():
+    """prod_{t=0}^{d0+d1} of a table whose entries depend on d0 and d1."""
+    params = ("d0", "d1")
+    d0, d1 = (MultiPoly.var(p, params) for p in params)
+    table = {((1, 0), 0): d0 + 1, ((1, 0), 1): d1,
+             ((0, 1), 1): d0 * 2 - d1, ((0, 1), 2): -1,
+             ((2, 0), 2): 1, ((1, 1), 0): d0 * d1 - 1}
+    return RisingProductSpec(params, table, d0 + d1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +157,32 @@ def _random_spec(rng):
         table[(exps[0], 1)] = UniPoly.const(1, var="d")
     K = D + rng.choice([-1, 0, 1])
     return RisingProductSpec.single("d", table, K, nx)
+
+
+def test_formula_matches_oracle_two_params():
+    # composing M_tilde(lambda) with a multivariate K
+    spec = spec_two_params()
+    policy = TruncationPolicy(3)
+    for d0, d1 in [(0, 0), (1, 0), (0, 2), (2, 1), (3, 2), (1, 4), (2, -3)]:
+        direct = direct_rising_oracle(spec, (d0, d1), policy)
+        for H in itertools.product(range(4), repeat=2):
+            if sum(H) <= 3:
+                formula = stirling_coefficient(spec, H).evaluate(
+                    {"d0": d0, "d1": d1})
+                assert formula == direct.terms.get(H, F(0)), (H, d0, d1)
+
+
+def test_formula_composes_M_tilde_once_per_sorted_lambda(monkeypatch):
+    from chernpol import rising
+    seen = []
+
+    def counting(lam):
+        seen.append(lam)
+        return M_tilde(lam)
+
+    monkeypatch.setattr(rising, "M_tilde", counting)
+    stirling_coefficient(odd_spec(), (3, 2))
+    assert seen and len(seen) == len(set(seen))
 
 
 def test_formula_matches_oracle_random():
