@@ -3,13 +3,18 @@ polynomials over Q on one shared core, rational roots of univariate
 polynomials, truncated power-series operations, and exact Lagrange
 interpolation.
 
-All coefficients are ``fractions.Fraction``; nothing here ever rounds.
+All coefficients at the API are ``fractions.Fraction``; nothing here ever
+rounds.  Polynomial products and the rational-root test run on integer
+numerators over one shared denominator per operand (``_cleared``), and the
+products turn their integer sums back into ``Fraction``s once, on exit
+(``_rebuilt``).
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 
@@ -63,6 +68,18 @@ def _divisors(n: int) -> list:
     n = abs(n)
     small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
     return small + [n // i for i in reversed(small) if i * i != n]
+
+
+def _cleared(terms: Mapping) -> tuple:
+    """``(D, [(key, n)])`` with ``D`` the lcm of the denominators of the
+    Fraction values of ``terms`` and each value equal to ``n / D``."""
+    D = math.lcm(*[c.denominator for c in terms.values()])
+    return D, [(e, c.numerator * (D // c.denominator)) for e, c in terms.items()]
+
+
+def _rebuilt(sums: Mapping, D: int) -> dict:
+    """``{key: n / D}`` for the nonzero integer sums ``n``."""
+    return {e: Fraction(n, D) for e, n in sums.items() if n}
 
 
 class TruncationPolicy:
@@ -213,21 +230,26 @@ class UniPoly(_Poly):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.var, tuple(sorted(self.terms.items()))))
+        # as __eq__: the variable name does not count, and a constant hashes
+        # as the number it equals
+        if self.terms.keys() <= {0}:
+            return hash(self.coeff(0))
+        return hash(frozenset(self.terms.items()))
 
     # -- arithmetic -----------------------------------------------------
     def __mul__(self, other):
         other = self._coerce(other)
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        D1, a = _cleared(self.terms)
+        D2, b = _cleared(other.terms)
+        sums: dict[int, int] = {}
+        for e1, n1 in a:
+            for e2, n2 in b:
                 e = e1 + e2
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return UniPoly(out, var=self.var)
+                sums[e] = sums.get(e, 0) + n1 * n2
+        # the keys are sums of int keys, so __init__'s checks are not needed
+        out = object.__new__(UniPoly)
+        out.var, out.terms = self.var, _rebuilt(sums, D1 * D2)
+        return out
 
     __rmul__ = __mul__
 
@@ -266,7 +288,8 @@ class UniPoly(_Poly):
         One pass: a root p/q in lowest terms of the integer polynomial has p
         dividing its constant term and q its leading coefficient, so the
         divisors of those two are listed once, by trial division up to the
-        square root, and each candidate is divided out while it vanishes.
+        square root, and each candidate is divided out while it vanishes,
+        which is tested in integers.
         """
         if not self.terms:
             raise ValueError("the zero polynomial has every root")
@@ -276,21 +299,38 @@ class UniPoly(_Poly):
         top = rest.degree()
         if not top:
             return roots
-        denom = math.lcm(*(c.denominator for c in rest.terms.values()))
-        dens = _divisors((rest.terms[top] * denom).numerator)
-        for num in _divisors((rest.terms[0] * denom).numerator):
+
+        def numerators(p: UniPoly) -> list:
+            # a_0..a_N, integers proportional to the coefficients of p
+            a = [0] * (p.degree() + 1)
+            for e, n in _cleared(p.terms)[1]:
+                a[e] = n
+            return a
+
+        def vanishes_at(p: int, q: int) -> bool:
+            # rest(p/q) * q^N = sum of a_i p^i q^(N-i), by Horner
+            s, qpow = a[-1], q
+            for c in reversed(a[:-1]):
+                s = s * p + c * qpow
+                qpow *= q
+            return s == 0
+
+        a = numerators(rest)
+        dens = _divisors(a[-1])
+        for num in _divisors(a[0]):
             for den in dens:
                 if math.gcd(num, den) != 1:
                     continue
-                for root in (Fraction(num, den), Fraction(-num, den)):
+                for p in (num, -num):
                     mult = 0
-                    while rest.degree() and rest(root) == 0:
-                        rest = rest.exact_div(UniPoly({1: Fraction(1), 0: -root},
-                                                      var=self.var))
+                    while len(a) > 1 and vanishes_at(p, den):
+                        rest = rest.exact_div(
+                            UniPoly({1: Fraction(1), 0: Fraction(-p, den)}, var=self.var))
+                        a = numerators(rest)
                         mult += 1
                     if mult:
-                        roots.append((root, mult))
-                        if not rest.degree():
+                        roots.append((Fraction(p, den), mult))
+                        if len(a) == 1:
                             return roots
         return roots
 
@@ -397,31 +437,37 @@ class MultiPoly(_Poly):
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.vars, tuple(sorted(self.terms.items()))))
+        # as __eq__: a constant hashes as the number it equals
+        if self.terms.keys() <= {(0,) * len(self.vars)}:
+            return hash(self.constant_term())
+        return hash((self.vars, frozenset(self.terms.items())))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        other = self._coerce(other)
         return self.mul_truncated(other, None)
 
     __rmul__ = __mul__
 
     def mul_truncated(self, other: "MultiPoly", max_degree: int | None) -> "MultiPoly":
         """Product, dropping result terms of total degree > max_degree."""
-        out: dict[tuple, Fraction] = {}
-        for ev1, c1 in self.terms.items():
-            d1 = sum(ev1)
-            for ev2, c2 in other.terms.items():
-                if max_degree is not None and d1 + sum(ev2) > max_degree:
+        other = self._coerce(other)
+        D1, a = _cleared(self.terms)
+        D2, b = _cleared(other.terms)
+        b = [(ev2, sum(ev2), n2) for ev2, n2 in b]
+        widest = max((d2 for _, d2, _ in b), default=0)
+        sums: dict[tuple, int] = {}
+        for ev1, n1 in a:
+            room = widest if max_degree is None else max_degree - sum(ev1)
+            for ev2, d2, n2 in b:
+                if d2 > room:
                     continue
-                ev = tuple(a + b for a, b in zip(ev1, ev2))
-                s = out.get(ev, Fraction(0)) + c1 * c2
-                if s:
-                    out[ev] = s
-                else:
-                    out.pop(ev, None)
-        return MultiPoly(self.vars, out)
+                ev = tuple(map(add, ev1, ev2))
+                sums[ev] = sums.get(ev, 0) + n1 * n2
+        # the keys are sums of well-formed keys, so __init__'s checks are not needed
+        out = object.__new__(MultiPoly)
+        out.vars, out.terms = self.vars, _rebuilt(sums, D1 * D2)
+        return out
 
     def truncate(self, policy: TruncationPolicy | int) -> "MultiPoly":
         m = policy.max_total_degree if isinstance(policy, TruncationPolicy) else policy

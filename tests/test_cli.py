@@ -310,6 +310,10 @@ def test_factored_str_multiplicities_and_large_roots():
     # the divisor search is O(sqrt(|constant term|)), not linear in it
     assert (cli.factored_str(UniPoly.from_roots([2, -3, 1000000007]))
             == "(d-2)*(d+3)*(d-1000000007)")
+    # non-monic, with large coprime numerators and denominators
+    d = UniPoly.x()
+    p = (d.scale(7) - 1000003) * (d.scale(3) + 11) ** 2 * (d * d + 5)
+    assert cli.factored_str(p) == "(d+11/3)^2*(d-1000003/7)*(63*d^2 + 315)"
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,15 @@ def test_unipoly_pow_derivative_scale():
     assert p.derivative() == (UniPoly.x() + 1).scale(3) * (UniPoly.x() + 1)
 
 
+def _rationals(bound=5):
+    # mixed denominators, so that products clear and rebuild them
+    return st.fractions(min_value=-bound, max_value=bound, max_denominator=6)
+
+
 @settings(max_examples=30)
-@given(st.lists(st.integers(-5, 5), min_size=1, max_size=5),
-       st.lists(st.integers(-5, 5), min_size=1, max_size=5),
-       st.integers(-4, 4))
+@given(st.lists(_rationals(), min_size=1, max_size=5),
+       st.lists(_rationals(), min_size=1, max_size=5),
+       _rationals(4))
 def test_unipoly_arith_is_pointwise(a, b, v):
     pa = UniPoly(dict(enumerate(a)))
     pb = UniPoly(dict(enumerate(b)))
@@ -116,6 +121,67 @@ def test_multipoly_basics():
     assert f.is_symmetric()
     assert not (f + MultiPoly.var("x1", xs)).is_symmetric()
     assert f.evaluate({"x1": 2, "x2": 3}) == 5
+
+
+@settings(max_examples=60)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       _rationals(), max_size=5),
+       st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                       _rationals(), max_size=5),
+       st.one_of(st.none(), st.integers(0, 7)),
+       st.tuples(_rationals(3), _rationals(3)))
+def test_multipoly_mul_truncated_is_pointwise(a, b, max_degree, point):
+    xs = ("x1", "x2")
+    pa, pb = MultiPoly(xs, a), MultiPoly(xs, b)
+    product = pa.mul_truncated(pb, max_degree)
+    assert all(product.terms.values())
+    top = 14 if max_degree is None else max_degree
+    at = dict(zip(xs, point))
+    assert product.evaluate(at) == sum(
+        pa.homogeneous_component(i).evaluate(at)
+        * pb.homogeneous_component(j).evaluate(at)
+        for i in range(top + 1) for j in range(top + 1 - i))
+    assert pa * pb == pa.mul_truncated(pb, None)
+
+
+def test_multipoly_mul_truncated_edges():
+    xs = ("x1", "x2")
+    x1, x2 = MultiPoly.var("x1", xs), MultiPoly.var("x2", xs)
+    # the x1*x2 terms cancel and leave no zero coefficient behind
+    f, g = x1.scale(F(1, 2)) + x2.scale(F(1, 3)), x1.scale(F(1, 2)) - x2.scale(F(1, 3))
+    assert f.mul_truncated(g, None).terms == {(2, 0): F(1, 4), (0, 2): F(-1, 9)}
+    assert f.mul_truncated(-f, 2) + f.mul_truncated(f, 2) == 0
+    assert (f.mul_truncated(-f, 2) + f.mul_truncated(f, 2)).terms == {}
+    # x1^2*x2 has degree 3: kept at the bound, dropped one below it
+    h = (1 + x1 * x2).scale(F(3, 4))
+    assert h.mul_truncated(x1, 3) == (x1 + x1 * x1 * x2).scale(F(3, 4))
+    assert h.mul_truncated(x1, 2) == x1.scale(F(3, 4))
+    # an empty operand on either side
+    zero = MultiPoly(xs)
+    assert h.mul_truncated(zero, 3).is_zero()
+    assert zero.mul_truncated(h, None).is_zero()
+
+
+def test_multipoly_mul_truncated_checks_variables():
+    a = MultiPoly(("x1", "x2"), {(1, 0): 1})
+    with pytest.raises(ValueError, match="variable mismatch"):
+        a.mul_truncated(MultiPoly(("y1", "y2"), {(0, 1): 1}), None)
+    with pytest.raises(ValueError, match="variable mismatch"):
+        a.mul_truncated(MultiPoly(("x1", "x2", "x3"), {(0, 0, 1): 1}), 2)
+    with pytest.raises(ValueError, match="variable mismatch"):
+        a * MultiPoly(("y1", "y2"), {(0, 1): 1})
+
+
+def test_hash_agrees_with_eq():
+    a, b = UniPoly.x("d"), UniPoly.x("v")
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    for c in (3, F(-2, 7), 0):
+        assert UniPoly.const(c) == c and hash(UniPoly.const(c)) == hash(c)
+        m = MultiPoly.const(c, ("x1", "x2"))
+        assert m == c and hash(m) == hash(c)
+    assert len({UniPoly.const(3), 3}) == len({MultiPoly.const(3, ("x1",)), 3}) == 1
+    p = MultiPoly(("x1", "x2"), {(1, 0): F(1, 2), (0, 1): 4})
+    assert hash(p) == hash(MultiPoly(("x1", "x2"), dict(reversed(p.terms.items()))))
 
 
 def test_multipoly_truncation():
