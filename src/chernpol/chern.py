@@ -8,19 +8,25 @@ Closed form: c_k is the k-th elementary symmetric function of the forms w.x,
 |w| = d.  Their power sums p_j = sum over |alpha| = j of j!/alpha! *
 simplex_moment(alpha) * x^alpha are polynomial in d, so c_k is too, by
 Newton's identities m*c_m = sum_j (-1)^(j-1) p_j c_{m-j} (Macdonald, I.2).
+The recursion runs over partitions: p_j and c_m are symmetric, kept as
+{partition: polynomial in d}, and m*c_m[nu] = sum over 0 != alpha <= nu of
+(-1)^(|alpha|-1) p_|alpha|[sort alpha] c_(m-|alpha|)[sort(nu-alpha)].
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, prod
+from operator import sub
 
 from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
                         xvars)
 from .rising import RisingProductSpec, stirling_coefficient
 from .specialization import simplex_moment, stirling_first
-from .symfunc import (BASES, check_partition, convert_expansion, syt_count,
+from .symfunc import (BASES, check_partition, convert_expansion,
+                      enumerate_partitions, partition_of, syt_count,
                       validate_basis_index)
 
 FORMAT_VERSION = "chernpol-cache-2"
@@ -129,23 +135,25 @@ def chern_interpolated(n: int, k: int, basis: str = "monomial") -> ChernPolynomi
         raise ValueError(f"unknown basis {basis!r}")
     if n < 1 or k < 0:
         raise OutOfDomainError("need n >= 1 and k >= 0")
-    names = xvars(n) + ("d",)
-    p = [None]          # p[j]: the j-th power sum of the weight forms
-    c = [MultiPoly.const(1, names)]
+    p = [None]      # p[j]: {partition: coefficient} of the j-th power sum
+    c = [{(): UniPoly.const(1, var="d")}]
     for m in range(1, k + 1):
-        p.append(MultiPoly(names, {
-            alpha + (e,): coeff * Fraction(factorial(m),
-                                           prod(map(factorial, alpha)))
-            for alpha in weight_vectors(n, m)
-            for e, coeff in simplex_moment(alpha).terms.items()}))
-        c.append(sum(p[j] * c[m - j] * (-1) ** (j - 1)
-                     for j in range(1, m + 1)).scale(Fraction(1, m)))
-    terms: dict = {}    # non-increasing x-exponents are the partitions
-    for ev, coeff in c[k].terms.items():
-        if list(ev[:n]) == sorted(ev[:n], reverse=True):
-            terms.setdefault(tuple(e for e in ev[:n] if e), {})[ev[n]] = coeff
-    return ChernPolynomial(n, k, "monomial", {
-        lam: UniPoly(t, var="d") for lam, t in terms.items()}).in_basis(basis)
+        p.append({lam: simplex_moment(lam + (0,) * (n - len(lam))).scale(
+                      Fraction(factorial(m), prod(map(factorial, lam))))
+                  for lam in enumerate_partitions(m, max_length=n)})
+        c.append({})
+        for nu in enumerate_partitions(m, max_length=n):
+            top = nu + (0,) * (n - len(nu))
+            total = UniPoly({}, var="d")
+            for alpha in product(*(range(e + 1) for e in top)):
+                j = sum(alpha)
+                rest = c[m - j].get(partition_of(map(sub, top, alpha)))
+                if j and rest is not None:
+                    term = p[j][partition_of(alpha)] * rest
+                    total = total + term if j % 2 else total - term
+            if not total.is_zero():
+                c[m][nu] = total.scale(Fraction(1, m))
+    return ChernPolynomial(n, k, "monomial", c[k]).in_basis(basis)
 
 
 # ---------------------------------------------------------------------------

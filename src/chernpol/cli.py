@@ -108,9 +108,7 @@ def factored_str(p: UniPoly) -> str:
     if p.is_zero():
         return "0"
     var = p.var
-    roots = p.rational_roots()
-    rest = p.exact_div(UniPoly.from_roots(
-        [r for r, mult in roots for _ in range(mult)], var=var))
+    roots, rest = p.rational_roots()
     parts = []
     for root, mult in roots:
         if root == 0:

@@ -6,14 +6,14 @@ characteristics of Fano schemes of lines.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb, factorial
 
 from .chern import chern_direct, chern_interpolated, euler_coefficient
 from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
                         as_integer, series_invert, xvars)
-from .symfunc import NotSymmetricError, catalan_triangle
+from .symfunc import (NotSymmetricError, catalan_triangle, partition_of,
+                      schur_coefficient)
 
 
 class EmptyFanoError(ValueError):
@@ -36,16 +36,8 @@ def expected_dimension(d: int, m: int, r: int) -> int:
 
 def grassmann_integral(f: MultiPoly, k: int, n_amb: int) -> Fraction:
     """Coefficient of the volume form s_((n_amb-k)^k) in the top-degree
-    component of a symmetric class on Gr_k(C^n_amb).
-
-    Only that one Schur coefficient is computed, from s_lam = a_(lam+delta) /
-    a_delta (Macdonald, I.3): for f symmetric in x_1..x_n, the coefficient of
-    s_lam is that of x^(lam+delta) in f * a_delta, i.e.
-
-        sum over sigma in S_n of sgn(sigma) * coef(x^(lam+delta-sigma(delta)), f)
-
-    with lam padded by zeros to length n and delta = (n-1, ..., 1, 0).
-    """
+    component of a symmetric class on Gr_k(C^n_amb), read by the alternant
+    (``symfunc.schur_coefficient``) from the monomial coefficients."""
     if not (1 <= k <= n_amb):
         raise ValueError("need 1 <= k <= n_amb")
     top = f.homogeneous_component(k * (n_amb - k))
@@ -54,16 +46,7 @@ def grassmann_integral(f: MultiPoly, k: int, n_amb: int) -> Fraction:
     n = len(f.vars)
     if k > n:       # s_lam vanishes in fewer than k variables
         return Fraction(0)
-    lam = [n_amb - k] * k + [0] * (n - k)
-    total = Fraction(0)
-    for perm in itertools.permutations(range(n)):
-        # delta_i = n-1-i and sigma(delta)_i = n-1-perm_i
-        c = top.terms.get(tuple(part - i + p for i, (part, p)
-                                in enumerate(zip(lam, perm))))
-        if c:
-            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-            total += -c if inversions % 2 else c
-    return total
+    return Fraction(schur_coefficient(top.terms.get, (n_amb - k,) * k, n))
 
 
 def chern_grassmannian(k: int, n_amb: int,
@@ -121,11 +104,17 @@ def sigma_degree(d: int, m: int, r: int) -> Fraction:
 
 def sigma_degree_symbolic(m: int, r: int) -> UniPoly:
     """deg Sigma(d,m,r) as a polynomial in d (valid in the regime d >= 3,
-    expected dimension < 0), from the closed-form Chern coefficients."""
+    expected dimension < 0): the one Schur coefficient, read by the
+    alternant from the closed-form monomial coefficients of c_k, whose
+    coefficient at x^alpha is that of m_(sort alpha)."""
     _check_sigma_domain(m, r)
+    if r == 0:
+        raise OutOfDomainError("r = 0: the expected dimension m - 1 is >= 0 "
+                               "for every d, outside the formula's regime")
     k = r + 1
-    cp = chern_interpolated(k, k * (m - r), "schur")
-    return cp.terms.get(((m - r),) * k, UniPoly.const(0, var="d"))
+    terms = chern_interpolated(k, k * (m - r)).terms
+    return UniPoly({}, var="d") + schur_coefficient(
+        lambda alpha: terms.get(partition_of(alpha)), (m - r,) * k, k)
 
 
 def sigma_degree_leading(m: int, r: int):

@@ -280,10 +280,11 @@ class UniPoly(_Poly):
         return UniPoly({e - 1: c * e for e, c in self.terms.items() if e > 0},
                        var=self.var)
 
-    def rational_roots(self) -> list:
-        """[(root, multiplicity)] of every rational root of a nonzero
-        polynomial: 0 first, then the others in the order of (|numerator|,
-        denominator, sign), positive before negative.
+    def rational_roots(self) -> tuple:
+        """``(roots, cofactor)``: [(root, multiplicity)] of every rational
+        root of a nonzero polynomial, 0 first, then the others in the order
+        of (|numerator|, denominator, sign), positive before negative; and
+        the polynomial divided by prod (var - root)^multiplicity.
 
         One pass: a root p/q in lowest terms of the integer polynomial has p
         dividing its constant term and q its leading coefficient, so the
@@ -296,9 +297,8 @@ class UniPoly(_Poly):
         low = min(self.terms)
         roots = [(Fraction(0), low)] if low else []
         rest = UniPoly({e - low: c for e, c in self.terms.items()}, var=self.var)
-        top = rest.degree()
-        if not top:
-            return roots
+        if not rest.degree():
+            return roots, rest
 
         def numerators(p: UniPoly) -> list:
             # a_0..a_N, integers proportional to the coefficients of p
@@ -331,8 +331,8 @@ class UniPoly(_Poly):
                     if mult:
                         roots.append((Fraction(p, den), mult))
                         if len(a) == 1:
-                            return roots
-        return roots
+                            return roots, rest
+        return roots, rest
 
     # -- evaluation / composition ---------------------------------------
     def __call__(self, value):

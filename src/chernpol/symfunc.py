@@ -1,6 +1,7 @@
 """Partitions and the classical bases of symmetric polynomials in n
 variables: monomial, elementary, Schur and power-sum, with exact basis
-conversion, standard Young tableau counts and Catalan triangle numbers.
+conversion, single Schur coefficients by the alternant, standard Young
+tableau counts and Catalan triangle numbers.
 """
 
 from __future__ import annotations
@@ -40,6 +41,12 @@ def check_partition(parts) -> tuple:
     if not is_partition(parts):
         raise ValueError(f"not a partition: {parts}")
     return parts
+
+
+def partition_of(exponents) -> tuple:
+    """The partition of an exponent vector: its nonzero entries, largest
+    first (the index of the monomial symmetric function it belongs to)."""
+    return tuple(sorted((e for e in exponents if e), reverse=True))
 
 
 def conjugate(parts) -> tuple:
@@ -215,13 +222,28 @@ def to_x_expansion(basis: str, lam: tuple, n: int,
 # ---------------------------------------------------------------------------
 
 def _monomial_support(f: MultiPoly) -> dict:
-    """Partition -> coefficient of m_lambda (reads off sorted exponents)."""
-    out = {}
-    for ev, c in f.terms.items():
-        lam = tuple(sorted((e for e in ev if e), reverse=True))
-        if tuple(sorted(ev, reverse=True)) == lam + (0,) * (len(ev) - len(lam)):
-            out[lam] = c
-    return out
+    """Partition -> coefficient of m_lambda, for f symmetric (every exponent
+    vector of one orbit carries the same coefficient)."""
+    return {partition_of(ev): c for ev, c in f.terms.items()}
+
+
+def schur_coefficient(coef, lam, n: int):
+    """Coefficient of s_lam in a symmetric f in n variables, given
+    ``coef(alpha)`` = coefficient of x^alpha in f (None or 0 if absent).
+    As s_lam = a_(lam+delta) / a_delta (Macdonald, I.3), it is that of
+    x^(lam+delta) in f * a_delta: the sum over sigma in S_n of sgn(sigma) *
+    coef(lam + delta - sigma(delta)), lam padded to length n, delta = (n-1,
+    ..., 0), negative exponents skipped; 0 when every lookup misses."""
+    lam = tuple(lam) + (0,) * (n - len(lam))
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        # delta_i = n-1-i and sigma(delta)_i = n-1-perm_i
+        alpha = tuple(part - i + p for i, (part, p) in enumerate(zip(lam, perm)))
+        c = coef(alpha) if min(alpha) >= 0 else None
+        if c:
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            total = total - c if inversions % 2 else total + c
+    return total
 
 
 def expand_in_basis(f: MultiPoly, basis: str) -> dict:

@@ -74,6 +74,7 @@ def test_closed_form_needs_no_sampling(monkeypatch):
 
     monkeypatch.setattr(chern, "chern_direct", forbidden)
     monkeypatch.setattr(exactcore, "interpolate", forbidden)
+    monkeypatch.setattr(exactcore.MultiPoly, "mul_truncated", forbidden)
     specialization.simplex_moment.cache_clear()
     assert chern_interpolated(3, 3) == expected
 
@@ -251,6 +252,22 @@ def test_leading_term_elementary_flags_open_cases():
     assert leading_term("elementary", (2,), 3)[2] is True
     assert leading_term("elementary", (2, 1), 4)[2] is True
     assert leading_term("elementary", (1, 1), 5)[2] is False
+
+
+def test_leading_term_elementary_conjectural_cases_match():
+    # a regression test of the flagged predictions, not a proof
+    checked = 0
+    for n, ks in ((3, range(3, 7)), (4, range(4, 7)), (5, (5,))):
+        for k in ks:
+            cp = chern_interpolated(n, k, "elementary")
+            for lam in enumerate_partitions(k, max_part=n):
+                coeff, expo, conj = leading_term("elementary", lam, n)
+                if conj:
+                    p = cp.terms[lam]
+                    assert (p.degree(), p.coeff(expo)) == (expo, coeff), \
+                        (n, lam)
+                    checked += 1
+    assert checked == 38
 
 
 def test_elementary_degree_bound_holds():

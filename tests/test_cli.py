@@ -362,6 +362,7 @@ def test_readme_examples_parse():
     (["stirling-coeff", "--spec-file", "{tmp}/malformed.json", "--type", "1"],
      cli.EXIT_USAGE),
     (["chern-eval", "--n", "1", "--k", "1", "--d", "-1"], cli.EXIT_DOMAIN),
+    (["sigma-degree", "--m", "3", "--r", "0"], cli.EXIT_DOMAIN),
 ])
 def test_invalid_input_exits_cleanly(argv, expected, capsys, tmp_path,
                                      monkeypatch):

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from chernpol import enumgeo
-from chernpol.chern import chern_direct, euler_coefficient
+from chernpol.chern import chern_direct, chern_interpolated, euler_coefficient
 from chernpol.enumgeo import (EmptyFanoError, UnsupportedDegreeError,
                               UnsupportedMethodError, chern_grassmannian,
                               chi_deg_ratio_check, euler_class_c2,
@@ -15,7 +15,8 @@ from chernpol.enumgeo import (EmptyFanoError, UnsupportedDegreeError,
                               sigma_degree_leading, sigma_degree_symbolic,
                               sigma_validity_warnings)
 from chernpol.exactcore import (InconsistentDataError, MultiPoly,
-                                TruncationPolicy, UniPoly, xvars)
+                                OutOfDomainError, TruncationPolicy, UniPoly,
+                                xvars)
 from chernpol.symfunc import (NotSymmetricError, enumerate_partitions,
                               expand_in_basis, to_x_expansion)
 
@@ -165,6 +166,36 @@ def test_sigma_symbolic_matches_numeric():
         p = sigma_degree_symbolic(m, r)
         for d in range(3, 8):
             assert p(d) == sigma_degree(d, m, r), (m, r, d)
+
+
+@pytest.mark.parametrize("m, r", [(3, 1), (4, 1), (5, 1), (3, 2), (4, 2),
+                                  (5, 2), (4, 3)])
+def test_sigma_symbolic_matches_schur_expansion(m, r):
+    # the whole Schur expansion by Jacobi-Trudi peeling, which shares no
+    # code with the alternant
+    lam = (m - r,) * (r + 1)
+    cp = chern_interpolated(r + 1, (r + 1) * (m - r), "schur")
+    assert sigma_degree_symbolic(m, r) == cp.terms[lam]
+
+
+def test_sigma_symbolic_reads_one_coefficient(monkeypatch):
+    from chernpol import chern, symfunc
+    expected = sigma_degree_symbolic(4, 2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("one Schur coefficient needs no basis change")
+
+    for module in (chern, symfunc):
+        monkeypatch.setattr(module, "convert_expansion", forbidden)
+    monkeypatch.setattr(symfunc, "expand_in_basis", forbidden)
+    assert sigma_degree_symbolic(4, 2) == expected
+
+
+def test_sigma_symbolic_r0_has_no_regime():
+    # expected dimension m - 1 >= 0 for every d
+    for m in (1, 3):
+        with pytest.raises(OutOfDomainError):
+            sigma_degree_symbolic(m, 0)
 
 
 def test_sigma_degree_leading():

@@ -79,10 +79,14 @@ def test_unipoly_arith_is_pointwise(a, b, v):
 
 def test_rational_roots_with_multiplicities():
     p = UniPoly.from_roots([0, F(-1, 2), F(3, 4), F(3, 4), 2, -2]).scale(5)
-    assert p.rational_roots() == [(0, 1), (F(-1, 2), 1), (2, 1), (-2, 1),
-                                  (F(3, 4), 2)]
-    assert UniPoly({3: F(2)}).rational_roots() == [(0, 3)]
-    assert UniPoly({2: F(1), 0: F(1)}).rational_roots() == []
+    roots, cofactor = p.rational_roots()
+    assert roots == [(0, 1), (F(-1, 2), 1), (2, 1), (-2, 1), (F(3, 4), 2)]
+    assert p == cofactor * UniPoly.from_roots(
+        [r for r, mult in roots for _ in range(mult)])
+    assert cofactor == 5
+    assert UniPoly({3: F(2)}).rational_roots() == ([(0, 3)], UniPoly.const(2))
+    irreducible = UniPoly({2: F(1), 0: F(1)})
+    assert irreducible.rational_roots() == ([], irreducible)
     with pytest.raises(ValueError):
         UniPoly({}).rational_roots()
 
@@ -94,8 +98,10 @@ def test_rational_roots_with_multiplicities():
 def test_rational_roots_finds_every_root(roots, c, scale):
     # (d^2 + c) has no rational root
     p = (UniPoly.from_roots(roots) * UniPoly({2: F(1), 0: F(c)})).scale(scale)
-    found = [r for r, m in p.rational_roots() for _ in range(m)]
+    found, cofactor = p.rational_roots()
+    found = [r for r, m in found for _ in range(m)]
     assert sorted(found) == sorted(roots)
+    assert p == cofactor * UniPoly.from_roots(found)
 
 
 def test_shared_arithmetic_on_both_classes():

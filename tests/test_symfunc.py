@@ -6,14 +6,14 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chernpol.exactcore import MultiPoly, UniPoly
+from chernpol.exactcore import MultiPoly, UniPoly, xvars
 from chernpol.symfunc import (BASES, InvalidIndexError, NotSymmetricError,
                               catalan_triangle, check_partition, conjugate,
                               convert_expansion, dominance_key,
                               enumerate_partitions, expand_in_basis,
                               expansion_from_json, expansion_to_json,
-                              is_partition, multiplicities, syt_count,
-                              to_x_expansion)
+                              is_partition, multiplicities, partition_of,
+                              schur_coefficient, syt_count, to_x_expansion)
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +27,30 @@ def test_partition_predicates():
     assert not is_partition((2, 0))
     with pytest.raises(ValueError):
         check_partition((1, 3))
+
+
+def test_partition_of():
+    assert partition_of((0, 2, 0, 3, 2)) == (3, 2, 2)
+    assert partition_of((0, 0)) == ()
+    assert partition_of(iter([1, 4])) == (4, 1)
+
+
+def test_schur_coefficient_reads_every_schur_index():
+    # f = sum of c_lam s_lam over the partitions of 4 in 3 variables
+    n = 3
+    want = {lam: F(i + 1, 3) for i, lam in
+            enumerate(enumerate_partitions(4, max_length=n))}
+    f = MultiPoly.const(0, xvars(n))
+    for lam, c in want.items():
+        f = f + to_x_expansion("schur", lam, n) * c
+    for lam, c in want.items():
+        assert schur_coefficient(f.terms.get, lam, n) == c
+    # through the partition of the exponent vector, as for m-coefficients
+    mono = expand_in_basis(f, "monomial")
+    for lam, c in want.items():
+        assert schur_coefficient(lambda a: mono.get(partition_of(a)),
+                                 lam, n) == c
+    assert schur_coefficient({}.get, (2, 2), n) == 0
 
 
 def test_conjugate():
