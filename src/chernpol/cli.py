@@ -24,9 +24,6 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_CHECK = 4
 
-DOMAIN_ERRORS = (OutOfDomainError, enumgeo.EmptyFanoError,
-                 enumgeo.UnsupportedDegreeError, enumgeo.UnsupportedMethodError)
-
 
 class UsageError(ValueError):
     pass
@@ -383,7 +380,7 @@ def main(argv=None) -> int:
         out = COMMANDS[args.command][0](args)
     except UsageError as exc:
         return _report(args, exc, "usage error", EXIT_USAGE)
-    except DOMAIN_ERRORS as exc:
+    except OutOfDomainError as exc:
         return _report(args, exc, "domain error", EXIT_DOMAIN)
     except InconsistentDataError as exc:
         return _report(args, exc, "check failed", EXIT_CHECK)

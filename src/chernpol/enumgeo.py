@@ -16,15 +16,15 @@ from .symfunc import (NotSymmetricError, catalan_triangle, partition_of,
                       schur_coefficient)
 
 
-class EmptyFanoError(ValueError):
+class EmptyFanoError(OutOfDomainError):
     """The expected dimension is negative: the generic Fano scheme is empty."""
 
 
-class UnsupportedDegreeError(ValueError):
+class UnsupportedDegreeError(OutOfDomainError):
     """Hypersurface degree outside the supported regime."""
 
 
-class UnsupportedMethodError(ValueError):
+class UnsupportedMethodError(OutOfDomainError):
     pass
 
 

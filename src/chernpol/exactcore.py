@@ -7,7 +7,8 @@ All coefficients at the API are ``fractions.Fraction``; nothing here ever
 rounds.  Polynomial products and the rational-root test run on integer
 numerators over one shared denominator per operand (``_cleared``), and the
 products turn their integer sums back into ``Fraction``s once, on exit
-(``_rebuilt``).
+(``_rebuilt``).  Arithmetic results are built by ``_new``, which trusts its
+terms; ``__init__`` validates terms that come from outside.
 """
 
 from __future__ import annotations
@@ -64,10 +65,39 @@ def xvars(n: int) -> tuple:
 
 
 def _divisors(n: int) -> list:
-    """The positive divisors of the nonzero integer ``n``, ascending."""
+    """The positive divisors of the nonzero integer ``n``, ascending, from
+    its factorisation by trial division: each prime is divided out as it is
+    found, and the search stops once its square exceeds what is left."""
     n = abs(n)
-    small = [i for i in range(1, math.isqrt(n) + 1) if n % i == 0]
-    return small + [n // i for i in reversed(small) if i * i != n]
+    divs, p = [1], 2
+    while p * p <= n:
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        if k:
+            divs = [d * p ** i for d in divs for i in range(k + 1)]
+        p += 1 if p == 2 else 2
+    if n > 1:
+        divs += [d * n for d in divs]
+    return sorted(divs)
+
+
+def _divide_out(a: list, p: int, q: int):
+    """The integer coefficients of ``A / (q·x − p)`` for the integer
+    polynomial ``A = Σ a_i x^i``, or None if ``p/q`` is not a root of A.
+
+    Synthetic division from the top: ``b_{i-1} = (a_i + p·b_i) / q``.  For
+    ``p/q`` in lowest terms the quotient of a root is integral (Gauss's
+    lemma), so an inexact step or a nonzero remainder means no root."""
+    b = [0] * (len(a) - 1)
+    carry = 0
+    for i in range(len(a) - 1, 0, -1):
+        s = a[i] + p * carry
+        if s % q:
+            return None
+        carry = b[i - 1] = s // q
+    return b if a[0] + p * carry == 0 else None
 
 
 def _cleared(terms: Mapping) -> tuple:
@@ -100,7 +130,8 @@ class _Poly:
     """The arithmetic UniPoly and MultiPoly share, over one sparse ``terms``
     dict {exponent key: nonzero Fraction}.
 
-    A subclass supplies ``_new(terms)`` (a polynomial in its own variables),
+    A subclass supplies ``_new(terms)`` (a polynomial in its own variables,
+    taking ``terms`` as they are: well-formed keys, nonzero Fraction values),
     ``_coerce`` (numbers become constants), ``__mul__``, and for ``repr`` the
     display order ``_repr_key`` and the monomial text ``_mono`` of a key.
     """
@@ -146,7 +177,7 @@ class _Poly:
 
     def scale(self, c):
         c = rat(c)
-        return self._new({e: v * c for e, v in self.terms.items()})
+        return self._new({e: v * c for e, v in self.terms.items()} if c else {})
 
     def __repr__(self):
         if not self.terms:
@@ -200,8 +231,10 @@ class UniPoly(_Poly):
             p = p * cls({1: Fraction(1), 0: -rat(r)}, var=var)
         return p
 
-    def _new(self, terms) -> "UniPoly":
-        return UniPoly(terms, var=self.var)
+    def _new(self, terms: dict) -> "UniPoly":
+        out = object.__new__(UniPoly)
+        out.var, out.terms = self.var, terms
+        return out
 
     def _coerce(self, other) -> "UniPoly":
         if isinstance(other, UniPoly):
@@ -246,10 +279,7 @@ class UniPoly(_Poly):
             for e2, n2 in b:
                 e = e1 + e2
                 sums[e] = sums.get(e, 0) + n1 * n2
-        # the keys are sums of int keys, so __init__'s checks are not needed
-        out = object.__new__(UniPoly)
-        out.var, out.terms = self.var, _rebuilt(sums, D1 * D2)
-        return out
+        return self._new(_rebuilt(sums, D1 * D2))
 
     __rmul__ = __mul__
 
@@ -277,8 +307,7 @@ class UniPoly(_Poly):
         return self.divmod(other)[1].is_zero()
 
     def derivative(self) -> "UniPoly":
-        return UniPoly({e - 1: c * e for e, c in self.terms.items() if e > 0},
-                       var=self.var)
+        return self._new({e - 1: c * e for e, c in self.terms.items() if e > 0})
 
     def rational_roots(self) -> tuple:
         """``(roots, cofactor)``: [(root, multiplicity)] of every rational
@@ -286,53 +315,39 @@ class UniPoly(_Poly):
         of (|numerator|, denominator, sign), positive before negative; and
         the polynomial divided by prod (var - root)^multiplicity.
 
-        One pass: a root p/q in lowest terms of the integer polynomial has p
-        dividing its constant term and q its leading coefficient, so the
-        divisors of those two are listed once, by trial division up to the
-        square root, and each candidate is divided out while it vanishes,
-        which is tested in integers.
+        One pass over one integer list: a root p/q in lowest terms of the
+        integer polynomial A with coefficients a_0..a_N has p | a_0 and
+        q | a_N, and A = (q·x − p)·B with B integral (Gauss's lemma).  The
+        divisors of a_0 and a_N are listed once; a candidate whose p and q
+        divide the a_0 and a_N of the deflated list is divided out by
+        synthetic division for as long as that is exact.
         """
         if not self.terms:
             raise ValueError("the zero polynomial has every root")
         low = min(self.terms)
         roots = [(Fraction(0), low)] if low else []
-        rest = UniPoly({e - low: c for e, c in self.terms.items()}, var=self.var)
-        if not rest.degree():
-            return roots, rest
-
-        def numerators(p: UniPoly) -> list:
-            # a_0..a_N, integers proportional to the coefficients of p
-            a = [0] * (p.degree() + 1)
-            for e, n in _cleared(p.terms)[1]:
-                a[e] = n
-            return a
-
-        def vanishes_at(p: int, q: int) -> bool:
-            # rest(p/q) * q^N = sum of a_i p^i q^(N-i), by Horner
-            s, qpow = a[-1], q
-            for c in reversed(a[:-1]):
-                s = s * p + c * qpow
-                qpow *= q
-            return s == 0
-
-        a = numerators(rest)
-        dens = _divisors(a[-1])
+        D, pairs = _cleared(self.terms)
+        a = [0] * (max(self.terms) - low + 1)
+        for e, n in pairs:
+            a[e - low] = n
+        dens, qs = _divisors(a[-1]), 1       # qs: product of the q divided out
         for num in _divisors(a[0]):
+            if len(a) == 1:
+                break
+            if a[0] % num:
+                continue
             for den in dens:
-                if math.gcd(num, den) != 1:
+                if a[-1] % den or math.gcd(num, den) != 1:
                     continue
                 for p in (num, -num):
                     mult = 0
-                    while len(a) > 1 and vanishes_at(p, den):
-                        rest = rest.exact_div(
-                            UniPoly({1: Fraction(1), 0: Fraction(-p, den)}, var=self.var))
-                        a = numerators(rest)
-                        mult += 1
+                    while len(a) > 1 and (b := _divide_out(a, p, den)) is not None:
+                        a, mult = b, mult + 1
                     if mult:
                         roots.append((Fraction(p, den), mult))
-                        if len(a) == 1:
-                            return roots, rest
-        return roots, rest
+                        qs *= den ** mult
+        # self = d^low · ∏(q·d − p)^mult · Σ a_i d^i / D
+        return roots, self._new(_rebuilt({i: qs * c for i, c in enumerate(a)}, D))
 
     # -- evaluation / composition ---------------------------------------
     def __call__(self, value):
@@ -408,8 +423,10 @@ class MultiPoly(_Poly):
         ev = tuple(1 if j == i else 0 for j in range(len(vars)))
         return cls(vars, {ev: Fraction(1)})
 
-    def _new(self, terms) -> "MultiPoly":
-        return MultiPoly(self.vars, terms)
+    def _new(self, terms: dict) -> "MultiPoly":
+        out = object.__new__(MultiPoly)
+        out.vars, out.terms = self.vars, terms
+        return out
 
     def _coerce(self, other) -> "MultiPoly":
         if isinstance(other, MultiPoly):
@@ -464,19 +481,14 @@ class MultiPoly(_Poly):
                     continue
                 ev = tuple(map(add, ev1, ev2))
                 sums[ev] = sums.get(ev, 0) + n1 * n2
-        # the keys are sums of well-formed keys, so __init__'s checks are not needed
-        out = object.__new__(MultiPoly)
-        out.vars, out.terms = self.vars, _rebuilt(sums, D1 * D2)
-        return out
+        return self._new(_rebuilt(sums, D1 * D2))
 
     def truncate(self, policy: TruncationPolicy | int) -> "MultiPoly":
         m = policy.max_total_degree if isinstance(policy, TruncationPolicy) else policy
-        return MultiPoly(self.vars,
-                         {ev: c for ev, c in self.terms.items() if sum(ev) <= m})
+        return self._new({ev: c for ev, c in self.terms.items() if sum(ev) <= m})
 
     def filter_terms(self, keep) -> "MultiPoly":
-        return MultiPoly(self.vars,
-                         {ev: c for ev, c in self.terms.items() if keep(ev)})
+        return self._new({ev: c for ev, c in self.terms.items() if keep(ev)})
 
     def homogeneous_component(self, k: int) -> "MultiPoly":
         return self.filter_terms(lambda ev: sum(ev) == k)

@@ -13,7 +13,7 @@ from math import factorial
 from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
                         xvars)
 from .specialization import M_tilde
-from .symfunc import mult_factorial
+from .symfunc import dominance_key, mult_factorial
 
 
 class InvalidBoundError(ValueError):
@@ -23,10 +23,6 @@ class InvalidBoundError(ValueError):
 # ---------------------------------------------------------------------------
 # vector partitions
 # ---------------------------------------------------------------------------
-
-def _glex_key(v: tuple):
-    return (sum(v), v)
-
 
 def vector_partitions(H) -> list[tuple]:
     """All multiset partitions of the vector H into nonzero vectors,
@@ -38,8 +34,8 @@ def vector_partitions(H) -> list[tuple]:
     def blocks_below(rem, ceiling):
         ranges = [range(r, -1, -1) for r in rem]
         out = [b for b in itertools.product(*ranges)
-               if any(b) and _glex_key(b) <= _glex_key(ceiling)]
-        out.sort(key=_glex_key, reverse=True)
+               if any(b) and dominance_key(b) <= dominance_key(ceiling)]
+        out.sort(key=dominance_key, reverse=True)
         return out
 
     def rec(rem, ceiling):

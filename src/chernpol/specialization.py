@@ -162,19 +162,3 @@ def M_plain(lam: tuple) -> UniPoly:
     monomial symmetric polynomial."""
     lam = _sorted_partition(int(p) for p in lam)
     return M_tilde(lam).scale(Fraction(1, mult_factorial(lam)))
-
-
-def aug_monomial_bruteforce(lam: tuple, v: int) -> Fraction:
-    """Direct sum over injective maps {1..l} -> {0..v}; the oracle for
-    M_tilde on small inputs."""
-    from itertools import permutations
-    lam = tuple(lam)
-    total = Fraction(0)
-    for values in permutations(range(v + 1), len(lam)):
-        term = 1
-        for y, p in zip(values, lam):
-            term *= y ** p
-        total += term
-    if not lam:
-        return Fraction(1)
-    return total

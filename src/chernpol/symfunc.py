@@ -97,7 +97,8 @@ def enumerate_partitions(weight: int, max_length: int | None = None,
 
 
 def dominance_key(parts) -> tuple:
-    """Graded-lex key: sort descending to pick the pivot among maximal terms."""
+    """Graded-lex key of an exponent vector: total degree, then the vector
+    itself.  Sorting by it descending picks the pivot among maximal terms."""
     return (sum(parts), tuple(parts))
 
 

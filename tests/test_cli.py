@@ -307,13 +307,21 @@ def test_factored_str():
 def test_factored_str_multiplicities_and_large_roots():
     p = UniPoly.from_roots([0, F(-1, 2), F(3, 4), F(3, 4), 2, -2]).scale(5)
     assert cli.factored_str(p) == "d*(d+1/2)*(d-2)*(d+2)*(d-3/4)^2*(5)"
-    # the divisor search is O(sqrt(|constant term|)), not linear in it
+    # a large prime factor of the constant term costs O(sqrt) trial divisions
     assert (cli.factored_str(UniPoly.from_roots([2, -3, 1000000007]))
             == "(d-2)*(d+3)*(d-1000000007)")
     # non-monic, with large coprime numerators and denominators
     d = UniPoly.x()
     p = (d.scale(7) - 1000003) * (d.scale(3) + 11) ** 2 * (d * d + 5)
     assert cli.factored_str(p) == "(d+11/3)^2*(d-1000003/7)*(63*d^2 + 315)"
+
+
+def test_factored_str_of_a_chern_coefficient():
+    p = chern_interpolated(2, 12, "elementary").terms[(2, 2, 2, 2, 2, 2)]
+    assert cli.factored_str(p) == (
+        "d*(d-1)*(d+1)*(d-2)*(d+2)*(d-3)*(d-4)*(d-5)*(d-6)*(d-7)*(d-8)*(d-9)"
+        "*(d-10)*(1/33592320*d^5 + 1/2099520*d^4 + 913/293932800*d^3"
+        " + 947/91854000*d^2 + 13667/785862000*d + 691/58046625)")
 
 
 # ---------------------------------------------------------------------------

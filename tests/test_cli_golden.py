@@ -1,0 +1,99 @@
+"""Golden CLI output: the exit code and stdout of the README examples, of
+every distinct query of the benchmark's two workloads for seeds 0-2, and of
+three ``--factored`` queries with large coefficients.
+
+``cli_golden.json`` holds one ``[argv, exit code, stdout]`` entry per query,
+in the order they run; one cache dir serves the whole list, so the
+chern-warm queries read the entries the earlier chern queries wrote.
+Regenerate it, only for an intended change of output, with
+``PYTHONPATH=src python tests/test_cli_golden.py``.
+"""
+
+import contextlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from chernpol import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+SPEC = "bench/odd_spec.json"      # relative to ROOT, the cwd of every query
+
+README_EXAMPLES = [
+    ["chern", "--n", "2", "--k", "1", "--basis", "e"],
+    ["chern-eval", "--n", "2", "--k", "1", "--d", "3", "--basis", "e"],
+    ["stirling-coeff", "--spec-file", SPEC, "--type", "2"],
+    ["stirling-coeff", "--spec-file", SPEC, "--type", "2,1"],
+    ["orbits", "--n", "4", "--d", "8", "--type", "2,1,1"],
+    ["sigma-degree", "--m", "3", "--r", "1", "--factored"],
+    ["sigma-degree", "--m", "3", "--r", "1", "--d", "4"],
+    ["fano-degree", "--d", "3", "--m", "3"],
+    ["fano-degree", "--d", "5", "--m", "4"],
+    ["fano-chi", "--d", "4", "--m", "4"],
+    ["verify"],
+]
+
+LARGE_FACTORED = [
+    ["chern", "--n", "4", "--k", "6", "--basis", "s", "--factored",
+     "--no-cache"],
+    ["stirling-coeff", "--spec-file", SPEC, "--type", "3,5", "--factored"],
+    ["sigma-degree", "--m", "5", "--r", "2", "--factored"],
+]
+
+
+def golden_queries() -> list:
+    """The README examples, the workload queries and LARGE_FACTORED, each
+    once, in first-seen order."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    def seeded(name):
+        return [q for seed in range(3) for q in
+                workloads.WORKLOADS[name].queries(random.Random(seed), SPEC)]
+
+    queries = (README_EXAMPLES + seeded("cold") + workloads.cache_fill_queries()
+               + seeded("chern-warm") + LARGE_FACTORED)
+    return [list(q) for q in dict.fromkeys(map(tuple, queries))]
+
+
+def _regenerate() -> None:
+    os.chdir(ROOT)
+    entries = []
+    with tempfile.TemporaryDirectory() as cache:
+        os.environ[cli.CACHE_ENV] = cache
+        for argv in golden_queries():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(argv)
+            entries.append([argv, code, out.getvalue()])
+    GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"wrote {len(entries)} entries to {GOLDEN}")
+
+
+if __name__ == "__main__":
+    _regenerate()
+    sys.exit()
+
+ENTRIES = json.loads(GOLDEN.read_text())
+
+
+@pytest.fixture(scope="module")
+def cache_env(tmp_path_factory):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(cli.CACHE_ENV, str(tmp_path_factory.mktemp("cache")))
+        mp.chdir(ROOT)
+        yield
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=[" ".join(e[0]) for e in ENTRIES])
+def test_cli_output_matches_golden(entry, cache_env, capsys):
+    argv, code, stdout = entry
+    assert cli.main(list(argv)) == code
+    assert capsys.readouterr().out == stdout

@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chernpol.exactcore import (DuplicateAbscissaError, InconsistentDataError,
                                 MultiPoly, NotInvertibleError,
-                                TruncationPolicy, UniPoly, interpolate,
-                                series_divide, series_invert, series_multiply)
+                                TruncationPolicy, UniPoly, _divisors,
+                                interpolate, series_divide, series_invert,
+                                series_multiply)
 
 
 def test_unipoly_basics():
@@ -102,6 +105,45 @@ def test_rational_roots_finds_every_root(roots, c, scale):
     found = [r for r, m in found for _ in range(m)]
     assert sorted(found) == sorted(roots)
     assert p == cofactor * UniPoly.from_roots(found)
+
+
+def test_divisors_match_bruteforce():
+    for n in range(1, 3001):
+        assert _divisors(n) == _divisors(-n) == [
+            i for i in range(1, n + 1) if n % i == 0]
+    # too large to scan: the list is every divisor iff its entries are
+    # distinct divisors and there are prod(k_i + 1) of them
+    rng = random.Random(0)
+    primes = (2, 3, 5, 7, 11, 13, 1000003)
+    for _ in range(200):
+        powers = [rng.randint(0, 5) for _ in primes[:-1]] + [rng.randint(0, 1)]
+        n = prod(p ** k for p, k in zip(primes, powers))
+        divs = _divisors(n)
+        assert divs == sorted(set(divs))
+        assert all(n % d == 0 for d in divs)
+        assert len(divs) == prod(k + 1 for k in powers)
+
+
+def test_rational_roots_with_a_huge_constant_term():
+    # the constant term -9 * 2^64 * 3^40 has small prime factors only, so
+    # its divisors come from its factorisation, not a scan up to its root
+    d = UniPoly.x()
+    irreducible = d * d + 2 ** 64 * 3 ** 40
+    p = (d - 1) * (d.scale(2) + 3) ** 2 * irreducible
+    roots, cofactor = p.rational_roots()
+    assert roots == [(1, 1), (F(-3, 2), 2)]
+    assert cofactor == irreducible.scale(4)
+    assert p == cofactor * UniPoly.from_roots([1, F(-3, 2), F(-3, 2)])
+
+
+def test_zero_results_have_empty_terms():
+    u = UniPoly({2: F(1), 1: F(-1)})                  # d^2 - d
+    m = MultiPoly(("a", "b"), {(1, 0): F(1), (0, 1): F(-1, 2)})
+    for f in (u, m):
+        assert f.scale(0).terms == (f * 0).terms == (0 * f).terms == {}
+        assert UniPoly({})(f).terms == {}
+    assert u(UniPoly.const(1)).terms == {}             # Horner sums cancel
+    assert u(MultiPoly.const(1, m.vars)).terms == {}
 
 
 def test_shared_arithmetic_on_both_classes():

@@ -6,10 +6,10 @@ import pytest
 
 from chernpol.chern import weight_vectors
 from chernpol.exactcore import UniPoly
-from chernpol.specialization import (M_plain, M_tilde, aug_monomial_bruteforce,
-                                     aug_monomial_power_sums, eulerian_second,
-                                     faulhaber, simplex_moment,
-                                     stirling_first, stirling_second)
+from chernpol.specialization import (M_plain, M_tilde, aug_monomial_power_sums,
+                                     eulerian_second, faulhaber,
+                                     simplex_moment, stirling_first,
+                                     stirling_second)
 from chernpol.symfunc import enumerate_partitions
 
 
@@ -24,6 +24,20 @@ def _esym_bruteforce(h, values):
 def _hsym_bruteforce(h, values):
     return sum(prod(c) for c in
                itertools.combinations_with_replacement(values, h))
+
+
+def aug_monomial_bruteforce(lam: tuple, v: int) -> F:
+    """Direct sum over injective maps {1..l} -> {0..v}; the oracle for
+    M_tilde on small inputs."""
+    total = F(0)
+    for values in itertools.permutations(range(v + 1), len(lam)):
+        term = 1
+        for y, p in zip(values, lam):
+            term *= y ** p
+        total += term
+    if not lam:
+        return F(1)
+    return total
 
 
 def test_stirling_first_is_elementary_symmetric():
