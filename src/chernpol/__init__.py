@@ -6,8 +6,7 @@ varieties of hypersurfaces containing linear subspaces.
 
 from .exactcore import (DuplicateAbscissaError, InconsistentDataError,
                         MultiPoly, NotInvertibleError, OutOfDomainError,
-                        TruncationPolicy, UniPoly, interpolate, series_divide,
-                        series_invert, series_multiply)
+                        TruncationPolicy, UniPoly, interpolate, series_invert)
 from .symfunc import (BASES, catalan_triangle, conjugate, convert_expansion,
                       enumerate_partitions, expand_in_basis, syt_count,
                       to_x_expansion)

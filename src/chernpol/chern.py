@@ -26,8 +26,8 @@ from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
 from .rising import RisingProductSpec, stirling_coefficient
 from .specialization import simplex_moment, stirling_first
 from .symfunc import (BASES, check_partition, convert_expansion,
-                      enumerate_partitions, partition_of, syt_count,
-                      validate_basis_index)
+                      enumerate_partitions, multiplicities, partition_of,
+                      syt_count, validate_basis_index)
 
 FORMAT_VERSION = "chernpol-cache-2"
 
@@ -89,26 +89,32 @@ class ChernPolynomial:
         terms = convert_expansion(self.terms, self.basis, basis, self.n)
         return ChernPolynomial(self.n, self.k, basis, terms)
 
-    def divisibility_factor(self) -> UniPoly:
-        """(d+1)d(d-1)...(d-(d0(k)-1)) with d0(k) minimal such that the
-        weight simplex has at least k points; c_1 additionally gets d.
-        For n = 1 the simplex is one point for every d, c_1 = d and c_k = 0
-        for k >= 2, so the factor is d."""
+    def divisibility_roots(self) -> list:
+        """The simple roots -1, 0, ..., d0(k)-1 of every coefficient, with
+        d0(k) minimal such that the weight simplex has at least k points; c_1
+        also vanishes at 0.  For n = 1 the simplex is one point for every d,
+        c_1 = d and c_k = 0 for k >= 2, so the only root is 0."""
         if self.k == 0:
-            return UniPoly.const(1, var="d")
+            return []
         if self.n == 1:
-            return UniPoly.x("d")
+            return [0]
         d0 = 0
         while comb(d0 + self.n - 1, self.n - 1) < self.k:
             d0 += 1
         roots = list(range(-1, d0))
         if self.k == 1 and 0 not in roots:
             roots.append(0)
-        return UniPoly.from_roots(roots, var="d")
+        return roots
+
+    def divisibility_factor(self) -> UniPoly:
+        """(d+1)d(d-1)...(d-(d0(k)-1)), the product over divisibility_roots."""
+        return UniPoly.from_roots(self.divisibility_roots(), var="d")
 
     def divisibility_ok(self) -> bool:
-        div = self.divisibility_factor()
-        return all(p.divisible_by(div) for p in self.terms.values())
+        """Is every coefficient divisible by the factor?  Its roots are
+        simple, so that is every coefficient vanishing at each of them."""
+        roots = self.divisibility_roots()
+        return all(p(r) == 0 for p in self.terms.values() for r in roots)
 
     def to_json(self) -> dict:
         return {
@@ -208,8 +214,8 @@ def odd_spec() -> RisingProductSpec:
 def odd_grouped_coefficient(H) -> UniPoly:
     """Coefficient of e_1^{H_1} e_2^{H_2} in c(Pol^{2*delta+1}(C^2)) as a
     polynomial in delta."""
-    p = stirling_coefficient(odd_spec(), tuple(H))
-    return UniPoly({ev[0]: c for ev, c in p.terms.items()}, var="delta")
+    spec = odd_spec()
+    return spec._unipoly(stirling_coefficient(spec, tuple(H)))
 
 
 def odd_grouped_in_d(H) -> UniPoly:
@@ -244,13 +250,11 @@ def leading_term(basis: str, lam, n: int):
                  * Fraction(1, factorial(n)) ** k)
         return coeff, n * k, False
     if basis == "elementary":
-        H = [0] * n
-        for p in lam:
-            H[p - 1] += 1
+        H = multiplicities(lam)
         coeff = Fraction(1)
         exponent = 0
         for i in range(1, n + 1):
-            h = H[i - 1]
+            h = H.get(i, 0)
             coeff *= (Fraction(factorial(i - 1), factorial(n + i - 1)) ** h
                       / factorial(h))
             exponent += (n + i - 1) * h

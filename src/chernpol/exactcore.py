@@ -1,6 +1,6 @@
 """Exact rational polynomial arithmetic: univariate and sparse multivariate
 polynomials over Q on one shared core, rational roots of univariate
-polynomials, truncated power-series operations, and exact Lagrange
+polynomials, truncated power-series inversion, and exact Lagrange
 interpolation.
 
 All coefficients at the API are ``fractions.Fraction``; nothing here ever
@@ -34,7 +34,7 @@ class OutOfDomainError(ValueError):
 
 
 class NotInvertibleError(ValueError):
-    """Series division by something without constant term 1."""
+    """Series inversion of something without constant term 1."""
 
 
 def rat(x) -> Fraction:
@@ -283,32 +283,6 @@ class UniPoly(_Poly):
 
     __rmul__ = __mul__
 
-    def divmod(self, other: "UniPoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = UniPoly({}, var=self.var)
-        r = self
-        dother = other.degree()
-        lc = other.leading_coeff()
-        while not r.is_zero() and r.degree() >= dother:
-            shift = r.degree() - dother
-            factor = UniPoly({shift: r.leading_coeff() / lc}, var=self.var)
-            q = q + factor
-            r = r - factor * other
-        return q, r
-
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("not exactly divisible")
-        return q
-
-    def divisible_by(self, other: "UniPoly") -> bool:
-        return self.divmod(other)[1].is_zero()
-
-    def derivative(self) -> "UniPoly":
-        return self._new({e - 1: c * e for e, c in self.terms.items() if e > 0})
-
     def rational_roots(self) -> tuple:
         """``(roots, cofactor)``: [(root, multiplicity)] of every rational
         root of a nonzero polynomial, 0 first, then the others in the order
@@ -505,18 +479,6 @@ class MultiPoly(_Poly):
             total += term
         return total
 
-    def substitute(self, values: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Substitute polynomials (sharing one variable set) for variables."""
-        some = next(iter(values.values()))
-        out = MultiPoly.const(0, some.vars)
-        for ev, c in self.terms.items():
-            term = MultiPoly.const(c, some.vars)
-            for v, e in zip(self.vars, ev):
-                if e:
-                    term = term * values[v] ** e
-            out = out + term
-        return out
-
     def is_symmetric(self) -> bool:
         """Invariance under all adjacent transpositions of the variables."""
         n = len(self.vars)
@@ -583,17 +545,8 @@ def interpolate(points, degree_bound: int, var: str = "d") -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# Truncated power series operations
+# Truncated power series inversion
 # ---------------------------------------------------------------------------
-
-def series_multiply(operands: Sequence[MultiPoly], policy: TruncationPolicy) -> MultiPoly:
-    if not operands:
-        raise ValueError("need at least one operand")
-    out = operands[0].truncate(policy)
-    for f in operands[1:]:
-        out = out.mul_truncated(f.truncate(policy), policy.max_total_degree)
-    return out
-
 
 def series_invert(f: MultiPoly, policy: TruncationPolicy) -> MultiPoly:
     """Multiplicative inverse of a series with constant term 1, truncated."""
@@ -611,9 +564,3 @@ def series_invert(f: MultiPoly, policy: TruncationPolicy) -> MultiPoly:
             break
         out = out + power
     return out
-
-
-def series_divide(f: MultiPoly, g: MultiPoly, policy: TruncationPolicy) -> MultiPoly:
-    return f.truncate(policy).mul_truncated(series_invert(g, policy),
-                                            policy.max_total_degree)
-

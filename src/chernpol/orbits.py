@@ -13,7 +13,7 @@ from functools import reduce
 from .chern import chern_direct
 from .exactcore import (InconsistentDataError, MultiPoly, OutOfDomainError,
                         TruncationPolicy, interpolate, xvars)
-from .symfunc import expand_in_basis
+from .symfunc import expand_in_basis, multiplicities
 
 
 def orbit_types(n: int) -> list:
@@ -82,12 +82,11 @@ def _evars(n: int) -> tuple:
 
 
 def _expansion_to_epoly(terms: dict, n: int) -> MultiPoly:
+    """{nu: c} in the elementary basis as a polynomial in e_1..e_n."""
     out = {}
     for nu, c in terms.items():
-        H = [0] * n
-        for p in nu:
-            H[p - 1] += 1
-        out[tuple(H)] = c
+        H = multiplicities(nu)
+        out[tuple(H.get(i, 0) for i in range(1, n + 1))] = c
     return MultiPoly(_evars(n), out)
 
 

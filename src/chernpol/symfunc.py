@@ -11,8 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .exactcore import (MultiPoly, TruncationPolicy, UniPoly, as_integer,
-                        rat_to_str, xvars)
+from .exactcore import InconsistentDataError, MultiPoly, as_integer, xvars
 
 # basis name -> the letter that labels its elements (m[2,1], e[1], ...)
 BASES = {"monomial": "m", "elementary": "e", "schur": "s", "power": "p"}
@@ -200,22 +199,17 @@ def validate_basis_index(basis: str, lam: tuple, n: int) -> None:
             f"elementary index {lam} has a part > {n} variables")
 
 
-def to_x_expansion(basis: str, lam: tuple, n: int,
-                   policy: TruncationPolicy | None = None) -> MultiPoly:
+def to_x_expansion(basis: str, lam: tuple, n: int) -> MultiPoly:
     """The basis element as a polynomial in x1..xn."""
     lam = tuple(lam)
     validate_basis_index(basis, lam, n)
     if basis == "monomial":
-        f = _monomial_x(lam, n)
-    elif basis == "elementary":
-        f = _elementary_x(lam, n)
-    elif basis == "schur":
-        f = _schur_x(lam, n)
-    else:
-        f = _power_x(lam, n)
-    if policy is not None:
-        f = f.truncate(policy)
-    return f
+        return _monomial_x(lam, n)
+    if basis == "elementary":
+        return _elementary_x(lam, n)
+    if basis == "schur":
+        return _schur_x(lam, n)
+    return _power_x(lam, n)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +220,14 @@ def _monomial_support(f: MultiPoly) -> dict:
     """Partition -> coefficient of m_lambda, for f symmetric (every exponent
     vector of one orbit carries the same coefficient)."""
     return {partition_of(ev): c for ev, c in f.terms.items()}
+
+
+def _monomial_row(basis: str, lam: tuple, n: int) -> dict:
+    """The basis element indexed by lam as {mu: coefficient of m_mu}."""
+    if basis == "monomial":
+        validate_basis_index(basis, lam, n)
+        return {lam: 1}
+    return _monomial_support(to_x_expansion(basis, lam, n))
 
 
 def schur_coefficient(coef, lam, n: int):
@@ -248,57 +250,55 @@ def schur_coefficient(coef, lam, n: int):
 
 
 def expand_in_basis(f: MultiPoly, basis: str) -> dict:
-    """Exact expansion of a symmetric polynomial; returns {partition: coeff}.
-
-    Schur/elementary/power expansions peel off the graded-lex maximal
-    (resp. minimal, for power sums) remaining term; unitriangularity of the
-    transition matrices makes this terminate with the exact answer.
-    """
+    """Exact expansion of a symmetric polynomial; returns {partition: coeff}:
+    the basis change (convert_expansion) of its monomial support."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     if not f.is_symmetric():
         raise NotSymmetricError("input is not symmetric in its variables")
-    n = len(f.vars)
-    if basis == "monomial":
-        return {lam: c for lam, c in _monomial_support(f).items() if c}
-
-    out: dict[tuple, Fraction] = {}
-    rem = f
-    while not rem.is_zero():
-        support = {lam: c for lam, c in _monomial_support(rem).items() if c}
-        if not support:
-            raise NotSymmetricError("symmetric reduction failed")
-        if basis == "power":
-            lam = min(support, key=dominance_key)
-            c = support[lam] / mult_factorial(lam)
-            piv = _power_x(lam, n)
-        elif basis == "schur":
-            lam = max(support, key=dominance_key)
-            c = support[lam]
-            piv = _schur_x(lam, n)
-        else:  # elementary: pivot on the conjugate of the lex-max partition
-            lam_mono = max(support, key=dominance_key)
-            lam = conjugate(lam_mono)
-            c = support[lam_mono]
-            piv = _elementary_x(lam, n)
-        out[lam] = out.get(lam, Fraction(0)) + c
-        rem = rem - piv * c
-    return {lam: c for lam, c in out.items() if c}
+    return convert_expansion(_monomial_support(f), "monomial", basis, len(f.vars))
 
 
 def convert_expansion(terms: dict, src_basis: str, dst_basis: str, n: int) -> dict:
     """Convert {partition: coeff} between bases; coeffs may be any ring
-    elements that support +,* (Fractions or polynomials in d)."""
+    elements that support +, - and * by a Fraction (Fractions or
+    polynomials in d).
+
+    One pass over monomial coefficients: the source terms become {mu:
+    coefficient of m_mu}, and the pivot mu, graded-lex maximal (minimal for
+    power sums), is peeled off with the monomial row of its basis element:
+    s_mu, e_(mu'), or p_mu scaled by 1/mult(mu)!.  The transition matrices
+    are unitriangular in that order (Macdonald, I.6), so each row clears its
+    pivot and adds only terms after it; a pivot that survives its own row
+    raises InconsistentDataError.
+    """
     if src_basis == dst_basis:
         return dict(terms)
-    out: dict[tuple, object] = {}
+    if dst_basis not in BASES:
+        raise ValueError(f"unknown basis {dst_basis!r}")
+    rem: dict[tuple, object] = {}
     for lam, c in terms.items():
-        x = to_x_expansion(src_basis, lam, n)
-        for mu, k in expand_in_basis(x, dst_basis).items():
-            cur = out.get(mu)
-            add = c * k
-            out[mu] = add if cur is None else cur + add
-    return {mu: c for mu, c in out.items() if c != 0}
+        for mu, k in _monomial_row(src_basis, lam, n).items():
+            rem[mu] = rem[mu] + c * k if mu in rem else c * k
+    rem = {mu: c for mu, c in rem.items() if c != 0}
+    pick = min if dst_basis == "power" else max
+    out: dict[tuple, object] = {}
+    while rem:
+        mu = pick(rem, key=dominance_key)
+        c = rem[mu]
+        if dst_basis == "power":
+            c = c * Fraction(1, mult_factorial(mu))
+        lam = conjugate(mu) if dst_basis == "elementary" else mu
+        out[lam] = c
+        for nu, k in _monomial_row(dst_basis, lam, n).items():
+            rem[nu] = rem[nu] - c * k if nu in rem else -(c * k)
+            if rem[nu] == 0:
+                del rem[nu]
+        if mu in rem:
+            raise InconsistentDataError(
+                f"{BASES[dst_basis]}{list(lam)} does not clear its pivot "
+                f"m{list(mu)} in {n} variables")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,28 +328,3 @@ def catalan_triangle(delta: int, j: int) -> int:
     if delta < 0 or j < 0 or 2 * j > delta + 1:
         return 0
     return comb(delta, j) - (comb(delta, j - 1) if j >= 1 else 0)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def expansion_to_json(basis: str, n: int, terms: dict) -> dict:
-    def coeff_json(c):
-        if isinstance(c, (int, Fraction)):
-            return rat_to_str(Fraction(c))
-        return c.to_json()
-    return {"basis": basis, "n": n,
-            "terms": [[list(lam), coeff_json(c)]
-                      for lam, c in sorted(terms.items())]}
-
-
-def expansion_from_json(data: dict) -> tuple:
-    terms = {}
-    for lam, c in data["terms"]:
-        lam = check_partition(lam) if lam else ()
-        if isinstance(c, str):
-            terms[lam] = Fraction(c)
-        else:
-            terms[lam] = UniPoly.from_json(c)
-    return data["basis"], data["n"], terms

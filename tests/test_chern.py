@@ -11,7 +11,8 @@ from chernpol.chern import (ChernPolynomial, OutOfDomainError, chern_direct,
                             odd_grouped_coefficient, odd_grouped_in_d,
                             weight_vectors)
 from chernpol.exactcore import MultiPoly, TruncationPolicy, UniPoly
-from chernpol.symfunc import enumerate_partitions, expand_in_basis, syt_count
+from chernpol.symfunc import (enumerate_partitions, expand_in_basis, syt_count,
+                              to_x_expansion)
 
 D = UniPoly.x("d")
 
@@ -114,6 +115,20 @@ def test_interpolated_basis_agreement():
         direct = chern_direct(2, d, TruncationPolicy(3)).homogeneous_component(3)
         assert s.evaluate(d) == expand_in_basis(direct, "schur")
         assert e.evaluate(d) == expand_in_basis(direct, "elementary")
+
+
+def test_interpolated_bases_rebuild_direct_product():
+    # an oracle that shares no peel with the basis change: rebuild c_k in
+    # x from the basis coefficients and compare with the direct product
+    for n, k in ((2, 5), (3, 4), (4, 3)):
+        d = n * k + 1
+        direct = chern_direct(n, d, TruncationPolicy(k)).homogeneous_component(k)
+        for basis in ("elementary", "schur", "power"):
+            values = chern_interpolated(n, k, basis).evaluate(d)
+            rebuilt = sum((to_x_expansion(basis, lam, n).scale(c)
+                           for lam, c in values.items()),
+                          MultiPoly.const(0, direct.vars))
+            assert rebuilt == direct, (n, k, basis)
 
 
 def test_c1_closed_form():

@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chernpol import cli, enumgeo
+from chernpol import cli, enumgeo, symfunc
 from chernpol.chern import ChernPolynomial, chern_interpolated
 from chernpol.exactcore import UniPoly
 from chernpol.rising import RisingProductSpec
@@ -425,6 +425,20 @@ def test_failed_verify_exits_check(capsys, monkeypatch):
     assert code == cli.EXIT_CHECK
     assert out == ""
     assert "FAIL: Fano chi" in err and "Traceback" not in err
+
+
+def test_failed_basis_change_exits_check(capsys, monkeypatch):
+    # every elementary pivot row off by a factor of two
+    original = symfunc.to_x_expansion
+    monkeypatch.setattr(
+        symfunc, "to_x_expansion",
+        lambda basis, lam, n: original(basis, lam, n).scale(
+            2 if basis == "elementary" else 1))
+    code, out, err = run_cli(["chern", "--n", "3", "--k", "3", "--basis", "e",
+                              "--no-cache"], capsys)
+    assert code == cli.EXIT_CHECK
+    assert out == ""
+    assert "check failed" in err and "Traceback" not in err
 
 
 def test_cache_rejects_payload_for_other_key(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Golden CLI output: the exit code and stdout of the README examples, of
-every distinct query of the benchmark's two workloads for seeds 0-2, and of
-three ``--factored`` queries with large coefficients.
+every distinct query of the benchmark's two workloads for seeds 0-2, of
+three ``--factored`` queries with large coefficients, and of five basis
+conversions larger than any the workloads ask for.
 
 ``cli_golden.json`` holds one ``[argv, exit code, stdout]`` entry per query,
 in the order they run; one cache dir serves the whole list, so the
@@ -47,10 +48,16 @@ LARGE_FACTORED = [
     ["sigma-degree", "--m", "5", "--r", "2", "--factored"],
 ]
 
+LARGE_CONVERSIONS = (
+    [["chern", "--n", "5", "--k", "4", "--basis", b, "--no-cache"]
+     for b in ("e", "s", "p")]
+    + [["chern", "--n", "4", "--k", "6", "--basis", b, "--no-cache"]
+       for b in ("e", "p")])
+
 
 def golden_queries() -> list:
-    """The README examples, the workload queries and LARGE_FACTORED, each
-    once, in first-seen order."""
+    """The README examples, the workload queries, LARGE_FACTORED and
+    LARGE_CONVERSIONS, each once, in first-seen order."""
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
@@ -59,7 +66,7 @@ def golden_queries() -> list:
                 workloads.WORKLOADS[name].queries(random.Random(seed), SPEC)]
 
     queries = (README_EXAMPLES + seeded("cold") + workloads.cache_fill_queries()
-               + seeded("chern-warm") + LARGE_FACTORED)
+               + seeded("chern-warm") + LARGE_FACTORED + LARGE_CONVERSIONS)
     return [list(q) for q in dict.fromkeys(map(tuple, queries))]
 
 

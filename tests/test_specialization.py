@@ -150,9 +150,9 @@ def test_M_tilde_vanishing_and_divisibility():
     for lam in _weak_partitions(5, 4):
         p = M_tilde(lam)
         assert p(-1) == 0, lam
-        # divisible by (v+1) v (v-1) ... (v - (len(lam) - 2))
-        factor = UniPoly.from_roots(range(-1, len(lam) - 1))
-        assert p.divisible_by(factor), lam
+        # divisible by (v+1) v (v-1) ... (v - (len(lam) - 2)), that is,
+        # zero at each of these simple roots
+        assert all(p(r) == 0 for r in range(-1, len(lam) - 1)), lam
 
 
 def test_M_tilde_quintic_example():

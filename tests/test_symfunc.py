@@ -6,12 +6,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chernpol.exactcore import MultiPoly, UniPoly, xvars
+from chernpol import symfunc
+from chernpol.exactcore import InconsistentDataError, MultiPoly, UniPoly, xvars
 from chernpol.symfunc import (BASES, InvalidIndexError, NotSymmetricError,
                               catalan_triangle, check_partition, conjugate,
                               convert_expansion, dominance_key,
                               enumerate_partitions, expand_in_basis,
-                              expansion_from_json, expansion_to_json,
                               is_partition, multiplicities, partition_of,
                               schur_coefficient, syt_count, to_x_expansion)
 
@@ -192,6 +192,20 @@ def test_convert_expansion_polynomial_coeffs():
     assert out[(1, 1)] == d * d + (d + 1).scale(2)
 
 
+def test_wrong_pivot_row_fails_the_cross_check(monkeypatch):
+    f = to_x_expansion("schur", (2, 1), 3)
+    # every elementary pivot row off by a factor of two
+    original = symfunc.to_x_expansion
+    monkeypatch.setattr(
+        symfunc, "to_x_expansion",
+        lambda basis, lam, n: original(basis, lam, n).scale(
+            2 if basis == "elementary" else 1))
+    with pytest.raises(InconsistentDataError):
+        expand_in_basis(f, "elementary")
+    # the other bases never read an elementary row
+    assert expand_in_basis(f, "schur") == {(2, 1): 1}
+
+
 def test_pieri_like_identity():
     # e_1 * s_(2) = s_(3) + s_(2,1) in >= 2 variables
     for n in (2, 3):
@@ -258,15 +272,3 @@ def test_conjugate_involution_property(parts):
     lam = tuple(sorted(parts, reverse=True))
     assert conjugate(conjugate(lam)) == lam
     assert sum(conjugate(lam)) == sum(lam)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_expansion_json_roundtrip():
-    terms = {(2, 1): F(3, 2), (1,): UniPoly.x("d") + 1}
-    data = expansion_to_json("schur", 2, terms)
-    basis, n, back = expansion_from_json(data)
-    assert (basis, n) == ("schur", 2)
-    assert back == terms
