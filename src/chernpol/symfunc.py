@@ -1,7 +1,8 @@
 """Partitions and the classical bases of symmetric polynomials in n
 variables: monomial, elementary, Schur and power-sum, with exact basis
 conversion, single Schur coefficients by the alternant, standard Young
-tableau counts and Catalan triangle numbers.
+tableau counts and Catalan triangle numbers.  A Schur polynomial's monomial
+coefficients are Kostka numbers, counted by removing horizontal strips.
 """
 
 from __future__ import annotations
@@ -90,9 +91,7 @@ def enumerate_partitions(weight: int, max_length: int | None = None,
 
     cap = weight if max_part is None else min(max_part, weight)
     slots = weight if max_length is None else max_length
-    if weight == 0:
-        return [()]
-    return sorted(rec(weight, cap, slots), reverse=True)
+    return list(rec(weight, cap, slots))
 
 
 def dominance_key(parts) -> tuple:
@@ -146,45 +145,29 @@ def _power_x(lam: tuple, n: int) -> MultiPoly:
 
 
 @lru_cache(maxsize=None)
-def _complete_one_x(k: int, n: int) -> MultiPoly:
-    xs = xvars(n)
-    terms = {}
-    for combo in itertools.combinations_with_replacement(range(n), k):
-        ev = [0] * n
-        for i in combo:
-            ev[i] += 1
-        terms[tuple(ev)] = Fraction(1)
-    return MultiPoly(xs, terms)
+def _kostka(lam: tuple, mu: tuple) -> int:
+    """K(lam, mu): the semistandard tableaux of shape lam and content mu
+    (Macdonald, I.5).  The cells holding the last entry form a horizontal
+    strip lam/rho of mu[-1] cells, lam_(i+1) <= rho_i <= lam_i, so K(lam,
+    mu) is the sum of K(rho, mu[:-1]) over those rho."""
+    if len(lam) > len(mu):
+        return 0
+    if not mu:
+        return 1
+    rest = sum(lam) - mu[-1]
+    strips = itertools.product(*(range(lo, hi + 1)
+                                 for lo, hi in zip(lam[1:] + (0,), lam)))
+    return sum(_kostka(tuple(p for p in rho if p), mu[:-1])
+               for rho in strips if sum(rho) == rest)
 
 
 @lru_cache(maxsize=None)
 def _schur_x(lam: tuple, n: int) -> MultiPoly:
-    # Jacobi-Trudi: s_lambda = det(h_{lambda_i - i + j}), division-free;
-    # the matrix size is len(lambda) <= n
-    m = len(lam)
-    if m == 0:
-        return MultiPoly.const(1, xvars(n))
-
-    def h(k):
-        if k < 0:
-            return MultiPoly.const(0, xvars(n))
-        return _complete_one_x(k, n)
-
-    mat = [[h(lam[i] - i + j) for j in range(m)] for i in range(m)]
-    return _det(mat, xvars(n))
-
-
-def _det(mat, xs) -> MultiPoly:
-    m = len(mat)
-    if m == 1:
-        return mat[0][0]
-    out = MultiPoly.const(0, xs)
-    # expansion along the first column; matrices here are tiny
-    for i in range(m):
-        minor = [row[:0] + row[1:] for j, row in enumerate(mat) if j != i]
-        term = mat[i][0] * _det(minor, xs)
-        out = out + term if i % 2 == 0 else out - term
-    return out
+    # s_lambda = sum of K(lambda, nu) m_nu over nu |- |lambda| (Macdonald, I.6)
+    terms = {}
+    for nu in enumerate_partitions(sum(lam), max_length=n):
+        terms.update(dict.fromkeys(_monomial_x(nu, n).terms, _kostka(lam, nu)))
+    return MultiPoly(xvars(n), terms)
 
 
 def validate_basis_index(basis: str, lam: tuple, n: int) -> None:

@@ -1,6 +1,6 @@
 """Golden CLI output: the exit code and stdout of the README examples, of
 every distinct query of the benchmark's two workloads for seeds 0-2, of
-three ``--factored`` queries with large coefficients, and of five basis
+three ``--factored`` queries with large coefficients, and of seven basis
 conversions larger than any the workloads ask for.
 
 ``cli_golden.json`` holds one ``[argv, exit code, stdout]`` entry per query,
@@ -52,7 +52,9 @@ LARGE_CONVERSIONS = (
     [["chern", "--n", "5", "--k", "4", "--basis", b, "--no-cache"]
      for b in ("e", "s", "p")]
     + [["chern", "--n", "4", "--k", "6", "--basis", b, "--no-cache"]
-       for b in ("e", "p")])
+       for b in ("e", "p")]
+    + [["chern", "--n", "6", "--k", "5", "--basis", "s", "--no-cache"],
+       ["chern", "--n", "4", "--k", "8", "--basis", "s", "--no-cache"]])
 
 
 def golden_queries() -> list:

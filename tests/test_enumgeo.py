@@ -171,7 +171,7 @@ def test_sigma_symbolic_matches_numeric():
 @pytest.mark.parametrize("m, r", [(3, 1), (4, 1), (5, 1), (3, 2), (4, 2),
                                   (5, 2), (4, 3)])
 def test_sigma_symbolic_matches_schur_expansion(m, r):
-    # the whole Schur expansion by Jacobi-Trudi peeling, which shares no
+    # the whole Schur expansion by peeling Kostka rows, which shares no
     # code with the alternant
     lam = (m - r,) * (r + 1)
     cp = chern_interpolated(r + 1, (r + 1) * (m - r), "schur")

@@ -121,6 +121,35 @@ def test_schur_specialization_at_ones():
         assert s.evaluate({v: 1 for v in s.vars}) == F(num, den)
 
 
+def _ssyt_contents(lam, n):
+    # every filling of lam with entries 1..n, kept when rows weakly increase
+    # and columns strictly increase; content -> number of such tableaux
+    cells = [(i, j) for i, row in enumerate(lam) for j in range(row)]
+    counts = {}
+    for fill in itertools.product(range(n), repeat=len(cells)):
+        t = dict(zip(cells, fill))
+        if all(t[i, j] <= t[i, j + 1] for i, j in cells if (i, j + 1) in t) \
+                and all(t[i, j] < t[i + 1, j] for i, j in cells if (i + 1, j) in t):
+            content = tuple(fill.count(v) for v in range(n))
+            counts[content] = counts.get(content, 0) + 1
+    return counts
+
+
+def test_schur_is_the_tableau_sum():
+    # s_lam(x1..xn) = sum over semistandard tableaux T of x^content(T)
+    shapes = [(lam, n) for n in range(1, 5) for w in range(7)
+              for lam in enumerate_partitions(w, max_length=n) if n ** w <= 5000]
+    assert len(shapes) == 73
+    for lam, n in shapes:
+        assert to_x_expansion("schur", lam, n).terms == _ssyt_contents(lam, n), \
+            (lam, n)
+    # [x1...xk] s_lam = number of standard tableaux of shape lam
+    for k in range(7):
+        for lam in enumerate_partitions(k):
+            assert to_x_expansion("schur", lam, k).coeff((1,) * k) == \
+                syt_count(lam), lam
+
+
 def test_power_in_x():
     p = to_x_expansion("power", (2, 1), 2)
     # (x1^2+x2^2)(x1+x2)
