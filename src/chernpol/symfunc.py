@@ -1,15 +1,16 @@
 """Partitions and the classical bases of symmetric polynomials in n
-variables: monomial, elementary, Schur and power-sum, with exact basis
-conversion, single Schur coefficients by the alternant, standard Young
-tableau counts and Catalan triangle numbers.  A Schur polynomial's monomial
-coefficients are Kostka numbers, counted by removing horizontal strips.
+variables (monomial, elementary, Schur, power-sum), exact basis conversion,
+Schur coefficients by the alternant, standard Young tableau counts and
+Catalan triangle numbers.  Each basis element is a row of monomial
+coefficients counted on partitions (Kostka numbers by horizontal strips; e
+and p by the last factor's variable set); its x polynomial is read from it.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 
 from .exactcore import InconsistentDataError, MultiPoly, as_integer, xvars
@@ -101,48 +102,8 @@ def dominance_key(parts) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# expansions into the x-variables
+# monomial rows, and the expansions into the x-variables read from them
 # ---------------------------------------------------------------------------
-
-def _monomial_x(lam: tuple, n: int) -> MultiPoly:
-    xs = xvars(n)
-    terms = {}
-    padded = tuple(lam) + (0,) * (n - len(lam))
-    for perm in set(itertools.permutations(padded)):
-        terms[perm] = Fraction(1)
-    return MultiPoly(xs, terms)
-
-
-@lru_cache(maxsize=None)
-def _elementary_one_x(k: int, n: int) -> MultiPoly:
-    xs = xvars(n)
-    terms = {}
-    for combo in itertools.combinations(range(n), k):
-        ev = tuple(1 if i in combo else 0 for i in range(n))
-        terms[ev] = Fraction(1)
-    return MultiPoly(xs, terms)
-
-
-def _elementary_x(nu: tuple, n: int) -> MultiPoly:
-    out = MultiPoly.const(1, xvars(n))
-    for part in nu:
-        out = out * _elementary_one_x(part, n)
-    return out
-
-
-def _power_one_x(k: int, n: int) -> MultiPoly:
-    xs = xvars(n)
-    terms = {tuple(k if j == i else 0 for j in range(n)): Fraction(1)
-             for i in range(n)}
-    return MultiPoly(xs, terms)
-
-
-def _power_x(lam: tuple, n: int) -> MultiPoly:
-    out = MultiPoly.const(1, xvars(n))
-    for part in lam:
-        out = out * _power_one_x(part, n)
-    return out
-
 
 @lru_cache(maxsize=None)
 def _kostka(lam: tuple, mu: tuple) -> int:
@@ -162,12 +123,21 @@ def _kostka(lam: tuple, mu: tuple) -> int:
 
 
 @lru_cache(maxsize=None)
-def _schur_x(lam: tuple, n: int) -> MultiPoly:
-    # s_lambda = sum of K(lambda, nu) m_nu over nu |- |lambda| (Macdonald, I.6)
-    terms = {}
-    for nu in enumerate_partitions(sum(lam), max_length=n):
-        terms.update(dict.fromkeys(_monomial_x(nu, n).terms, _kostka(lam, nu)))
-    return MultiPoly(xvars(n), terms)
+def _product_count(basis: str, lam: tuple, nu: tuple) -> int:
+    """[m_nu] e_lam or p_lam.  The last factor e_a or p_a, a = lam[-1],
+    takes its monomial from a set S of variables, a with exponent 1 (e) or
+    one with exponent a (p): sum, over the S that fit under nu, the count
+    for lam[:-1] and the partition of nu minus that monomial."""
+    if not lam:
+        return int(not nu)
+    a = lam[-1]
+    if basis == "elementary":
+        rests = (tuple(p - (i in s) for i, p in enumerate(nu))
+                 for s in itertools.combinations(range(len(nu)), a))
+    else:
+        rests = (nu[:i] + (p - a,) + nu[i + 1:]
+                 for i, p in enumerate(nu) if p >= a)
+    return sum(_product_count(basis, lam[:-1], partition_of(r)) for r in rests)
 
 
 def validate_basis_index(basis: str, lam: tuple, n: int) -> None:
@@ -182,45 +152,55 @@ def validate_basis_index(basis: str, lam: tuple, n: int) -> None:
             f"elementary index {lam} has a part > {n} variables")
 
 
-def to_x_expansion(basis: str, lam: tuple, n: int) -> MultiPoly:
-    """The basis element as a polynomial in x1..xn."""
-    lam = tuple(lam)
+def _monomial_row(basis: str, lam: tuple, n: int) -> dict:
+    """The basis element indexed by lam as {nu: coefficient of m_nu}, over
+    the nu |- |lam| with at most n parts, nonzero coefficients only: the
+    Kostka numbers K(lam, nu) for s_lam (Macdonald, I.6), the counts of
+    _product_count for e_lam and p_lam."""
     validate_basis_index(basis, lam, n)
     if basis == "monomial":
-        return _monomial_x(lam, n)
-    if basis == "elementary":
-        return _elementary_x(lam, n)
-    if basis == "schur":
-        return _schur_x(lam, n)
-    return _power_x(lam, n)
+        return {lam: 1}
+    count = _kostka if basis == "schur" else partial(_product_count, basis)
+    return {nu: c for nu in enumerate_partitions(sum(lam), max_length=n)
+            if (c := count(lam, nu))}
+
+
+def _row_x(row: dict, n: int) -> MultiPoly:
+    """The sum of c m_nu over {nu: c} as a polynomial in x1..xn."""
+    return MultiPoly(xvars(n), {
+        ev: c for nu, c in row.items()
+        for ev in set(itertools.permutations(nu + (0,) * (n - len(nu))))})
+
+
+@lru_cache(maxsize=None)
+def _schur_x(lam: tuple, n: int) -> MultiPoly:
+    # cached apart from the other bases: its hit ratio is a benchmark metric
+    return _row_x(_monomial_row("schur", lam, n), n)
+
+
+def to_x_expansion(basis: str, lam: tuple, n: int) -> MultiPoly:
+    """The basis element as a polynomial in x1..xn, read from its row."""
+    lam = tuple(lam)
+    return (_schur_x(lam, n) if basis == "schur"
+            else _row_x(_monomial_row(basis, lam, n), n))
 
 
 # ---------------------------------------------------------------------------
 # expansions of symmetric polynomials in a basis
 # ---------------------------------------------------------------------------
 
-def _monomial_support(f: MultiPoly) -> dict:
-    """Partition -> coefficient of m_lambda, for f symmetric (every exponent
-    vector of one orbit carries the same coefficient)."""
-    return {partition_of(ev): c for ev, c in f.terms.items()}
-
-
-def _monomial_row(basis: str, lam: tuple, n: int) -> dict:
-    """The basis element indexed by lam as {mu: coefficient of m_mu}."""
-    if basis == "monomial":
-        validate_basis_index(basis, lam, n)
-        return {lam: 1}
-    return _monomial_support(to_x_expansion(basis, lam, n))
-
-
 def schur_coefficient(coef, lam, n: int):
     """Coefficient of s_lam in a symmetric f in n variables, given
     ``coef(alpha)`` = coefficient of x^alpha in f (None or 0 if absent).
     As s_lam = a_(lam+delta) / a_delta (Macdonald, I.3), it is that of
     x^(lam+delta) in f * a_delta: the sum over sigma in S_n of sgn(sigma) *
-    coef(lam + delta - sigma(delta)), lam padded to length n, delta = (n-1,
-    ..., 0), negative exponents skipped; 0 when every lookup misses."""
-    lam = tuple(lam) + (0,) * (n - len(lam))
+    coef(lam + delta - sigma(delta)), lam's nonzero parts padded to length
+    n, delta = (n-1, ..., 0), negative exponents skipped; 0 when every
+    lookup misses or lam has more than n nonzero parts."""
+    lam = tuple(p for p in lam if p)
+    if len(lam) > n:
+        return 0
+    lam += (0,) * (n - len(lam))
     total = 0
     for perm in itertools.permutations(range(n)):
         # delta_i = n-1-i and sigma(delta)_i = n-1-perm_i
@@ -234,12 +214,14 @@ def schur_coefficient(coef, lam, n: int):
 
 def expand_in_basis(f: MultiPoly, basis: str) -> dict:
     """Exact expansion of a symmetric polynomial; returns {partition: coeff}:
-    the basis change (convert_expansion) of its monomial support."""
+    the basis change (convert_expansion) of its monomial support, where
+    every exponent vector of one orbit carries the same coefficient."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     if not f.is_symmetric():
         raise NotSymmetricError("input is not symmetric in its variables")
-    return convert_expansion(_monomial_support(f), "monomial", basis, len(f.vars))
+    mono = {partition_of(ev): c for ev, c in f.terms.items()}
+    return convert_expansion(mono, "monomial", basis, len(f.vars))
 
 
 def convert_expansion(terms: dict, src_basis: str, dst_basis: str, n: int) -> dict:

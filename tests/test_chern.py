@@ -68,7 +68,7 @@ def test_interpolated_matches_direct_fresh_d():
 
 def test_closed_form_needs_no_sampling(monkeypatch):
     from chernpol import chern, exactcore, specialization, symfunc
-    expected = {b: chern_interpolated(3, 3, b) for b in ("monomial", "schur")}
+    expected = {b: chern_interpolated(3, 3, b) for b in symfunc.BASES}
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the closed form must not sample or interpolate")
@@ -77,9 +77,10 @@ def test_closed_form_needs_no_sampling(monkeypatch):
     monkeypatch.setattr(exactcore, "interpolate", forbidden)
     monkeypatch.setattr(exactcore.MultiPoly, "mul_truncated", forbidden)
     specialization.simplex_moment.cache_clear()
-    # the Schur rows are Kostka numbers: no polynomial product either
+    # every basis row is a count on partitions: no polynomial product either
     symfunc._schur_x.cache_clear()
     symfunc._kostka.cache_clear()
+    symfunc._product_count.cache_clear()
     for basis, cp in expected.items():
         assert chern_interpolated(3, 3, basis) == cp, basis
 

@@ -429,11 +429,11 @@ def test_failed_verify_exits_check(capsys, monkeypatch):
 
 def test_failed_basis_change_exits_check(capsys, monkeypatch):
     # every elementary pivot row off by a factor of two
-    original = symfunc.to_x_expansion
+    original = symfunc._monomial_row
     monkeypatch.setattr(
-        symfunc, "to_x_expansion",
-        lambda basis, lam, n: original(basis, lam, n).scale(
-            2 if basis == "elementary" else 1))
+        symfunc, "_monomial_row",
+        lambda basis, lam, n: {nu: c * (2 if basis == "elementary" else 1)
+                               for nu, c in original(basis, lam, n).items()})
     code, out, err = run_cli(["chern", "--n", "3", "--k", "3", "--basis", "e",
                               "--no-cache"], capsys)
     assert code == cli.EXIT_CHECK

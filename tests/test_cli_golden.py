@@ -1,6 +1,6 @@
 """Golden CLI output: the exit code and stdout of the README examples, of
 every distinct query of the benchmark's two workloads for seeds 0-2, of
-three ``--factored`` queries with large coefficients, and of seven basis
+three ``--factored`` queries with large coefficients, and of twelve basis
 conversions larger than any the workloads ask for.
 
 ``cli_golden.json`` holds one ``[argv, exit code, stdout]`` entry per query,
@@ -54,7 +54,10 @@ LARGE_CONVERSIONS = (
     + [["chern", "--n", "4", "--k", "6", "--basis", b, "--no-cache"]
        for b in ("e", "p")]
     + [["chern", "--n", "6", "--k", "5", "--basis", "s", "--no-cache"],
-       ["chern", "--n", "4", "--k", "8", "--basis", "s", "--no-cache"]])
+       ["chern", "--n", "4", "--k", "8", "--basis", "s", "--no-cache"]]
+    + [["chern", "--n", n, "--k", k, "--basis", b, "--no-cache"]
+       for n, k in (("6", "5"), ("4", "8")) for b in ("e", "p")]
+    + [["chern", "--n", "2", "--k", "12", "--basis", "e", "--no-cache"]])
 
 
 def golden_queries() -> list:

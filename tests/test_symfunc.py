@@ -51,6 +51,10 @@ def test_schur_coefficient_reads_every_schur_index():
         assert schur_coefficient(lambda a: mono.get(partition_of(a)),
                                  lam, n) == c
     assert schur_coefficient({}.get, (2, 2), n) == 0
+    # zero parts are dropped, and more than n nonzero parts give 0
+    s21 = to_x_expansion("schur", (2, 1), 2).terms.get
+    assert schur_coefficient(s21, (2, 1, 0), 2) == 1
+    assert schur_coefficient(s21, (2, 1, 1), 2) == 0
 
 
 def test_conjugate():
@@ -156,6 +160,32 @@ def test_power_in_x():
     assert p.terms == {(3, 0): F(1), (2, 1): F(1), (1, 2): F(1), (0, 3): F(1)}
 
 
+def test_products_are_their_factors_multiplied():
+    # e_lam and p_lam are the products of e_a and p_a over the parts a
+    for n in range(1, 5):
+        for basis in ("elementary", "power"):
+            for a in range(1, 8):
+                if basis == "elementary" and a <= n:
+                    want = {tuple(int(i in s) for i in range(n)): 1
+                            for s in itertools.combinations(range(n), a)}
+                elif basis == "power":
+                    want = {tuple(a * (i == j) for i in range(n)): 1
+                            for j in range(n)}
+                else:
+                    continue
+                assert to_x_expansion(basis, (a,), n).terms == want, \
+                    (basis, a, n)
+            for w in range(8):
+                for lam in enumerate_partitions(w):
+                    if basis == "elementary" and lam and lam[0] > n:
+                        continue
+                    product = MultiPoly.const(1, xvars(n))
+                    for a in lam:
+                        product = product * to_x_expansion(basis, (a,), n)
+                    assert to_x_expansion(basis, lam, n) == product, \
+                        (basis, lam, n)
+
+
 def test_invalid_indices():
     with pytest.raises(InvalidIndexError):
         to_x_expansion("monomial", (1, 1, 1), 2)
@@ -224,11 +254,11 @@ def test_convert_expansion_polynomial_coeffs():
 def test_wrong_pivot_row_fails_the_cross_check(monkeypatch):
     f = to_x_expansion("schur", (2, 1), 3)
     # every elementary pivot row off by a factor of two
-    original = symfunc.to_x_expansion
+    original = symfunc._monomial_row
     monkeypatch.setattr(
-        symfunc, "to_x_expansion",
-        lambda basis, lam, n: original(basis, lam, n).scale(
-            2 if basis == "elementary" else 1))
+        symfunc, "_monomial_row",
+        lambda basis, lam, n: {nu: c * (2 if basis == "elementary" else 1)
+                               for nu, c in original(basis, lam, n).items()})
     with pytest.raises(InconsistentDataError):
         expand_in_basis(f, "elementary")
     # the other bases never read an elementary row
