@@ -15,7 +15,6 @@ The recursion runs over partitions: p_j and c_m are symmetric, kept as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
@@ -23,11 +22,12 @@ from operator import sub
 
 from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
                         xvars)
-from .rising import RisingProductSpec, stirling_coefficient
-from .specialization import simplex_moment, stirling_first
 from .symfunc import (BASES, check_partition, convert_expansion,
                       enumerate_partitions, multiplicities, partition_of,
                       syt_count, validate_basis_index)
+
+# rising and specialization are imported inside the functions that use them,
+# so that reading a cached ChernPolynomial loads neither
 
 FORMAT_VERSION = "chernpol-cache-2"
 
@@ -69,14 +69,28 @@ def chern_direct(n: int, d: int, policy: TruncationPolicy) -> MultiPoly:
     return out
 
 
-@dataclass
 class ChernPolynomial:
     """Coefficients of c_k as polynomials in d, in one basis."""
-    n: int
-    k: int
-    basis: str
-    terms: dict = field(default_factory=dict)  # partition -> UniPoly in d
-    samples: list = field(default_factory=list)  # always []; kept for readers
+
+    def __init__(self, n: int, k: int, basis: str, terms: dict | None = None,
+                 samples: list | None = None):
+        self.n, self.k, self.basis = n, k, basis
+        # partition -> UniPoly in d
+        self.terms = {} if terms is None else terms
+        # always []; kept for readers of the cache and the benchmark trace
+        self.samples = [] if samples is None else samples
+
+    def _key(self) -> tuple:
+        return self.n, self.k, self.basis, self.terms, self.samples
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return ("ChernPolynomial(n={!r}, k={!r}, basis={!r}, terms={!r}, "
+                "samples={!r})".format(*self._key()))
 
     def evaluate(self, d) -> dict:
         """{partition: Fraction} at a concrete d >= -1 (d >= 0 for n = 1)."""
@@ -141,6 +155,7 @@ def chern_interpolated(n: int, k: int, basis: str = "monomial") -> ChernPolynomi
         raise ValueError(f"unknown basis {basis!r}")
     if n < 1 or k < 0:
         raise OutOfDomainError("need n >= 1 and k >= 0")
+    from .specialization import simplex_moment
     p = [None]      # p[j]: {partition: coefficient} of the j-th power sum
     c = [{(): UniPoly.const(1, var="d")}]
     for m in range(1, k + 1):
@@ -172,6 +187,7 @@ def euler_c2_closed(d: int) -> list:
     for j = 0..floor((d+1)/2)."""
     if d < 1:
         raise OutOfDomainError("d must be >= 1")
+    from .specialization import stirling_first
     out = []
     for j in range((d + 1) // 2 + 1):
         if j == 0:
@@ -199,6 +215,7 @@ def euler_coefficient(d: int, j: int) -> int:
 def odd_spec() -> RisingProductSpec:
     """The rising product in delta = (d-1)/2 obtained by pairing opposite
     weight factors of the n = 2 product at odd d, written in e_1, e_2."""
+    from .rising import RisingProductSpec
     D = lambda coeffs: UniPoly(coeffs, var="delta")
     table = {
         ((1, 0), 0): D({1: Fraction(2), 0: Fraction(1)}),
@@ -214,6 +231,7 @@ def odd_spec() -> RisingProductSpec:
 def odd_grouped_coefficient(H) -> UniPoly:
     """Coefficient of e_1^{H_1} e_2^{H_2} in c(Pol^{2*delta+1}(C^2)) as a
     polynomial in delta."""
+    from .rising import stirling_coefficient
     spec = odd_spec()
     return spec._unipoly(stirling_coefficient(spec, tuple(H)))
 

@@ -6,17 +6,17 @@ invariants, with JSON/text rendering and a persistent Chern-coefficient cache.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
-import tempfile
 from fractions import Fraction
 
-from . import chern, enumgeo, orbits, rising
 from .exactcore import (InconsistentDataError, OutOfDomainError,
                         TruncationPolicy, UniPoly, rat_to_str)
 from .symfunc import BASES, expand_in_basis
+
+# the computing modules (chern, rising, orbits, enumgeo) are imported inside
+# the handlers that run them, so each command loads only what it executes
 
 CACHE_ENV = "CHERNPOL_CACHE_DIR"
 
@@ -45,6 +45,7 @@ def _cache_path(cache_dir: str, n: int, k: int) -> str:
 
 
 def _checksum(payload: dict) -> str:
+    import hashlib
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -58,6 +59,7 @@ def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
     atomic (write-temp-then-rename), and a cache that cannot be written
     gives a warning and the uncached answer.
     """
+    from . import chern
     if no_cache:
         return chern.chern_interpolated(n, k, "monomial")
     cache_dir = cache_dir or default_cache_dir()
@@ -81,6 +83,7 @@ def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
     result = chern.chern_interpolated(n, k, "monomial")
     payload = result.to_json()
     doc = {"checksum": _checksum(payload), "payload": payload}
+    import tempfile
     tmp = None
     try:
         os.makedirs(cache_dir, exist_ok=True)
@@ -164,6 +167,7 @@ def cmd_chern(args) -> str:
 
 
 def cmd_chern_eval(args) -> str:
+    from . import chern
     chern.check_degree(args.d, args.n)  # before anything is computed or cached
     cp = _get_chern(args)
     values = cp.evaluate(args.d)
@@ -178,6 +182,7 @@ def cmd_chern_eval(args) -> str:
 
 
 def cmd_stirling_coeff(args) -> str:
+    from . import rising
     try:
         with open(args.spec_file) as fh:
             spec = rising.RisingProductSpec.from_json(json.load(fh))
@@ -196,6 +201,7 @@ def cmd_stirling_coeff(args) -> str:
 
 
 def cmd_orbits(args) -> str:
+    from . import orbits
     if args.type is None:
         types = orbits.orbit_types(args.n)
     else:
@@ -217,6 +223,7 @@ def cmd_orbits(args) -> str:
 
 
 def cmd_sigma_degree(args) -> str:
+    from . import enumgeo
     if args.d is not None:
         val = enumgeo.sigma_degree(args.d, args.m, args.r)
         warnings = enumgeo.sigma_validity_warnings(args.d, args.m, args.r)
@@ -251,14 +258,18 @@ def _fano(args, key: str, invariant) -> str:
 
 
 def cmd_fano_degree(args) -> str:
+    from . import enumgeo
     return _fano(args, "degree", enumgeo.fano_degree_lines)
 
 
 def cmd_fano_chi(args) -> str:
+    from . import enumgeo
     return _fano(args, "chi", enumgeo.fano_chi_lines)
 
 
 def cmd_verify(args) -> str:
+    from . import chern, enumgeo, orbits
+
     checks = []
 
     def check(name, fn):

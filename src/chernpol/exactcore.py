@@ -64,13 +64,88 @@ def xvars(n: int) -> tuple:
     return tuple(f"x{i+1}" for i in range(n))
 
 
+# Trial division runs up to _TRIAL_LIMIT; a cofactor left below _MR_LIMIT is
+# split by Pollard's rho, and Miller-Rabin with the first 13 primes as bases
+# decides primality exactly below _MR_LIMIT (Sorenson and Webster, 2015).
+_TRIAL_LIMIT = 1000
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for 1 < n < _MR_LIMIT."""
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the composite ``n``: Pollard's rho on
+    x -> x² + c, with Brent's cycle search and the gcds taken over batches
+    of 128 steps; a c whose batch overshoots is rerun one step at a time,
+    and a c that finds only ``n`` itself is replaced by c + 1."""
+    if n % 2 == 0:
+        return 2
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> list:
+    """The prime factors of 1 <= n < _MR_LIMIT, with multiplicity."""
+    if n == 1:
+        return []
+    if _is_prime(n):
+        return [n]
+    g = _rho(n)
+    return _prime_factors(g) + _prime_factors(n // g)
+
+
 def _divisors(n: int) -> list:
     """The positive divisors of the nonzero integer ``n``, ascending, from
-    its factorisation by trial division: each prime is divided out as it is
-    found, and the search stops once its square exceeds what is left."""
+    its factorisation.  Trial division divides each prime out as it is
+    found and stops once the prime's square exceeds what is left, or once
+    the prime reaches _TRIAL_LIMIT with less than _MR_LIMIT left; that
+    cofactor is factored by ``_prime_factors``.  A larger cofactor stays
+    on trial division, so every divisor is found."""
     n = abs(n)
     divs, p = [1], 2
-    while p * p <= n:
+    while p * p <= n and (p < _TRIAL_LIMIT or n >= _MR_LIMIT):
         k = 0
         while n % p == 0:
             n //= p
@@ -78,8 +153,11 @@ def _divisors(n: int) -> list:
         if k:
             divs = [d * p ** i for d in divs for i in range(k + 1)]
         p += 1 if p == 2 else 2
-    if n > 1:
-        divs += [d * n for d in divs]
+    # what is left is 1, a prime, or has no prime factor below p
+    rest = _prime_factors(n) if n < _MR_LIMIT else [n]
+    for q in set(rest):
+        k = rest.count(q)
+        divs = [d * q ** i for d in divs for i in range(k + 1)]
     return sorted(divs)
 
 

@@ -318,6 +318,18 @@ def test_chern_polynomial_json_roundtrip():
     cp = chern_interpolated(2, 2, "schur")
     back = ChernPolynomial.from_json(cp.to_json())
     assert back == cp
+    assert back.samples == []
+    # equality compares every field, as a plain class it is written out
+    other_basis = ChernPolynomial(2, 2, "monomial", dict(cp.terms))
+    assert other_basis != cp
+    other_terms = dict(cp.terms)
+    other_terms[(2,)] = other_terms[(2,)] + 1
+    assert ChernPolynomial(2, 2, "schur", other_terms) != cp
+    assert ChernPolynomial(2, 2, "schur", dict(cp.terms)) == cp
+    assert ChernPolynomial(2, 2, "schur", dict(cp.terms), [0]) != cp
+    assert cp != cp.to_json()
+    assert repr(ChernPolynomial(1, 0, "monomial")) == (
+        "ChernPolynomial(n=1, k=0, basis='monomial', terms={}, samples=[])")
     with pytest.raises(ValueError):
         stale = cp.to_json() | {"format": "???"}
         ChernPolynomial.from_json(stale)

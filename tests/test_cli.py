@@ -307,7 +307,7 @@ def test_factored_str():
 def test_factored_str_multiplicities_and_large_roots():
     p = UniPoly.from_roots([0, F(-1, 2), F(3, 4), F(3, 4), 2, -2]).scale(5)
     assert cli.factored_str(p) == "d*(d+1/2)*(d-2)*(d+2)*(d-3/4)^2*(5)"
-    # a large prime factor of the constant term costs O(sqrt) trial divisions
+    # a large prime factor of the constant term is proved prime by Miller-Rabin
     assert (cli.factored_str(UniPoly.from_roots([2, -3, 1000000007]))
             == "(d-2)*(d+3)*(d-1000000007)")
     # non-monic, with large coprime numerators and denominators

@@ -1,14 +1,16 @@
 import random
+import time
 from fractions import Fraction as F
 from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chernpol import exactcore
 from chernpol.exactcore import (DuplicateAbscissaError, InconsistentDataError,
                                 MultiPoly, NotInvertibleError,
                                 TruncationPolicy, UniPoly, _divisors,
-                                interpolate, series_invert)
+                                _is_prime, interpolate, series_invert)
 
 
 def test_unipoly_basics():
@@ -102,10 +104,30 @@ def test_rational_roots_finds_every_root(roots, c, scale):
     assert p == cofactor * UniPoly.from_roots(found)
 
 
-def test_divisors_match_bruteforce():
-    for n in range(1, 3001):
-        assert _divisors(n) == _divisors(-n) == [
-            i for i in range(1, n + 1) if n % i == 0]
+def _trial_prime(n):
+    return n > 1 and all(n % p for p in range(2, int(n ** 0.5) + 1))
+
+
+def test_divisors_match_bruteforce(monkeypatch):
+    # at the usual trial-division limit, and with none, where Pollard's rho
+    # and Miller-Rabin alone factor every n
+    for limit in (exactcore._TRIAL_LIMIT, 2):
+        monkeypatch.setattr(exactcore, "_TRIAL_LIMIT", limit)
+        for n in range(1, 3001):
+            assert _divisors(n) == _divisors(-n) == [
+                i for i in range(1, n + 1) if n % i == 0]
+    monkeypatch.undo()
+    # two prime factors far beyond the trial-division limit
+    rng = random.Random(12)
+    primes = []
+    while len(primes) < 8:
+        q = rng.randrange(10 ** 7, 10 ** 8) | 1
+        if _trial_prime(q):
+            primes.append(q)
+    for p, q in zip(primes[::2], primes[1::2]):
+        assert _divisors(p * q) == sorted([1, p, q, p * q])
+        assert _divisors(p * p * q) == sorted(
+            [1, p, q, p * p, p * q, p * p * q])
     # too large to scan: the list is every divisor iff its entries are
     # distinct divisors and there are prod(k_i + 1) of them
     rng = random.Random(0)
@@ -117,6 +139,25 @@ def test_divisors_match_bruteforce():
         assert divs == sorted(set(divs))
         assert all(n % d == 0 for d in divs)
         assert len(divs) == prod(k + 1 for k in powers)
+
+
+def test_miller_rabin_is_exact():
+    assert [n for n in range(2, 20000) if _is_prime(n)] == [
+        n for n in range(2, 20000) if _trial_prime(n)]
+    # the least strong pseudoprimes to the first 7, 9 and 12 prime bases
+    for n in (341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(2 ** 61 - 1)
+
+
+def test_rational_roots_of_two_large_prime_factors():
+    # trial division up to the square root of 10^18 would take minutes
+    n = 1000000007 * 998244353
+    start = time.perf_counter()
+    roots = UniPoly({1: 1, 0: -n}).rational_roots()
+    assert time.perf_counter() - start < 1
+    assert roots == ([(F(n), 1)], 1)
 
 
 def test_rational_roots_with_a_huge_constant_term():
