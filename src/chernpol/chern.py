@@ -8,20 +8,23 @@ Closed form: c_k is the k-th elementary symmetric function of the forms w.x,
 |w| = d.  Their power sums p_j = sum over |alpha| = j of j!/alpha! *
 simplex_moment(alpha) * x^alpha are polynomial in d, so c_k is too, by
 Newton's identities m*c_m = sum_j (-1)^(j-1) p_j c_{m-j} (Macdonald, I.2).
-The recursion runs over partitions: p_j and c_m are symmetric, kept as
-{partition: polynomial in d}, and m*c_m[nu] = sum over 0 != alpha <= nu of
-(-1)^(|alpha|-1) p_|alpha|[sort alpha] c_(m-|alpha|)[sort(nu-alpha)].
+The recursion runs over partitions on Python ints at integer d >= 0: p_j and
+c_m are symmetric, kept as {partition: values}, m*c_m[nu] = sum over
+0 != alpha <= nu of (-1)^(|alpha|-1) p_|alpha|[sort alpha]
+c_(m-|alpha|)[sort(nu-alpha)], and the division by m is exact (each value
+is a coefficient of an integer product).  As deg_d c_k <= n*k, the values at
+d = 0..n*k give each coefficient by one interpolation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import comb, factorial, prod
-from operator import sub
+from operator import mul, sub
 
 from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
-                        xvars)
+                        interpolate_integers, xvars)
 from .symfunc import (BASES, check_partition, convert_expansion,
                       enumerate_partitions, multiplicities, partition_of,
                       syt_count, validate_basis_index)
@@ -148,33 +151,41 @@ class ChernPolynomial:
         return cls(data["n"], data["k"], data["basis"], terms)
 
 
+def chern_values(n: int, k: int, ds) -> dict:
+    """{nu: [coefficient of m_nu in c_k at d for d in ds]} over nu |- k
+    with at most n parts, for integers d >= 0 (module docstring); p_j[lam]
+    at d is j!/lam! * sum_s w_s C(d+n-1, n-1+s), w = moment_weights(lam)."""
+    from .specialization import moment_weights
+    columns = [[comb(d + n - 1, n - 1 + s) for s in range(k + 1)] for d in ds]
+    # p[j], c[m]: values of (-1)^(j-1) p_j, c_m by ascending padded partition
+    p, c = [None], [{(0,) * n: [1] * len(columns)}]
+    for m in range(1, k + 1):
+        p.append({})
+        c.append({})
+        for nu in enumerate_partitions(m, max_length=n):
+            top = tuple(sorted(nu + (0,) * (n - len(nu))))
+            w = moment_weights(top)
+            scale = (-1) ** (m - 1) * factorial(m) // prod(map(factorial, top))
+            p[m][top] = [scale * sum(map(mul, w, col)) for col in columns]
+            total = [0] * len(columns)
+            for alpha in islice(product(*(range(e + 1) for e in top)), 1, None):
+                pj = p[sum(alpha)][tuple(sorted(alpha))]
+                rest = c[m - sum(alpha)][tuple(sorted(map(sub, top, alpha)))]
+                total = [t + a * b for t, a, b in zip(total, pj, rest)]
+            c[m][top] = [t // m for t in total]
+    return {partition_of(top): v for top, v in c[k].items()}
+
+
 def chern_interpolated(n: int, k: int, basis: str = "monomial") -> ChernPolynomial:
-    """Every monomial coefficient of c_k as a polynomial in d, in closed
-    form (module docstring), converted exactly to the requested basis."""
+    """Every monomial coefficient of c_k as a polynomial in d, interpolated
+    from chern_values at d = 0..n*k, converted exactly to the basis."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     if n < 1 or k < 0:
         raise OutOfDomainError("need n >= 1 and k >= 0")
-    from .specialization import simplex_moment
-    p = [None]      # p[j]: {partition: coefficient} of the j-th power sum
-    c = [{(): UniPoly.const(1, var="d")}]
-    for m in range(1, k + 1):
-        p.append({lam: simplex_moment(lam + (0,) * (n - len(lam))).scale(
-                      Fraction(factorial(m), prod(map(factorial, lam))))
-                  for lam in enumerate_partitions(m, max_length=n)})
-        c.append({})
-        for nu in enumerate_partitions(m, max_length=n):
-            top = nu + (0,) * (n - len(nu))
-            total = UniPoly({}, var="d")
-            for alpha in product(*(range(e + 1) for e in top)):
-                j = sum(alpha)
-                rest = c[m - j].get(partition_of(map(sub, top, alpha)))
-                if j and rest is not None:
-                    term = p[j][partition_of(alpha)] * rest
-                    total = total + term if j % 2 else total - term
-            if not total.is_zero():
-                c[m][nu] = total.scale(Fraction(1, m))
-    return ChernPolynomial(n, k, "monomial", c[k]).in_basis(basis)
+    terms = {nu: interpolate_integers(v)
+             for nu, v in chern_values(n, k, range(n * k + 1)).items() if any(v)}
+    return ChernPolynomial(n, k, "monomial", terms).in_basis(basis)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .chern import chern_direct, chern_interpolated, euler_coefficient
+from .chern import check_degree, chern_direct, chern_values, euler_coefficient
 from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
-                        as_integer, series_invert, xvars)
+                        as_integer, interpolate_integers, series_invert, xvars)
 from .symfunc import (NotSymmetricError, catalan_triangle, partition_of,
                       schur_coefficient)
 
@@ -93,28 +93,33 @@ def _check_sigma_domain(m: int, r: int) -> None:
         raise OutOfDomainError("need 0 <= r < m")
 
 
-def sigma_degree(d: int, m: int, r: int) -> Fraction:
-    """deg Sigma(d,m,r) = coef(s_((m-r)^(r+1)), c(Pol^d(C^(r+1))))."""
-    _check_sigma_domain(m, r)
+def _sigma_values(m: int, r: int, ds) -> list:
+    """deg Sigma(d,m,r) at each d >= 0 of ds, by the alternant on
+    chern_values (its x^alpha coefficient is that of m_(sort alpha))."""
     k = r + 1
-    dim = k * (m - r)
-    f = chern_direct(k, d, TruncationPolicy(dim))
-    return grassmann_integral(f, k, m + 1)
+    values = chern_values(k, k * (m - r), ds)
+    return [schur_coefficient(lambda alpha: values[partition_of(alpha)][i],
+                              (m - r,) * k, k) for i in range(len(ds))]
+
+
+def sigma_degree(d: int, m: int, r: int) -> Fraction:
+    """deg Sigma(d,m,r) = coef(s_((m-r)^(r+1)), c(Pol^d(C^(r+1)))); 0 at
+    d = -1, where c is the empty product 1."""
+    _check_sigma_domain(m, r)
+    check_degree(d)
+    return Fraction(_sigma_values(m, r, [d])[0] if d >= 0 else 0)
 
 
 def sigma_degree_symbolic(m: int, r: int) -> UniPoly:
     """deg Sigma(d,m,r) as a polynomial in d (valid in the regime d >= 3,
-    expected dimension < 0): the one Schur coefficient, read by the
-    alternant from the closed-form monomial coefficients of c_k, whose
-    coefficient at x^alpha is that of m_(sort alpha)."""
+    expected dimension < 0), of degree at most (r+1)^2 (m-r): the
+    alternant's values at d = 0..(r+1)^2 (m-r), interpolated."""
     _check_sigma_domain(m, r)
     if r == 0:
         raise OutOfDomainError("r = 0: the expected dimension m - 1 is >= 0 "
                                "for every d, outside the formula's regime")
-    k = r + 1
-    terms = chern_interpolated(k, k * (m - r)).terms
-    return UniPoly({}, var="d") + schur_coefficient(
-        lambda alpha: terms.get(partition_of(alpha)), (m - r,) * k, k)
+    return interpolate_integers(
+        _sigma_values(m, r, range((r + 1) ** 2 * (m - r) + 1)))
 
 
 def sigma_degree_leading(m: int, r: int):

@@ -1,7 +1,7 @@
 """Exact rational polynomial arithmetic: univariate and sparse multivariate
 polynomials over Q on one shared core, rational roots of univariate
-polynomials, truncated power-series inversion, and exact Lagrange
-interpolation.
+polynomials, truncated power-series inversion, and exact interpolation:
+Lagrange, and in integers from the values at 0, 1, ..., N.
 
 All coefficients at the API are ``fractions.Fraction``; nothing here ever
 rounds.  Polynomial products and the rational-root test run on integer
@@ -64,16 +64,16 @@ def xvars(n: int) -> tuple:
     return tuple(f"x{i+1}" for i in range(n))
 
 
-# Trial division runs up to _TRIAL_LIMIT; a cofactor left below _MR_LIMIT is
-# split by Pollard's rho, and Miller-Rabin with the first 13 primes as bases
-# decides primality exactly below _MR_LIMIT (Sorenson and Webster, 2015).
+# Trial division runs up to _TRIAL_LIMIT; Miller-Rabin with the first 13
+# primes as bases is right whenever it says composite, and below _MR_LIMIT
+# it decides primality exactly (Sorenson and Webster, 2015).
 _TRIAL_LIMIT = 1000
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 1 < n < _MR_LIMIT."""
+    """Miller-Rabin for n > 1: False is exact, True only below _MR_LIMIT."""
     for a in _MR_BASES:
         if n % a == 0:
             return n == a
@@ -126,37 +126,30 @@ def _rho(n: int) -> int:
             return g
 
 
-def _prime_factors(n: int) -> list:
-    """The prime factors of 1 <= n < _MR_LIMIT, with multiplicity."""
-    if n == 1:
-        return []
-    if _is_prime(n):
-        return [n]
-    g = _rho(n)
-    return _prime_factors(g) + _prime_factors(n // g)
+def _prime_factors(n: int, limit: int | None = None) -> list:
+    """The prime factors of n >= 1, with multiplicity: trial division below
+    ``limit`` (default _TRIAL_LIMIT), then Pollard's rho on a cofactor that
+    Miller-Rabin calls composite.  A probable prime is prime below
+    _MR_LIMIT; above it, trial division to its square root decides."""
+    primes, p = [], 2
+    while p < (limit or _TRIAL_LIMIT) and p * p <= n:
+        while n % p == 0:
+            n //= p
+            primes.append(p)
+        p += 1 if p == 2 else 2
+    if p * p > n:
+        return primes + [n] * (n > 1)
+    if not _is_prime(n):
+        g = _rho(n)
+        return primes + _prime_factors(g) + _prime_factors(n // g)
+    return primes + ([n] if n < _MR_LIMIT else _prime_factors(n, n))
 
 
 def _divisors(n: int) -> list:
-    """The positive divisors of the nonzero integer ``n``, ascending, from
-    its factorisation.  Trial division divides each prime out as it is
-    found and stops once the prime's square exceeds what is left, or once
-    the prime reaches _TRIAL_LIMIT with less than _MR_LIMIT left; that
-    cofactor is factored by ``_prime_factors``.  A larger cofactor stays
-    on trial division, so every divisor is found."""
-    n = abs(n)
-    divs, p = [1], 2
-    while p * p <= n and (p < _TRIAL_LIMIT or n >= _MR_LIMIT):
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        if k:
-            divs = [d * p ** i for d in divs for i in range(k + 1)]
-        p += 1 if p == 2 else 2
-    # what is left is 1, a prime, or has no prime factor below p
-    rest = _prime_factors(n) if n < _MR_LIMIT else [n]
-    for q in set(rest):
-        k = rest.count(q)
+    """The positive divisors of the nonzero integer ``n``, ascending."""
+    primes, divs = _prime_factors(abs(n)), [1]
+    for q in set(primes):
+        k = primes.count(q)
         divs = [d * q ** i for d in divs for i in range(k + 1)]
     return sorted(divs)
 
@@ -210,8 +203,9 @@ class _Poly:
 
     A subclass supplies ``_new(terms)`` (a polynomial in its own variables,
     taking ``terms`` as they are: well-formed keys, nonzero Fraction values),
-    ``_coerce`` (numbers become constants), ``__mul__``, and for ``repr`` the
-    display order ``_repr_key`` and the monomial text ``_mono`` of a key.
+    ``_coerce`` (numbers become constants), ``_mul`` (the product with a
+    polynomial of its own kind; ``*`` by a number scales), and for ``repr``
+    the display order ``_repr_key`` and the monomial text ``_mono`` of a key.
     """
 
     __slots__ = ("terms",)
@@ -252,6 +246,13 @@ class _Poly:
             base = base * base
             n >>= 1
         return result
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        return self._mul(self._coerce(other))
+
+    __rmul__ = __mul__
 
     def scale(self, c):
         c = rat(c)
@@ -348,8 +349,7 @@ class UniPoly(_Poly):
         return hash(frozenset(self.terms.items()))
 
     # -- arithmetic -----------------------------------------------------
-    def __mul__(self, other):
-        other = self._coerce(other)
+    def _mul(self, other):
         D1, a = _cleared(self.terms)
         D2, b = _cleared(other.terms)
         sums: dict[int, int] = {}
@@ -358,8 +358,6 @@ class UniPoly(_Poly):
                 e = e1 + e2
                 sums[e] = sums.get(e, 0) + n1 * n2
         return self._new(_rebuilt(sums, D1 * D2))
-
-    __rmul__ = __mul__
 
     def rational_roots(self) -> tuple:
         """``(roots, cofactor)``: [(root, multiplicity)] of every rational
@@ -511,12 +509,8 @@ class MultiPoly(_Poly):
             return hash(self.constant_term())
         return hash((self.vars, frozenset(self.terms.items())))
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def _mul(self, other):
         return self.mul_truncated(other, None)
-
-    __rmul__ = __mul__
 
     def mul_truncated(self, other: "MultiPoly", max_degree: int | None) -> "MultiPoly":
         """Product, dropping result terms of total degree > max_degree."""
@@ -586,7 +580,7 @@ class MultiPoly(_Poly):
 
 
 # ---------------------------------------------------------------------------
-# Lagrange interpolation
+# interpolation
 # ---------------------------------------------------------------------------
 
 def interpolate(points, degree_bound: int, var: str = "d") -> UniPoly:
@@ -620,6 +614,22 @@ def interpolate(points, degree_bound: int, var: str = "d") -> UniPoly:
             raise InconsistentDataError(
                 f"guard point ({a}, {v}) not on interpolated polynomial")
     return poly
+
+
+def interpolate_integers(values: Sequence[int], var: str = "d") -> UniPoly:
+    """The polynomial of degree < len(values) with value values[i] at i =
+    0, 1, ..., N, in integers: N! times its Newton form sum_j Delta^j f(0)
+    C(d, j), by Horner's rule on the factors (d - j), divided by N! once."""
+    diffs, row = [], list(values)
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    acc, scale = [], 1          # scale = N!/j!, and N! after the loop
+    for j in range(len(diffs) - 1, -1, -1):
+        acc = [hi - j * lo for hi, lo in zip([0] + acc, acc + [0])]
+        acc[0] += diffs[j] * scale
+        scale *= j or 1
+    return UniPoly({e: Fraction(a, scale) for e, a in enumerate(acc)}, var=var)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import factorial, prod
+from math import comb, factorial
 
-from .exactcore import UniPoly
+from .exactcore import UniPoly, interpolate_integers
 from .symfunc import mult_factorial
 
 
@@ -58,25 +57,30 @@ def eulerian_second(h: int, j: int) -> int:
     return _eulerian2(h, j - 1)
 
 
+def moment_weights(alpha: tuple) -> list:
+    """The c_s with sum of w^alpha over w in N^n, |w| = d, n = len(alpha),
+    equal to sum_s c_s C(d+n-1, n-1+s): w_i^a = sum_b S(a,b) b! C(w_i,b)
+    gives c_s = sum over |beta| = s of prod_i S(alpha_i,beta_i) beta_i!,
+    the convolution over the parts a of the rows S(a,b) b!."""
+    by_size = [1]
+    for a in alpha:
+        by_size = [sum(x * stirling_second(a, s - i) * factorial(s - i)
+                       for i, x in enumerate(by_size[:s + 1]))
+                   for s in range(len(by_size) + a)]
+    return by_size
+
+
 @lru_cache(maxsize=None)
 def simplex_moment(alpha: tuple, var: str = "d") -> UniPoly:
     """sum of w^alpha over w in N^n with |w| = d, n = len(alpha), as a
-    polynomial in d (0 at d = -1 for n >= 2); w_i^a = sum_b S(a,b) b! C(w_i,b)
-    gives sum_beta prod_i S(alpha_i,beta_i) beta_i! C(d+n-1, n-1+|beta|)."""
+    polynomial in d (0 at d = -1 for n >= 2) of degree n-1+|alpha|, read
+    from its moment_weights at d = 0..n-1+|alpha|."""
     if not alpha or min(alpha) < 0:
         raise ValueError("alpha must be non-empty and non-negative")
-    n = len(alpha)
-    by_size = [0] * (sum(alpha) + 1)
-    for beta in product(*(range(a + 1) for a in alpha)):
-        by_size[sum(beta)] += prod(stirling_second(a, b) * factorial(b)
-                                   for a, b in zip(alpha, beta))
-    out = UniPoly({}, var=var)
-    # binom(d+n-1, n-1+s) = (d+n-1)(d+n-2)...(d-s+1) / (n-1+s)!
-    falling = UniPoly.from_roots(range(1 - n, 0), var=var)
-    for size, c in enumerate(by_size):
-        out = out + falling.scale(Fraction(c, factorial(n - 1 + size)))
-        falling = falling * UniPoly({1: 1, 0: -size}, var=var)
-    return out
+    n, w = len(alpha), moment_weights(alpha)
+    return interpolate_integers(
+        [sum(c * comb(d + n - 1, n - 1 + s) for s, c in enumerate(w))
+         for d in range(n + len(w) - 1)], var)
 
 
 def faulhaber(q: int) -> UniPoly:

@@ -277,7 +277,8 @@ def test_leading_term_elementary_flags_open_cases():
 def test_leading_term_elementary_conjectural_cases_match():
     # a regression test of the flagged predictions, not a proof
     checked = 0
-    for n, ks in ((3, range(3, 7)), (4, range(4, 7)), (5, (5,))):
+    for n, ks in ((3, range(3, 9)), (4, range(4, 9)), (5, range(5, 8)),
+                  (6, (6, 7)), (7, (7,))):
         for k in ks:
             cp = chern_interpolated(n, k, "elementary")
             for lam in enumerate_partitions(k, max_part=n):
@@ -287,7 +288,7 @@ def test_leading_term_elementary_conjectural_cases_match():
                     assert (p.degree(), p.coeff(expo)) == (expo, coeff), \
                         (n, lam)
                     checked += 1
-    assert checked == 38
+    assert checked == 136
 
 
 def test_elementary_degree_bound_holds():

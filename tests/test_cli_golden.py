@@ -1,7 +1,8 @@
 """Golden CLI output: the exit code and stdout of the README examples, of
 every distinct query of the benchmark's two workloads for seeds 0-2, of
-three ``--factored`` queries with large coefficients, and of twelve basis
-conversions larger than any the workloads ask for.
+three ``--factored`` queries with large coefficients, of twelve basis
+conversions larger than any the workloads ask for, and of three Sigma
+degrees: the empty product at d = -1 and both forms at (m, r) = (6, 3).
 
 ``cli_golden.json`` holds one ``[argv, exit code, stdout]`` entry per query,
 in the order they run; one cache dir serves the whole list, so the
@@ -59,10 +60,16 @@ LARGE_CONVERSIONS = (
        for n, k in (("6", "5"), ("4", "8")) for b in ("e", "p")]
     + [["chern", "--n", "2", "--k", "12", "--basis", "e", "--no-cache"]])
 
+SIGMA_DEGREES = [
+    ["sigma-degree", "--m", "1", "--r", "0", "--d", "-1"],
+    ["sigma-degree", "--r", "3", "--d", "9", "--m", "6"],
+    ["sigma-degree", "--m", "6", "--r", "3"],
+]
+
 
 def golden_queries() -> list:
-    """The README examples, the workload queries, LARGE_FACTORED and
-    LARGE_CONVERSIONS, each once, in first-seen order."""
+    """The README examples, the workload queries, LARGE_FACTORED,
+    LARGE_CONVERSIONS and SIGMA_DEGREES, each once, in first-seen order."""
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
@@ -71,7 +78,8 @@ def golden_queries() -> list:
                 workloads.WORKLOADS[name].queries(random.Random(seed), SPEC)]
 
     queries = (README_EXAMPLES + seeded("cold") + workloads.cache_fill_queries()
-               + seeded("chern-warm") + LARGE_FACTORED + LARGE_CONVERSIONS)
+               + seeded("chern-warm") + LARGE_FACTORED + LARGE_CONVERSIONS
+               + SIGMA_DEGREES)
     return [list(q) for q in dict.fromkeys(map(tuple, queries))]
 
 

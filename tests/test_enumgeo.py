@@ -119,13 +119,27 @@ def test_grassmann_integral_needs_no_schur_expansion(monkeypatch):
 
 
 def test_sigma_degree_matches_schur_expansion():
-    for r in (1, 2):
+    # the direct product, d = -1 (the empty product) included, peeled by
+    # Kostka rows: neither the closed form nor the alternant
+    for r in (0, 1, 2, 3):
         for m in range(r + 1, 6):
             k, dim = r + 1, (r + 1) * (m - r)
-            for d in range(1, 5):
+            for d in range(-1, 5):
                 f = chern_direct(k, d, TruncationPolicy(dim))
                 assert sigma_degree(d, m, r) == \
                     _schur_oracle(f, k, m + 1), (d, m, r)
+
+
+def test_sigma_degree_needs_no_product(monkeypatch):
+    from chernpol import exactcore
+    expected = sigma_degree(5, 6, 2)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the numeric degree must not multiply out c")
+
+    monkeypatch.setattr(enumgeo, "chern_direct", forbidden)
+    monkeypatch.setattr(exactcore.MultiPoly, "mul_truncated", forbidden)
+    assert sigma_degree(5, 6, 2) == expected
 
 
 def test_chern_grassmannian_low_classes():

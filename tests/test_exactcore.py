@@ -1,16 +1,21 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
 from math import prod
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chernpol import exactcore
 from chernpol.exactcore import (DuplicateAbscissaError, InconsistentDataError,
                                 MultiPoly, NotInvertibleError,
                                 TruncationPolicy, UniPoly, _divisors,
-                                _is_prime, interpolate, series_invert)
+                                _is_prime, interpolate, interpolate_integers,
+                                series_invert)
 
 
 def test_unipoly_basics():
@@ -160,6 +165,19 @@ def test_rational_roots_of_two_large_prime_factors():
     assert roots == ([(F(n), 1)], 1)
 
 
+def test_rational_roots_of_three_large_prime_factors():
+    # the constant term is above the bound where Miller-Rabin is exact, so
+    # its "composite" verdict must send it to Pollard's rho; trial division
+    # would not finish.  A subprocess, so that a hang fails by timeout
+    n = 1000000007 * 998244353 * 1000000009
+    env = dict(os.environ, PYTHONPATH=str(Path(exactcore.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "from chernpol.exactcore import UniPoly; "
+         f"print(UniPoly({{1: 1, 0: -{n}}}).rational_roots())"],
+        env=env, capture_output=True, text=True, check=True, timeout=10)
+    assert out.stdout.strip() == f"([(Fraction({n}, 1), 1)], 1)"
+
+
 def test_rational_roots_with_a_huge_constant_term():
     # the constant term -9 * 2^64 * 3^40 has small prime factors only, so
     # its divisors come from its factorisation, not a scan up to its root
@@ -291,6 +309,17 @@ def test_interpolate_guard_fires_on_wrong_bound():
     pts = [(a, F(a) ** 3) for a in range(5)]
     with pytest.raises(InconsistentDataError):
         interpolate(pts, 2)
+
+
+@settings(max_examples=60)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=12))
+@example([7])
+@example([0, 0, 0, 0])
+def test_interpolate_integers_matches_lagrange(values):
+    # any integer values at 0..N are those of an integer-valued polynomial
+    expected = interpolate(list(enumerate(values)), len(values) - 1, var="e")
+    assert interpolate_integers(values, var="e") == expected
+    assert interpolate_integers(values, var="e").var == "e"
 
 
 def test_interpolate_duplicate_abscissa():
