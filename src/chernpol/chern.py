@@ -265,6 +265,19 @@ def leading_term(basis: str, lam, n: int):
     Monomial and Schur predictions are exact; elementary predictions are
     proved for lam = (1^k) for all n and for all lam at n = 2, and flagged
     as conjectural otherwise.
+
+    The elementary prediction follows from this argument, which the flag
+    marks as not yet reviewed.  With p_j = sum over weight vectors w of
+    (w.x)^j, the beta = alpha term of simplex_moment gives p_j a top
+    d-part j!/(n-1+j)! * d^(n-1+j) * h_j.  Since log c = sum_j (-1)^(j-1)
+    p_j / j and h_j = (-1)^(j-1) e_j + (terms e_mu with len(mu) >= 2), the
+    top part of log c is sum_i (i-1)!/(n+i-1)! * d^(n+i-1) * e_i, plus
+    terms e_mu with len(mu) >= 2 of d-degree at most n-1+|mu|.  In
+    c = exp(log c) a product of r factors reaches e_lam only if
+    r <= len(lam), with d-degree at most r(n-1) + |lam|.  For n >= 2 only
+    r = len(lam) attains elementary_degree_bound(lam, n), through the
+    single-part factors alone, and (sum_i a_i e_i)^r / r! has coefficient
+    prod_i a_i^(H_i) / H_i! at prod_i e_i^(H_i): the coefficient below.
     """
     lam = check_partition(lam) if lam else ()
     validate_basis_index(basis, lam, n)

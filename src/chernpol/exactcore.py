@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence
 
 
@@ -213,16 +213,20 @@ class _Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other):
-        other = self._coerce(other)
+    def _merged(self, other, op):
+        """``op(self, other)`` for op = add or sub, in one pass over the
+        terms of ``other``."""
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
+        for e, c in self._coerce(other).terms.items():
+            s = op(out.get(e, Fraction(0)), c)
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
         return self._new(out)
+
+    def __add__(self, other):
+        return self._merged(other, add)
 
     __radd__ = __add__
 
@@ -230,7 +234,7 @@ class _Poly:
         return self._new({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._merged(other, sub)
 
     def __rsub__(self, other):
         return self._coerce(other) - self

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache, reduce
 from math import factorial
+from operator import mul
 
 from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
                         xvars)
@@ -138,34 +140,56 @@ class RisingProductSpec:
 # the Stirling coefficient formula
 # ---------------------------------------------------------------------------
 
+def _block_multiplicities(Es: list, H: tuple):
+    """Every tuple r of non-negative integers with sum_i r_i * Es[i] = H."""
+    if not Es:
+        if not any(H):
+            yield ()
+        return
+    r, rem = 0, H
+    while min(rem) >= 0:
+        for rest in _block_multiplicities(Es[1:], rem):
+            yield (r,) + rest
+        r, rem = r + 1, tuple(h - e for h, e in zip(rem, Es[0]))
+
+
 def stirling_coefficient(spec: RisingProductSpec, H) -> MultiPoly:
     """The coefficient of x^H of the rising product, as a polynomial in the
-    parameters: sum over vector partitions J of H and tuples lambda in the
-    product of the table supports of
+    parameters: the paper's sum over vector partitions J of H and tuples
+    lambda in the product of the table supports of
 
         1/mult(J)! * prod_s P_{J_s, lambda_s}(d) * M_tilde(lambda)(K(d)).
 
-    M_tilde(lambda) depends only on lambda sorted, so the table products are
-    first summed per sorted lambda and each M_tilde(lambda)(K(d)) is
-    composed once, for the sorted lambda whose sum is nonzero.
+    A block outside the table has empty support, so J runs over the
+    multiplicities r_E >= 0 of the table's exponent vectors E with
+    sum_E r_E * E = H; the r_E blocks at E give, over counts k_m with
+    sum_m k_m = r_E, the products prod_m P_{E,m}^{k_m} / k_m!.  These are
+    summed per sorted lambda, on which alone M_tilde(lambda) depends, and
+    each M_tilde(lambda)(K(d)) is composed once, where the sum is nonzero.
     """
     H = tuple(int(h) for h in H)
-    if len(H) != spec.nx:
-        raise ValueError("H length mismatch")
-    zero = MultiPoly.const(0, spec.params)
+    if len(H) != spec.nx or any(h < 0 for h in H):
+        raise ValueError("H must be a non-negative vector of length nx")
+    Es = sorted({E for E, _ in spec.table})
+    one = MultiPoly.const(1, spec.params)
+
+    @lru_cache(maxsize=None)
+    def blocks(E, r):
+        # [(the r parts m, ascending; prod_m P_{E,m}^{k_m} / k_m!)]
+        return [(ms, reduce(mul, [spec.table[(E, m)] for m in ms]).scale(
+                    Fraction(1, mult_factorial(ms))))
+                for ms in itertools.combinations_with_replacement(
+                    spec.support(E), r)]
+
     grouped: dict[tuple, MultiPoly] = {}
-    for J in vector_partitions(H):
-        supports = [spec.support(Js) for Js in J]
-        if any(not s for s in supports):
-            continue
-        inv_mult = Fraction(1, mult_factorial(J))
-        for lam in itertools.product(*supports):
-            coeff = MultiPoly.const(inv_mult, spec.params)
-            for Js, ls in zip(J, lam):
-                coeff = coeff * spec.table[(Js, ls)]
-            key = tuple(sorted(lam, reverse=True))
-            grouped[key] = grouped.get(key, zero) + coeff
-    total = zero
+    for rs in _block_multiplicities(Es, H):
+        for picks in itertools.product(
+                *[blocks(E, r) for E, r in zip(Es, rs) if r]):
+            coeff = reduce(mul, [c for _, c in picks] or [one])
+            key = tuple(sorted(itertools.chain(*[ms for ms, _ in picks]),
+                               reverse=True))
+            grouped[key] = grouped[key] + coeff if key in grouped else coeff
+    total = MultiPoly.const(0, spec.params)
     for lam, coeff in grouped.items():
         if not coeff.is_zero():
             total = total + coeff * M_tilde(lam)(spec.K)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from itertools import accumulate
+from math import comb, factorial, prod
 
 from .exactcore import UniPoly, interpolate_integers
 from .symfunc import mult_factorial
@@ -135,30 +136,25 @@ def aug_monomial_power_sums(lam: tuple) -> dict:
 
 @lru_cache(maxsize=None)
 def M_tilde(lam: tuple) -> UniPoly:
-    """Polynomial in v with M_tilde(lam)(v) = m~_lam(0, 1, ..., v) for v >= -1.
-
-    Zero parts are handled by the binomial prefactor
-    binom(v+1-(m1+...), m0) * m0! times the zero-free specialization.
+    """Polynomial in v with M_tilde(lam)(v) = m~_lam(0, 1, ..., v) for v >= -1,
+    of degree |lam| + len(lam), read from its integer values at v = 0, 1,
+    ..., |lam| + len(lam): the power-sum expansion of the zero-free part
+    lam* at the prefix power sums 0^q + 1^q + ... + v^q, times the
+    prefactor binom(v+1-len(lam*), m0) * m0! = prod_{i<m0} (v+1-len(lam*)-i)
+    for the m0 zero parts.
     """
     lam = _sorted_partition(int(p) for p in lam)
     if any(p < 0 for p in lam):
         raise ValueError("weak partition parts must be non-negative")
-    m0 = sum(1 for p in lam if p == 0)
     star = tuple(p for p in lam if p > 0)
-    if m0:
-        # binom(v+1-len(star), m0) * m0! as a polynomial in v
-        prefactor = UniPoly.from_roots(
-            range(len(star) - 1, len(star) - 1 + m0), var="v")
-        return prefactor * M_tilde(star)
-    if not lam:
-        return UniPoly.const(1, var="v")
-    out = UniPoly({}, var="v")
-    for mu, c in aug_monomial_power_sums(lam).items():
-        term = UniPoly.const(c, var="v")
-        for q in mu:
-            term = term * faulhaber(q)
-        out = out + term
-    return out
+    m0, top = len(lam) - len(star), sum(lam) + len(lam)
+    expansion = aug_monomial_power_sums(star)
+    sums = {q: list(accumulate(t ** q for t in range(top + 1)))
+            for q in {q for mu in expansion for q in mu}}
+    return interpolate_integers(
+        [prod(v + 1 - len(star) - i for i in range(m0))
+         * sum(c * prod(sums[q][v] for q in mu) for mu, c in expansion.items())
+         for v in range(top + 1)], "v")
 
 
 def M_plain(lam: tuple) -> UniPoly:

@@ -1,8 +1,10 @@
 """Golden CLI output: the exit code and stdout of the README examples, of
 every distinct query of the benchmark's two workloads for seeds 0-2, of
 three ``--factored`` queries with large coefficients, of twelve basis
-conversions larger than any the workloads ask for, and of three Sigma
-degrees: the empty product at d = -1 and both forms at (m, r) = (6, 3).
+conversions larger than any the workloads ask for, of three Sigma
+degrees: the empty product at d = -1 and both forms at (m, r) = (6, 3),
+and of two Stirling coefficients with more table blocks than the workloads
+ask for.
 
 ``cli_golden.json`` holds one ``[argv, exit code, stdout]`` entry per query,
 in the order they run; one cache dir serves the whole list, so the
@@ -66,10 +68,17 @@ SIGMA_DEGREES = [
     ["sigma-degree", "--m", "6", "--r", "3"],
 ]
 
+STIRLING_COEFFS = [
+    ["stirling-coeff", "--spec-file", SPEC, "--type", "6,5"],
+    ["stirling-coeff", "--spec-file", SPEC, "--type", "4,4", "--format",
+     "json"],
+]
+
 
 def golden_queries() -> list:
     """The README examples, the workload queries, LARGE_FACTORED,
-    LARGE_CONVERSIONS and SIGMA_DEGREES, each once, in first-seen order."""
+    LARGE_CONVERSIONS, SIGMA_DEGREES and STIRLING_COEFFS, each once, in
+    first-seen order."""
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
@@ -79,7 +88,7 @@ def golden_queries() -> list:
 
     queries = (README_EXAMPLES + seeded("cold") + workloads.cache_fill_queries()
                + seeded("chern-warm") + LARGE_FACTORED + LARGE_CONVERSIONS
-               + SIGMA_DEGREES)
+               + SIGMA_DEGREES + STIRLING_COEFFS)
     return [list(q) for q in dict.fromkeys(map(tuple, queries))]
 
 

@@ -221,6 +221,15 @@ def test_sigma_degree_leading():
     assert sigma_degree_leading(3, 1) == (F(1, 192), 8)
 
 
+def test_sigma_degree_leading_matches_symbolic_manivel_cases():
+    # Manivel's leading coefficient against the exact symbolic degree
+    for m, r in [(3, 1), (4, 1), (5, 1), (4, 2), (5, 2), (6, 2), (7, 2),
+                 (8, 2), (5, 3), (6, 3), (6, 4), (7, 4)]:
+        coeff, expo = sigma_degree_leading(m, r)
+        p = sigma_degree_symbolic(m, r)
+        assert (p.degree(), p.coeff(expo)) == (expo, coeff), (m, r)
+
+
 def test_sigma_hyperplane_closed_form():
     for m in (2, 3):
         for d in (3, 4, 5):

@@ -192,6 +192,50 @@ def test_formula_matches_oracle_random():
         _compare_with_oracle(spec, 3, range(0, 7))
 
 
+def vector_partition_sum(spec, H):
+    """The paper's sum as written: over every vector partition J of H and
+    every ordered tuple lambda in the product of the supports of its
+    blocks, 1/mult(J)! * prod_s P_{J_s, lambda_s} * M_tilde(lambda)(K),
+    with the table products summed per sorted lambda before composing."""
+    grouped = {}
+    for J in vector_partitions(H):
+        for lam in itertools.product(*[spec.support(b) for b in J]):
+            coeff = MultiPoly.const(F(1, mult_factorial(J)), spec.params)
+            for b, m in zip(J, lam):
+                coeff = coeff * spec.table[(b, m)]
+            key = tuple(sorted(lam, reverse=True))
+            grouped[key] = grouped.get(key, 0) + coeff
+    return sum((c * M_tilde(lam)(spec.K) for lam, c in grouped.items()),
+               MultiPoly.const(0, spec.params))
+
+
+def _exponents(nx, top):
+    return [H for H in itertools.product(range(top + 1), repeat=nx)
+            if sum(H) <= top]
+
+
+def test_formula_matches_vector_partition_sum():
+    rng = random.Random(20240817)
+    cases = ([(odd_spec(), H) for H in _exponents(2, 8)]
+             + [(spec_two_params(), H) for H in _exponents(2, 4)]
+             + [(spec, H) for spec in (_random_spec(rng) for _ in range(20))
+                for H in _exponents(spec.nx, 4)])
+    for spec, H in cases:
+        assert repr(stirling_coefficient(spec, H)) == \
+            repr(vector_partition_sum(spec, H)), (spec.table, H)
+
+
+def test_stirling_coefficient_needs_no_vector_partitions(monkeypatch):
+    from chernpol import rising
+
+    def refuse(H):
+        raise AssertionError("vector_partitions called")
+
+    expected = vector_partition_sum(odd_spec(), (3, 2))
+    monkeypatch.setattr(rising, "vector_partitions", refuse)
+    assert stirling_coefficient(odd_spec(), (3, 2)) == expected
+
+
 def test_empty_product_and_domain():
     spec = RisingProductSpec.single("d", {((1,), 1): 1}, D - 1, 1)
     out = direct_rising_oracle(spec, (0,), TruncationPolicy(3))

@@ -146,6 +146,31 @@ def test_M_tilde_matches_bruteforce():
             assert p(v) == aug_monomial_bruteforce(lam, v), (lam, v)
 
 
+def faulhaber_products(lam):
+    """M_tilde as a product construction: the power-sum expansion of the
+    zero-free part with each p_q replaced by faulhaber(q), times the
+    prefactor binom(v+1-len(star), m0) * m0! for the m0 zero parts."""
+    star = tuple(p for p in lam if p)
+    m0 = len(lam) - len(star)
+    out = UniPoly({}, var="v")
+    for mu, c in aug_monomial_power_sums(star).items():
+        term = UniPoly.const(c, var="v")
+        for q in mu:
+            term = term * faulhaber(q)
+        out = out + term
+    return UniPoly.from_roots(range(len(star) - 1, len(star) - 1 + m0),
+                              var="v") * out
+
+
+def test_M_tilde_matches_faulhaber_products():
+    for w in range(11):
+        for lam in enumerate_partitions(w):
+            for zeros in range(3):
+                weak = tuple(lam) + (0,) * zeros
+                assert repr(M_tilde(weak)) == repr(faulhaber_products(weak)), \
+                    weak
+
+
 def test_M_tilde_vanishing_and_divisibility():
     for lam in _weak_partitions(5, 4):
         p = M_tilde(lam)
