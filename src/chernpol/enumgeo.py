@@ -187,7 +187,8 @@ def fano_degree_lines(d: int, m: int, method: str = "closed") -> int:
 def fano_chi_lines(d: int, m: int, method: str = "integral") -> int:
     """Euler characteristic of F_1(d,m) for a generic hypersurface:
     integral of c(Gr_2(C^(m+1))) * e(Pol^d(S)) / c(Pol^d(S)); closed forms
-    exist for expected dimension 1 and 2."""
+    exist for expected dimension 0 (finitely many reduced points, so chi is
+    the degree), 1 and 2."""
     delta = _check_fano_domain(d, m)
     if method == "integral":
         dim = 2 * (m - 1)
@@ -200,6 +201,8 @@ def fano_chi_lines(d: int, m: int, method: str = "integral") -> int:
         val = grassmann_integral(integrand, 2, m + 1)
         return as_integer(val, f"Fano Euler characteristic ({d}, {m})")
     if method == "closed":
+        if delta == 0:
+            return fano_degree_lines(d, m, "closed")
         if delta == 1:
             return euler_coefficient(d, m - 2) * (m + 1 - comb(2 * m - 3, 2))
         if delta == 2:
@@ -214,7 +217,7 @@ def fano_chi_lines(d: int, m: int, method: str = "integral") -> int:
             return as_integer(val, f"Fano Euler characteristic ({d}, {m})")
         raise UnsupportedMethodError(
             "closed Euler-characteristic formulas cover expected "
-            "dimensions 1 and 2 only")
+            "dimensions 0, 1 and 2 only")
     raise UnsupportedMethodError(f"unknown method {method!r}")
 
 

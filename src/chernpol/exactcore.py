@@ -64,96 +64,6 @@ def xvars(n: int) -> tuple:
     return tuple(f"x{i+1}" for i in range(n))
 
 
-# Trial division runs up to _TRIAL_LIMIT; Miller-Rabin with the first 13
-# primes as bases is right whenever it says composite, and below _MR_LIMIT
-# it decides primality exactly (Sorenson and Webster, 2015).
-_TRIAL_LIMIT = 1000
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_LIMIT = 3317044064679887385961981
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for n > 1: False is exact, True only below _MR_LIMIT."""
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho(n: int) -> int:
-    """A proper factor of the composite ``n``: Pollard's rho on
-    x -> x² + c, with Brent's cycle search and the gcds taken over batches
-    of 128 steps; a c whose batch overshoots is rerun one step at a time,
-    and a c that finds only ``n`` itself is replaced by c + 1."""
-    if n % 2 == 0:
-        return 2
-    c = 0
-    while True:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def _prime_factors(n: int, limit: int | None = None) -> list:
-    """The prime factors of n >= 1, with multiplicity: trial division below
-    ``limit`` (default _TRIAL_LIMIT), then Pollard's rho on a cofactor that
-    Miller-Rabin calls composite.  A probable prime is prime below
-    _MR_LIMIT; above it, trial division to its square root decides."""
-    primes, p = [], 2
-    while p < (limit or _TRIAL_LIMIT) and p * p <= n:
-        while n % p == 0:
-            n //= p
-            primes.append(p)
-        p += 1 if p == 2 else 2
-    if p * p > n:
-        return primes + [n] * (n > 1)
-    if not _is_prime(n):
-        g = _rho(n)
-        return primes + _prime_factors(g) + _prime_factors(n // g)
-    return primes + ([n] if n < _MR_LIMIT else _prime_factors(n, n))
-
-
-def _divisors(n: int) -> list:
-    """The positive divisors of the nonzero integer ``n``, ascending."""
-    primes, divs = _prime_factors(abs(n)), [1]
-    for q in set(primes):
-        k = primes.count(q)
-        divs = [d * q ** i for d in divs for i in range(k + 1)]
-    return sorted(divs)
-
-
 def _divide_out(a: list, p: int, q: int):
     """The integer coefficients of ``A / (q·x − p)`` for the integer
     polynomial ``A = Σ a_i x^i``, or None if ``p/q`` is not a root of A.
@@ -169,6 +79,83 @@ def _divide_out(a: list, p: int, q: int):
             return None
         carry = b[i - 1] = s // q
     return b if a[0] + p * carry == 0 else None
+
+
+def _taylor_shift(p: list) -> list:
+    """The coefficients of ``P(x + 1)``."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += p[j + 1]
+    return p
+
+
+def _sign_changes(p: list) -> int:
+    signs = [v > 0 for v in p if v]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _positive_root_candidates(b: list) -> list:
+    """Fractions among which lie the positive rational roots of the integer
+    polynomial ``B = Σ b_i x^i`` with ``b_0 ≠ 0``: Descartes bisection
+    (Collins and Akritas, 1976), which needs no factoring.
+
+    Every positive root is below ``2^k``, k the least integer >= 1 with
+    ``|b_i| <= |b_N|·2^((k-1)(N-i))`` for each b_i of sign opposite to b_N.
+    An interval ``(c/2^s, (c+1)/2^s)`` carries an integer polynomial whose
+    roots in (0, 1) are B's roots in the interval; it is dropped when the
+    sign changes of ``(1+x)^N P(1/(1+x))`` (its Descartes count) are 0, and
+    halved by ``2^N P(x/2)`` and a Taylor shift, recording a root at the
+    midpoint exactly.  An interval with count 1 and no root at its right
+    end holds one simple root, and is halved by the sign of P at its
+    midpoint instead.  Every rational root p/q has q | b_N, so once
+    ``|b_N|·width < 1`` the one integer y with y/|b_N| inside the interval,
+    if any, is the only candidate there.
+    """
+    lead, top = abs(b[-1]), len(b) - 1
+    bits = []
+    for i, v in enumerate(b):
+        if (v < 0) != (b[-1] < 0):
+            e = max(0, abs(v).bit_length() - lead.bit_length())
+            e += abs(v) > lead << e               # least e: |b_i| <= |b_N|·2^e
+            bits.append(-(-e // (top - i)))
+    if not bits:
+        return []
+    k = 1 + max(bits)
+    found, stack = [], [(0, -k, [v << k * i for i, v in enumerate(b)])]
+    while stack:
+        c, s, p = stack.pop()
+        count = _sign_changes(_taylor_shift(p[::-1]))
+        if count == 1 and sum(p):
+            # one simple root: halve by the sign of P at the midpoint, which
+            # is 2^(tN) P(m/2^t) in integers for m/2^t in local coordinates
+            n, c0, s0 = len(p) - 1, c, s
+            while count and lead.bit_length() > s:
+                c, s = 2 * c + 1, s + 1
+                mid, t = c - (c0 << s - s0), s - s0
+                h = p[-1]
+                for i in range(n - 1, -1, -1):
+                    h = h * mid + (p[i] << t * (n - i))
+                if not h:
+                    found.append(c * Fraction(2) ** -s)
+                    count = 0
+                elif (h > 0) != (p[0] > 0):
+                    c -= 1
+        if not count:
+            continue
+        if lead.bit_length() <= s:                # |b_N|·width < 1
+            y = (lead * c >> s) + 1
+            if y << s < lead * (c + 1):
+                found.append(Fraction(y, lead))
+            continue
+        left = [v << (len(p) - 1 - i) for i, v in enumerate(p)]
+        right = _taylor_shift(left)
+        if not right[0]:
+            found.append((2 * c + 1) * Fraction(2) ** -(s + 1))
+            while not right[0]:
+                right.pop(0)
+        stack += [(2 * c, s + 1, left), (2 * c + 1, s + 1, right)]
+    return found
 
 
 def _cleared(terms: Mapping) -> tuple:
@@ -369,12 +356,11 @@ class UniPoly(_Poly):
         of (|numerator|, denominator, sign), positive before negative; and
         the polynomial divided by prod (var - root)^multiplicity.
 
-        One pass over one integer list: a root p/q in lowest terms of the
-        integer polynomial A with coefficients a_0..a_N has p | a_0 and
-        q | a_N, and A = (q·x − p)·B with B integral (Gauss's lemma).  The
-        divisors of a_0 and a_N are listed once; a candidate whose p and q
-        divide the a_0 and a_N of the deflated list is divided out by
-        synthetic division for as long as that is exact.
+        On one integer list A with coefficients a_0..a_N (denominators
+        cleared, d^low divided out): Descartes bisection of A(x) and A(-x)
+        (``_positive_root_candidates``) proposes the candidates, and each
+        p/q in lowest terms is divided out by synthetic division by
+        ``q·x − p`` for as long as that is exact (Gauss's lemma).
         """
         if not self.terms:
             raise ValueError("the zero polynomial has every root")
@@ -384,22 +370,18 @@ class UniPoly(_Poly):
         a = [0] * (max(self.terms) - low + 1)
         for e, n in pairs:
             a[e - low] = n
-        dens, qs = _divisors(a[-1]), 1       # qs: product of the q divided out
-        for num in _divisors(a[0]):
-            if len(a) == 1:
-                break
-            if a[0] % num:
-                continue
-            for den in dens:
-                if a[-1] % den or math.gcd(num, den) != 1:
-                    continue
-                for p in (num, -num):
-                    mult = 0
-                    while len(a) > 1 and (b := _divide_out(a, p, den)) is not None:
-                        a, mult = b, mult + 1
-                    if mult:
-                        roots.append((Fraction(p, den), mult))
-                        qs *= den ** mult
+        candidates = _positive_root_candidates(a) + [
+            -r for r in _positive_root_candidates(
+                [-v if i % 2 else v for i, v in enumerate(a)])]
+        candidates.sort(key=lambda r: (abs(r.numerator), r.denominator, r < 0))
+        qs = 1                               # the product of the q divided out
+        for r in candidates:
+            p, q, mult = r.numerator, r.denominator, 0
+            while (b := _divide_out(a, p, q)) is not None:
+                a, mult = b, mult + 1
+            if mult:
+                roots.append((r, mult))
+                qs *= q ** mult
         # self = d^low · ∏(q·d − p)^mult · Σ a_i d^i / D
         return roots, self._new(_rebuilt({i: qs * c for i, c in enumerate(a)}, D))
 
@@ -533,8 +515,7 @@ class MultiPoly(_Poly):
                 sums[ev] = sums.get(ev, 0) + n1 * n2
         return self._new(_rebuilt(sums, D1 * D2))
 
-    def truncate(self, policy: TruncationPolicy | int) -> "MultiPoly":
-        m = policy.max_total_degree if isinstance(policy, TruncationPolicy) else policy
+    def truncate(self, m: int) -> "MultiPoly":
         return self._new({ev: c for ev, c in self.terms.items() if sum(ev) <= m})
 
     def filter_terms(self, keep) -> "MultiPoly":
@@ -645,7 +626,7 @@ def series_invert(f: MultiPoly, policy: TruncationPolicy) -> MultiPoly:
     if f.constant_term() != 1:
         raise NotInvertibleError("series inversion needs constant term 1")
     m = policy.max_total_degree
-    g = f.truncate(policy)
+    g = f.truncate(m)
     h = MultiPoly.const(1, f.vars) - g      # no constant term
     # 1/(1-h) = 1 + h + h^2 + ...  (h nilpotent up to truncation degree)
     out = MultiPoly.const(1, f.vars)

@@ -307,13 +307,28 @@ def test_factored_str():
 def test_factored_str_multiplicities_and_large_roots():
     p = UniPoly.from_roots([0, F(-1, 2), F(3, 4), F(3, 4), 2, -2]).scale(5)
     assert cli.factored_str(p) == "d*(d+1/2)*(d-2)*(d+2)*(d-3/4)^2*(5)"
-    # a large prime factor of the constant term is proved prime by Miller-Rabin
+    # a root with a large prime numerator
     assert (cli.factored_str(UniPoly.from_roots([2, -3, 1000000007]))
             == "(d-2)*(d+3)*(d-1000000007)")
     # non-monic, with large coprime numerators and denominators
     d = UniPoly.x()
     p = (d.scale(7) - 1000003) * (d.scale(3) + 11) ** 2 * (d * d + 5)
     assert cli.factored_str(p) == "(d+11/3)^2*(d-1000003/7)*(63*d^2 + 315)"
+
+
+def test_factored_stirling_coefficient_with_a_large_prime(tmp_path):
+    # the constant term 2^89 - 1 is prime; a subprocess, so that a root
+    # search that hangs fails by timeout
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"params": ["delta"], "nx": 1, "K": [[1, "1"]],
+         "table": [[[1], 0, [[0, str(2 ** 89 - 1)]]]]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chernpol.cli", "stirling-coeff", "--spec-file",
+         str(path), "--type", "1", "--factored"],
+        env=env, capture_output=True, text=True, check=True, timeout=10)
+    assert proc.stdout == f"(delta+1)*({2 ** 89 - 1})\n"
 
 
 def test_factored_str_of_a_chern_coefficient():

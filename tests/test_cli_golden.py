@@ -1,10 +1,11 @@
 """Golden CLI output: the exit code and stdout of the README examples, of
 every distinct query of the benchmark's two workloads for seeds 0-2, of
 three ``--factored`` queries with large coefficients, of twelve basis
-conversions larger than any the workloads ask for, of three Sigma
-degrees: the empty product at d = -1 and both forms at (m, r) = (6, 3),
-and of two Stirling coefficients with more table blocks than the workloads
-ask for.
+conversions larger than any the workloads ask for, of four Sigma
+degrees: the empty product at d = -1, both forms at (m, r) = (6, 3) and
+the factored form at (7, 2), of two Stirling coefficients with more table
+blocks than the workloads ask for, and of two Fano Euler characteristics
+of expected dimension 0, where the scheme is finitely many points.
 
 ``cli_golden.json`` holds one ``[argv, exit code, stdout]`` entry per query,
 in the order they run; one cache dir serves the whole list, so the
@@ -66,6 +67,7 @@ SIGMA_DEGREES = [
     ["sigma-degree", "--m", "1", "--r", "0", "--d", "-1"],
     ["sigma-degree", "--r", "3", "--d", "9", "--m", "6"],
     ["sigma-degree", "--m", "6", "--r", "3"],
+    ["sigma-degree", "--m", "7", "--r", "2", "--factored"],
 ]
 
 STIRLING_COEFFS = [
@@ -74,11 +76,16 @@ STIRLING_COEFFS = [
      "json"],
 ]
 
+FANO_POINTS = [
+    ["fano-chi", "--d", "3", "--m", "3"],
+    ["fano-chi", "--d", "5", "--m", "4"],
+]
+
 
 def golden_queries() -> list:
     """The README examples, the workload queries, LARGE_FACTORED,
-    LARGE_CONVERSIONS, SIGMA_DEGREES and STIRLING_COEFFS, each once, in
-    first-seen order."""
+    LARGE_CONVERSIONS, SIGMA_DEGREES, STIRLING_COEFFS and FANO_POINTS, each
+    once, in first-seen order."""
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
@@ -88,7 +95,7 @@ def golden_queries() -> list:
 
     queries = (README_EXAMPLES + seeded("cold") + workloads.cache_fill_queries()
                + seeded("chern-warm") + LARGE_FACTORED + LARGE_CONVERSIONS
-               + SIGMA_DEGREES + STIRLING_COEFFS)
+               + SIGMA_DEGREES + STIRLING_COEFFS + FANO_POINTS)
     return [list(q) for q in dict.fromkeys(map(tuple, queries))]
 
 

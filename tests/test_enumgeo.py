@@ -212,6 +212,14 @@ def test_sigma_symbolic_r0_has_no_regime():
             sigma_degree_symbolic(m, 0)
 
 
+def test_sigma_symbolic_8_3_factors():
+    # degree 80; a_0 of the cleared polynomial has 1.9 million divisors
+    p = sigma_degree_symbolic(8, 3)
+    roots, cofactor = p.rational_roots()
+    assert roots == [(r, 1) for r in (0, 1, -1, 2, -2, -3)]
+    assert p == cofactor * UniPoly.from_roots([0, 1, -1, 2, -2, -3])
+
+
 def test_sigma_degree_leading():
     for m, r in [(3, 1), (4, 2)]:
         coeff, expo = sigma_degree_leading(m, r)
@@ -294,6 +302,15 @@ def test_fano_degree_methods_agree():
             closed = fano_degree_lines(d, m, "closed")
             integral = fano_degree_lines(d, m, "integral")
             assert closed == integral, (d, m)
+
+
+def test_fano_chi_delta0():
+    # finitely many reduced points: chi is the number of lines, the degree
+    for m in range(3, 7):
+        d = 2 * m - 3
+        closed = fano_chi_lines(d, m, "closed")
+        assert closed == fano_chi_lines(d, m, "integral") == \
+            fano_degree_lines(d, m, "closed"), m
 
 
 def test_fano_chi_delta1():

@@ -1,10 +1,9 @@
 import os
-import random
 import subprocess
 import sys
 import time
 from fractions import Fraction as F
-from math import prod
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -13,9 +12,9 @@ from hypothesis import example, given, settings, strategies as st
 from chernpol import exactcore
 from chernpol.exactcore import (DuplicateAbscissaError, InconsistentDataError,
                                 MultiPoly, NotInvertibleError,
-                                TruncationPolicy, UniPoly, _divisors,
-                                _is_prime, interpolate, interpolate_integers,
-                                series_invert)
+                                TruncationPolicy, UniPoly, _cleared,
+                                _divide_out, _rebuilt, interpolate,
+                                interpolate_integers, series_invert)
 
 
 def test_unipoly_basics():
@@ -109,55 +108,79 @@ def test_rational_roots_finds_every_root(roots, c, scale):
     assert p == cofactor * UniPoly.from_roots(found)
 
 
-def _trial_prime(n):
-    return n > 1 and all(n % p for p in range(2, int(n ** 0.5) + 1))
+def divisor_pair_roots(p):
+    """The reference for ``UniPoly.rational_roots``: every p/q in lowest
+    terms with p | a_0 and q | a_N of the cleared integer coefficients,
+    the divisors listed by scanning, tried in the order of (|p|, q, sign)
+    and divided out by synthetic division while that is exact."""
+    low = min(p.terms)
+    roots = [(F(0), low)] if low else []
+    D, pairs = _cleared(p.terms)
+    a = [0] * (max(p.terms) - low + 1)
+    for e, n in pairs:
+        a[e - low] = n
+
+    def divisors(n):
+        return [i for i in range(1, abs(n) + 1) if n % i == 0]
+
+    qs = 1
+    for num in divisors(a[0]):
+        for den in divisors(a[-1]):
+            if gcd(num, den) != 1:
+                continue
+            for r in (num, -num):
+                mult = 0
+                while len(a) > 1 and (b := _divide_out(a, r, den)) is not None:
+                    a, mult = b, mult + 1
+                if mult:
+                    roots.append((F(r, den), mult))
+                    qs *= den ** mult
+    return roots, UniPoly(_rebuilt({i: qs * c for i, c in enumerate(a)}, D))
 
 
-def test_divisors_match_bruteforce(monkeypatch):
-    # at the usual trial-division limit, and with none, where Pollard's rho
-    # and Miller-Rabin alone factor every n
-    for limit in (exactcore._TRIAL_LIMIT, 2):
-        monkeypatch.setattr(exactcore, "_TRIAL_LIMIT", limit)
-        for n in range(1, 3001):
-            assert _divisors(n) == _divisors(-n) == [
-                i for i in range(1, n + 1) if n % i == 0]
-    monkeypatch.undo()
-    # two prime factors far beyond the trial-division limit
-    rng = random.Random(12)
-    primes = []
-    while len(primes) < 8:
-        q = rng.randrange(10 ** 7, 10 ** 8) | 1
-        if _trial_prime(q):
-            primes.append(q)
-    for p, q in zip(primes[::2], primes[1::2]):
-        assert _divisors(p * q) == sorted([1, p, q, p * q])
-        assert _divisors(p * p * q) == sorted(
-            [1, p, q, p * p, p * q, p * p * q])
-    # too large to scan: the list is every divisor iff its entries are
-    # distinct divisors and there are prod(k_i + 1) of them
-    rng = random.Random(0)
-    primes = (2, 3, 5, 7, 11, 13, 1000003)
-    for _ in range(200):
-        powers = [rng.randint(0, 5) for _ in primes[:-1]] + [rng.randint(0, 1)]
-        n = prod(p ** k for p, k in zip(primes, powers))
-        divs = _divisors(n)
-        assert divs == sorted(set(divs))
-        assert all(n % d == 0 for d in divs)
-        assert len(divs) == prod(k + 1 for k in powers)
+@settings(max_examples=60)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=5),
+       st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=4),
+                max_size=3),
+       st.integers(0, 2))
+def test_rational_roots_match_divisor_pairs(coeffs, roots, low):
+    base = UniPoly(dict(enumerate(coeffs)))
+    if base.is_zero():
+        base = UniPoly.const(coeffs[0] or 1)
+    p = base * UniPoly.from_roots(roots) * UniPoly({low: 1})
+    assert repr(p.rational_roots()) == repr(divisor_pair_roots(p))
 
 
-def test_miller_rabin_is_exact():
-    assert [n for n in range(2, 20000) if _is_prime(n)] == [
-        n for n in range(2, 20000) if _trial_prime(n)]
-    # the least strong pseudoprimes to the first 7, 9 and 12 prime bases
-    for n in (341550071728321, 3825123056546413051,
-              318665857834031151167461):
-        assert not _is_prime(n)
-    assert _is_prime(2 ** 61 - 1)
+def test_rational_roots_edge_cases():
+    d = UniPoly.x()
+    # roots at dyadic points, which bisection meets as exact midpoints
+    p = UniPoly.from_roots([F(1, 2), F(3, 4), 8, -8, F(-1, 2)]) * (d * d + 3)
+    assert p.rational_roots() == (
+        [(F(1, 2), 1), (F(-1, 2), 1), (F(3, 4), 1), (8, 1), (-8, 1)],
+        d * d + 3)
+    # a double root with a denominator near 10^9
+    q = 10 ** 9 + 7
+    p = (d.scale(q) - 123456789) ** 2 * (d * d - 2)
+    assert p.rational_roots() == ([(F(123456789, q), 2)],
+                                  (d * d - 2).scale(q * q))
+    # two roots 1/q^2 apart
+    q = 1000
+    p = UniPoly.from_roots([F(1, q), F(q + 1, q * q), 5]) * (d * d + d + 1)
+    assert p.rational_roots() == (
+        [(F(1, q), 1), (5, 1), (F(q + 1, q * q), 1)], d * d + d + 1)
+    # a negative leading coefficient
+    p = UniPoly.from_roots([F(2, 3), -1, 4]).scale(-6)
+    assert p.rational_roots() == ([(-1, 1), (F(2, 3), 1), (4, 1)],
+                                  UniPoly.const(-6))
+    # a constant, and d^j alone
+    assert UniPoly.const(F(-5, 3)).rational_roots() == (
+        [], UniPoly.const(F(-5, 3)))
+    assert UniPoly({4: F(-1, 3)}).rational_roots() == (
+        [(0, 4)], UniPoly.const(F(-1, 3)))
 
 
 def test_rational_roots_of_two_large_prime_factors():
-    # trial division up to the square root of 10^18 would take minutes
+    # the root is found by bisection, however its numerator factors
     n = 1000000007 * 998244353
     start = time.perf_counter()
     roots = UniPoly({1: 1, 0: -n}).rational_roots()
@@ -166,21 +189,21 @@ def test_rational_roots_of_two_large_prime_factors():
 
 
 def test_rational_roots_of_three_large_prime_factors():
-    # the constant term is above the bound where Miller-Rabin is exact, so
-    # its "composite" verdict must send it to Pollard's rho; trial division
-    # would not finish.  A subprocess, so that a hang fails by timeout
-    n = 1000000007 * 998244353 * 1000000009
+    # constant terms with three prime factors near 10^9, and the prime
+    # 2^89 - 1, which no divisor search can split quickly.  A subprocess, so
+    # that a hang fails by timeout
     env = dict(os.environ, PYTHONPATH=str(Path(exactcore.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", "from chernpol.exactcore import UniPoly; "
-         f"print(UniPoly({{1: 1, 0: -{n}}}).rational_roots())"],
-        env=env, capture_output=True, text=True, check=True, timeout=10)
-    assert out.stdout.strip() == f"([(Fraction({n}, 1), 1)], 1)"
+    for n in (1000000007 * 998244353 * 1000000009, 2 ** 89 - 1):
+        out = subprocess.run(
+            [sys.executable, "-c", "from chernpol.exactcore import UniPoly; "
+             f"print(UniPoly({{1: 1, 0: -{n}}}).rational_roots())"],
+            env=env, capture_output=True, text=True, check=True, timeout=10)
+        assert out.stdout.strip() == f"([(Fraction({n}, 1), 1)], 1)"
 
 
 def test_rational_roots_with_a_huge_constant_term():
-    # the constant term -9 * 2^64 * 3^40 has small prime factors only, so
-    # its divisors come from its factorisation, not a scan up to its root
+    # the constant term -2^64 * 3^42 has 2795 divisors, and bisection
+    # lists none of them
     d = UniPoly.x()
     irreducible = d * d + 2 ** 64 * 3 ** 40
     p = (d - 1) * (d.scale(2) + 3) ** 2 * irreducible
@@ -290,7 +313,7 @@ def test_multipoly_truncation():
     p = f ** 5
     assert p.truncate(2) == f.mul_truncated(f, 2).mul_truncated(f, 2) \
         .mul_truncated(f, 2).mul_truncated(f, 2)
-    assert p.truncate(TruncationPolicy(0)) == 1
+    assert p.truncate(0) == 1
 
 
 def test_multipoly_substitute_and_json():
