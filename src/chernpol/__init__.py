@@ -15,9 +15,9 @@ __version__ = "1.0.0"
 # submodule -> the names this package exports from it
 _EXPORTS = {
     "exactcore": ("DuplicateAbscissaError", "InconsistentDataError",
-                  "MultiPoly", "NotInvertibleError", "OutOfDomainError",
-                  "TruncationPolicy", "UniPoly", "interpolate",
-                  "series_invert"),
+                  "NotInvertibleError", "OutOfDomainError", "TruncationPolicy",
+                  "UniPoly"),
+    "multipoly": ("MultiPoly", "interpolate", "series_invert"),
     "symfunc": ("BASES", "catalan_triangle", "conjugate", "convert_expansion",
                 "enumerate_partitions", "expand_in_basis", "syt_count",
                 "to_x_expansion"),
@@ -26,8 +26,9 @@ _EXPORTS = {
     "rising": ("RisingProductSpec", "direct_rising_oracle",
                "leading_coefficient", "simple_coefficient",
                "stirling_coefficient", "vector_partitions"),
-    "chern": ("ChernPolynomial", "chern_direct", "chern_interpolated",
-              "euler_c2_closed", "leading_term", "odd_grouped_coefficient"),
+    "record": ("ChernPolynomial",),
+    "chern": ("chern_direct", "chern_interpolated", "euler_c2_closed",
+              "leading_term", "odd_grouped_coefficient"),
     "orbits": ("enumerate_orbit", "orbit_factorization_check", "orbit_term",
                "orbit_types"),
     "enumgeo": ("chern_grassmannian", "expected_dimension", "fano_chi_lines",

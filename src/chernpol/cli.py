@@ -16,7 +16,8 @@ from .exactcore import (InconsistentDataError, OutOfDomainError,
 from .symfunc import BASES, expand_in_basis
 
 # the computing modules (chern, rising, orbits, enumgeo) are imported inside
-# the handlers that run them, so each command loads only what it executes
+# the handlers that run them, so each command loads only what it executes; a
+# cached chern query reads its record through ``record`` and loads no chern
 
 CACHE_ENV = "CHERNPOL_CACHE_DIR"
 
@@ -45,13 +46,16 @@ def _cache_path(cache_dir: str, n: int, k: int) -> str:
 
 
 def _checksum(payload: dict) -> str:
-    import hashlib
+    try:    # CPython's own SHA-256: hashlib's digest, without loading OpenSSL
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
     blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
-                         no_cache: bool = False) -> chern.ChernPolynomial:
+                         no_cache: bool = False) -> record.ChernPolynomial:
     """Monomial-basis ChernPolynomial for (n, k), through the JSON cache.
 
     Unreadable, corrupt or stale files, and files holding another (n, k) or
@@ -59,9 +63,10 @@ def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
     atomic (write-temp-then-rename), and a cache that cannot be written
     gives a warning and the uncached answer.
     """
-    from . import chern
     if no_cache:
+        from . import chern
         return chern.chern_interpolated(n, k, "monomial")
+    from . import record
     cache_dir = cache_dir or default_cache_dir()
     path = _cache_path(cache_dir, n, k)
     if os.path.exists(path):
@@ -71,7 +76,7 @@ def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
             payload = doc["payload"]
             if doc.get("checksum") != _checksum(payload):
                 raise ValueError("checksum mismatch")
-            cp = chern.ChernPolynomial.from_json(payload)
+            cp = record.ChernPolynomial.from_json(payload)
             if (cp.n, cp.k, cp.basis) != (n, k, "monomial"):
                 raise ValueError(f"entry is for n={cp.n}, k={cp.k}, "
                                  f"{cp.basis} basis")
@@ -80,6 +85,7 @@ def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
                 AttributeError) as exc:
             print(f"warning: recomputing corrupt/stale cache entry {path}: {exc}",
                   file=sys.stderr)
+    from . import chern
     result = chern.chern_interpolated(n, k, "monomial")
     payload = result.to_json()
     doc = {"checksum": _checksum(payload), "payload": payload}
@@ -128,7 +134,7 @@ def _partition_label(lam, basis: str) -> str:
     return f"{BASES[basis]}[{','.join(map(str, lam))}]"
 
 
-def _render_text(cp: chern.ChernPolynomial, d, shown: dict) -> str:
+def _render_text(cp: record.ChernPolynomial, d, shown: dict) -> str:
     """Header for c_k at degree ``d`` (a number or "d"), then one line per
     basis element with its coefficient as shown."""
     lines = [f"c_{cp.k}(Pol^{d}(C^{cp.n})) in {cp.basis} basis:"]
@@ -139,7 +145,7 @@ def _render_text(cp: chern.ChernPolynomial, d, shown: dict) -> str:
     return "\n".join(lines)
 
 
-def render_chern(cp: chern.ChernPolynomial, fmt: str, factored: bool) -> str:
+def render_chern(cp: record.ChernPolynomial, fmt: str, factored: bool) -> str:
     if fmt == "json":
         return json.dumps(cp.to_json(), indent=2)
     show = factored_str if factored else repr
@@ -157,7 +163,7 @@ def _parse_vector(s: str) -> tuple:
         raise UsageError(f"not a comma-separated integer vector: {s!r}")
 
 
-def _get_chern(args) -> chern.ChernPolynomial:
+def _get_chern(args) -> record.ChernPolynomial:
     cp = cache_get_or_compute(args.n, args.k, args.cache_dir, args.no_cache)
     return cp.in_basis(args.basis)
 
@@ -167,8 +173,8 @@ def cmd_chern(args) -> str:
 
 
 def cmd_chern_eval(args) -> str:
-    from . import chern
-    chern.check_degree(args.d, args.n)  # before anything is computed or cached
+    from . import record
+    record.check_degree(args.d, args.n)  # before anything is computed or cached
     cp = _get_chern(args)
     values = cp.evaluate(args.d)
     if args.format == "json":
@@ -359,7 +365,10 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Given one of COMMANDS, only that
+    subcommand's parser gets its arguments; the others are still registered,
+    so the top-level help and an unknown command's error stay the same."""
     parser = argparse.ArgumentParser(
         prog="chernpol",
         description="Exact Chern-class computations for spaces of forms, "
@@ -367,6 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, required, optional) in COMMANDS.items():
         p = sub.add_parser(name)
+        if command in COMMANDS and name != command:
+            continue
         for flag in required:
             p.add_argument("--" + flag, required=True, **FLAGS[flag])
         for flag in optional + ("format",):
@@ -382,7 +393,8 @@ def _report(args, exc: Exception, label: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -10,8 +10,9 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .chern import check_degree, chern_direct, chern_values, euler_coefficient
-from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
-                        as_integer, interpolate_integers, series_invert, xvars)
+from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly, as_integer,
+                        interpolate_integers, xvars)
+from .multipoly import MultiPoly, series_invert
 from .symfunc import (NotSymmetricError, catalan_triangle, partition_of,
                       schur_coefficient)
 

@@ -1,7 +1,7 @@
-"""Exact rational polynomial arithmetic: univariate and sparse multivariate
-polynomials over Q on one shared core, rational roots of univariate
-polynomials, truncated power-series inversion, and exact interpolation:
-Lagrange, and in integers from the values at 0, 1, ..., N.
+"""Exact rational arithmetic: the shared errors, ``Fraction`` helpers, the
+polynomial core ``_Poly`` that univariate and multivariate polynomials share,
+univariate polynomials over Q, and interpolation in integers from the values
+at 0, 1, ..., N.
 
 All coefficients at the API are ``fractions.Fraction``; nothing here ever
 rounds.  Polynomial products and the rational-root test run on integer
@@ -9,6 +9,11 @@ numerators over one shared denominator per operand (``_cleared``), and the
 products turn their integer sums back into ``Fraction``s once, on exit
 (``_rebuilt``).  Arithmetic results are built by ``_new``, which trusts its
 terms; ``__init__`` validates terms that come from outside.
+
+This is all a cached query needs.  ``MultiPoly``, Lagrange ``interpolate``
+and ``series_invert`` live in ``multipoly`` and the rational-root search in
+``roots``; both load on first use.  Those three names also resolve here
+(``exactcore.MultiPoly`` is ``multipoly.MultiPoly``).
 """
 
 from __future__ import annotations
@@ -63,99 +68,6 @@ def xvars(n: int) -> tuple:
     """The variable names x1..xn."""
     return tuple(f"x{i+1}" for i in range(n))
 
-
-def _divide_out(a: list, p: int, q: int):
-    """The integer coefficients of ``A / (q·x − p)`` for the integer
-    polynomial ``A = Σ a_i x^i``, or None if ``p/q`` is not a root of A.
-
-    Synthetic division from the top: ``b_{i-1} = (a_i + p·b_i) / q``.  For
-    ``p/q`` in lowest terms the quotient of a root is integral (Gauss's
-    lemma), so an inexact step or a nonzero remainder means no root."""
-    b = [0] * (len(a) - 1)
-    carry = 0
-    for i in range(len(a) - 1, 0, -1):
-        s = a[i] + p * carry
-        if s % q:
-            return None
-        carry = b[i - 1] = s // q
-    return b if a[0] + p * carry == 0 else None
-
-
-def _taylor_shift(p: list) -> list:
-    """The coefficients of ``P(x + 1)``."""
-    p = list(p)
-    for i in range(len(p) - 1):
-        for j in range(len(p) - 2, i - 1, -1):
-            p[j] += p[j + 1]
-    return p
-
-
-def _sign_changes(p: list) -> int:
-    signs = [v > 0 for v in p if v]
-    return sum(x != y for x, y in zip(signs, signs[1:]))
-
-
-def _positive_root_candidates(b: list) -> list:
-    """Fractions among which lie the positive rational roots of the integer
-    polynomial ``B = Σ b_i x^i`` with ``b_0 ≠ 0``: Descartes bisection
-    (Collins and Akritas, 1976), which needs no factoring.
-
-    Every positive root is below ``2^k``, k the least integer >= 1 with
-    ``|b_i| <= |b_N|·2^((k-1)(N-i))`` for each b_i of sign opposite to b_N.
-    An interval ``(c/2^s, (c+1)/2^s)`` carries an integer polynomial whose
-    roots in (0, 1) are B's roots in the interval; it is dropped when the
-    sign changes of ``(1+x)^N P(1/(1+x))`` (its Descartes count) are 0, and
-    halved by ``2^N P(x/2)`` and a Taylor shift, recording a root at the
-    midpoint exactly.  An interval with count 1 and no root at its right
-    end holds one simple root, and is halved by the sign of P at its
-    midpoint instead.  Every rational root p/q has q | b_N, so once
-    ``|b_N|·width < 1`` the one integer y with y/|b_N| inside the interval,
-    if any, is the only candidate there.
-    """
-    lead, top = abs(b[-1]), len(b) - 1
-    bits = []
-    for i, v in enumerate(b):
-        if (v < 0) != (b[-1] < 0):
-            e = max(0, abs(v).bit_length() - lead.bit_length())
-            e += abs(v) > lead << e               # least e: |b_i| <= |b_N|·2^e
-            bits.append(-(-e // (top - i)))
-    if not bits:
-        return []
-    k = 1 + max(bits)
-    found, stack = [], [(0, -k, [v << k * i for i, v in enumerate(b)])]
-    while stack:
-        c, s, p = stack.pop()
-        count = _sign_changes(_taylor_shift(p[::-1]))
-        if count == 1 and sum(p):
-            # one simple root: halve by the sign of P at the midpoint, which
-            # is 2^(tN) P(m/2^t) in integers for m/2^t in local coordinates
-            n, c0, s0 = len(p) - 1, c, s
-            while count and lead.bit_length() > s:
-                c, s = 2 * c + 1, s + 1
-                mid, t = c - (c0 << s - s0), s - s0
-                h = p[-1]
-                for i in range(n - 1, -1, -1):
-                    h = h * mid + (p[i] << t * (n - i))
-                if not h:
-                    found.append(c * Fraction(2) ** -s)
-                    count = 0
-                elif (h > 0) != (p[0] > 0):
-                    c -= 1
-        if not count:
-            continue
-        if lead.bit_length() <= s:                # |b_N|·width < 1
-            y = (lead * c >> s) + 1
-            if y << s < lead * (c + 1):
-                found.append(Fraction(y, lead))
-            continue
-        left = [v << (len(p) - 1 - i) for i, v in enumerate(p)]
-        right = _taylor_shift(left)
-        if not right[0]:
-            found.append((2 * c + 1) * Fraction(2) ** -(s + 1))
-            while not right[0]:
-                right.pop(0)
-        stack += [(2 * c, s + 1, left), (2 * c + 1, s + 1, right)]
-    return found
 
 
 def _cleared(terms: Mapping) -> tuple:
@@ -358,32 +270,12 @@ class UniPoly(_Poly):
 
         On one integer list A with coefficients a_0..a_N (denominators
         cleared, d^low divided out): Descartes bisection of A(x) and A(-x)
-        (``_positive_root_candidates``) proposes the candidates, and each
-        p/q in lowest terms is divided out by synthetic division by
+        (``roots._positive_root_candidates``) proposes the candidates, and
+        each p/q in lowest terms is divided out by synthetic division by
         ``q·x − p`` for as long as that is exact (Gauss's lemma).
         """
-        if not self.terms:
-            raise ValueError("the zero polynomial has every root")
-        low = min(self.terms)
-        roots = [(Fraction(0), low)] if low else []
-        D, pairs = _cleared(self.terms)
-        a = [0] * (max(self.terms) - low + 1)
-        for e, n in pairs:
-            a[e - low] = n
-        candidates = _positive_root_candidates(a) + [
-            -r for r in _positive_root_candidates(
-                [-v if i % 2 else v for i, v in enumerate(a)])]
-        candidates.sort(key=lambda r: (abs(r.numerator), r.denominator, r < 0))
-        qs = 1                               # the product of the q divided out
-        for r in candidates:
-            p, q, mult = r.numerator, r.denominator, 0
-            while (b := _divide_out(a, p, q)) is not None:
-                a, mult = b, mult + 1
-            if mult:
-                roots.append((r, mult))
-                qs *= q ** mult
-        # self = d^low · ∏(q·d − p)^mult · Σ a_i d^i / D
-        return roots, self._new(_rebuilt({i: qs * c for i, c in enumerate(a)}, D))
+        from .roots import rational_roots
+        return rational_roots(self)
 
     # -- evaluation / composition ---------------------------------------
     def __call__(self, value):
@@ -421,185 +313,9 @@ class UniPoly(_Poly):
         return self.var if e == 1 else f"{self.var}^{e}"
 
 
-class MultiPoly(_Poly):
-    """Sparse multivariate polynomial over Q: {exponent tuple: Fraction}."""
-
-    __slots__ = ("vars",)
-
-    def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Fraction] | None = None):
-        self.vars = tuple(vars)
-        self.terms = {}
-        if terms:
-            n = len(self.vars)
-            for ev, c in terms.items():
-                if len(ev) != n:
-                    raise ValueError("exponent vector length mismatch")
-                c = rat(c)
-                if c != 0:
-                    self.terms[tuple(int(e) for e in ev)] = c
-
-    @classmethod
-    def const(cls, c, vars: Sequence[str]) -> "MultiPoly":
-        return cls(vars, {(0,) * len(vars): rat(c)})
-
-    @classmethod
-    def linear_factor(cls, weights: Sequence[int]) -> "MultiPoly":
-        """1 + w_1 x_1 + ... + w_n x_n in the variables xvars(n)."""
-        n = len(weights)
-        terms = {(0,) * n: Fraction(1)}
-        for i, w in enumerate(weights):
-            if w:
-                terms[tuple(1 if j == i else 0 for j in range(n))] = Fraction(w)
-        return cls(xvars(n), terms)
-
-    @classmethod
-    def var(cls, name: str, vars: Sequence[str]) -> "MultiPoly":
-        vars = tuple(vars)
-        i = vars.index(name)
-        ev = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(vars, {ev: Fraction(1)})
-
-    def _new(self, terms: dict) -> "MultiPoly":
-        out = object.__new__(MultiPoly)
-        out.vars, out.terms = self.vars, terms
-        return out
-
-    def _coerce(self, other) -> "MultiPoly":
-        if isinstance(other, MultiPoly):
-            if other.vars != self.vars:
-                raise ValueError("variable mismatch")
-            return other
-        return MultiPoly.const(other, self.vars)
-
-    def coeff(self, ev: tuple) -> Fraction:
-        return self.terms.get(tuple(ev), Fraction(0))
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
-
-    def total_degree(self):
-        if not self.terms:
-            return None
-        return max(sum(ev) for ev in self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, MultiPoly):
-            return self.vars == other.vars and self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == MultiPoly.const(other, self.vars)
-        return NotImplemented
-
-    def __hash__(self):
-        # as __eq__: a constant hashes as the number it equals
-        if self.terms.keys() <= {(0,) * len(self.vars)}:
-            return hash(self.constant_term())
-        return hash((self.vars, frozenset(self.terms.items())))
-
-    def _mul(self, other):
-        return self.mul_truncated(other, None)
-
-    def mul_truncated(self, other: "MultiPoly", max_degree: int | None) -> "MultiPoly":
-        """Product, dropping result terms of total degree > max_degree."""
-        other = self._coerce(other)
-        D1, a = _cleared(self.terms)
-        D2, b = _cleared(other.terms)
-        b = [(ev2, sum(ev2), n2) for ev2, n2 in b]
-        widest = max((d2 for _, d2, _ in b), default=0)
-        sums: dict[tuple, int] = {}
-        for ev1, n1 in a:
-            room = widest if max_degree is None else max_degree - sum(ev1)
-            for ev2, d2, n2 in b:
-                if d2 > room:
-                    continue
-                ev = tuple(map(add, ev1, ev2))
-                sums[ev] = sums.get(ev, 0) + n1 * n2
-        return self._new(_rebuilt(sums, D1 * D2))
-
-    def truncate(self, m: int) -> "MultiPoly":
-        return self._new({ev: c for ev, c in self.terms.items() if sum(ev) <= m})
-
-    def filter_terms(self, keep) -> "MultiPoly":
-        return self._new({ev: c for ev, c in self.terms.items() if keep(ev)})
-
-    def homogeneous_component(self, k: int) -> "MultiPoly":
-        return self.filter_terms(lambda ev: sum(ev) == k)
-
-    def evaluate(self, values: Mapping[str, Fraction]):
-        """Full evaluation at rational values for every variable."""
-        total = Fraction(0)
-        vals = [rat(values[v]) for v in self.vars]
-        for ev, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, ev):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
-    def is_symmetric(self) -> bool:
-        """Invariance under all adjacent transpositions of the variables."""
-        n = len(self.vars)
-        for i in range(n - 1):
-            for ev, c in self.terms.items():
-                swapped = list(ev)
-                swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
-                if self.terms.get(tuple(swapped), Fraction(0)) != c:
-                    return False
-        return True
-
-    def to_json(self) -> list:
-        return [[list(ev), rat_to_str(c)]
-                for ev, c in sorted(self.terms.items())]
-
-    @classmethod
-    def from_json(cls, data: Sequence, vars: Sequence[str]) -> "MultiPoly":
-        return cls(vars, {tuple(ev): Fraction(c) for ev, c in data})
-
-    @staticmethod
-    def _repr_key(ev: tuple) -> tuple:
-        return (sum(ev), ev)
-
-    def _mono(self, ev: tuple) -> str:
-        return "*".join((v if e == 1 else f"{v}^{e}")
-                        for v, e in zip(self.vars, ev) if e)
-
-
 # ---------------------------------------------------------------------------
-# interpolation
+# interpolation in integers
 # ---------------------------------------------------------------------------
-
-def interpolate(points, degree_bound: int, var: str = "d") -> UniPoly:
-    """Unique polynomial of degree <= degree_bound through the first
-    degree_bound+1 points; any extra points act as consistency guards.
-
-    Raises DuplicateAbscissaError on repeated abscissas and
-    InconsistentDataError when a guard point misses the curve (which signals
-    a wrong degree bound upstream).
-    """
-    pts = [(int(a), rat(v)) for a, v in points]
-    if len({a for a, _ in pts}) != len(pts):
-        raise DuplicateAbscissaError("duplicate interpolation abscissas")
-    if len(pts) < degree_bound + 1:
-        raise ValueError("need at least degree_bound+1 points")
-    base = pts[: degree_bound + 1]
-    # Newton's divided differences, exact.
-    xs = [a for a, _ in base]
-    coef = [v for _, v in base]
-    for j in range(1, len(base)):
-        for i in range(len(base) - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = UniPoly({}, var=var)
-    basis = UniPoly.const(1, var=var)
-    for i, c in enumerate(coef):
-        poly = poly + basis.scale(c)
-        if i < len(coef) - 1:
-            basis = basis * UniPoly({1: Fraction(1), 0: -Fraction(xs[i])}, var=var)
-    for a, v in pts[degree_bound + 1:]:
-        if poly(a) != v:
-            raise InconsistentDataError(
-                f"guard point ({a}, {v}) not on interpolated polynomial")
-    return poly
-
 
 def interpolate_integers(values: Sequence[int], var: str = "d") -> UniPoly:
     """The polynomial of degree < len(values) with value values[i] at i =
@@ -617,23 +333,14 @@ def interpolate_integers(values: Sequence[int], var: str = "d") -> UniPoly:
     return UniPoly({e: Fraction(a, scale) for e, a in enumerate(acc)}, var=var)
 
 
-# ---------------------------------------------------------------------------
-# Truncated power series inversion
-# ---------------------------------------------------------------------------
+# names read from ``multipoly``, which a cached query never loads, on first
+# use (PEP 562)
+_FROM_MULTIPOLY = ("MultiPoly", "interpolate", "series_invert")
 
-def series_invert(f: MultiPoly, policy: TruncationPolicy) -> MultiPoly:
-    """Multiplicative inverse of a series with constant term 1, truncated."""
-    if f.constant_term() != 1:
-        raise NotInvertibleError("series inversion needs constant term 1")
-    m = policy.max_total_degree
-    g = f.truncate(m)
-    h = MultiPoly.const(1, f.vars) - g      # no constant term
-    # 1/(1-h) = 1 + h + h^2 + ...  (h nilpotent up to truncation degree)
-    out = MultiPoly.const(1, f.vars)
-    power = MultiPoly.const(1, f.vars)
-    for _ in range(m):
-        power = power.mul_truncated(h, m)
-        if power.is_zero():
-            break
-        out = out + power
-    return out
+
+def __getattr__(name: str):
+    # not stored here, so this name always reads multipoly's binding
+    if name not in _FROM_MULTIPOLY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import multipoly
+    return getattr(multipoly, name)

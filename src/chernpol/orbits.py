@@ -11,8 +11,9 @@ from fractions import Fraction
 from functools import reduce
 
 from .chern import chern_direct
-from .exactcore import (InconsistentDataError, MultiPoly, OutOfDomainError,
-                        TruncationPolicy, interpolate, xvars)
+from .exactcore import (InconsistentDataError, OutOfDomainError,
+                        TruncationPolicy, xvars)
+from .multipoly import MultiPoly, interpolate
 from .symfunc import expand_in_basis, multiplicities
 
 

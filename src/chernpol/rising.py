@@ -12,8 +12,8 @@ from functools import lru_cache, reduce
 from math import factorial
 from operator import mul
 
-from .exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy, UniPoly,
-                        xvars)
+from .exactcore import OutOfDomainError, TruncationPolicy, UniPoly, xvars
+from .multipoly import MultiPoly
 from .specialization import M_tilde
 from .symfunc import dominance_key, mult_factorial
 

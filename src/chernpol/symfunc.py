@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
 
-from .exactcore import InconsistentDataError, MultiPoly, as_integer, xvars
+from .exactcore import InconsistentDataError, as_integer, xvars
 
 # basis name -> the letter that labels its elements (m[2,1], e[1], ...)
 BASES = {"monomial": "m", "elementary": "e", "schur": "s", "power": "p"}
@@ -167,6 +167,7 @@ def _monomial_row(basis: str, lam: tuple, n: int) -> dict:
 
 def _row_x(row: dict, n: int) -> MultiPoly:
     """The sum of c m_nu over {nu: c} as a polynomial in x1..xn."""
+    from .multipoly import MultiPoly
     return MultiPoly(xvars(n), {
         ev: c for nu, c in row.items()
         for ev in set(itertools.permutations(nu + (0,) * (n - len(nu))))})

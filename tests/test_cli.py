@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -231,6 +232,15 @@ def test_cache_checksum_mismatch_recovers(capsys, tmp_path):
     assert "warning" in err
 
 
+def test_cache_checksum_is_sha256_of_the_sorted_payload(capsys, tmp_path):
+    # the chernpol-cache-2 checksum, whichever SHA-256 implementation runs
+    run_cli(["chern", "--n", "2", "--k", "2", "--cache-dir", str(tmp_path)],
+            capsys)
+    doc = json.loads((tmp_path / "chern_n2_k2.json").read_text())
+    blob = json.dumps(doc["payload"], sort_keys=True).encode()
+    assert doc["checksum"] == hashlib.sha256(blob).hexdigest()
+
+
 def test_cache_entry_of_old_format_is_recomputed(capsys, tmp_path):
     argv = ["chern", "--n", "2", "--k", "2", "--basis", "e",
             "--cache-dir", str(tmp_path)]
@@ -363,6 +373,60 @@ def test_readme_examples_parse():
     parser = cli.build_parser()
     for argv in examples:
         parser.parse_args(argv)
+
+
+def _parsed(parser, argv):
+    """(exit code or None, namespace as a dict or None, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, ns = None, vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            code, ns = exc.code, None
+    return code, ns, out.getvalue(), err.getvalue()
+
+
+# a value for every flag of cli.FLAGS (None: the flag takes no value)
+FLAG_VALUES = {"n": "3", "k": "2", "d": "4", "m": "3", "r": "1", "basis": "e",
+               "type": "2,1", "format": "json", "cache-dir": "cache",
+               "no-cache": None, "method": "closed", "spec-file": "spec.json",
+               "factored": None}
+
+
+def _with_flags(command, flags):
+    argv = [command]
+    for flag in flags:
+        argv += ["--" + flag] + ([FLAG_VALUES[flag]] if FLAG_VALUES[flag] else [])
+    return argv
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_one_command_parser_matches_the_full_parser(command):
+    # build_parser(command) gives the other subcommands no arguments; on
+    # the command itself it must parse, help and fail as build_parser() does
+    full, own = cli.build_parser(), cli.build_parser(command)
+    _, required, optional = cli.COMMANDS[command]
+    valid = [_with_flags(command, required),
+             _with_flags(command, required + optional + ("format",))]
+    errors = [_with_flags(command, [f for f in required if f != missing])
+              for missing in required]
+    errors += [argv + ["--basis", "x"] for argv in valid if "basis" in optional]
+    errors += [argv + ["--method", "fastest"] for argv in valid
+               if "method" in optional]
+    errors += [["frobenius"], ["frobenius", "--n", "2"]]
+    for argv in valid:
+        code, ns, _, _ = _parsed(own, argv)
+        assert code is None and ns == _parsed(full, argv)[1], argv
+    for argv in errors:
+        result = _parsed(own, argv)
+        assert result[0] == cli.EXIT_USAGE and result[3], argv
+        assert result == _parsed(full, argv), argv
+    help_argv = [command, "--help"]
+    assert _parsed(own, help_argv) == _parsed(full, help_argv)
+    assert own.format_help() == full.format_help()
+    # a first argument that is not a command builds every subcommand
+    assert (_parsed(cli.build_parser("frobenius"), ["frobenius"])
+            == _parsed(full, ["frobenius"]))
 
 
 # ---------------------------------------------------------------------------

@@ -193,13 +193,13 @@ def test_sigma_symbolic_matches_schur_expansion(m, r):
 
 
 def test_sigma_symbolic_reads_one_coefficient(monkeypatch):
-    from chernpol import chern, symfunc
+    from chernpol import record, symfunc
     expected = sigma_degree_symbolic(4, 2)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("one Schur coefficient needs no basis change")
 
-    for module in (chern, symfunc):
+    for module in (record, symfunc):
         monkeypatch.setattr(module, "convert_expansion", forbidden)
     monkeypatch.setattr(symfunc, "expand_in_basis", forbidden)
     assert sigma_degree_symbolic(4, 2) == expected

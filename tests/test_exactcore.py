@@ -12,9 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from chernpol import exactcore
 from chernpol.exactcore import (DuplicateAbscissaError, InconsistentDataError,
                                 MultiPoly, NotInvertibleError,
-                                TruncationPolicy, UniPoly, _cleared,
-                                _divide_out, _rebuilt, interpolate,
-                                interpolate_integers, series_invert)
+                                TruncationPolicy, UniPoly, _cleared, _rebuilt,
+                                interpolate, interpolate_integers,
+                                series_invert)
+from chernpol.roots import _divide_out
 
 
 def test_unipoly_basics():

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -84,11 +85,27 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     chern_argv = ["chern", "--n", "4", "--k", "3", "--basis", "s",
                   "--cache-dir", str(tmp_path)]
     _run(chern_argv)                                # fills the cache
-    assert _run(chern_argv) == core | {"chernpol.chern"}
+    # a cache hit reads the record and computes nothing
+    warm = core | {"chernpol.record"}
+    assert _run(chern_argv) == warm
+    assert _run(chern_argv + ["--factored"]) == warm | {"chernpol.roots"}
+    assert _run(chern_argv + ["--no-cache"]) == warm | {
+        "chernpol.chern", "chernpol.specialization"}
     assert _run(["stirling-coeff", "--spec-file",
                  str(ROOT / "bench" / "odd_spec.json"), "--type", "2,1"]) \
-        == core | {"chernpol.rising", "chernpol.specialization"}
+        == core | {"chernpol.multipoly", "chernpol.rising",
+                   "chernpol.specialization"}
     assert _run(["--help"]) == core
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,
+                    reason="no built-in _sha256 module")
+def test_cache_hit_loads_no_openssl(tmp_path):
+    argv = ["chern", "--n", "2", "--k", "3", "--cache-dir", str(tmp_path)]
+    _run(argv)                                      # fills the cache
+    report = _fresh(PROBE, *argv)
+    assert report["code"] == 0
+    assert "_hashlib" not in report["new"]
 
 
 def test_import_chernpol_loads_no_submodule():
