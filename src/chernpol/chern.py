@@ -131,13 +131,6 @@ def euler_c2_closed(d: int) -> list:
     return out
 
 
-def euler_coefficient(d: int, j: int) -> int:
-    """e^d_j, i.e. coef(s_{d+1-j,j}, c_{d+1}) for n = 2; 0 out of range."""
-    if j < 0 or j > (d + 1) // 2:
-        return 0
-    return dict(euler_c2_closed(d))[j]
-
-
 def odd_spec() -> RisingProductSpec:
     """The rising product in delta = (d-1)/2 obtained by pairing opposite
     weight factors of the n = 2 product at odd d, written in e_1, e_2."""

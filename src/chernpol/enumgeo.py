@@ -1,7 +1,8 @@
 """Enumerative applications: integration over Grassmannians via Schur
 coefficients, Chern classes of Grassmannians, degrees of the varieties of
 hypersurfaces containing linear subspaces, and degrees and Euler
-characteristics of Fano schemes of lines.
+characteristics of Fano schemes of lines, each in one closed form at every
+expected dimension.
 """
 
 from __future__ import annotations
@@ -9,12 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .chern import check_degree, chern_direct, chern_values, euler_coefficient
+from .chern import check_degree, chern_direct, chern_values, euler_c2_closed
 from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly, as_integer,
                         interpolate_integers, xvars)
 from .multipoly import MultiPoly, series_invert
-from .symfunc import (NotSymmetricError, catalan_triangle, partition_of,
-                      schur_coefficient)
+from .symfunc import (NotSymmetricError, catalan_triangle, expand_in_basis,
+                      partition_of, schur_coefficient)
 
 
 class EmptyFanoError(OutOfDomainError):
@@ -164,19 +165,25 @@ def _check_fano_domain(d: int, m: int) -> int:
     return delta
 
 
-def fano_degree_lines(d: int, m: int, method: str = "closed") -> int:
-    """deg F_1(d,m) under the Pluecker embedding.
+def _pair_with_euler_class(d: int, m: int, schur: dict):
+    """Integral of c_{d+1}(Pol^d(S)) * sum c_mu s_mu over Gr_2(C^(m+1)), for
+    {mu: c_mu} with |mu| = 2m-3-d: s_mu pairs only with s_(m-1-mu_2,
+    m-1-mu_1) (Poincare duality), so it is sum c_mu e^d_(m-1-mu_1)."""
+    e = dict(euler_c2_closed(d))
+    return sum(c * e.get(m - 1 - (mu[0] if mu else 0), 0)
+               for mu, c in schur.items())
 
-    closed: the Catalan-triangle sum over the Schur coefficients of the
-    Euler class; integral: direct integration of e(Pol^d(S)) * c_1(S^v)^delta
-    over Gr_2(C^(m+1)).
-    """
+
+def fano_degree_lines(d: int, m: int, method: str = "closed") -> int:
+    """deg F_1(d,m) under the Pluecker embedding, the integral of
+    e(Pol^d(S)) * c_1(S^v)^delta over Gr_2(C^(m+1)). closed: the Euler-class
+    pairing of sigma_1^delta = sum C(delta-j, j) s_(delta-j, j), the
+    Catalan triangle; integral: direct integration of the product."""
     delta = _check_fano_domain(d, m)
     if method == "closed":
-        total = 0
-        for j in range(delta // 2 + 1):
-            total += catalan_triangle(delta, j) * euler_coefficient(d, d - m + 2 + j)
-        return total
+        return _pair_with_euler_class(
+            d, m, {(delta - j, j): catalan_triangle(delta, j)
+                   for j in range(delta // 2 + 1)})
     if method == "integral":
         xs = xvars(2)
         e1 = MultiPoly(xs, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
@@ -185,12 +192,19 @@ def fano_degree_lines(d: int, m: int, method: str = "closed") -> int:
     raise UnsupportedMethodError(f"unknown method {method!r}")
 
 
-def fano_chi_lines(d: int, m: int, method: str = "integral") -> int:
-    """Euler characteristic of F_1(d,m) for a generic hypersurface:
-    integral of c(Gr_2(C^(m+1))) * e(Pol^d(S)) / c(Pol^d(S)); closed forms
-    exist for expected dimension 0 (finitely many reduced points, so chi is
-    the degree), 1 and 2."""
+def fano_chi_lines(d: int, m: int, method: str = "closed") -> int:
+    """Euler characteristic of F_1(d,m) for a generic hypersurface, the
+    integral of c(Gr_2(C^(m+1))) * e(Pol^d(S)) / c(Pol^d(S)). closed: the
+    Euler-class pairing of the Schur expansion of the quotient's degree-delta
+    part; integral: direct integration of the full product."""
     delta = _check_fano_domain(d, m)
+    if method == "closed":
+        policy = TruncationPolicy(delta)
+        r = chern_grassmannian(2, m + 1, policy).mul_truncated(
+            series_invert(chern_direct(2, d, policy), policy), delta)
+        val = _pair_with_euler_class(
+            d, m, expand_in_basis(r.homogeneous_component(delta), "schur"))
+        return as_integer(val, f"Fano Euler characteristic ({d}, {m})")
     if method == "integral":
         dim = 2 * (m - 1)
         policy = TruncationPolicy(dim)
@@ -201,24 +215,6 @@ def fano_chi_lines(d: int, m: int, method: str = "integral") -> int:
         integrand = cgr.mul_truncated(e, dim).mul_truncated(cinv, dim)
         val = grassmann_integral(integrand, 2, m + 1)
         return as_integer(val, f"Fano Euler characteristic ({d}, {m})")
-    if method == "closed":
-        if delta == 0:
-            return fano_degree_lines(d, m, "closed")
-        if delta == 1:
-            return euler_coefficient(d, m - 2) * (m + 1 - comb(2 * m - 3, 2))
-        if delta == 2:
-            # coefficient polynomials obtained by exact expansion of
-            # c(Gr_2(C^(m+1))) / c(Pol^(2m-5)(C^2)) in degree 2 (fitted at
-            # m = 4..8 and guard-verified at m = 9, 10)
-            a = (2 * m**4 - 20 * m**3 + 67 * m**2 - 85 * m + 33)
-            b = (Fraction(2) * m**4 - Fraction(56, 3) * m**3
-                 + 59 * m**2 - Fraction(211, 3) * m + 26)
-            val = (euler_coefficient(d, m - 2) * a
-                   + euler_coefficient(d, m - 3) * b)
-            return as_integer(val, f"Fano Euler characteristic ({d}, {m})")
-        raise UnsupportedMethodError(
-            "closed Euler-characteristic formulas cover expected "
-            "dimensions 0, 1 and 2 only")
     raise UnsupportedMethodError(f"unknown method {method!r}")
 
 

@@ -7,7 +7,7 @@ import pytest
 from chernpol.chern import (ChernPolynomial, OutOfDomainError, chern_direct,
                             chern_interpolated, conjecture_report,
                             elementary_degree_bound, euler_c2_closed,
-                            euler_coefficient, leading_term,
+                            leading_term,
                             odd_grouped_coefficient, odd_grouped_in_d,
                             weight_vectors)
 from chernpol.exactcore import MultiPoly, TruncationPolicy, UniPoly
@@ -182,9 +182,6 @@ def test_c4_n2_elementary_degrees():
 def test_euler_small_values():
     assert euler_c2_closed(2) == [(0, 0), (1, 4)]
     assert euler_c2_closed(3) == [(0, 0), (1, 18), (2, 27)]
-    assert euler_coefficient(3, 2) == 27
-    assert euler_coefficient(3, 5) == 0
-    assert euler_coefficient(3, -1) == 0
 
 
 def test_euler_closed_matches_direct():

@@ -79,6 +79,9 @@ STIRLING_COEFFS = [
 FANO_POINTS = [
     ["fano-chi", "--d", "3", "--m", "3"],
     ["fano-chi", "--d", "5", "--m", "4"],
+    ["fano-chi", "--d", "4", "--m", "5"],      # delta = 3
+    ["fano-chi", "--d", "5", "--m", "6"],      # delta = 4
+    ["fano-chi", "--d", "15", "--m", "12"],    # delta = 6
 ]
 
 

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from chernpol import enumgeo
-from chernpol.chern import chern_direct, chern_interpolated, euler_coefficient
+from chernpol.chern import chern_direct, chern_interpolated, euler_c2_closed
 from chernpol.enumgeo import (EmptyFanoError, UnsupportedDegreeError,
                               UnsupportedMethodError, chern_grassmannian,
                               chi_deg_ratio_check, euler_class_c2,
@@ -269,6 +269,11 @@ def test_quadric_euler_class():
 # Fano schemes of lines
 # ---------------------------------------------------------------------------
 
+def _euler_coefficient(d, j):
+    """e^d_j = coef(s_(d+1-j, j), c_{d+1}) for n = 2; 0 out of range."""
+    return dict(euler_c2_closed(d)).get(j, 0)
+
+
 def test_fano_domain_checks():
     with pytest.raises(EmptyFanoError):
         fano_degree_lines(4, 3)
@@ -293,15 +298,25 @@ def test_fano_degree_curve_sequence():
         assert fano_degree_lines(2 * m - 4, m, "closed") == val
 
 
-def test_fano_degree_methods_agree():
-    for m in range(3, 8):
-        for delta in range(0, 4):
-            d = 2 * m - 3 - delta
-            if d < 2:
-                continue
-            closed = fano_degree_lines(d, m, "closed")
-            integral = fano_degree_lines(d, m, "integral")
-            assert closed == integral, (d, m)
+FANO_GRID = [(2 * m - 3 - delta, m) for m in range(3, 13)
+             for delta in range(9) if 2 * m - 3 - delta >= 2]
+
+
+def test_fano_grid_size():
+    # every (d, m) with d >= 2, 3 <= m <= 12 and 0 <= delta <= 8
+    assert len(FANO_GRID) == 74
+    assert all(0 <= expected_dimension(d, m, 1) <= 8 for d, m in FANO_GRID)
+
+
+@pytest.mark.parametrize("d, m", FANO_GRID)
+def test_fano_closed_equals_integral(d, m):
+    # the closed forms pair Euler-class coefficients from the Stirling
+    # formula with a Schur expansion; the integrals multiply out the direct
+    # product and read the volume form by the alternant
+    assert fano_degree_lines(d, m, "closed") == \
+        fano_degree_lines(d, m, "integral"), (d, m)
+    assert fano_chi_lines(d, m, "closed") == \
+        fano_chi_lines(d, m, "integral"), (d, m)
 
 
 def test_fano_chi_delta0():
@@ -319,22 +334,38 @@ def test_fano_chi_delta1():
         closed = fano_chi_lines(d, m, "closed")
         integral = fano_chi_lines(d, m, "integral")
         assert closed == integral, m
-        assert closed == euler_coefficient(d, m - 2) * \
+        assert closed == _euler_coefficient(d, m - 2) * \
             (m + 1 - comb(2 * m - 3, 2))
 
 
 def test_fano_chi_delta2():
     # m = 4 is the Fano surface of the cubic threefold: chi = 27
     assert fano_chi_lines(3, 4, "integral") == 27
-    for m in range(4, 8):
+    for m in range(4, 11):
         d = 2 * m - 5
-        assert fano_chi_lines(d, m, "closed") == \
+        # the Schur coefficients of the degree-2 part of
+        # c(Gr_2(C^(m+1))) / c(Pol^d(S)), as quartics in m
+        a = 2 * m**4 - 20 * m**3 + 67 * m**2 - 85 * m + 33
+        b = (F(2) * m**4 - F(56, 3) * m**3 + 59 * m**2 - F(211, 3) * m
+             + 26)
+        quartics = _euler_coefficient(d, m - 2) * a + \
+            _euler_coefficient(d, m - 3) * b
+        assert fano_chi_lines(d, m, "closed") == quartics == \
             fano_chi_lines(d, m, "integral"), m
 
 
-def test_fano_chi_closed_unsupported_delta():
-    with pytest.raises(UnsupportedMethodError):
-        fano_chi_lines(2 * 5 - 6, 5, "closed")   # delta = 3
+def test_fano_chi_closed_answers_delta3():
+    assert expected_dimension(4, 5, 1) == 3
+    assert fano_chi_lines(4, 5, "closed") == \
+        fano_chi_lines(4, 5, "integral") == -22464
+
+
+def test_fano_chi_defaults_to_closed(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed form integrates nothing")
+
+    monkeypatch.setattr(enumgeo, "grassmann_integral", forbidden)
+    assert fano_chi_lines(5, 6) == 11952300
 
 
 def test_chi_deg_ratio():
@@ -349,7 +380,7 @@ def test_euler_class_c2_matches_coefficients():
         top = euler_class_c2(d)
         schur = expand_in_basis(top, "schur")
         for j in range(1, (d + 1) // 2 + 1):
-            assert schur.get((d + 1 - j, j), F(0)) == euler_coefficient(d, j)
+            assert schur.get((d + 1 - j, j), F(0)) == _euler_coefficient(d, j)
 
 
 def test_non_integral_fano_degree_is_inconsistent(monkeypatch):
