@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice, product
 from math import comb, factorial, prod
-from operator import mul, sub
+from operator import le, mul, sub
 
 from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly,
                         interpolate_integers, xvars)
@@ -66,11 +66,20 @@ def chern_direct(n: int, d: int, policy: TruncationPolicy) -> MultiPoly:
     return out
 
 
-def chern_values(n: int, k: int, ds) -> dict:
-    """{nu: [coefficient of m_nu in c_k at d for d in ds]} over nu |- k
-    with at most n parts, for integers d >= 0 (module docstring); p_j[lam]
-    at d is j!/lam! * sum_s w_s C(d+n-1, n-1+s), w = moment_weights(lam)."""
+def chern_values(n: int, k: int, ds, wanted) -> dict:
+    """{nu: [coefficient of m_nu in c_k at d for d in ds]} over the
+    partitions nu of k in ``wanted`` with at most n parts, for integers
+    d >= 0 (module docstring); p_j[lam] at d is j!/lam! * sum_s w_s
+    C(d+n-1, n-1+s), w = moment_weights(lam).  The recursion computes
+    c_m[nu] only for the padded nu that lie componentwise under some wanted
+    partition: that set is closed under nu -> sort(nu - alpha) and
+    sort(alpha) for alpha <= nu, so every value it reads is exact."""
     from .specialization import moment_weights
+    wanted = [tuple(w) for w in wanted]
+    if any(sum(w) != k for w in wanted):
+        raise ValueError(f"wanted partitions must have size {k}")
+    ceilings = [tuple(sorted(w + (0,) * (n - len(w))))
+                for w in wanted if len(w) <= n]
     columns = [[comb(d + n - 1, n - 1 + s) for s in range(k + 1)] for d in ds]
     # p[j], c[m]: values of (-1)^(j-1) p_j, c_m by ascending padded partition
     p, c = [None], [{(0,) * n: [1] * len(columns)}]
@@ -79,6 +88,8 @@ def chern_values(n: int, k: int, ds) -> dict:
         c.append({})
         for nu in enumerate_partitions(m, max_length=n):
             top = tuple(sorted(nu + (0,) * (n - len(nu))))
+            if not any(all(map(le, top, w)) for w in ceilings):
+                continue
             w = moment_weights(top)
             scale = (-1) ** (m - 1) * factorial(m) // prod(map(factorial, top))
             p[m][top] = [scale * sum(map(mul, w, col)) for col in columns]
@@ -88,7 +99,7 @@ def chern_values(n: int, k: int, ds) -> dict:
                 rest = c[m - sum(alpha)][tuple(sorted(map(sub, top, alpha)))]
                 total = [t + a * b for t, a, b in zip(total, pj, rest)]
             c[m][top] = [t // m for t in total]
-    return {partition_of(top): v for top, v in c[k].items()}
+    return {partition_of(w): c[k][w] for w in ceilings}
 
 
 def chern_interpolated(n: int, k: int, basis: str = "monomial") -> ChernPolynomial:
@@ -98,8 +109,9 @@ def chern_interpolated(n: int, k: int, basis: str = "monomial") -> ChernPolynomi
         raise ValueError(f"unknown basis {basis!r}")
     if n < 1 or k < 0:
         raise OutOfDomainError("need n >= 1 and k >= 0")
-    terms = {nu: interpolate_integers(v)
-             for nu, v in chern_values(n, k, range(n * k + 1)).items() if any(v)}
+    values = chern_values(n, k, range(n * k + 1),
+                          enumerate_partitions(k, max_length=n))
+    terms = {nu: interpolate_integers(v) for nu, v in values.items() if any(v)}
     return ChernPolynomial(n, k, "monomial", terms).in_basis(basis)
 
 

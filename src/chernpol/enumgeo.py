@@ -14,8 +14,8 @@ from .chern import check_degree, chern_direct, chern_values, euler_c2_closed
 from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly, as_integer,
                         interpolate_integers, xvars)
 from .multipoly import MultiPoly, series_invert
-from .symfunc import (NotSymmetricError, catalan_triangle, expand_in_basis,
-                      partition_of, schur_coefficient)
+from .symfunc import (NotSymmetricError, alternant_terms, catalan_triangle,
+                      expand_in_basis, partition_of, schur_coefficient)
 
 
 class EmptyFanoError(OutOfDomainError):
@@ -97,11 +97,13 @@ def _check_sigma_domain(m: int, r: int) -> None:
 
 def _sigma_values(m: int, r: int, ds) -> list:
     """deg Sigma(d,m,r) at each d >= 0 of ds, by the alternant on
-    chern_values (its x^alpha coefficient is that of m_(sort alpha))."""
-    k = r + 1
-    values = chern_values(k, k * (m - r), ds)
+    chern_values (its x^alpha coefficient is that of m_(sort alpha)),
+    computed only for the at most (r+1)! partitions the alternant reads."""
+    k, lam = r + 1, (m - r,) * (r + 1)
+    values = chern_values(k, k * (m - r), ds, {
+        partition_of(alpha) for _, alpha in alternant_terms(lam, k)})
     return [schur_coefficient(lambda alpha: values[partition_of(alpha)][i],
-                              (m - r,) * k, k) for i in range(len(ds))]
+                              lam, k) for i in range(len(ds))]
 
 
 def sigma_degree(d: int, m: int, r: int) -> Fraction:
@@ -196,7 +198,8 @@ def fano_chi_lines(d: int, m: int, method: str = "closed") -> int:
     """Euler characteristic of F_1(d,m) for a generic hypersurface, the
     integral of c(Gr_2(C^(m+1))) * e(Pol^d(S)) / c(Pol^d(S)). closed: the
     Euler-class pairing of the Schur expansion of the quotient's degree-delta
-    part; integral: direct integration of the full product."""
+    part; integral: direct integration of the product, with c(Gr) and the
+    inverse built up to degree delta, all that reaches the top degree."""
     delta = _check_fano_domain(d, m)
     if method == "closed":
         policy = TruncationPolicy(delta)
@@ -206,12 +209,12 @@ def fano_chi_lines(d: int, m: int, method: str = "closed") -> int:
             d, m, expand_in_basis(r.homogeneous_component(delta), "schur"))
         return as_integer(val, f"Fano Euler characteristic ({d}, {m})")
     if method == "integral":
-        dim = 2 * (m - 1)
-        policy = TruncationPolicy(dim)
+        # e has degree d+1 = dim - delta, so only the parts of c(Gr) and
+        # of the inverse up to degree delta reach the top degree dim
+        dim, policy = 2 * (m - 1), TruncationPolicy(delta)
         cgr = chern_grassmannian(2, m + 1, policy)
         e = euler_class_c2(d)
-        cinv = series_invert(chern_direct(2, d, policy),
-                             TruncationPolicy(dim - (d + 1)))
+        cinv = series_invert(chern_direct(2, d, policy), policy)
         integrand = cgr.mul_truncated(e, dim).mul_truncated(cinv, dim)
         val = grassmann_integral(integrand, 2, m + 1)
         return as_integer(val, f"Fano Euler characteristic ({d}, {m})")

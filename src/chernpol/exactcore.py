@@ -317,14 +317,21 @@ class UniPoly(_Poly):
 # interpolation in integers
 # ---------------------------------------------------------------------------
 
-def interpolate_integers(values: Sequence[int], var: str = "d") -> UniPoly:
-    """The polynomial of degree < len(values) with value values[i] at i =
-    0, 1, ..., N, in integers: N! times its Newton form sum_j Delta^j f(0)
-    C(d, j), by Horner's rule on the factors (d - j), divided by N! once."""
+def forward_differences(values: Sequence[int]) -> list:
+    """[Delta^j f(0) for j = 0..N] from the values f(0), f(1), ..., f(N):
+    the coefficients of f's Newton form sum_j Delta^j f(0) C(v, j)."""
     diffs, row = [], list(values)
     while row:
         diffs.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
+    return diffs
+
+
+def interpolate_integers(values: Sequence[int], var: str = "d") -> UniPoly:
+    """The polynomial of degree < len(values) with value values[i] at i =
+    0, 1, ..., N, in integers: N! times its Newton form sum_j Delta^j f(0)
+    C(d, j), by Horner's rule on the factors (d - j), divided by N! once."""
+    diffs = forward_differences(values)
     acc, scale = [], 1          # scale = N!/j!, and N! after the loop
     for j in range(len(diffs) - 1, -1, -1):
         acc = [hi - j * lo for hi, lo in zip([0] + acc, acc + [0])]

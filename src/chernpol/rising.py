@@ -9,12 +9,13 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 
-from .exactcore import OutOfDomainError, TruncationPolicy, UniPoly, xvars
+from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly,
+                        _rebuilt, forward_differences, xvars)
 from .multipoly import MultiPoly
-from .specialization import M_tilde
+from .specialization import M_tilde_values
 from .symfunc import dominance_key, mult_factorial
 
 
@@ -164,8 +165,14 @@ def stirling_coefficient(spec: RisingProductSpec, H) -> MultiPoly:
     multiplicities r_E >= 0 of the table's exponent vectors E with
     sum_E r_E * E = H; the r_E blocks at E give, over counts k_m with
     sum_m k_m = r_E, the products prod_m P_{E,m}^{k_m} / k_m!.  These are
-    summed per sorted lambda, on which alone M_tilde(lambda) depends, and
-    each M_tilde(lambda)(K(d)) is composed once, where the sum is nonzero.
+    summed per sorted lambda, on which alone M_tilde(lambda) depends.
+
+    M_tilde(lambda) is integer-valued, so M_tilde(lambda)(v) = sum_j
+    Delta^j_lambda C(v, j) with integer forward differences at 0 of its
+    M_tilde_values, and the sum is sum_j G_j C(K, j) with G_j = sum_lambda
+    Delta^j_lambda * coeff_lambda, accumulated on integer numerators over
+    one common denominator and evaluated by one Newton-form Horner pass,
+    t = G_J, then t = t * (K - j) / (j + 1) + G_j for j = J-1, ..., 0.
     """
     H = tuple(int(h) for h in H)
     if len(H) != spec.nx or any(h < 0 for h in H):
@@ -189,10 +196,23 @@ def stirling_coefficient(spec: RisingProductSpec, H) -> MultiPoly:
             key = tuple(sorted(itertools.chain(*[ms for ms, _ in picks]),
                                reverse=True))
             grouped[key] = grouped[key] + coeff if key in grouped else coeff
-    total = MultiPoly.const(0, spec.params)
+    grouped = {lam: c for lam, c in grouped.items() if not c.is_zero()}
+    values = M_tilde_values(grouped)
+    D = lcm(*[c.denominator for coeff in grouped.values()
+              for c in coeff.terms.values()])
+    G: list[dict] = []      # G[j]: {exponent vector: numerator over D}
     for lam, coeff in grouped.items():
-        if not coeff.is_zero():
-            total = total + coeff * M_tilde(lam)(spec.K)
+        diffs = forward_differences(values[lam])
+        G.extend({} for _ in range(len(diffs) - len(G)))
+        for ev, c in coeff.terms.items():
+            num = c.numerator * (D // c.denominator)
+            for g, delta in zip(G, diffs):
+                if delta:
+                    g[ev] = g.get(ev, 0) + delta * num
+    total = MultiPoly.const(0, spec.params)
+    for j in range(len(G) - 1, -1, -1):
+        total = ((total * (spec.K - j)).scale(Fraction(1, j + 1))
+                 + MultiPoly(spec.params, _rebuilt(G[j], D)))
     return total
 
 

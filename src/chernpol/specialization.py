@@ -1,16 +1,16 @@
 """Arithmetic specializations: Stirling numbers of both kinds, second-order
 Eulerian numbers, simplex moments (Faulhaber polynomials among them), the
-power-sum expansion of augmented monomial symmetric polynomials, and the
-polynomials M_tilde(v) giving their values at (0, 1, ..., v) -- including
-weak partitions with zero parts.
+power-sum expansion of augmented monomial symmetric polynomials, and their
+values at (0, 1, ..., v) by one integer recursion, with the polynomials
+M_tilde(v) read from them -- including weak partitions with zero parts.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, factorial, prod
+from itertools import product
+from math import comb, factorial
 
 from .exactcore import UniPoly, interpolate_integers
 from .symfunc import mult_factorial
@@ -134,27 +134,56 @@ def aug_monomial_power_sums(lam: tuple) -> dict:
 # M_tilde / M_plain
 # ---------------------------------------------------------------------------
 
+def M_tilde_values(lams) -> dict:
+    """{lam: [m~_lam(0, 1, ..., v) for v = 0..|lam| + len(lam)]} for the
+    weak partitions lam (tuples with non-negative parts), by one integer
+    recursion over the sub-multisets S of parts below some lam: with
+    f_v(S) = m~_S(0, 1, ..., v), position v carries no part of S or one of
+    its k_p(S) parts equal to p, so
+
+        f_v(S) = f_{v-1}(S) + sum_p k_p(S) * v^p * f_{v-1}(S - p),
+
+    with f_{-1}(S) = 1 for the empty S and 0 otherwise (0**0 == 1 counts a
+    zero part at v = 0).  One sweep over v gives every lam.
+    """
+    lams = {_sorted_partition(int(p) for p in lam) for lam in lams}
+    if any(p < 0 for lam in lams for p in lam):
+        raise ValueError("weak partition parts must be non-negative")
+    parts = sorted({p for lam in lams for p in lam})
+    counts = {lam: tuple(lam.count(p) for p in parts) for lam in lams}
+    # the multiplicity vectors under some lam, larger first, so that an
+    # update in place still reads f_{v-1} at S - p
+    below = sorted({S for c in counts.values()
+                    for S in product(*(range(k + 1) for k in c))},
+                   key=sum, reverse=True)
+    index = {S: i for i, S in enumerate(below)}
+    steps = [[(p, k, index[S[:i] + (k - 1,) + S[i + 1:]])
+              for i, (p, k) in enumerate(zip(parts, S)) if k] for S in below]
+    f = [0] * len(below)
+    if below:
+        f[-1] = 1                       # f_{-1}: the empty multiset
+    tops = {lam: sum(lam) + len(lam) for lam in lams}
+    out = {lam: [] for lam in lams}
+    for v in range(max(tops.values(), default=-1) + 1):
+        for i, step in enumerate(steps):
+            f[i] += sum(k * v ** p * f[j] for p, k, j in step)
+        for lam, top in tops.items():
+            if v <= top:
+                out[lam].append(f[index[counts[lam]]])
+    return out
+
+
 @lru_cache(maxsize=None)
 def M_tilde(lam: tuple) -> UniPoly:
     """Polynomial in v with M_tilde(lam)(v) = m~_lam(0, 1, ..., v) for v >= -1,
-    of degree |lam| + len(lam), read from its integer values at v = 0, 1,
-    ..., |lam| + len(lam): the power-sum expansion of the zero-free part
-    lam* at the prefix power sums 0^q + 1^q + ... + v^q, times the
-    prefactor binom(v+1-len(lam*), m0) * m0! = prod_{i<m0} (v+1-len(lam*)-i)
-    for the m0 zero parts.
+    of degree |lam| + len(lam), interpolated from its M_tilde_values at
+    v = 0, 1, ..., |lam| + len(lam).  (In power sums it is the expansion
+    aug_monomial_power_sums of the zero-free part lam* at the prefix power
+    sums 0^q + ... + v^q, times prod_{i<m0} (v+1-len(lam*)-i) for the m0
+    zero parts.)
     """
     lam = _sorted_partition(int(p) for p in lam)
-    if any(p < 0 for p in lam):
-        raise ValueError("weak partition parts must be non-negative")
-    star = tuple(p for p in lam if p > 0)
-    m0, top = len(lam) - len(star), sum(lam) + len(lam)
-    expansion = aug_monomial_power_sums(star)
-    sums = {q: list(accumulate(t ** q for t in range(top + 1)))
-            for q in {q for mu in expansion for q in mu}}
-    return interpolate_integers(
-        [prod(v + 1 - len(star) - i for i in range(m0))
-         * sum(c * prod(sums[q][v] for q in mu) for mu, c in expansion.items())
-         for v in range(top + 1)], "v")
+    return interpolate_integers(M_tilde_values([lam])[lam], "v")
 
 
 def M_plain(lam: tuple) -> UniPoly:

@@ -190,26 +190,39 @@ def to_x_expansion(basis: str, lam: tuple, n: int) -> MultiPoly:
 # expansions of symmetric polynomials in a basis
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def alternant_terms(lam: tuple, n: int) -> tuple:
+    """The pairs (sgn(sigma), alpha) over sigma in S_n with alpha = lam +
+    delta - sigma(delta) >= 0, lam's nonzero parts padded to length n and
+    delta = (n-1, ..., 0): the exponents whose coefficients the alternant
+    reads (schur_coefficient); none when lam has more than n nonzero
+    parts."""
+    lam = tuple(p for p in lam if p)
+    if len(lam) > n:
+        return ()
+    lam += (0,) * (n - len(lam))
+    out = []
+    for perm in itertools.permutations(range(n)):
+        # delta_i = n-1-i and sigma(delta)_i = n-1-perm_i
+        alpha = tuple(part - i + p for i, (part, p) in enumerate(zip(lam, perm)))
+        if min(alpha) >= 0:
+            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+            out.append((-1 if inversions % 2 else 1, alpha))
+    return tuple(out)
+
+
 def schur_coefficient(coef, lam, n: int):
     """Coefficient of s_lam in a symmetric f in n variables, given
     ``coef(alpha)`` = coefficient of x^alpha in f (None or 0 if absent).
     As s_lam = a_(lam+delta) / a_delta (Macdonald, I.3), it is that of
-    x^(lam+delta) in f * a_delta: the sum over sigma in S_n of sgn(sigma) *
-    coef(lam + delta - sigma(delta)), lam's nonzero parts padded to length
-    n, delta = (n-1, ..., 0), negative exponents skipped; 0 when every
-    lookup misses or lam has more than n nonzero parts."""
-    lam = tuple(p for p in lam if p)
-    if len(lam) > n:
-        return 0
-    lam += (0,) * (n - len(lam))
+    x^(lam+delta) in f * a_delta: the sum of sgn(sigma) * coef(alpha) over
+    the alternant_terms; 0 when every lookup misses or lam has more than n
+    nonzero parts."""
     total = 0
-    for perm in itertools.permutations(range(n)):
-        # delta_i = n-1-i and sigma(delta)_i = n-1-perm_i
-        alpha = tuple(part - i + p for i, (part, p) in enumerate(zip(lam, perm)))
-        c = coef(alpha) if min(alpha) >= 0 else None
+    for sign, alpha in alternant_terms(tuple(lam), n):
+        c = coef(alpha)
         if c:
-            inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-            total = total - c if inversions % 2 else total + c
+            total = total - c if sign < 0 else total + c
     return total
 
 

@@ -1,11 +1,13 @@
 import itertools
+import random
 from fractions import Fraction as F
 from math import comb, factorial
 
 import pytest
 
 from chernpol.chern import (ChernPolynomial, OutOfDomainError, chern_direct,
-                            chern_interpolated, conjecture_report,
+                            chern_interpolated, chern_values,
+                            conjecture_report,
                             elementary_degree_bound, euler_c2_closed,
                             leading_term,
                             odd_grouped_coefficient, odd_grouped_in_d,
@@ -64,6 +66,27 @@ def test_interpolated_matches_direct_fresh_d():
                 mono = expand_in_basis(direct.homogeneous_component(k),
                                        "monomial")
                 assert cp.evaluate(d) == mono, (n, k, d)
+
+
+def test_chern_values_restricted_to_wanted():
+    # the recursion below the wanted partitions reads only values it has
+    # computed, so every wanted key equals the unrestricted value
+    rng = random.Random(2026)
+    grid = [(1, 4, [0, 3]), (2, 5, range(4)), (3, 4, [0, 1, 9]),
+            (3, 6, [2, 5]), (4, 5, range(3)), (4, 8, [0, 4]), (5, 6, [1, 3])]
+    for n, k, ds in grid:
+        every = enumerate_partitions(k)
+        full = chern_values(n, k, ds, every)
+        assert set(full) == {nu for nu in every if len(nu) <= n}
+        subsets = [[nu] for nu in every] + [
+            rng.sample(every, rng.randint(1, len(every))) for _ in range(5)]
+        for wanted in subsets:
+            got = chern_values(n, k, ds, wanted)
+            assert got == {nu: full[nu] for nu in wanted if nu in full}, \
+                (n, k, wanted)
+    assert chern_values(3, 2, [1], []) == {}
+    with pytest.raises(ValueError):
+        chern_values(3, 2, [1], [(1,)])
 
 
 def test_closed_form_needs_no_sampling(monkeypatch):

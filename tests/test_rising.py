@@ -172,17 +172,19 @@ def test_formula_matches_oracle_two_params():
                 assert formula == direct.terms.get(H, F(0)), (H, d0, d1)
 
 
-def test_formula_composes_M_tilde_once_per_sorted_lambda(monkeypatch):
-    from chernpol import rising
-    seen = []
+def test_formula_composes_no_M_tilde(monkeypatch):
+    # the Newton form evaluates sum_j G_j C(K, j) once: no UniPoly is
+    # composed with K, for one or two parameters
+    cases = [(odd_spec(), H) for H in [(0, 0), (3, 2), (5, 4)]] + \
+        [(spec_two_params(), H) for H in [(2, 1), (1, 3)]]
+    expected = [vector_partition_sum(spec, H) for spec, H in cases]
 
-    def counting(lam):
-        seen.append(lam)
-        return M_tilde(lam)
+    def forbidden(self, value):
+        raise AssertionError("UniPoly.__call__ ran")
 
-    monkeypatch.setattr(rising, "M_tilde", counting)
-    stirling_coefficient(odd_spec(), (3, 2))
-    assert seen and len(seen) == len(set(seen))
+    monkeypatch.setattr(UniPoly, "__call__", forbidden)
+    for (spec, H), want in zip(cases, expected):
+        assert stirling_coefficient(spec, H) == want, H
 
 
 def test_formula_matches_oracle_random():

@@ -6,7 +6,8 @@ import pytest
 
 from chernpol.chern import weight_vectors
 from chernpol.exactcore import UniPoly
-from chernpol.specialization import (M_plain, M_tilde, aug_monomial_power_sums,
+from chernpol.specialization import (M_plain, M_tilde, M_tilde_values,
+                                     aug_monomial_power_sums,
                                      eulerian_second, faulhaber,
                                      simplex_moment, stirling_first,
                                      stirling_second)
@@ -144,6 +145,36 @@ def test_M_tilde_matches_bruteforce():
         p = M_tilde(lam)
         for v in range(-1, 7):
             assert p(v) == aug_monomial_bruteforce(lam, v), (lam, v)
+
+
+def test_M_tilde_values_match_power_sums():
+    # one sweep for every weak partition with |lam| + len(lam) <= 12 against
+    # the power-sum expansion of the zero-free part at the prefix power sums
+    # 0^q + ... + v^q, times prod_{i<m0} (v+1-len(star)-i)
+    lams = [tuple(lam) + (0,) * zeros
+            for w in range(13) for lam in enumerate_partitions(w)
+            for zeros in range(13 - w - len(lam))]
+    values = M_tilde_values(lams)
+    assert set(values) == set(lams)
+    for lam in lams:
+        star = tuple(p for p in lam if p)
+        top = sum(lam) + len(lam)
+        sums = [list(itertools.accumulate(t ** q for t in range(top + 1)))
+                for q in range(sum(star) + 1)]
+        assert values[lam] == [
+            prod(v + 1 - len(star) - i for i in range(len(lam) - len(star)))
+            * sum(c * prod(sums[q][v] for q in mu)
+                  for mu, c in aug_monomial_power_sums(star).items())
+            for v in range(top + 1)], lam
+
+
+def test_M_tilde_values_edge_cases():
+    assert M_tilde_values([]) == {}
+    assert M_tilde_values([()]) == {(): [1]}
+    assert M_tilde_values([(0,)]) == {(0,): [1, 2]}
+    assert M_tilde_values([[0, 2]]) == {(2, 0): [0, 1, 10, 42, 120]}
+    with pytest.raises(ValueError):
+        M_tilde_values([(1, -1)])
 
 
 def faulhaber_products(lam):
