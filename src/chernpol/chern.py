@@ -167,16 +167,15 @@ def odd_grouped_coefficient(H) -> UniPoly:
     return spec._unipoly(stirling_coefficient(spec, tuple(H)))
 
 
-def odd_grouped_in_d(H) -> UniPoly:
-    """The same coefficient re-parameterized by d = 2*delta + 1; a polynomial
-    in d that matches the elementary-basis coefficient g at every odd d."""
-    half = UniPoly({1: Fraction(1, 2), 0: Fraction(-1, 2)}, var="d")
-    return odd_grouped_coefficient(H)(half)
-
-
 # ---------------------------------------------------------------------------
 # leading terms
 # ---------------------------------------------------------------------------
+
+def elementary_degree_bound(lam, n: int) -> int:
+    """n*H_1 + (n+1)*H_2 + ... + (2n-1)*H_n for lam = (1^H_1,...,n^H_n)."""
+    lam = check_partition(lam) if lam else ()
+    return sum(n + p - 1 for p in lam)
+
 
 def leading_term(basis: str, lam, n: int):
     """Predicted (coefficient, d-exponent, conjectural-flag) for the leading
@@ -214,47 +213,10 @@ def leading_term(basis: str, lam, n: int):
     if basis == "elementary":
         H = multiplicities(lam)
         coeff = Fraction(1)
-        exponent = 0
         for i in range(1, n + 1):
             h = H.get(i, 0)
             coeff *= (Fraction(factorial(i - 1), factorial(n + i - 1)) ** h
                       / factorial(h))
-            exponent += (n + i - 1) * h
         proved = (set(lam) <= {1}) or n == 2
-        return coeff, exponent, not proved
+        return coeff, elementary_degree_bound(lam, n), not proved
     raise ValueError(f"no leading-term formula in basis {basis!r}")
-
-
-def elementary_degree_bound(lam, n: int) -> int:
-    """n*H_1 + (n+1)*H_2 + ... + (2n-1)*H_n for lam = (1^H_1,...,n^H_n)."""
-    lam = check_partition(lam) if lam else ()
-    return sum(n + p - 1 for p in lam)
-
-
-# ---------------------------------------------------------------------------
-# conjecture reports (observed vs predicted; never asserted)
-# ---------------------------------------------------------------------------
-
-def conjecture_report() -> str:
-    """Non-asserting observations: the conjectural elementary-basis leading
-    terms beyond the proved cases, and the apparent polynomiality of c_k
-    coefficients in n at fixed k and d."""
-    lines = ["conjectural elementary-basis leading terms (n=3):"]
-    cp = chern_interpolated(3, 3, "elementary")
-    for lam, g in sorted(cp.terms.items()):
-        coeff, expo, conj = leading_term("elementary", lam, 3)
-        if not conj:
-            continue
-        obs_deg = g.degree()
-        obs_lead = g.leading_coeff()
-        lines.append(
-            f"  nu={lam}: observed {obs_lead}*d^{obs_deg}, "
-            f"predicted {coeff}*d^{expo}, "
-            f"{'match' if (obs_deg, obs_lead) == (expo, coeff) else 'MISMATCH'}")
-    lines.append("n-dependence of coef(e_2, c_2) at fixed d=3 for n=2..6 "
-                 "(binomial form predicts comb(3+n, n+1)):")
-    for n in range(2, 7):
-        cp2 = chern_interpolated(n, 2, "elementary")
-        obs = cp2.terms.get((2,), UniPoly.const(0, "d"))(Fraction(3))
-        lines.append(f"  n={n}: observed {obs}, predicted {comb(3 + n, n + 1)}")
-    return "\n".join(lines)

@@ -274,21 +274,26 @@ def cmd_fano_chi(args) -> str:
 
 
 def cmd_verify(args) -> str:
+    """Cross-checks of independent methods and of the paper's checkable
+    claims; a failed check exits with EXIT_CHECK."""
+    import time
+    from functools import cache
     from . import chern, enumgeo, orbits
 
-    checks = []
+    checks = []                 # (name, passed, detail, seconds)
 
     def check(name, fn):
+        start = time.perf_counter()
         try:
-            ok = bool(fn())
-            detail = ""
+            ok, detail = bool(fn()), ""
         except Exception as exc:          # report, don't crash the suite
-            ok = False
-            detail = f" ({exc})"
-        checks.append((name, ok, detail))
+            ok, detail = False, str(exc) or type(exc).__name__
+        checks.append((name, ok, detail, time.perf_counter() - start))
+
+    interpolated = cache(lambda: chern.chern_interpolated(2, 3, "monomial"))
 
     def closed_vs_direct():
-        cp = chern.chern_interpolated(2, 3, "monomial")
+        cp = interpolated()
         for d in (7, 8):
             direct = chern.chern_direct(2, d, TruncationPolicy(3))
             mono = expand_in_basis(direct.homogeneous_component(3), "monomial")
@@ -302,6 +307,11 @@ def cmd_verify(args) -> str:
         return all(v == schur.get((d + 1 - j, j) if j else (d + 1,), 0)
                    for j, v in chern.euler_c2_closed(d))
 
+    def sigma_leading_term(m, r):
+        coeff, expo = enumgeo.sigma_degree_leading(m, r)
+        p = enumgeo.sigma_degree_symbolic(m, r)
+        return p.degree() == expo and p.coeff(expo) == coeff
+
     check("closed form matches direct product (n=2, k=3)", closed_vs_direct)
     check("Euler closed formula matches direct product (d=4)",
           lambda: euler_closed_vs_direct(4))
@@ -313,14 +323,27 @@ def cmd_verify(args) -> str:
           == enumgeo.fano_chi_lines(4, 4, "integral"))
     check("orbit factorization (n=3, d=6, trunc 3)",
           lambda: orbits.orbit_factorization_check(3, 6, TruncationPolicy(3)))
-    lines = []
-    all_ok = True
-    for name, ok, detail in checks:
-        lines.append(f"{'PASS' if ok else 'FAIL'}: {name}{detail}")
-        all_ok = all_ok and ok
+    check("c_k coefficients divisible by (d+1)d(d-1) (n=2, k=3)",
+          lambda: interpolated().divisibility_ok())
+    check("Sigma leading term matches Manivel's (m=4, r=1)",
+          lambda: sigma_leading_term(4, 1))
+    check("Sigma closed form for r = m-1 (d=4, m=3)",
+          lambda: enumgeo.sigma_degree_hyperplane(4, 3)
+          == enumgeo.sigma_degree(4, 3, 2))
+    check("Fano curve chi = (m+1-C(2m-3,2)) * degree (d=4, m=4)",
+          lambda: enumgeo.chi_deg_ratio_check(4)["holds"])
+    all_ok = all(ok for _, ok, _, _ in checks)
+    lines = [f"{'PASS' if ok else 'FAIL'}: {name}"
+             + (f" ({detail})" if detail else "")
+             for name, ok, detail, _ in checks]
     lines.append("all checks passed" if all_ok else "some checks FAILED")
     if not all_ok:
         raise InconsistentDataError("\n".join(lines))
+    if args.format == "json":
+        return json.dumps({"checks": [
+            {"name": name, "passed": ok, "detail": detail, "seconds": secs}
+            for name, ok, detail, secs in checks], "all_passed": all_ok},
+            indent=2)
     return "\n".join(lines)
 
 

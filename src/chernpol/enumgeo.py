@@ -13,9 +13,11 @@ from math import comb, factorial
 from .chern import check_degree, chern_direct, chern_values, euler_c2_closed
 from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly, as_integer,
                         interpolate_integers, xvars)
-from .multipoly import MultiPoly, series_invert
 from .symfunc import (NotSymmetricError, alternant_terms, catalan_triangle,
                       expand_in_basis, partition_of, schur_coefficient)
+
+# multipoly is imported inside the functions that build a MultiPoly or invert
+# a series, so a Sigma degree, numeric or symbolic, does not load it
 
 
 class EmptyFanoError(OutOfDomainError):
@@ -55,6 +57,7 @@ def chern_grassmannian(k: int, n_amb: int,
                        policy: TruncationPolicy | None = None) -> MultiPoly:
     """c(Gr_k(C^n_amb)) = prod (1+x_i)^n_amb / prod prod (1+x_j-x_i) in the
     Chern roots x_1..x_k of the dual tautological bundle, truncated."""
+    from .multipoly import MultiPoly, series_invert
     maxdeg = (policy.max_total_degree if policy is not None
               else k * (n_amb - k))
     xs = xvars(k)
@@ -187,6 +190,7 @@ def fano_degree_lines(d: int, m: int, method: str = "closed") -> int:
             d, m, {(delta - j, j): catalan_triangle(delta, j)
                    for j in range(delta // 2 + 1)})
     if method == "integral":
+        from .multipoly import MultiPoly
         xs = xvars(2)
         e1 = MultiPoly(xs, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
         val = grassmann_integral(euler_class_c2(d) * e1 ** delta, 2, m + 1)
@@ -200,6 +204,7 @@ def fano_chi_lines(d: int, m: int, method: str = "closed") -> int:
     Euler-class pairing of the Schur expansion of the quotient's degree-delta
     part; integral: direct integration of the product, with c(Gr) and the
     inverse built up to degree delta, all that reaches the top degree."""
+    from .multipoly import series_invert
     delta = _check_fano_domain(d, m)
     if method == "closed":
         policy = TruncationPolicy(delta)

@@ -232,11 +232,6 @@ class UniPoly(_Poly):
     def coeff(self, e: int) -> Fraction:
         return self.terms.get(e, Fraction(0))
 
-    def leading_coeff(self) -> Fraction:
-        if not self.terms:
-            return Fraction(0)
-        return self.terms[max(self.terms)]
-
     def __eq__(self, other):
         if isinstance(other, UniPoly):
             return self.terms == other.terms

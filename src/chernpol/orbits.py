@@ -1,19 +1,16 @@
 """Symmetric-group orbits on the weight simplex: orbit-type-vectors,
 explicit enumeration of the increasing weak partitions of each type, orbit
-terms in the elementary basis, the orbit-type factorization of the total
-Chern class, and quasi-polynomial fits for the orbit counts.
+terms in the elementary basis and the orbit-type factorization of the total
+Chern class.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from functools import reduce
 
 from .chern import chern_direct
-from .exactcore import (InconsistentDataError, OutOfDomainError,
-                        TruncationPolicy, xvars)
-from .multipoly import MultiPoly, interpolate
+from .exactcore import OutOfDomainError, TruncationPolicy, xvars
+from .multipoly import MultiPoly
 from .symfunc import expand_in_basis, multiplicities
 
 
@@ -69,15 +66,6 @@ def enumerate_orbit(u, d: int) -> list:
     return out
 
 
-def orbit_type_of(values) -> tuple:
-    """Multiplicity pattern of a weakly increasing tuple."""
-    values = tuple(values)
-    u = []
-    for v, grp in itertools.groupby(values):
-        u.append(len(list(grp)))
-    return tuple(u)
-
-
 def _evars(n: int) -> tuple:
     return tuple(f"e{i+1}" for i in range(n))
 
@@ -127,40 +115,3 @@ def orbit_factorization_check(n: int, d: int, policy: TruncationPolicy) -> bool:
     lhs = weighted_truncate(chern_in_elementary(n, d, policy), maxw)
     return lhs == rhs
 
-
-# ---------------------------------------------------------------------------
-# orbit counts as quasi-polynomials
-# ---------------------------------------------------------------------------
-
-def orbit_count_period(u) -> int:
-    """M(u) = prod_j (u_j + ... + u_s); the period of |O_u(d)| divides it."""
-    u = tuple(u)
-    return reduce(lambda a, b: a * b,
-                  (sum(u[j:]) for j in range(len(u))), 1)
-
-
-def orbit_count_fit(u, d_max: int = 40) -> dict:
-    """Fit, per congruence class of d modulo M(u), a polynomial of degree
-    < len(u) to |O_u(d)| on d = 0..d_max.  Returns
-    {residue: (start_d, UniPoly)} where the fit is verified for all sampled
-    d >= start_d in the class.  Reported, not asserted beyond the range."""
-    u = tuple(u)
-    M = orbit_count_period(u)
-    counts = {d: len(enumerate_orbit(u, d)) for d in range(d_max + 1)}
-    out = {}
-    for q in range(M):
-        pts = [(d, Fraction(c)) for d, c in counts.items() if d % M == q]
-        deg = len(u) - 1
-        start = 0
-        while len(pts) - start > deg + 1:
-            try:
-                poly = interpolate(pts[start:], deg, var="d")
-                out[q] = (pts[start][0], poly)
-                break
-            except InconsistentDataError:
-                start += 1
-        else:
-            raise InconsistentDataError(
-                f"no degree-{deg} quasi-polynomial fit for type {u}, "
-                f"residue {q} on d <= {d_max}")
-    return out

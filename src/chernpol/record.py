@@ -77,10 +77,6 @@ class ChernPolynomial:
             roots.append(0)
         return roots
 
-    def divisibility_factor(self) -> UniPoly:
-        """(d+1)d(d-1)...(d-(d0(k)-1)), the product over divisibility_roots."""
-        return UniPoly.from_roots(self.divisibility_roots(), var="d")
-
     def divisibility_ok(self) -> bool:
         """Is every coefficient divisible by the factor?  Its roots are
         simple, so that is every coefficient vanishing at each of them."""

@@ -1,8 +1,8 @@
 """Arithmetic specializations: Stirling numbers of both kinds, second-order
-Eulerian numbers, simplex moments (Faulhaber polynomials among them), the
-power-sum expansion of augmented monomial symmetric polynomials, and their
-values at (0, 1, ..., v) by one integer recursion, with the polynomials
-M_tilde(v) read from them -- including weak partitions with zero parts.
+Eulerian numbers, simplex moments (Faulhaber polynomials among them), and
+the values of augmented monomial symmetric polynomials at (0, 1, ..., v) by
+one integer recursion, with the polynomials M_tilde(v) read from them --
+including weak partitions with zero parts.
 """
 
 from __future__ import annotations
@@ -93,46 +93,12 @@ def faulhaber(q: int) -> UniPoly:
 
 
 # ---------------------------------------------------------------------------
-# augmented monomial symmetric polynomials in power sums
+# M_tilde / M_plain
 # ---------------------------------------------------------------------------
 
 def _sorted_partition(parts) -> tuple:
     return tuple(sorted(parts, reverse=True))
 
-
-@lru_cache(maxsize=None)
-def aug_monomial_power_sums(lam: tuple) -> dict:
-    """Integer expansion of the augmented monomial m~_lambda in power sums,
-    via the merge recursion
-
-        m~_{lambda u (a)} = p_a * m~_lambda - sum_i m~_{lambda with lambda_i += a}.
-
-    Only proper (zero-free) partitions are accepted; the coefficient of
-    p_lambda itself is 1.
-    """
-    lam = _sorted_partition(lam)
-    if any(p <= 0 for p in lam):
-        raise ValueError("zero parts are not allowed here; use M_tilde")
-    if not lam:
-        return {(): 1}
-    if len(lam) == 1:
-        return {lam: 1}
-    a, rest = lam[0], lam[1:]
-    base = aug_monomial_power_sums(rest)
-    out: dict[tuple, int] = {}
-    for mu, c in base.items():
-        key = _sorted_partition(mu + (a,))
-        out[key] = out.get(key, 0) + c
-    for i in range(len(rest)):
-        merged = rest[:i] + (rest[i] + a,) + rest[i + 1:]
-        for mu, c in aug_monomial_power_sums(_sorted_partition(merged)).items():
-            out[mu] = out.get(mu, 0) - c
-    return {mu: c for mu, c in out.items() if c}
-
-
-# ---------------------------------------------------------------------------
-# M_tilde / M_plain
-# ---------------------------------------------------------------------------
 
 def M_tilde_values(lams) -> dict:
     """{lam: [m~_lam(0, 1, ..., v) for v = 0..|lam| + len(lam)]} for the
@@ -177,8 +143,8 @@ def M_tilde_values(lams) -> dict:
 def M_tilde(lam: tuple) -> UniPoly:
     """Polynomial in v with M_tilde(lam)(v) = m~_lam(0, 1, ..., v) for v >= -1,
     of degree |lam| + len(lam), interpolated from its M_tilde_values at
-    v = 0, 1, ..., |lam| + len(lam).  (In power sums it is the expansion
-    aug_monomial_power_sums of the zero-free part lam* at the prefix power
+    v = 0, 1, ..., |lam| + len(lam).  (In power sums it is the power-sum
+    expansion of m~ at the zero-free part lam*, read at the prefix power
     sums 0^q + ... + v^q, times prod_{i<m0} (v+1-len(lam*)-i) for the m0
     zero parts.)
     """

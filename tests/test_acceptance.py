@@ -16,7 +16,7 @@ from chernpol.enumgeo import (fano_chi_lines, fano_degree_lines, sigma_degree,
                               sigma_degree_symbolic)
 from chernpol.exactcore import MultiPoly, TruncationPolicy, UniPoly
 from chernpol.orbits import (enumerate_orbit, orbit_factorization_check,
-                             orbit_term, orbit_type_of, orbit_types)
+                             orbit_term, orbit_types)
 from chernpol.rising import (RisingProductSpec, direct_rising_oracle,
                              stirling_coefficient)
 from chernpol.specialization import (M_tilde, eulerian_second, stirling_first,
@@ -202,6 +202,11 @@ def test_criterion_08_elementary_bounds():
                     coeff, expo, conjectural = leading_term("elementary", nu, 2)
                     assert not conjectural
                     assert (p.degree(), p.coeff(p.degree())) == (expo, coeff)
+
+
+def orbit_type_of(values) -> tuple:
+    """Multiplicity pattern of a weakly increasing tuple."""
+    return tuple(len(list(grp)) for _, grp in itertools.groupby(values))
 
 
 @criterion(9, "orbit enumeration matches brute force (n <= 4, d <= 12), the "

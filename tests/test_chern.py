@@ -7,10 +7,8 @@ import pytest
 
 from chernpol.chern import (ChernPolynomial, OutOfDomainError, chern_direct,
                             chern_interpolated, chern_values,
-                            conjecture_report,
                             elementary_degree_bound, euler_c2_closed,
-                            leading_term,
-                            odd_grouped_coefficient, odd_grouped_in_d,
+                            leading_term, odd_grouped_coefficient,
                             weight_vectors)
 from chernpol.exactcore import MultiPoly, TruncationPolicy, UniPoly
 from chernpol.symfunc import (enumerate_partitions, expand_in_basis, syt_count,
@@ -131,7 +129,7 @@ def test_divisibility_n1():
     # simplex never reaches k >= 2 points, which must not loop forever
     for k in range(4):
         cp = chern_interpolated(1, k)
-        assert cp.divisibility_factor() == (D if k else UniPoly.const(1, var="d"))
+        assert cp.divisibility_roots() == ([0] if k else [])
         assert cp.divisibility_ok(), k
 
 
@@ -220,6 +218,14 @@ def test_euler_closed_matches_direct():
 # ---------------------------------------------------------------------------
 # odd-d grouped coefficients
 # ---------------------------------------------------------------------------
+
+def odd_grouped_in_d(H) -> UniPoly:
+    """odd_grouped_coefficient re-parameterized by d = 2*delta + 1; a
+    polynomial in d that matches the elementary-basis coefficient at every
+    odd d."""
+    half = UniPoly({1: F(1, 2), 0: F(-1, 2)}, var="d")
+    return odd_grouped_coefficient(H)(half)
+
 
 def test_odd_grouped_matches_interpolated():
     # group e-basis coefficients of c_k by (H_1, H_2): the coefficient of
@@ -319,10 +325,12 @@ def test_elementary_degree_bound_holds():
                 assert p.degree() <= elementary_degree_bound(lam, n), (n, lam)
 
 
-def test_conjecture_report_runs():
-    report = conjecture_report()
-    assert "observed" in report and "predicted" in report
-    assert "assert" not in report.lower()
+def test_e2_coefficient_of_c2_in_n():
+    # observed, not derived: at d = 3 the coefficient of e_2 in c_2 is
+    # C(3+n, n+1) for n = 2..6
+    for n in range(2, 7):
+        g = chern_interpolated(n, 2, "elementary").terms[(2,)]
+        assert g(3) == comb(3 + n, n + 1), n
 
 
 # ---------------------------------------------------------------------------

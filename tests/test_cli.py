@@ -188,8 +188,22 @@ def test_fano_chi(capsys):
 def test_verify(capsys):
     code, out, _ = run_cli(["verify"], capsys)
     assert code == 0
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 9
     assert "all checks passed" in out
+
+
+def test_verify_json(capsys):
+    code, out, _ = run_cli(["verify"], capsys)
+    lines = out.splitlines()
+    code, out, _ = run_cli(["verify", "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["all_passed"] is True
+    assert [f"PASS: {c['name']}" for c in doc["checks"]] == lines[:-1]
+    for c in doc["checks"]:
+        assert set(c) == {"name", "passed", "detail", "seconds"}
+        assert c["passed"] is True and c["detail"] == ""
+        assert 0 <= c["seconds"] < 60
 
 
 # ---------------------------------------------------------------------------
@@ -497,13 +511,29 @@ def test_method_disagreement_exits_check(capsys, monkeypatch):
 
 
 def test_failed_verify_exits_check(capsys, monkeypatch):
-    monkeypatch.setattr(enumgeo, "fano_chi_lines",
-                        lambda d, m, method: {"closed": 1,
-                                              "integral": 2}[method])
-    code, out, err = run_cli(["verify"], capsys)
-    assert code == cli.EXIT_CHECK
-    assert out == ""
-    assert "FAIL: Fano chi" in err and "Traceback" not in err
+    # each check forced false by one patch: (owner, name, replacement,
+    # the start of its FAIL line)
+    patches = [
+        (enumgeo, "fano_chi_lines",
+         lambda d, m, method: {"closed": 1, "integral": 2}[method],
+         "FAIL: Fano chi closed"),
+        (ChernPolynomial, "divisibility_ok", lambda self: False,
+         "FAIL: c_k coefficients divisible"),
+        (enumgeo, "sigma_degree_leading", lambda m, r: (F(1), 12),
+         "FAIL: Sigma leading term"),
+        (enumgeo, "sigma_degree_hyperplane", lambda d, m: 0,
+         "FAIL: Sigma closed form for r = m-1"),
+        (enumgeo, "chi_deg_ratio_check", lambda m: {"holds": False},
+         "FAIL: Fano curve chi"),
+    ]
+    for owner, name, fake, fail in patches:
+        with monkeypatch.context() as mp:
+            mp.setattr(owner, name, fake)
+            code, out, err = run_cli(["verify"], capsys)
+        assert code == cli.EXIT_CHECK, name
+        assert out == "", name
+        assert fail in err, name
+        assert "Traceback" not in err, name
 
 
 def test_failed_basis_change_exits_check(capsys, monkeypatch):

@@ -4,11 +4,17 @@ from math import comb, factorial, prod
 
 import pytest
 
-from chernpol.exactcore import MultiPoly, TruncationPolicy
+from chernpol.exactcore import (InconsistentDataError, MultiPoly,
+                                TruncationPolicy, UniPoly,
+                                interpolate_integers)
 from chernpol.orbits import (chern_in_elementary, enumerate_orbit,
-                             orbit_count_fit, orbit_count_period,
                              orbit_factorization_check, orbit_term,
-                             orbit_type_of, orbit_types, weighted_truncate)
+                             orbit_types, weighted_truncate)
+
+
+def orbit_type_of(values) -> tuple:
+    """Multiplicity pattern of a weakly increasing tuple."""
+    return tuple(len(list(grp)) for _, grp in itertools.groupby(values))
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +119,37 @@ def test_chern_in_elementary_c1():
 # ---------------------------------------------------------------------------
 # quasi-polynomial orbit counts
 # ---------------------------------------------------------------------------
+
+def orbit_count_period(u) -> int:
+    """M(u) = prod_j (u_j + ... + u_s); the period of |O_u(d)| divides it."""
+    return prod(sum(u[j:]) for j in range(len(u)))
+
+
+def orbit_count_fit(u, d_max: int = 40) -> dict:
+    """Fit, per congruence class q of d modulo M(u), a polynomial of degree
+    < len(u) to |O_u(d)| on d = 0..d_max.  Returns {q: (start_d, UniPoly in
+    d)}, the fit holding for every sampled d >= start_d in the class.  The
+    class is the progression d = q + M*i, so the first len(u) counts from
+    start give the polynomial in i by interpolate_integers, and the rest are
+    its guards."""
+    u = tuple(u)
+    M = orbit_count_period(u)
+    out = {}
+    for q in range(M):
+        counts = [len(enumerate_orbit(u, d)) for d in range(q, d_max + 1, M)]
+        for start in range(len(counts) - len(u)):
+            in_i = interpolate_integers(counts[start:start + len(u)], "d")
+            if all(in_i(i) == c for i, c in enumerate(counts[start:])):
+                # i = (d - q)/M - start
+                out[q] = (q + M * start, in_i(UniPoly(
+                    {1: F(1, M), 0: F(-q, M) - start}, var="d")))
+                break
+        else:
+            raise InconsistentDataError(
+                f"no degree-{len(u) - 1} quasi-polynomial fit for type {u}, "
+                f"residue {q} on d <= {d_max}")
+    return out
+
 
 def test_orbit_count_period():
     assert orbit_count_period((1,)) == 1

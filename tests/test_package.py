@@ -57,6 +57,33 @@ def test_no_assert_statements():
         assert not found, f"{path.name}: assert at lines {found}"
 
 
+def _unreferenced_definitions() -> set:
+    """The module-level functions and classes of the package that no code
+    in it refers to, outside their own body, and that it does not export;
+    dunders are exempt.  A reference is a name, an attribute or an
+    imported name."""
+    defined, used = set(), set()
+    for path in Path(chernpol.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            owner = (top.name if isinstance(top, (ast.FunctionDef,
+                                                  ast.ClassDef)) else None)
+            defined.add(owner)
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias)
+                        else None)
+                if name != owner:
+                    used.add(name)
+    return {name for name in defined - used - set(chernpol.__all__)
+            if name and not (name.startswith("__") and name.endswith("__"))}
+
+
+def test_every_definition_is_used_or_exported():
+    # code only the tests call belongs in the tests
+    assert _unreferenced_definitions() == set()
+
+
 def test_one_out_of_domain_error():
     assert chern.OutOfDomainError is rising.OutOfDomainError
 
@@ -96,6 +123,16 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         == core | {"chernpol.multipoly", "chernpol.rising",
                    "chernpol.specialization"}
     assert _run(["--help"]) == core
+
+
+def test_sigma_degree_loads_no_multipoly():
+    # numeric and symbolic Sigma read chern_values through the alternant and
+    # build no MultiPoly
+    sigma = {"chernpol", "chernpol.cli", "chernpol.exactcore",
+             "chernpol.symfunc", "chernpol.record", "chernpol.chern",
+             "chernpol.specialization", "chernpol.enumgeo"}
+    assert _run(["sigma-degree", "--r", "2", "--d", "5", "--m", "6"]) == sigma
+    assert _run(["sigma-degree", "--r", "1", "--m", "3"]) == sigma
 
 
 @pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction as F
+from functools import cache
 from math import comb, factorial, prod
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from chernpol.chern import weight_vectors
 from chernpol.exactcore import UniPoly
 from chernpol.specialization import (M_plain, M_tilde, M_tilde_values,
-                                     aug_monomial_power_sums,
                                      eulerian_second, faulhaber,
                                      simplex_moment, stirling_first,
                                      stirling_second)
@@ -39,6 +39,30 @@ def aug_monomial_bruteforce(lam: tuple, v: int) -> F:
     if not lam:
         return F(1)
     return total
+
+
+@cache
+def aug_monomial_power_sums(lam: tuple) -> dict:
+    """Integer expansion {mu: c} of the augmented monomial m~_lam in power
+    sums p_mu, for a zero-free partition lam, via the merge recursion
+
+        m~_{lam u (a)} = p_a * m~_lam - sum_i m~_{lam with lam_i += a};
+
+    the coefficient of p_lam itself is 1.  The paper's formula for M_tilde
+    reads it at the prefix power sums 0^q + ... + v^q."""
+    lam = tuple(sorted(lam, reverse=True))
+    if len(lam) <= 1:
+        return {lam: 1}
+    a, rest = lam[0], lam[1:]
+    out = {}
+    for mu, c in aug_monomial_power_sums(rest).items():
+        key = tuple(sorted(mu + (a,), reverse=True))
+        out[key] = out.get(key, 0) + c
+    for i in range(len(rest)):
+        merged = rest[:i] + (rest[i] + a,) + rest[i + 1:]
+        for mu, c in aug_monomial_power_sums(merged).items():
+            out[mu] = out.get(mu, 0) - c
+    return {mu: c for mu, c in out.items() if c}
 
 
 def test_stirling_first_is_elementary_symmetric():
