@@ -14,11 +14,11 @@ __version__ = "1.0.0"
 
 # submodule -> the names this package exports from it
 _EXPORTS = {
-    "exactcore": ("DuplicateAbscissaError", "InconsistentDataError",
+    "exactcore": ("BASES", "DuplicateAbscissaError", "InconsistentDataError",
                   "NotInvertibleError", "OutOfDomainError", "TruncationPolicy",
                   "UniPoly"),
     "multipoly": ("MultiPoly", "interpolate", "series_invert"),
-    "symfunc": ("BASES", "catalan_triangle", "conjugate", "convert_expansion",
+    "symfunc": ("catalan_triangle", "conjugate", "convert_expansion",
                 "enumerate_partitions", "expand_in_basis", "syt_count",
                 "to_x_expansion"),
     "specialization": ("M_plain", "M_tilde", "eulerian_second", "faulhaber",

@@ -23,12 +23,11 @@ from itertools import islice, product
 from math import comb, factorial, prod
 from operator import le, mul, sub
 
-from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly,
+from .exactcore import (BASES, OutOfDomainError, TruncationPolicy, UniPoly,
                         interpolate_integers, xvars)
 from .record import FORMAT_VERSION, ChernPolynomial, check_degree
-from .symfunc import (BASES, check_partition, enumerate_partitions,
-                      multiplicities, partition_of, syt_count,
-                      validate_basis_index)
+from .symfunc import (check_partition, enumerate_partitions, multiplicities,
+                      partition_of, syt_count, validate_basis_index)
 
 # multipoly, rising and specialization are imported inside the functions
 # that use them; the closed form loads only specialization.  ChernPolynomial,

@@ -5,19 +5,19 @@ invariants, with JSON/text rendering and a persistent Chern-coefficient cache.
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
-from fractions import Fraction
+from types import SimpleNamespace
 
-from .exactcore import (InconsistentDataError, OutOfDomainError,
-                        TruncationPolicy, UniPoly, rat_to_str)
-from .symfunc import BASES, expand_in_basis
+from .exactcore import (BASES, InconsistentDataError, OutOfDomainError,
+                        UniPoly, rat_to_str)
 
-# the computing modules (chern, rising, orbits, enumgeo) are imported inside
-# the handlers that run them, so each command loads only what it executes; a
-# cached chern query reads its record through ``record`` and loads no chern
+# the computing modules (chern, rising, orbits, enumgeo, checks) are imported
+# inside the handlers that run them, so each command loads only what it
+# executes; a cached chern query reads its record through ``record`` and
+# loads no chern.  json is imported where JSON is read or written, and
+# argparse only for the argv that ``parse_schema`` leaves to it: help, usage
+# errors and the forms that it does not read
 
 CACHE_ENV = "CHERNPOL_CACHE_DIR"
 
@@ -46,6 +46,7 @@ def _cache_path(cache_dir: str, n: int, k: int) -> str:
 
 
 def _checksum(payload: dict) -> str:
+    import json
     try:    # CPython's own SHA-256: hashlib's digest, without loading OpenSSL
         from _sha256 import sha256
     except ImportError:
@@ -66,6 +67,7 @@ def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
     if no_cache:
         from . import chern
         return chern.chern_interpolated(n, k, "monomial")
+    import json
     from . import record
     cache_dir = cache_dir or default_cache_dir()
     path = _cache_path(cache_dir, n, k)
@@ -109,6 +111,11 @@ def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
 # rendering
 # ---------------------------------------------------------------------------
 
+def _json(doc) -> str:
+    import json
+    return json.dumps(doc, indent=2)
+
+
 def factored_str(p: UniPoly) -> str:
     """Display form with rational roots pulled out as linear factors."""
     if p.is_zero():
@@ -147,7 +154,7 @@ def _render_text(cp: record.ChernPolynomial, d, shown: dict) -> str:
 
 def render_chern(cp: record.ChernPolynomial, fmt: str, factored: bool) -> str:
     if fmt == "json":
-        return json.dumps(cp.to_json(), indent=2)
+        return _json(cp.to_json())
     show = factored_str if factored else repr
     return _render_text(cp, "d", {lam: show(p) for lam, p in cp.terms.items()})
 
@@ -178,16 +185,15 @@ def cmd_chern_eval(args) -> str:
     cp = _get_chern(args)
     values = cp.evaluate(args.d)
     if args.format == "json":
-        return json.dumps({"n": cp.n, "k": cp.k, "basis": cp.basis,
-                           "d": args.d,
-                           "terms": [[list(lam), rat_to_str(v)]
-                                     for lam, v in sorted(values.items())]},
-                          indent=2)
+        return _json({"n": cp.n, "k": cp.k, "basis": cp.basis, "d": args.d,
+                      "terms": [[list(lam), rat_to_str(v)]
+                                for lam, v in sorted(values.items())]})
     return _render_text(cp, args.d, {lam: rat_to_str(v)
                                      for lam, v in values.items() if v})
 
 
 def cmd_stirling_coeff(args) -> str:
+    import json
     from . import rising
     try:
         with open(args.spec_file) as fh:
@@ -201,8 +207,7 @@ def cmd_stirling_coeff(args) -> str:
                          f"and no negative entry")
     poly = spec._unipoly(rising.stirling_coefficient(spec, H))
     if args.format == "json":
-        return json.dumps({"H": list(H), "coefficient": poly.to_json()},
-                          indent=2)
+        return _json({"H": list(H), "coefficient": poly.to_json()})
     return factored_str(poly) if args.factored else repr(poly)
 
 
@@ -217,9 +222,9 @@ def cmd_orbits(args) -> str:
         types = [u]
     data = {u: orbits.enumerate_orbit(u, args.d) for u in types}
     if args.format == "json":
-        return json.dumps({"n": args.n, "d": args.d,
-                           "orbits": [[list(u), [list(v) for v in vs]]
-                                      for u, vs in data.items()]}, indent=2)
+        return _json({"n": args.n, "d": args.d,
+                      "orbits": [[list(u), [list(v) for v in vs]]
+                                 for u, vs in data.items()]})
     lines = []
     for u, vs in data.items():
         label = ",".join(map(str, u))
@@ -234,17 +239,16 @@ def cmd_sigma_degree(args) -> str:
         val = enumgeo.sigma_degree(args.d, args.m, args.r)
         warnings = enumgeo.sigma_validity_warnings(args.d, args.m, args.r)
         if args.format == "json":
-            return json.dumps({"d": args.d, "m": args.m, "r": args.r,
-                               "degree": rat_to_str(val),
-                               "warnings": warnings}, indent=2)
+            return _json({"d": args.d, "m": args.m, "r": args.r,
+                          "degree": rat_to_str(val), "warnings": warnings})
         out = rat_to_str(val)
         for w in warnings:
             out += f"\nwarning: {w}"
         return out
     poly = enumgeo.sigma_degree_symbolic(args.m, args.r)
     if args.format == "json":
-        return json.dumps({"m": args.m, "r": args.r,
-                           "degree_polynomial": poly.to_json()}, indent=2)
+        return _json({"m": args.m, "r": args.r,
+                      "degree_polynomial": poly.to_json()})
     return factored_str(poly) if args.factored else repr(poly)
 
 
@@ -258,8 +262,8 @@ def _fano(args, key: str, invariant) -> str:
         raise InconsistentDataError(f"method disagreement: {vals}")
     val = vals[methods[0]]
     if args.format == "json":
-        return json.dumps({"d": args.d, "m": args.m, key: val,
-                           "methods": methods}, indent=2)
+        return _json({"d": args.d, "m": args.m, key: val,
+                      "methods": methods})
     return str(val)
 
 
@@ -275,63 +279,9 @@ def cmd_fano_chi(args) -> str:
 
 def cmd_verify(args) -> str:
     """Cross-checks of independent methods and of the paper's checkable
-    claims; a failed check exits with EXIT_CHECK."""
-    import time
-    from functools import cache
-    from . import chern, enumgeo, orbits
-
-    checks = []                 # (name, passed, detail, seconds)
-
-    def check(name, fn):
-        start = time.perf_counter()
-        try:
-            ok, detail = bool(fn()), ""
-        except Exception as exc:          # report, don't crash the suite
-            ok, detail = False, str(exc) or type(exc).__name__
-        checks.append((name, ok, detail, time.perf_counter() - start))
-
-    interpolated = cache(lambda: chern.chern_interpolated(2, 3, "monomial"))
-
-    def closed_vs_direct():
-        cp = interpolated()
-        for d in (7, 8):
-            direct = chern.chern_direct(2, d, TruncationPolicy(3))
-            mono = expand_in_basis(direct.homogeneous_component(3), "monomial")
-            if cp.evaluate(d) != {lam: mono.get(lam, Fraction(0))
-                                  for lam in cp.terms}:
-                return False
-        return True
-
-    def euler_closed_vs_direct(d):
-        schur = expand_in_basis(enumgeo.euler_class_c2(d), "schur")
-        return all(v == schur.get((d + 1 - j, j) if j else (d + 1,), 0)
-                   for j, v in chern.euler_c2_closed(d))
-
-    def sigma_leading_term(m, r):
-        coeff, expo = enumgeo.sigma_degree_leading(m, r)
-        p = enumgeo.sigma_degree_symbolic(m, r)
-        return p.degree() == expo and p.coeff(expo) == coeff
-
-    check("closed form matches direct product (n=2, k=3)", closed_vs_direct)
-    check("Euler closed formula matches direct product (d=4)",
-          lambda: euler_closed_vs_direct(4))
-    check("Fano degree methods agree (d=3, m=3)",
-          lambda: enumgeo.fano_degree_lines(3, 3, "closed")
-          == enumgeo.fano_degree_lines(3, 3, "integral") == 27)
-    check("Fano chi closed = integral (delta=1, m=4)",
-          lambda: enumgeo.fano_chi_lines(4, 4, "closed")
-          == enumgeo.fano_chi_lines(4, 4, "integral"))
-    check("orbit factorization (n=3, d=6, trunc 3)",
-          lambda: orbits.orbit_factorization_check(3, 6, TruncationPolicy(3)))
-    check("c_k coefficients divisible by (d+1)d(d-1) (n=2, k=3)",
-          lambda: interpolated().divisibility_ok())
-    check("Sigma leading term matches Manivel's (m=4, r=1)",
-          lambda: sigma_leading_term(4, 1))
-    check("Sigma closed form for r = m-1 (d=4, m=3)",
-          lambda: enumgeo.sigma_degree_hyperplane(4, 3)
-          == enumgeo.sigma_degree(4, 3, 2))
-    check("Fano curve chi = (m+1-C(2m-3,2)) * degree (d=4, m=4)",
-          lambda: enumgeo.chi_deg_ratio_check(4)["holds"])
+    claims (``checks``); a failed check exits with EXIT_CHECK."""
+    from .checks import run_checks
+    checks = run_checks()
     all_ok = all(ok for _, ok, _, _ in checks)
     lines = [f"{'PASS' if ok else 'FAIL'}: {name}"
              + (f" ({detail})" if detail else "")
@@ -340,10 +290,9 @@ def cmd_verify(args) -> str:
     if not all_ok:
         raise InconsistentDataError("\n".join(lines))
     if args.format == "json":
-        return json.dumps({"checks": [
+        return _json({"checks": [
             {"name": name, "passed": ok, "detail": detail, "seconds": secs}
-            for name, ok, detail, secs in checks], "all_passed": all_ok},
-            indent=2)
+            for name, ok, detail, secs in checks], "all_passed": all_ok})
     return "\n".join(lines)
 
 
@@ -392,6 +341,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand.  Given one of COMMANDS, only that
     subcommand's parser gets its arguments; the others are still registered,
     so the top-level help and an unknown command's error stay the same."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="chernpol",
         description="Exact Chern-class computations for spaces of forms, "
@@ -408,7 +358,53 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def parse_schema(argv: list) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` gives, read straight from
+    COMMANDS and FLAGS, for argv of the form ``command --flag value ...``
+    with each of the command's flags at most once and every value accepted
+    by its type and choices.  None for anything else (help, an unknown,
+    missing or repeated flag, an abbreviation, ``--flag=value``, a bad
+    value), which is left to argparse."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, required, optional = COMMANDS[argv[0]]
+    flags = required + optional + ("format",)
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        flag = token[2:]
+        if not token.startswith("--") or flag not in flags or flag in given:
+            return None
+        if FLAGS[flag].get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        # argparse reads a token that starts with "-" as a flag unless it is
+        # a negative number
+        if value is None or (value[:1] == "-" and not value[1:].isdecimal()):
+            return None
+        given[flag] = value
+    if any(flag not in given for flag in required):
+        return None
+    args = SimpleNamespace(command=argv[0])
+    for flag in flags:
+        spec = FLAGS[flag]
+        if spec.get("action") == "store_true":
+            value = flag in given
+        else:
+            value = given.get(flag, spec.get("default"))
+            if isinstance(value, str):      # as in argparse, defaults too
+                try:
+                    value = spec.get("type", str)(value)
+                except (TypeError, ValueError):
+                    return None
+                if value not in spec.get("choices", (value,)):
+                    return None
+        setattr(args, flag.replace("-", "_"), value)
+    return args
+
+
 def _report(args, exc: Exception, label: str, code: int) -> int:
+    import json
     err = {"error": type(exc).__name__, "message": str(exc)}
     print(json.dumps(err) if args.format == "json" else f"{label}: {exc}",
           file=sys.stderr)
@@ -417,11 +413,12 @@ def _report(args, exc: Exception, label: str, code: int) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
+    args = parse_schema(argv)
+    if args is None:        # argparse prints help and usage errors
+        try:
+            args = build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if exc.code is not None else EXIT_USAGE
     try:
         out = COMMANDS[args.command][0](args)
     except UsageError as exc:

@@ -1,7 +1,7 @@
 """Exact rational arithmetic: the shared errors, ``Fraction`` helpers, the
-polynomial core ``_Poly`` that univariate and multivariate polynomials share,
-univariate polynomials over Q, and interpolation in integers from the values
-at 0, 1, ..., N.
+variable and basis names, the polynomial core ``_Poly`` that univariate and
+multivariate polynomials share, univariate polynomials over Q, and
+interpolation in integers from the values at 0, 1, ..., N.
 
 All coefficients at the API are ``fractions.Fraction``; nothing here ever
 rounds.  Polynomial products and the rational-root test run on integer
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class DuplicateAbscissaError(ValueError):
@@ -68,6 +68,9 @@ def xvars(n: int) -> tuple:
     """The variable names x1..xn."""
     return tuple(f"x{i+1}" for i in range(n))
 
+
+# basis name -> the letter that labels its elements (m[2,1], e[1], ...)
+BASES = {"monomial": "m", "elementary": "e", "schur": "s", "power": "p"}
 
 
 def _cleared(terms: Mapping) -> tuple:
@@ -205,13 +208,6 @@ class UniPoly(_Poly):
     @classmethod
     def x(cls, var: str = "d") -> "UniPoly":
         return cls({1: Fraction(1)}, var=var)
-
-    @classmethod
-    def from_roots(cls, roots: Iterable, var: str = "d") -> "UniPoly":
-        p = cls.const(1, var=var)
-        for r in roots:
-            p = p * cls({1: Fraction(1), 0: -rat(r)}, var=var)
-        return p
 
     def _new(self, terms: dict) -> "UniPoly":
         out = object.__new__(UniPoly)

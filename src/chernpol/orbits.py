@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import itertools
 
-from .chern import chern_direct
 from .exactcore import OutOfDomainError, TruncationPolicy, xvars
-from .multipoly import MultiPoly
-from .symfunc import expand_in_basis, multiplicities
+
+# chern, multipoly and symfunc are imported inside the functions that use
+# them, so enumerating orbits loads none of them
 
 
 def orbit_types(n: int) -> list:
@@ -72,6 +72,8 @@ def _evars(n: int) -> tuple:
 
 def _expansion_to_epoly(terms: dict, n: int) -> MultiPoly:
     """{nu: c} in the elementary basis as a polynomial in e_1..e_n."""
+    from .multipoly import MultiPoly
+    from .symfunc import multiplicities
     out = {}
     for nu, c in terms.items():
         H = multiplicities(nu)
@@ -82,6 +84,8 @@ def _expansion_to_epoly(terms: dict, n: int) -> MultiPoly:
 def orbit_term(values) -> MultiPoly:
     """p_(d_1..d_n): the product over the distinct permutations of the
     weight tuple of (1 + sum_i w_i x_i), re-expressed exactly in e_1..e_n."""
+    from .multipoly import MultiPoly
+    from .symfunc import expand_in_basis
     values = tuple(int(v) for v in values)
     n = len(values)
     out = MultiPoly.const(1, xvars(n))
@@ -98,6 +102,8 @@ def weighted_truncate(f: MultiPoly, max_weight: int) -> MultiPoly:
 
 def chern_in_elementary(n: int, d: int, policy: TruncationPolicy) -> MultiPoly:
     """chern_direct re-expressed in e_1..e_n, truncated by x-weight."""
+    from .chern import chern_direct
+    from .symfunc import expand_in_basis
     f = chern_direct(n, d, policy)
     return _expansion_to_epoly(expand_in_basis(f, "elementary"), n)
 
@@ -105,6 +111,7 @@ def chern_in_elementary(n: int, d: int, policy: TruncationPolicy) -> MultiPoly:
 def orbit_factorization_check(n: int, d: int, policy: TruncationPolicy) -> bool:
     """Does the product of all orbit terms reproduce the total Chern class
     (both sides truncated at the same x-weight)?"""
+    from .multipoly import MultiPoly
     if d < 0:
         raise ValueError("d must be >= 0")
     maxw = policy.max_total_degree

@@ -13,10 +13,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
 
-from .exactcore import InconsistentDataError, as_integer, xvars
-
-# basis name -> the letter that labels its elements (m[2,1], e[1], ...)
-BASES = {"monomial": "m", "elementary": "e", "schur": "s", "power": "p"}
+from .exactcore import BASES, InconsistentDataError, as_integer, xvars
 
 
 class InvalidIndexError(ValueError):

@@ -24,6 +24,8 @@ from chernpol.specialization import (M_tilde, eulerian_second, stirling_first,
 from chernpol.symfunc import (BASES, catalan_triangle, enumerate_partitions,
                               expand_in_basis, syt_count, to_x_expansion)
 
+from polyhelpers import from_roots
+
 D = UniPoly.x("d")
 
 
@@ -69,7 +71,7 @@ def test_criterion_01_stirling_identities():
               "|lambda| <= 5, length <= 4")
 def test_criterion_02_m_tilde():
     V = UniPoly.x("v")
-    quintic = (UniPoly.from_roots([-1, 0, 0, 1], var="v")
+    quintic = (from_roots([-1, 0, 0, 1], var="v")
                * (V.scale(2) + 1)).scale(F(1, 6))
     assert M_tilde((2, 0, 0)) == quintic
     for w in range(0, 6):
@@ -129,18 +131,18 @@ def test_criterion_03_oracle_equivalence():
               "match the displayed polynomials verbatim")
 def test_criterion_04_c3_schur():
     cp2 = chern_interpolated(2, 3, "schur")
-    s3 = UniPoly.from_roots([0, 0, 1, 2, -1, -1], var="d").scale(F(1, 48))
-    s21 = (UniPoly.from_roots([0, 0, 1, -1], var="d")
+    s3 = from_roots([0, 0, 1, 2, -1, -1], var="d").scale(F(1, 48))
+    s21 = (from_roots([0, 0, 1, -1], var="d")
            * UniPoly({2: F(1), 1: F(1), 0: F(2)}, var="d")).scale(F(1, 24))
     assert cp2.terms == {(3,): s3, (2, 1): s21}
 
     cp3 = chern_interpolated(3, 3, "schur")
-    pre = UniPoly.from_roots([0, 1, -3, -2, -1], var="d")
+    pre = from_roots([0, 1, -3, -2, -1], var="d")
     t3 = (pre * UniPoly({4: F(5), 3: F(20), 2: F(-5), 1: F(-50), 0: F(-12)},
                         var="d")).scale(F(1, 6480))
     t21 = (pre * UniPoly({2: F(1), 0: F(2)}, var="d")
            * UniPoly({2: F(2), 1: F(8), 0: F(3)}, var="d")).scale(F(1, 1296))
-    t111 = (UniPoly.from_roots([0, -3, -2, -1], var="d")
+    t111 = (from_roots([0, -3, -2, -1], var="d")
             * UniPoly({2: F(1), 0: F(2)}, var="d")
             * UniPoly({3: F(1), 2: F(3), 1: F(2), 0: F(12)},
                       var="d")).scale(F(1, 1296))
@@ -151,7 +153,7 @@ def test_criterion_04_c3_schur():
               "formula with d-degrees 8, 7, 6")
 def test_criterion_05_c4_elementary():
     cp = chern_interpolated(2, 4, "elementary")
-    pre = UniPoly.from_roots([-1, 0, 1, 2], var="d")
+    pre = from_roots([-1, 0, 1, 2], var="d")
     e1111 = (pre * (D - 3)
              * UniPoly({3: F(15), 2: F(15), 1: F(-10), 0: F(-8)},
                        var="d")).scale(F(1, 5760))

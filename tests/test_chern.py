@@ -14,6 +14,8 @@ from chernpol.exactcore import MultiPoly, TruncationPolicy, UniPoly
 from chernpol.symfunc import (enumerate_partitions, expand_in_basis, syt_count,
                               to_x_expansion)
 
+from polyhelpers import from_roots
+
 D = UniPoly.x("d")
 
 
@@ -168,20 +170,20 @@ def test_c1_closed_form():
 
 def test_c3_n2_schur():
     cp = chern_interpolated(2, 3, "schur")
-    s3 = UniPoly.from_roots([0, 0, 1, 2, -1, -1], var="d").scale(F(1, 48))
-    s21 = (UniPoly.from_roots([0, 0, 1, -1], var="d")
+    s3 = from_roots([0, 0, 1, 2, -1, -1], var="d").scale(F(1, 48))
+    s21 = (from_roots([0, 0, 1, -1], var="d")
            * UniPoly({2: F(1), 1: F(1), 0: F(2)}, var="d")).scale(F(1, 24))
     assert cp.terms == {(3,): s3, (2, 1): s21}
 
 
 def test_c3_n3_schur():
     cp = chern_interpolated(3, 3, "schur")
-    pre = UniPoly.from_roots([0, 1, -3, -2, -1], var="d")
+    pre = from_roots([0, 1, -3, -2, -1], var="d")
     s3 = (pre * UniPoly({4: F(5), 3: F(20), 2: F(-5), 1: F(-50), 0: F(-12)},
                         var="d")).scale(F(1, 6480))
     s21 = (pre * UniPoly({2: F(1), 0: F(2)}, var="d")
            * UniPoly({2: F(2), 1: F(8), 0: F(3)}, var="d")).scale(F(1, 1296))
-    s111 = (UniPoly.from_roots([0, -3, -2, -1], var="d")
+    s111 = (from_roots([0, -3, -2, -1], var="d")
             * UniPoly({2: F(1), 0: F(2)}, var="d")
             * UniPoly({3: F(1), 2: F(3), 1: F(2), 0: F(12)},
                       var="d")).scale(F(1, 1296))

@@ -19,6 +19,8 @@ from chernpol.chern import ChernPolynomial, chern_interpolated
 from chernpol.exactcore import UniPoly
 from chernpol.rising import RisingProductSpec
 
+from polyhelpers import from_roots
+
 
 def run_cli(argv, capsys):
     code = cli.main(argv)
@@ -320,7 +322,7 @@ def test_cache_entry_that_is_a_directory(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_factored_str():
-    p = UniPoly.from_roots([0, 0, 1, -1], var="d").scale(F(1, 24))
+    p = from_roots([0, 0, 1, -1], var="d").scale(F(1, 24))
     s = cli.factored_str(p)
     assert "d^2" in s and "(d-1)" in s and "(d+1)" in s and "1/24" in s
     assert cli.factored_str(UniPoly.const(0, "d")) == "0"
@@ -329,10 +331,10 @@ def test_factored_str():
 
 
 def test_factored_str_multiplicities_and_large_roots():
-    p = UniPoly.from_roots([0, F(-1, 2), F(3, 4), F(3, 4), 2, -2]).scale(5)
+    p = from_roots([0, F(-1, 2), F(3, 4), F(3, 4), 2, -2]).scale(5)
     assert cli.factored_str(p) == "d*(d+1/2)*(d-2)*(d+2)*(d-3/4)^2*(5)"
     # a root with a large prime numerator
-    assert (cli.factored_str(UniPoly.from_roots([2, -3, 1000000007]))
+    assert (cli.factored_str(from_roots([2, -3, 1000000007]))
             == "(d-2)*(d+3)*(d-1000000007)")
     # non-monic, with large coprime numerators and denominators
     d = UniPoly.x()
@@ -431,10 +433,12 @@ def test_one_command_parser_matches_the_full_parser(command):
     for argv in valid:
         code, ns, _, _ = _parsed(own, argv)
         assert code is None and ns == _parsed(full, argv)[1], argv
+        assert vars(cli.parse_schema(argv)) == ns, argv
     for argv in errors:
         result = _parsed(own, argv)
         assert result[0] == cli.EXIT_USAGE and result[3], argv
         assert result == _parsed(full, argv), argv
+        assert cli.parse_schema(argv) is None, argv
     help_argv = [command, "--help"]
     assert _parsed(own, help_argv) == _parsed(full, help_argv)
     assert own.format_help() == full.format_help()
@@ -628,6 +632,47 @@ def _argv(draw, paths):
     if not draw(st.integers(0, 7)):
         argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
     return argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["chern-eval", "--n", "2", "--k", "1", "--d", "-1"],
+    ["orbits", "--n", "3", "--d", "4", "--type", "-1"],
+    ["chern", "--n", "\u0663", "--k", " 2 ", "--basis", "schur"],
+])
+def test_schema_parser_reads_what_argparse_reads(argv):
+    # negative numbers are values; values go through the flag's type
+    assert vars(cli.parse_schema(argv)) == _parsed(cli.build_parser(), argv)[1]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["chern", "--help"], ["frobenius"],
+    ["chern", "--n=2", "--k", "1"], ["chern", "--n", "2", "--k", "1", "--no"],
+    ["chern", "--n", "2", "--n", "3", "--k", "1"],
+    ["chern", "--n", "2", "--k", "1", "--", "--factored"],
+    ["chern", "--n", "2", "--k"], ["chern", "--n", "-x", "--k", "1"],
+    ["orbits", "--n", "3", "--d", "4", "--type", "-1,2"],
+    ["chern", "--n", "1.5", "--k", "1"], ["chern", "--n", "2", "--k", "1", "x"],
+])
+def test_schema_parser_leaves_the_rest_to_argparse(argv):
+    assert cli.parse_schema(argv) is None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_schema_parser_agrees_with_argparse(data, fuzz_paths):
+    # an argv the schema parser reads gives argparse's namespace; one it
+    # refuses gets argparse's exit code, help and error text from main
+    argv = data.draw(_argv(fuzz_paths), label="argv")
+    code, ns, out, err = _parsed(cli.build_parser(), argv)
+    args = cli.parse_schema(argv)
+    if args is not None:
+        assert code is None and vars(args) == ns
+    elif code is not None:
+        main_out, main_err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(main_out), \
+                contextlib.redirect_stderr(main_err):
+            assert cli.main(argv) == code
+        assert (main_out.getvalue(), main_err.getvalue()) == (out, err)
 
 
 @settings(max_examples=1000, deadline=None)

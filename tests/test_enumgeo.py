@@ -20,6 +20,8 @@ from chernpol.exactcore import (InconsistentDataError, MultiPoly,
 from chernpol.symfunc import (NotSymmetricError, enumerate_partitions,
                               expand_in_basis, to_x_expansion)
 
+from polyhelpers import from_roots
+
 
 def test_expected_dimension():
     assert expected_dimension(3, 3, 1) == 4 - 4
@@ -217,7 +219,7 @@ def test_sigma_symbolic_8_3_factors():
     p = sigma_degree_symbolic(8, 3)
     roots, cofactor = p.rational_roots()
     assert roots == [(r, 1) for r in (0, 1, -1, 2, -2, -3)]
-    assert p == cofactor * UniPoly.from_roots([0, 1, -1, 2, -2, -3])
+    assert p == cofactor * from_roots([0, 1, -1, 2, -2, -3])
 
 
 def test_sigma_degree_leading():

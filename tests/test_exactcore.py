@@ -17,6 +17,8 @@ from chernpol.exactcore import (DuplicateAbscissaError, InconsistentDataError,
                                 series_invert)
 from chernpol.roots import _divide_out
 
+from polyhelpers import from_roots
+
 
 def test_unipoly_basics():
     p = UniPoly({2: F(1), 0: F(-3)})
@@ -30,10 +32,10 @@ def test_unipoly_basics():
 
 
 def test_unipoly_from_roots_and_division():
-    p = UniPoly.from_roots([1, 2, 3])
+    p = from_roots([1, 2, 3])
     assert p(1) == p(2) == p(3) == 0
     assert p(0) == -6
-    assert UniPoly.from_roots([1, 3]) * UniPoly.from_roots([2]) == p
+    assert from_roots([1, 3]) * from_roots([2]) == p
     assert p.rational_roots() == ([(F(1), 1), (F(2), 1), (F(3), 1)],
                                   UniPoly.const(1))
     assert p(5) != 0
@@ -83,10 +85,10 @@ def test_unipoly_arith_is_pointwise(a, b, v):
 
 
 def test_rational_roots_with_multiplicities():
-    p = UniPoly.from_roots([0, F(-1, 2), F(3, 4), F(3, 4), 2, -2]).scale(5)
+    p = from_roots([0, F(-1, 2), F(3, 4), F(3, 4), 2, -2]).scale(5)
     roots, cofactor = p.rational_roots()
     assert roots == [(0, 1), (F(-1, 2), 1), (2, 1), (-2, 1), (F(3, 4), 2)]
-    assert p == cofactor * UniPoly.from_roots(
+    assert p == cofactor * from_roots(
         [r for r, mult in roots for _ in range(mult)])
     assert cofactor == 5
     assert UniPoly({3: F(2)}).rational_roots() == ([(0, 3)], UniPoly.const(2))
@@ -102,11 +104,11 @@ def test_rational_roots_with_multiplicities():
        st.integers(1, 5), st.integers(-3, 3).filter(bool))
 def test_rational_roots_finds_every_root(roots, c, scale):
     # (d^2 + c) has no rational root
-    p = (UniPoly.from_roots(roots) * UniPoly({2: F(1), 0: F(c)})).scale(scale)
+    p = (from_roots(roots) * UniPoly({2: F(1), 0: F(c)})).scale(scale)
     found, cofactor = p.rational_roots()
     found = [r for r, m in found for _ in range(m)]
     assert sorted(found) == sorted(roots)
-    assert p == cofactor * UniPoly.from_roots(found)
+    assert p == cofactor * from_roots(found)
 
 
 def divisor_pair_roots(p):
@@ -148,14 +150,14 @@ def test_rational_roots_match_divisor_pairs(coeffs, roots, low):
     base = UniPoly(dict(enumerate(coeffs)))
     if base.is_zero():
         base = UniPoly.const(coeffs[0] or 1)
-    p = base * UniPoly.from_roots(roots) * UniPoly({low: 1})
+    p = base * from_roots(roots) * UniPoly({low: 1})
     assert repr(p.rational_roots()) == repr(divisor_pair_roots(p))
 
 
 def test_rational_roots_edge_cases():
     d = UniPoly.x()
     # roots at dyadic points, which bisection meets as exact midpoints
-    p = UniPoly.from_roots([F(1, 2), F(3, 4), 8, -8, F(-1, 2)]) * (d * d + 3)
+    p = from_roots([F(1, 2), F(3, 4), 8, -8, F(-1, 2)]) * (d * d + 3)
     assert p.rational_roots() == (
         [(F(1, 2), 1), (F(-1, 2), 1), (F(3, 4), 1), (8, 1), (-8, 1)],
         d * d + 3)
@@ -166,11 +168,11 @@ def test_rational_roots_edge_cases():
                                   (d * d - 2).scale(q * q))
     # two roots 1/q^2 apart
     q = 1000
-    p = UniPoly.from_roots([F(1, q), F(q + 1, q * q), 5]) * (d * d + d + 1)
+    p = from_roots([F(1, q), F(q + 1, q * q), 5]) * (d * d + d + 1)
     assert p.rational_roots() == (
         [(F(1, q), 1), (5, 1), (F(q + 1, q * q), 1)], d * d + d + 1)
     # a negative leading coefficient
-    p = UniPoly.from_roots([F(2, 3), -1, 4]).scale(-6)
+    p = from_roots([F(2, 3), -1, 4]).scale(-6)
     assert p.rational_roots() == ([(-1, 1), (F(2, 3), 1), (4, 1)],
                                   UniPoly.const(-6))
     # a constant, and d^j alone
@@ -211,7 +213,7 @@ def test_rational_roots_with_a_huge_constant_term():
     roots, cofactor = p.rational_roots()
     assert roots == [(1, 1), (F(-3, 2), 2)]
     assert cofactor == irreducible.scale(4)
-    assert p == cofactor * UniPoly.from_roots([1, F(-3, 2), F(-3, 2)])
+    assert p == cofactor * from_roots([1, F(-3, 2), F(-3, 2)])
 
 
 def test_zero_results_have_empty_terms():

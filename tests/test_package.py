@@ -37,14 +37,19 @@ EXPORTED = {
                 "sigma_degree_symbolic"),
 }
 
-# runs one CLI command in a fresh interpreter and reports what it imported
+# runs one CLI command in a fresh interpreter and reports what it imported;
+# json is imported after the count, so the count shows whether the command
+# loaded it
 PROBE = """
-import contextlib, io, json, sys
+import sys
 before = set(sys.modules)
+import contextlib, io
 from chernpol.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps({"code": code, "new": sorted(set(sys.modules) - before)}))
+new = sorted(set(sys.modules) - before)
+import json
+print(json.dumps({"code": code, "new": new}))
 """
 
 
@@ -57,26 +62,35 @@ def test_no_assert_statements():
         assert not found, f"{path.name}: assert at lines {found}"
 
 
+def _scan(node, owners: tuple, defined: set, used: set) -> None:
+    """Add to ``defined`` the functions and classes of a module or class
+    body below ``node``, and to ``used`` every name referred to below it
+    outside the definitions of that name in ``owners``."""
+    for child in ast.iter_child_nodes(node):
+        inner = owners
+        if (isinstance(node, (ast.Module, ast.ClassDef))
+                and isinstance(child, (ast.FunctionDef, ast.ClassDef))):
+            defined.add(child.name)
+            inner = owners + (child.name,)
+        name = (child.id if isinstance(child, ast.Name)
+                else child.attr if isinstance(child, ast.Attribute)
+                else child.name if isinstance(child, ast.alias)
+                else None)
+        if name not in owners:
+            used.add(name)
+        _scan(child, inner, defined, used)
+
+
 def _unreferenced_definitions() -> set:
-    """The module-level functions and classes of the package that no code
-    in it refers to, outside their own body, and that it does not export;
-    dunders are exempt.  A reference is a name, an attribute or an
-    imported name."""
+    """The module-level functions and classes of the package, and the
+    methods of its classes, that no code in it refers to outside their own
+    body and that it does not export; dunders are exempt.  A reference is a
+    name, an attribute or an imported name."""
     defined, used = set(), set()
     for path in Path(chernpol.__file__).parent.glob("*.py"):
-        for top in ast.parse(path.read_text()).body:
-            owner = (top.name if isinstance(top, (ast.FunctionDef,
-                                                  ast.ClassDef)) else None)
-            defined.add(owner)
-            for node in ast.walk(top):
-                name = (node.id if isinstance(node, ast.Name)
-                        else node.attr if isinstance(node, ast.Attribute)
-                        else node.name if isinstance(node, ast.alias)
-                        else None)
-                if name != owner:
-                    used.add(name)
+        _scan(ast.parse(path.read_text()), (), defined, used)
     return {name for name in defined - used - set(chernpol.__all__)
-            if name and not (name.startswith("__") and name.endswith("__"))}
+            if not (name.startswith("__") and name.endswith("__"))}
 
 
 def test_every_definition_is_used_or_exported():
@@ -97,18 +111,22 @@ def _fresh(*args) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _run(argv) -> set:
-    """The chernpol modules a fresh interpreter loads to run ``argv``;
-    the command must succeed and must not load dataclasses."""
+def _run(argv, allow_json: bool = True) -> set:
+    """The chernpol modules a fresh interpreter loads to run ``argv``; the
+    command must succeed and must load neither dataclasses nor argparse,
+    nor json unless ``allow_json``."""
     report = _fresh(PROBE, *argv)
     assert report["code"] == 0, argv
-    assert "dataclasses" not in report["new"], argv
+    assert not {"dataclasses", "argparse"} & set(report["new"]), argv
+    assert allow_json or "json" not in report["new"], argv
     return {m for m in report["new"] if m.split(".")[0] == "chernpol"}
 
 
+CORE = {"chernpol", "chernpol.cli", "chernpol.exactcore"}
+
+
 def test_each_command_loads_only_what_it_runs(tmp_path):
-    core = {"chernpol", "chernpol.cli", "chernpol.exactcore",
-            "chernpol.symfunc"}
+    core = CORE | {"chernpol.symfunc"}
     chern_argv = ["chern", "--n", "4", "--k", "3", "--basis", "s",
                   "--cache-dir", str(tmp_path)]
     _run(chern_argv)                                # fills the cache
@@ -122,17 +140,37 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
                  str(ROOT / "bench" / "odd_spec.json"), "--type", "2,1"]) \
         == core | {"chernpol.multipoly", "chernpol.rising",
                    "chernpol.specialization"}
-    assert _run(["--help"]) == core
+    # enumerating orbits needs neither chern nor a basis change
+    assert (_run(["orbits", "--n", "6", "--d", "16"], allow_json=False)
+            == CORE | {"chernpol.orbits"})
+    assert "json" in _fresh(PROBE, "orbits", "--n", "2", "--d", "2",
+                            "--format", "json")["new"]
+
+
+def test_help_loads_argparse_and_no_symfunc():
+    # argparse prints help and usage errors only
+    for argv in (["--help"], ["chern", "--help"], ["chern", "--n", "2"]):
+        report = _fresh(PROBE, *argv)
+        assert report["code"] == (0 if "--help" in argv else 2), argv
+        assert "argparse" in report["new"], argv
+        assert {m for m in report["new"] if m.startswith("chernpol")} == CORE
 
 
 def test_sigma_degree_loads_no_multipoly():
     # numeric and symbolic Sigma read chern_values through the alternant and
     # build no MultiPoly
-    sigma = {"chernpol", "chernpol.cli", "chernpol.exactcore",
-             "chernpol.symfunc", "chernpol.record", "chernpol.chern",
-             "chernpol.specialization", "chernpol.enumgeo"}
-    assert _run(["sigma-degree", "--r", "2", "--d", "5", "--m", "6"]) == sigma
-    assert _run(["sigma-degree", "--r", "1", "--m", "3"]) == sigma
+    sigma = CORE | {"chernpol.symfunc", "chernpol.record", "chernpol.chern",
+                    "chernpol.specialization", "chernpol.enumgeo"}
+    assert _run(["sigma-degree", "--r", "2", "--d", "5", "--m", "6"],
+                allow_json=False) == sigma
+    assert _run(["sigma-degree", "--r", "1", "--m", "3"],
+                allow_json=False) == sigma
+
+
+def test_text_output_loads_no_json():
+    _run(["fano-degree", "--d", "3", "--m", "3"], allow_json=False)
+    # the checks compile only for verify: the pins above hold no checks
+    assert "chernpol.checks" in _run(["verify"], allow_json=False)
 
 
 @pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,

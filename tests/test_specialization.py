@@ -13,6 +13,8 @@ from chernpol.specialization import (M_plain, M_tilde, M_tilde_values,
                                      stirling_second)
 from chernpol.symfunc import enumerate_partitions
 
+from polyhelpers import from_roots
+
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -213,8 +215,8 @@ def faulhaber_products(lam):
         for q in mu:
             term = term * faulhaber(q)
         out = out + term
-    return UniPoly.from_roots(range(len(star) - 1, len(star) - 1 + m0),
-                              var="v") * out
+    return from_roots(range(len(star) - 1, len(star) - 1 + m0),
+                      var="v") * out
 
 
 def test_M_tilde_matches_faulhaber_products():
@@ -238,7 +240,7 @@ def test_M_tilde_vanishing_and_divisibility():
 def test_M_tilde_quintic_example():
     # m~_(2,0,0)(0..v) = (1/6)(v+1) v^2 (v-1) (2v+1)
     p = M_tilde((2, 0, 0))
-    expected = UniPoly.from_roots([-1, 0, 0, 1]) * UniPoly({1: F(2), 0: F(1)})
+    expected = from_roots([-1, 0, 0, 1]) * UniPoly({1: F(2), 0: F(1)})
     assert p == expected.scale(F(1, 6))
 
 
