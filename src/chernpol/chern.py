@@ -24,14 +24,14 @@ from math import comb, factorial, prod
 from operator import le, mul, sub
 
 from .exactcore import (BASES, OutOfDomainError, TruncationPolicy, UniPoly,
-                        interpolate_integers, xvars)
-from .record import FORMAT_VERSION, ChernPolynomial, check_degree
+                        check_degree, interpolate_integers, xvars)
 from .symfunc import (check_partition, enumerate_partitions, multiplicities,
                       partition_of, syt_count, validate_basis_index)
 
-# multipoly, rising and specialization are imported inside the functions
-# that use them; the closed form loads only specialization.  ChernPolynomial,
-# check_degree and FORMAT_VERSION live in ``record`` and are re-exported here,
+# multipoly, record, rising and specialization are imported inside the
+# functions that use them; the closed form loads only specialization, and
+# the Sigma and Fano invariants, which read chern_values, load no record.
+# ChernPolynomial lives in ``record`` and is re-exported here on first use,
 # so reading a cached ChernPolynomial loads no chern at all.
 
 
@@ -111,6 +111,7 @@ def chern_interpolated(n: int, k: int, basis: str = "monomial") -> ChernPolynomi
     values = chern_values(n, k, range(n * k + 1),
                           enumerate_partitions(k, max_length=n))
     terms = {nu: interpolate_integers(v) for nu, v in values.items() if any(v)}
+    from .record import ChernPolynomial
     return ChernPolynomial(n, k, "monomial", terms).in_basis(basis)
 
 
@@ -219,3 +220,13 @@ def leading_term(basis: str, lam, n: int):
         proved = (set(lam) <= {1}) or n == 2
         return coeff, elementary_degree_bound(lam, n), not proved
     raise ValueError(f"no leading-term formula in basis {basis!r}")
+
+
+def __getattr__(name: str):
+    # PEP 562: ``chern.ChernPolynomial`` is ``record.ChernPolynomial``,
+    # loaded on first use; not stored here, so it always reads record's
+    # binding
+    if name != "ChernPolynomial":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import record
+    return record.ChernPolynomial

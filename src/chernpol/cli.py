@@ -5,12 +5,13 @@ invariants, with JSON/text rendering and a persistent Chern-coefficient cache.
 
 from __future__ import annotations
 
+import atexit
 import os
 import sys
 from types import SimpleNamespace
 
 from .exactcore import (BASES, InconsistentDataError, OutOfDomainError,
-                        UniPoly, rat_to_str)
+                        UniPoly, check_degree, rat_to_str)
 
 # the computing modules (chern, rising, orbits, enumgeo, checks) are imported
 # inside the handlers that run them, so each command loads only what it
@@ -180,8 +181,7 @@ def cmd_chern(args) -> str:
 
 
 def cmd_chern_eval(args) -> str:
-    from . import record
-    record.check_degree(args.d, args.n)  # before anything is computed or cached
+    check_degree(args.d, args.n)  # before anything is computed or cached
     cp = _get_chern(args)
     values = cp.evaluate(args.d)
     if args.format == "json":
@@ -431,5 +431,41 @@ def main(argv=None) -> int:
     return 0
 
 
+def run(argv=None) -> NoReturn:
+    """The process entry point of ``python -m chernpol.cli`` and of the
+    ``chernpol`` script: ``main``, then flush the output, run the atexit
+    callbacks and end the process by ``os._exit``, skipping interpreter
+    teardown, which frees every object one by one.  Nothing may be left to
+    teardown: the cache file is closed and renamed inside
+    ``cache_get_or_compute``, and the package starts no thread and defines
+    no finalizer.  ``main`` never ends the process, so it stays safe to
+    call in-process.
+
+    Output that cannot be written exits 1: silently when the reader has
+    gone (a broken pipe), with one line on stderr for any other write
+    error.  An exception that escapes ``main`` ends the interpreter the
+    usual way, with a traceback.
+    """
+    try:
+        code = main(argv)
+        _flush_output()
+    except OSError as exc:  # main handles the cache's and spec file's own
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # nothing flushed later may fail again (Python docs, "Note on
+        # SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    atexit._run_exitfuncs()
+    _flush_output()         # what the callbacks wrote
+    os._exit(code)
+
+
+def _flush_output() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:      # None when started with the fd closed
+            stream.flush()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -10,9 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .chern import check_degree, chern_direct, chern_values, euler_c2_closed
+from .chern import chern_direct, chern_values, euler_c2_closed
 from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly, as_integer,
-                        interpolate_integers, xvars)
+                        check_degree, interpolate_integers, xvars)
 from .symfunc import (NotSymmetricError, alternant_terms, catalan_triangle,
                       expand_in_basis, partition_of, schur_coefficient)
 

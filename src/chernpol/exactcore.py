@@ -1,7 +1,8 @@
-"""Exact rational arithmetic: the shared errors, ``Fraction`` helpers, the
-variable and basis names, the polynomial core ``_Poly`` that univariate and
-multivariate polynomials share, univariate polynomials over Q, and
-interpolation in integers from the values at 0, 1, ..., N.
+"""Exact rational arithmetic: the shared errors, the domain check of the
+degree d, ``Fraction`` helpers, the variable and basis names, the
+polynomial core ``_Poly`` that univariate and multivariate polynomials
+share, univariate polynomials over Q, and interpolation in integers from
+the values at 0, 1, ..., N.
 
 All coefficients at the API are ``fractions.Fraction``; nothing here ever
 rounds.  Polynomial products and the rational-root test run on integer
@@ -40,6 +41,14 @@ class OutOfDomainError(ValueError):
 
 class NotInvertibleError(ValueError):
     """Series inversion of something without constant term 1."""
+
+
+def check_degree(d, n: int | None = None) -> None:
+    """c(Pol^d(C^n)) is defined for d >= -1 (d = -1 is the empty product);
+    for n = 1 its polynomials hold only for d >= 0 (c_1 = d)."""
+    if d < -1 or (n == 1 and d < 0):
+        raise OutOfDomainError("d must be >= 0 for n = 1" if n == 1
+                               else "d must be >= -1")
 
 
 def rat(x) -> Fraction:

@@ -12,18 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .exactcore import OutOfDomainError, UniPoly
+from .exactcore import UniPoly, check_degree
 from .symfunc import convert_expansion
 
 FORMAT_VERSION = "chernpol-cache-2"
-
-
-def check_degree(d, n: int | None = None) -> None:
-    """c(Pol^d(C^n)) is defined for d >= -1 (d = -1 is the empty product);
-    for n = 1 its polynomials hold only for d >= 0 (c_1 = d)."""
-    if d < -1 or (n == 1 and d < 0):
-        raise OutOfDomainError("d must be >= 0 for n = 1" if n == 1
-                               else "d must be >= -1")
 
 
 class ChernPolynomial:

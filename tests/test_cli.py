@@ -53,10 +53,101 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(err)["error"] == "EmptyFanoError"
 
 
+def _python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports this package;
+    stdout and stderr are captured unless ``kwargs`` redirect them."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    kwargs.setdefault("timeout", 60)
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
 def test_entry_point_usage_exit():
     proc = subprocess.run([sys.executable, "-m", "chernpol.cli"],
                           capture_output=True)
     assert proc.returncode == cli.EXIT_USAGE
+
+
+# the entry point, with enumgeo's two Fano degree methods disagreeing
+DISAGREEING = """import sys
+from chernpol import cli, enumgeo
+enumgeo.fano_degree_lines = lambda d, m, method: {"closed": 27,
+                                                  "integral": 28}[method]
+cli.run(sys.argv[1:])
+"""
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["-m", "chernpol.cli", "orbits", "--n", "3", "--d", "2", "--type", "1,1"],
+     cli.EXIT_USAGE, "usage error: --type must be a composition"),
+    (["-m", "chernpol.cli", "fano-degree", "--d", "4", "--m", "3"],
+     cli.EXIT_DOMAIN, "domain error: negative expected dimension"),
+    (["-c", DISAGREEING, "fano-degree", "--d", "3", "--m", "3"],
+     cli.EXIT_CHECK, "check failed: method disagreement"),
+], ids=["usage", "domain", "check"])
+def test_entry_point_keeps_exit_codes(args, code, message):
+    proc = _python(*args, text=True)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith(message) and "Traceback" not in proc.stderr
+
+
+def test_entry_point_exception_ends_with_traceback():
+    # only a normal return from main takes the fast exit
+    script = ("import sys\n"
+              "from chernpol import cli, enumgeo\n"
+              "enumgeo.fano_degree_lines = None\n"
+              "cli.run(sys.argv[1:])\n")
+    proc = _python("-c", script, "fano-degree", "--d", "3", "--m", "3",
+                   text=True)
+    assert proc.returncode == 1
+    assert "Traceback" in proc.stderr and "TypeError" in proc.stderr
+
+
+def test_entry_point_runs_atexit_callbacks(tmp_path):
+    marker = tmp_path / "marker"
+    script = ("import atexit, pathlib, sys\n"
+              "atexit.register(pathlib.Path(sys.argv[1]).write_text, 'ran')\n"
+              "from chernpol import cli\n"
+              "cli.run(sys.argv[2:])\n")
+    proc = _python("-c", script, str(marker), "fano-degree", "--d", "3",
+                   "--m", "3", text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "27\n", "")
+    assert marker.read_text() == "ran"
+
+
+def test_entry_point_writes_a_complete_cache_file(tmp_path):
+    proc = _python("-m", "chernpol.cli", "chern", "--n", "3", "--k", "2",
+                   "--cache-dir", str(tmp_path))
+    assert proc.returncode == 0
+    # no temporary file is left behind
+    assert [p.name for p in tmp_path.iterdir()] == ["chern_n3_k2.json"]
+    doc = json.loads((tmp_path / "chern_n3_k2.json").read_text())
+    assert doc["checksum"] == cli._checksum(doc["payload"])
+    assert ChernPolynomial.from_json(doc["payload"]) == chern_interpolated(3, 2)
+
+
+def test_broken_pipe_exits_quietly():
+    # 1.6 MB of output, far more than a pipe holds, so the query is still
+    # writing when the reader closes its end
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chernpol.cli", "orbits", "--n", "8", "--d",
+         "60"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b"type (1,1,"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_unwritable_output_is_one_error_line():
+    with open("/dev/full", "w") as full:
+        proc = _python("-m", "chernpol.cli", "fano-degree", "--d", "3",
+                       "--m", "3", stdout=full, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +440,9 @@ def test_factored_stirling_coefficient_with_a_large_prime(tmp_path):
     path.write_text(json.dumps(
         {"params": ["delta"], "nx": 1, "K": [[1, "1"]],
          "table": [[[1], 0, [[0, str(2 ** 89 - 1)]]]]}))
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chernpol.cli", "stirling-coeff", "--spec-file",
-         str(path), "--type", "1", "--factored"],
-        env=env, capture_output=True, text=True, check=True, timeout=10)
+    proc = _python("-m", "chernpol.cli", "stirling-coeff", "--spec-file",
+                   str(path), "--type", "1", "--factored", text=True,
+                   check=True, timeout=10)
     assert proc.stdout == f"(delta+1)*({2 ** 89 - 1})\n"
 
 

@@ -12,6 +12,9 @@ in the order they run; one cache dir serves the whole list, so the
 chern-warm queries read the entries the earlier chern queries wrote.
 Regenerate it, only for an intended change of output, with
 ``PYTHONPATH=src python tests/test_cli_golden.py``.
+
+The entries are checked in-process through ``cli.main``, and the README
+examples also through ``python -m chernpol.cli``, the process entry point.
 """
 
 import contextlib
@@ -19,6 +22,7 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -136,3 +140,15 @@ def test_cli_output_matches_golden(entry, cache_env, capsys):
     argv, code, stdout = entry
     assert cli.main(list(argv)) == code
     assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=" ".join)
+def test_entry_point_output_matches_golden(argv, tmp_path):
+    # the same bytes and exit code through ``python -m chernpol.cli``, which
+    # ends the process by cli.run, not by returning from main
+    [(code, stdout)] = [(c, out) for a, c, out in ENTRIES if a == argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               **{cli.CACHE_ENV: str(tmp_path)})
+    proc = subprocess.run([sys.executable, "-m", "chernpol.cli", *argv],
+                          cwd=ROOT, env=env, capture_output=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (code, stdout.encode())

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import chernpol
-from chernpol import chern, rising
+from chernpol import chern, cli, rising
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -158,8 +158,8 @@ def test_help_loads_argparse_and_no_symfunc():
 
 def test_sigma_degree_loads_no_multipoly():
     # numeric and symbolic Sigma read chern_values through the alternant and
-    # build no MultiPoly
-    sigma = CORE | {"chernpol.symfunc", "chernpol.record", "chernpol.chern",
+    # build no MultiPoly and no ChernPolynomial
+    sigma = CORE | {"chernpol.symfunc", "chernpol.chern",
                     "chernpol.specialization", "chernpol.enumgeo"}
     assert _run(["sigma-degree", "--r", "2", "--d", "5", "--m", "6"],
                 allow_json=False) == sigma
@@ -168,7 +168,11 @@ def test_sigma_degree_loads_no_multipoly():
 
 
 def test_text_output_loads_no_json():
-    _run(["fano-degree", "--d", "3", "--m", "3"], allow_json=False)
+    # both Fano methods: the integral one builds a MultiPoly, and neither
+    # a ChernPolynomial
+    assert _run(["fano-degree", "--d", "3", "--m", "3"], allow_json=False) \
+        == CORE | {"chernpol.symfunc", "chernpol.chern", "chernpol.multipoly",
+                   "chernpol.specialization", "chernpol.enumgeo"}
     # the checks compile only for verify: the pins above hold no checks
     assert "chernpol.checks" in _run(["verify"], allow_json=False)
 
@@ -181,6 +185,34 @@ def test_cache_hit_loads_no_openssl(tmp_path):
     report = _fresh(PROBE, *argv)
     assert report["code"] == 0
     assert "_hashlib" not in report["new"]
+
+
+def test_console_script_is_the_entry_point():
+    tomllib = pytest.importorskip("tomllib")        # Python 3.11+
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())[
+        "project"]["scripts"]
+    module, _, name = scripts["chernpol"].partition(":")
+    assert callable(getattr(importlib.import_module(module), name))
+    # not main: the script's wrapper passes main's code to sys.exit, and
+    # the interpreter then tears down
+    assert scripts["chernpol"] == "chernpol.cli:run"
+
+
+def test_only_the_entry_point_ends_the_process():
+    # os._exit skips teardown; everything else returns, so the tests and the
+    # benchmark can call it in-process
+    found = []
+    for path in sorted(Path(chernpol.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [(path.name, node.lineno) for node in ast.walk(tree)
+                  if "_exit" in (getattr(node, "attr", None),
+                                 getattr(node, "name", None),
+                                 getattr(node, "id", None))]
+    tree = ast.parse(Path(cli.__file__).read_text())
+    run = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    assert [name for name, _ in found] == ["cli.py"]
+    assert run.lineno < found[0][1] <= run.end_lineno
 
 
 def test_import_chernpol_loads_no_submodule():
