@@ -16,9 +16,7 @@ from .exactcore import (BASES, InconsistentDataError, OutOfDomainError,
 # the computing modules (chern, rising, orbits, enumgeo, checks) are imported
 # inside the handlers that run them, so each command loads only what it
 # executes; a cached chern query reads its record through ``record`` and
-# loads no chern.  json is imported where JSON is read or written, and
-# argparse only for the argv that ``parse_schema`` leaves to it: help, usage
-# errors and the forms that it does not read
+# loads no chern.  json is imported where JSON is read or written
 
 CACHE_ENV = "CHERNPOL_CACHE_DIR"
 
@@ -31,15 +29,19 @@ class UsageError(ValueError):
     pass
 
 
+# what main reports, as "label: message" on stderr, and its exit code
+ERRORS = {UsageError: ("usage error", EXIT_USAGE),
+          OutOfDomainError: ("domain error", EXIT_DOMAIN),
+          InconsistentDataError: ("check failed", EXIT_CHECK)}
+
+
 # ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------
 
 def default_cache_dir() -> str:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "chernpol")
+    return (os.environ.get(CACHE_ENV)
+            or os.path.join(os.path.expanduser("~"), ".cache", "chernpol"))
 
 
 def _cache_path(cache_dir: str, n: int, k: int) -> str:
@@ -125,12 +127,8 @@ def factored_str(p: UniPoly) -> str:
     roots, rest = p.rational_roots()
     parts = []
     for root, mult in roots:
-        if root == 0:
-            base = var
-        elif root > 0:
-            base = f"({var}-{rat_to_str(root)})"
-        else:
-            base = f"({var}+{rat_to_str(-root)})"
+        base = (f"({var}{'-' if root > 0 else '+'}{rat_to_str(abs(root))})"
+                if root else var)
         parts.append(base if mult == 1 else f"{base}^{mult}")
     if rest.degree() == 0 and not parts:
         return repr(rest)
@@ -138,26 +136,15 @@ def factored_str(p: UniPoly) -> str:
     return "*".join(parts + ([tail] if tail else [])) or "1"
 
 
-def _partition_label(lam, basis: str) -> str:
-    return f"{BASES[basis]}[{','.join(map(str, lam))}]"
-
-
 def _render_text(cp: record.ChernPolynomial, d, shown: dict) -> str:
     """Header for c_k at degree ``d`` (a number or "d"), then one line per
     basis element with its coefficient as shown."""
     lines = [f"c_{cp.k}(Pol^{d}(C^{cp.n})) in {cp.basis} basis:"]
-    lines += [f"  {_partition_label(lam, cp.basis)}: {v}"
+    lines += [f"  {BASES[cp.basis]}[{','.join(map(str, lam))}]: {v}"
               for lam, v in sorted(shown.items())]
     if len(lines) == 1:
         lines.append("  0")
     return "\n".join(lines)
-
-
-def render_chern(cp: record.ChernPolynomial, fmt: str, factored: bool) -> str:
-    if fmt == "json":
-        return _json(cp.to_json())
-    show = factored_str if factored else repr
-    return _render_text(cp, "d", {lam: show(p) for lam, p in cp.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +164,11 @@ def _get_chern(args) -> record.ChernPolynomial:
 
 
 def cmd_chern(args) -> str:
-    return render_chern(_get_chern(args), args.format, args.factored)
+    cp = _get_chern(args)
+    if args.format == "json":
+        return _json(cp.to_json())
+    show = factored_str if args.factored else repr
+    return _render_text(cp, "d", {lam: show(p) for lam, p in cp.terms.items()})
 
 
 def cmd_chern_eval(args) -> str:
@@ -225,12 +216,10 @@ def cmd_orbits(args) -> str:
         return _json({"n": args.n, "d": args.d,
                       "orbits": [[list(u), [list(v) for v in vs]]
                                  for u, vs in data.items()]})
-    lines = []
-    for u, vs in data.items():
-        label = ",".join(map(str, u))
-        body = " ".join("(" + ",".join(map(str, v)) + ")" for v in vs) or "empty"
-        lines.append(f"type ({label}): {body}")
-    return "\n".join(lines)
+    return "\n".join(
+        f"type ({','.join(map(str, u))}): "
+        + (" ".join(f"({','.join(map(str, v))})" for v in vs) or "empty")
+        for u, vs in data.items())
 
 
 def cmd_sigma_degree(args) -> str:
@@ -241,10 +230,8 @@ def cmd_sigma_degree(args) -> str:
         if args.format == "json":
             return _json({"d": args.d, "m": args.m, "r": args.r,
                           "degree": rat_to_str(val), "warnings": warnings})
-        out = rat_to_str(val)
-        for w in warnings:
-            out += f"\nwarning: {w}"
-        return out
+        return "\n".join([rat_to_str(val)]
+                         + [f"warning: {w}" for w in warnings])
     poly = enumgeo.sigma_degree_symbolic(args.m, args.r)
     if args.format == "json":
         return _json({"m": args.m, "r": args.r,
@@ -252,9 +239,12 @@ def cmd_sigma_degree(args) -> str:
     return factored_str(poly) if args.factored else repr(poly)
 
 
-def _fano(args, key: str, invariant) -> str:
-    """``invariant(d, m, method)`` by each requested method; the methods must
-    agree."""
+def cmd_fano(args) -> str:
+    """``enumgeo.fano_<key>_lines(d, m, method)``, for the command
+    ``fano-<key>``, by each requested method; the methods must agree."""
+    from . import enumgeo
+    key = args.command[len("fano-"):]
+    invariant = getattr(enumgeo, f"fano_{key}_lines")
     methods = (["closed", "integral"] if args.method == "both"
                else [args.method])
     vals = {meth: invariant(args.d, args.m, meth) for meth in methods}
@@ -265,16 +255,6 @@ def _fano(args, key: str, invariant) -> str:
         return _json({"d": args.d, "m": args.m, key: val,
                       "methods": methods})
     return str(val)
-
-
-def cmd_fano_degree(args) -> str:
-    from . import enumgeo
-    return _fano(args, "degree", enumgeo.fano_degree_lines)
-
-
-def cmd_fano_chi(args) -> str:
-    from . import enumgeo
-    return _fano(args, "chi", enumgeo.fano_chi_lines)
 
 
 def cmd_verify(args) -> str:
@@ -305,19 +285,20 @@ def _basis_name(s: str) -> str:
     return next((name for name, letter in BASES.items() if letter == s), s)
 
 
-# flag -> add_argument keywords, shared by the subcommands that take it
+# flag -> its type, choices, default and help, shared by the subcommands that
+# take it; a flag whose default is False is a switch and takes no value
 FLAGS = {
-    "n": {"type": int}, "k": {"type": int}, "d": {"type": int},
-    "m": {"type": int}, "r": {"type": int},
-    "basis": {"type": _basis_name, "choices": BASES, "default": "m",
-              "help": "basis name or letter (m, e, s, p)"},
+    **dict.fromkeys(("n", "k", "d", "m", "r"), {"type": int}),
+    "basis": {"type": _basis_name, "choices": BASES, "default": "monomial",
+              "help": "or m, e, s, p"},
     "type": {"help": "comma-separated integer vector"},
     "format": {"choices": ["json", "text"], "default": "text"},
-    "cache-dir": {},
-    "no-cache": {"action": "store_true"},
+    "cache-dir": {"help": f"default ${CACHE_ENV} or ~/.cache/chernpol"},
+    "no-cache": {"default": False, "help": "do not use the cache"},
     "method": {"choices": ["closed", "integral", "both"], "default": "both"},
-    "spec-file": {},
-    "factored": {"action": "store_true"},
+    "spec-file": {"help": "JSON rising-product spec"},
+    "factored": {"default": False,
+                 "help": "pull rational roots out as linear factors"},
 }
 
 # subcommand -> (handler, required flags, optional flags); every subcommand
@@ -331,102 +312,124 @@ COMMANDS = {
                        ("factored",)),
     "orbits": (cmd_orbits, ("n", "d"), ("type",)),
     "sigma-degree": (cmd_sigma_degree, ("m", "r"), ("d", "factored")),
-    "fano-degree": (cmd_fano_degree, ("d", "m"), ("method",)),
-    "fano-chi": (cmd_fano_chi, ("d", "m"), ("method",)),
+    "fano-degree": (cmd_fano, ("d", "m"), ("method",)),
+    "fano-chi": (cmd_fano, ("d", "m"), ("method",)),
     "verify": (cmd_verify, (), ()),
 }
 
+HELP = """usage: chernpol COMMAND [--flag value ...]
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand.  Given one of COMMANDS, only that
-    subcommand's parser gets its arguments; the others are still registered,
-    so the top-level help and an unknown command's error stay the same."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="chernpol",
-        description="Exact Chern-class computations for spaces of forms, "
-                    "rising products, and enumerative invariants.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, required, optional) in COMMANDS.items():
-        p = sub.add_parser(name)
-        if command in COMMANDS and name != command:
-            continue
-        for flag in required:
-            p.add_argument("--" + flag, required=True, **FLAGS[flag])
-        for flag in optional + ("format",):
-            p.add_argument("--" + flag, **FLAGS[flag])
-    return parser
+Exact Chern-class computations for spaces of forms, rising products, and
+enumerative invariants.  The commands and their flags ([optional]; each also
+takes --format and -h/--help; a flag may be shortened to a unique prefix):"""
 
 
-def parse_schema(argv: list) -> SimpleNamespace | None:
-    """What ``build_parser().parse_args(argv)`` gives, read straight from
-    COMMANDS and FLAGS, for argv of the form ``command --flag value ...``
-    with each of the command's flags at most once and every value accepted
-    by its type and choices.  None for anything else (help, an unknown,
-    missing or repeated flag, an abbreviation, ``--flag=value``, a bad
-    value), which is left to argparse."""
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    _, required, optional = COMMANDS[argv[0]]
-    flags = required + optional + ("format",)
-    given, tokens = {}, iter(argv[1:])
+def _flag(token: str, flags: tuple) -> str:
+    """The flag of ``flags``, or "help", that ``token`` names: ``-h``, or
+    ``--`` and a name or a prefix of no other name, before any ``=value``."""
+    name = token.partition("=")[0]
+    hits = [flag for flag in flags + ("help",) if len(name) > 2
+            and ("--" + flag).startswith(name)] + ["help"] * (name == "-h")
+    if name[2:] in hits or len(hits) == 1:
+        return name[2:] if name[2:] in hits else hits[0]
+    raise UsageError(f"ambiguous option: {name} could match --"
+                     + ", --".join(hits) if hits else
+                     f"unrecognized arguments: {token!r}")
+
+
+def _value(flag: str, text: str):
+    """``text`` read by the flag's type, if it is one of the flag's choices."""
+    spec = FLAGS[flag]
+    try:
+        value = spec.get("type", str)(text)
+    except ValueError:
+        value = None
+    if value is None or value not in spec.get("choices", (value,)):
+        raise UsageError(f"argument --{flag}: invalid value: {text!r}" + (
+            f" (choose from {', '.join(spec['choices'])})"
+            if "choices" in spec else ""))
+    return value
+
+
+def parse_args(argv: list) -> SimpleNamespace:
+    """The namespace of ``argv``, a command and its flags as COMMANDS and
+    FLAGS give them, or a UsageError.  A flag is ``--flag value`` or
+    ``--flag=value``, by its name or a prefix of no other flag's; the last
+    of a repeated flag wins.  The namespace has ``command``, one attribute
+    per flag and ``help``: None, or the text that ``-h``/``--help`` asks."""
+    command = argv[0] if argv else ""
+    if command.startswith("-"):
+        _flag(command, ())                  # raises for all but help
+        return SimpleNamespace(command=None, help=_help(None))
+    if command not in COMMANDS:
+        raise UsageError((f"invalid command {command!r}" if command else
+                          "no command") + f" (choose from {', '.join(COMMANDS)})")
+    _, required, optional = COMMANDS[command]
+    values = {flag: FLAGS[flag].get("default")
+              for flag in required + optional + ("format",)}
+    tokens = iter(argv[1:])
     for token in tokens:
-        flag = token[2:]
-        if not token.startswith("--") or flag not in flags or flag in given:
-            return None
-        if FLAGS[flag].get("action") == "store_true":
-            given[flag] = True
-            continue
-        value = next(tokens, None)
-        # argparse reads a token that starts with "-" as a flag unless it is
-        # a negative number
-        if value is None or (value[:1] == "-" and not value[1:].isdecimal()):
-            return None
-        given[flag] = value
-    if any(flag not in given for flag in required):
-        return None
-    args = SimpleNamespace(command=argv[0])
-    for flag in flags:
+        flag, (_, eq, value) = _flag(token, tuple(values)), token.partition("=")
+        if flag == "help":
+            return SimpleNamespace(command=command, help=_help(command))
+        takes_value = FLAGS[flag].get("default") is not False
+        if eq and not takes_value:
+            raise UsageError(f"argument --{flag}: takes no value")
+        if takes_value and not eq and (value := next(tokens, None)) is None:
+            raise UsageError(f"argument --{flag}: expected one argument")
+        values[flag] = _value(flag, value) if takes_value else True
+    missing = ", ".join("--" + flag for flag in required if values[flag] is None)
+    if missing:
+        raise UsageError(f"the following arguments are required: {missing}")
+    return SimpleNamespace(command=command, help=None, **{
+        flag.replace("-", "_"): value for flag, value in values.items()})
+
+
+def _usage(command: str) -> str:
+    _, required, optional = COMMANDS[command]
+    return " ".join(["--" + flag for flag in required]
+                    + [f"[--{flag}]" for flag in optional])
+
+
+def _help(command: str | None) -> str:
+    """The help of ``command``: its flags, with their choices and defaults;
+    with none, the help of the program: every command with its flags."""
+    if command is None:
+        return "\n".join([HELP] + [f"  {name:15} {_usage(name)}".rstrip()
+                                   for name in COMMANDS])
+    _, required, optional = COMMANDS[command]
+    lines = [f"usage: chernpol {command} {_usage(command)}", "", "flags:"]
+    for flag in required + optional + ("format",):
         spec = FLAGS[flag]
-        if spec.get("action") == "store_true":
-            value = flag in given
-        else:
-            value = given.get(flag, spec.get("default"))
-            if isinstance(value, str):      # as in argparse, defaults too
-                try:
-                    value = spec.get("type", str)(value)
-                except (TypeError, ValueError):
-                    return None
-                if value not in spec.get("choices", (value,)):
-                    return None
-        setattr(args, flag.replace("-", "_"), value)
-    return args
-
-
-def _report(args, exc: Exception, label: str, code: int) -> int:
-    import json
-    err = {"error": type(exc).__name__, "message": str(exc)}
-    print(json.dumps(err) if args.format == "json" else f"{label}: {exc}",
-          file=sys.stderr)
-    return code
+        meta = ("" if spec.get("default") is False else
+                " {" + ",".join(spec["choices"]) + "}" if "choices" in spec
+                else " " + flag.upper().replace("-", "_"))
+        notes = [spec.get("help"), "required" * (flag in required),
+                 f"default {spec['default']}" if spec.get("default") else ""]
+        lines.append(f"  {'--' + flag + meta:21} "
+                     + "; ".join(filter(None, notes)))
+    return "\n".join([line.rstrip() for line in lines]
+                     + [f"  {'-h, --help':21} print this help"])
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parse_schema(argv)
-    if args is None:        # argparse prints help and usage errors
-        try:
-            args = build_parser(argv[0] if argv else None).parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if exc.code is not None else EXIT_USAGE
+    fmt = "text"        # for a usage error in argv: its last --format
+    for token, after in zip(argv, argv[1:] + [""]):
+        name, eq, value = token.partition("=")
+        fmt = (value if eq else after) if name == "--format" else fmt
     try:
-        out = COMMANDS[args.command][0](args)
-    except UsageError as exc:
-        return _report(args, exc, "usage error", EXIT_USAGE)
-    except OutOfDomainError as exc:
-        return _report(args, exc, "domain error", EXIT_DOMAIN)
-    except InconsistentDataError as exc:
-        return _report(args, exc, "check failed", EXIT_CHECK)
+        args = parse_args(argv)
+        fmt = getattr(args, "format", fmt)
+        out = args.help or COMMANDS[args.command][0](args)
+    except tuple(ERRORS) as exc:
+        import json
+        label, code = next(v for kind, v in ERRORS.items()
+                           if isinstance(exc, kind))
+        err = {"error": type(exc).__name__, "message": str(exc)}
+        print(json.dumps(err) if fmt == "json" else f"{label}: {exc}",
+              file=sys.stderr)
+        return code
     print(out)
     return 0
 
@@ -435,16 +438,12 @@ def run(argv=None) -> NoReturn:
     """The process entry point of ``python -m chernpol.cli`` and of the
     ``chernpol`` script: ``main``, then flush the output, run the atexit
     callbacks and end the process by ``os._exit``, skipping interpreter
-    teardown, which frees every object one by one.  Nothing may be left to
-    teardown: the cache file is closed and renamed inside
+    teardown (nothing is left to it: the cache file is closed inside
     ``cache_get_or_compute``, and the package starts no thread and defines
-    no finalizer.  ``main`` never ends the process, so it stays safe to
-    call in-process.
-
-    Output that cannot be written exits 1: silently when the reader has
-    gone (a broken pipe), with one line on stderr for any other write
-    error.  An exception that escapes ``main`` ends the interpreter the
-    usual way, with a traceback.
+    no finalizer); ``main`` never ends the process, so it stays safe to
+    call in-process.  Output that cannot be written exits 1: silently on a
+    broken pipe, with one stderr line for any other write error.  An
+    exception that escapes ``main`` ends the usual way, with a traceback.
     """
     try:
         code = main(argv)

@@ -11,8 +11,9 @@ from chernpol.chern import (ChernPolynomial, OutOfDomainError, chern_direct,
                             leading_term, odd_grouped_coefficient,
                             weight_vectors)
 from chernpol.exactcore import MultiPoly, TruncationPolicy, UniPoly
-from chernpol.symfunc import (enumerate_partitions, expand_in_basis, syt_count,
-                              to_x_expansion)
+from chernpol.rising import RisingProductSpec, stirling_coefficient
+from chernpol.symfunc import (enumerate_partitions, expand_in_basis,
+                              partition_of, syt_count, to_x_expansion)
 
 from polyhelpers import from_roots
 
@@ -87,6 +88,21 @@ def test_chern_values_restricted_to_wanted():
     assert chern_values(3, 2, [1], []) == {}
     with pytest.raises(ValueError):
         chern_values(3, 2, [1], [(1,)])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_n2_rising_product_matches_chern_values(k):
+    # for n = 2 the weights are a = (t, d - t), t = 0..d, so the product
+    # over |a| = d is the rising product prod_t (1 + d x_2 + t (x_1 - x_2))
+    # with K = d, whose Stirling coefficients share no code with the Newton
+    # recursion of chern_values or with the simplex moments
+    spec = RisingProductSpec.single(
+        "d", {((0, 1), 0): D, ((1, 0), 1): 1, ((0, 1), 1): -1}, D, 2)
+    cp = chern_interpolated(2, k)
+    for h in range(k + 1):
+        H = (h, k - h)
+        assert spec._unipoly(stirling_coefficient(spec, H)) == cp.terms.get(
+            partition_of(H), UniPoly({}, var="d")), H
 
 
 def test_closed_form_needs_no_sampling(monkeypatch):

@@ -69,6 +69,15 @@ def test_entry_point_usage_exit():
     assert proc.returncode == cli.EXIT_USAGE
 
 
+def test_entry_point_help():
+    # the benchmark's set-up runs this and counts a nonzero exit as a failure
+    proc = _python("-m", "chernpol.cli", "--help", text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: chernpol COMMAND")
+    assert [line.split()[0] for line in proc.stdout.splitlines()
+            if line.startswith("  ")] == list(cli.COMMANDS)
+
+
 # the entry point, with enumgeo's two Fano degree methods disagreeing
 DISAGREEING = """import sys
 from chernpol import cli, enumgeo
@@ -475,65 +484,158 @@ def test_readme_examples_parse():
                 for line in readme.read_text().splitlines()
                 if line.startswith("chernpol ")]
     assert {argv[0] for argv in examples} == set(cli.COMMANDS)
-    parser = cli.build_parser()
     for argv in examples:
-        parser.parse_args(argv)
+        assert cli.parse_args(argv).command == argv[0]
 
 
-def _parsed(parser, argv):
-    """(exit code or None, namespace as a dict or None, stdout, stderr)."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code, ns = None, vars(parser.parse_args(argv))
-        except SystemExit as exc:
-            code, ns = exc.code, None
-    return code, ns, out.getvalue(), err.getvalue()
-
-
-# a value for every flag of cli.FLAGS (None: the flag takes no value)
-FLAG_VALUES = {"n": "3", "k": "2", "d": "4", "m": "3", "r": "1", "basis": "e",
-               "type": "2,1", "format": "json", "cache-dir": "cache",
-               "no-cache": None, "method": "closed", "spec-file": "spec.json",
-               "factored": None}
+# a value for every flag of cli.FLAGS (None: the flag is a switch), and what
+# the reader makes of it
+FLAG_VALUES = {"n": ("3", 3), "k": ("2", 2), "d": ("4", 4), "m": ("3", 3),
+               "r": ("1", 1), "basis": ("e", "elementary"),
+               "type": ("2,1", "2,1"), "format": ("json", "json"),
+               "cache-dir": ("cache", "cache"), "no-cache": (None, True),
+               "method": ("closed", "closed"),
+               "spec-file": ("spec.json", "spec.json"),
+               "factored": (None, True)}
+DEFAULTS = {"basis": "monomial", "type": None, "format": "text",
+            "cache-dir": None, "no-cache": False, "method": "both",
+            "d": None, "factored": False}
 
 
 def _with_flags(command, flags):
     argv = [command]
     for flag in flags:
-        argv += ["--" + flag] + ([FLAG_VALUES[flag]] if FLAG_VALUES[flag] else [])
+        value = FLAG_VALUES[flag][0]
+        argv += ["--" + flag] + ([value] if value else [])
     return argv
 
 
+def _namespace(command, values):
+    return {"command": command, "help": None,
+            **{flag.replace("-", "_"): v for flag, v in values.items()}}
+
+
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
-def test_one_command_parser_matches_the_full_parser(command):
-    # build_parser(command) gives the other subcommands no arguments; on
-    # the command itself it must parse, help and fail as build_parser() does
-    full, own = cli.build_parser(), cli.build_parser(command)
+def test_each_command_reads_its_flags(command, capsys):
     _, required, optional = cli.COMMANDS[command]
-    valid = [_with_flags(command, required),
-             _with_flags(command, required + optional + ("format",))]
-    errors = [_with_flags(command, [f for f in required if f != missing])
-              for missing in required]
-    errors += [argv + ["--basis", "x"] for argv in valid if "basis" in optional]
-    errors += [argv + ["--method", "fastest"] for argv in valid
-               if "method" in optional]
-    errors += [["frobenius"], ["frobenius", "--n", "2"]]
-    for argv in valid:
-        code, ns, _, _ = _parsed(own, argv)
-        assert code is None and ns == _parsed(full, argv)[1], argv
-        assert vars(cli.parse_schema(argv)) == ns, argv
-    for argv in errors:
-        result = _parsed(own, argv)
-        assert result[0] == cli.EXIT_USAGE and result[3], argv
-        assert result == _parsed(full, argv), argv
-        assert cli.parse_schema(argv) is None, argv
-    help_argv = [command, "--help"]
-    assert _parsed(own, help_argv) == _parsed(full, help_argv)
-    assert own.format_help() == full.format_help()
-    # a first argument that is not a command builds every subcommand
-    assert (_parsed(cli.build_parser("frobenius"), ["frobenius"])
-            == _parsed(full, ["frobenius"]))
+    flags = required + optional + ("format",)
+    given = {flag: FLAG_VALUES[flag][1] for flag in flags}
+    # the flags left out take their defaults
+    assert vars(cli.parse_args(_with_flags(command, required))) == _namespace(
+        command, {flag: given[flag] if flag in required else DEFAULTS[flag]
+                  for flag in flags})
+    assert (vars(cli.parse_args(_with_flags(command, flags[::-1])))
+            == _namespace(command, given))
+    for missing in required:
+        with pytest.raises(cli.UsageError, match=f"required: --{missing}$"):
+            cli.parse_args(_with_flags(command, [f for f in required
+                                                 if f != missing]))
+    for flag in flags:
+        if "choices" in cli.FLAGS[flag]:
+            with pytest.raises(cli.UsageError,
+                               match=r"invalid value: 'x' \(choose from"):
+                cli.parse_args(_with_flags(command, required)
+                               + ["--" + flag, "x"])
+    # the help names every flag with its choices and default, on stdout
+    assert cli.main([command, "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: chernpol {command}") and err == ""
+    for flag in flags:
+        spec = cli.FLAGS[flag]
+        assert "--" + flag in out
+        if "choices" in spec:
+            assert "{" + ",".join(spec["choices"]) + "}" in out
+        if spec.get("default"):
+            assert f"default {spec['default']}" in out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"]])
+def test_help_lists_every_command_and_its_flags(argv, capsys):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: chernpol COMMAND") and err == ""
+    lines = {line.split()[0]: line for line in out.splitlines()
+             if line.startswith("  ")}
+    for name, (_, required, optional) in cli.COMMANDS.items():
+        assert all("--" + flag in lines[name] for flag in required + optional)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["chern-eval", "--n", "2", "--k", "1", "--d", "-1"], {"d": -1}),
+    (["orbits", "--n", "3", "--d", "4", "--type", "-1"], {"type": "-1"}),
+    (["chern", "--n", "\u0663", "--k", " 2 ", "--basis", "schur"],
+     {"n": 3, "k": 2, "basis": "schur"}),
+    (["fano-degree", "--d", "3", "--m", "3", "--meth", "closed"],
+     {"method": "closed"}),
+    (["fano-chi", "--d=4", "--m=4", "--method=integral"],
+     {"d": 4, "m": 4, "method": "integral"}),
+    (["chern", "--n", "2", "--k", "1", "--basis", "p", "--basis", "s"],
+     {"basis": "schur"}),
+    (["chern", "--n", "2", "--k", "1", "--c", "dir", "--fa"],
+     {"cache_dir": "dir", "factored": True}),
+    (["sigma-degree", "--m", "3", "--r", "1", "--d", "--1"], None),
+], ids=["negative", "negative-type", "int-and-basis-name", "abbreviated",
+        "equals", "last-wins", "abbreviated-switch", "flag-like-value"])
+def test_parse_args_reads_values(argv, expected):
+    # the token after a flag is always its value
+    if expected is None:
+        with pytest.raises(cli.UsageError, match="--d: invalid value: '--1'"):
+            cli.parse_args(argv)
+    else:
+        args = vars(cli.parse_args(argv))
+        assert {key: args[key] for key in expected} == expected
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ([], "no command (choose from chern, "),
+    (["--help"], None), (["chern", "--help"], None),
+    (["frobenius"], "invalid command 'frobenius'"),
+    (["chern", "--n=2", "--k", "1"], {"n": 2, "k": 1}),
+    (["chern", "--n", "2", "--k", "1", "--no"], {"no_cache": True}),
+    (["chern", "--n", "2", "--n", "3", "--k", "1"], {"n": 3}),
+    (["chern", "--n", "2", "--k", "1", "--", "--factored"],
+     "unrecognized arguments: '--'"),
+    (["chern", "--n", "2", "--k"], "--k: expected one argument"),
+    (["chern", "--n", "-x", "--k", "1"], "--n: invalid value: '-x'"),
+    (["orbits", "--n", "3", "--d", "4", "--type", "-1,2"], {"type": "-1,2"}),
+    (["chern", "--n", "1.5", "--k", "1"], "--n: invalid value: '1.5'"),
+    (["chern", "--n", "2", "--k", "1", "x"], "unrecognized arguments: 'x'"),
+    (["chern", "--n", "2", "--k", "1", "--f"],
+     "ambiguous option: --f could match --factored, --format"),
+    (["chern", "--n", "2", "--k", "1", "--no-cache=1"],
+     "--no-cache: takes no value"),
+    (["--n", "2", "chern"], "unrecognized arguments: '--n'"),
+], ids=[f"argv{i}" for i in range(16)])
+def test_parse_args_forms(argv, expected):
+    # None: the help text; a dict: values read; a string: the usage error
+    if expected is None:
+        assert cli.parse_args(argv).help.startswith("usage: chernpol ")
+    elif isinstance(expected, dict):
+        args = vars(cli.parse_args(argv))
+        assert {key: args[key] for key in expected} == expected
+    else:
+        with pytest.raises(cli.UsageError) as info:
+            cli.parse_args(argv)
+        assert expected in str(info.value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["chern", "--n", "2", "--format", "json"],
+    ["chern", "--format=json", "--n", "x", "--k", "1"],
+    ["chern", "--n", "2", "--k", "1", "--bogus", "--format", "json"],
+    ["chern", "--format", "text", "--n", "2", "--format", "json"],
+])
+def test_usage_error_in_argv_has_the_json_body(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert json.loads(err)["error"] == "UsageError"
+
+
+def test_usage_error_in_argv_is_one_line(capsys):
+    code, out, err = run_cli(["chern", "--n", "2", "--format", "json",
+                              "--format", "text"], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "usage error: the following arguments are required: --k\n"
 
 
 # ---------------------------------------------------------------------------
@@ -723,47 +825,6 @@ def _argv(draw, paths):
     return argv
 
 
-@pytest.mark.parametrize("argv", [
-    ["chern-eval", "--n", "2", "--k", "1", "--d", "-1"],
-    ["orbits", "--n", "3", "--d", "4", "--type", "-1"],
-    ["chern", "--n", "\u0663", "--k", " 2 ", "--basis", "schur"],
-])
-def test_schema_parser_reads_what_argparse_reads(argv):
-    # negative numbers are values; values go through the flag's type
-    assert vars(cli.parse_schema(argv)) == _parsed(cli.build_parser(), argv)[1]
-
-
-@pytest.mark.parametrize("argv", [
-    [], ["--help"], ["chern", "--help"], ["frobenius"],
-    ["chern", "--n=2", "--k", "1"], ["chern", "--n", "2", "--k", "1", "--no"],
-    ["chern", "--n", "2", "--n", "3", "--k", "1"],
-    ["chern", "--n", "2", "--k", "1", "--", "--factored"],
-    ["chern", "--n", "2", "--k"], ["chern", "--n", "-x", "--k", "1"],
-    ["orbits", "--n", "3", "--d", "4", "--type", "-1,2"],
-    ["chern", "--n", "1.5", "--k", "1"], ["chern", "--n", "2", "--k", "1", "x"],
-])
-def test_schema_parser_leaves_the_rest_to_argparse(argv):
-    assert cli.parse_schema(argv) is None
-
-
-@settings(max_examples=1000, deadline=None)
-@given(data=st.data())
-def test_schema_parser_agrees_with_argparse(data, fuzz_paths):
-    # an argv the schema parser reads gives argparse's namespace; one it
-    # refuses gets argparse's exit code, help and error text from main
-    argv = data.draw(_argv(fuzz_paths), label="argv")
-    code, ns, out, err = _parsed(cli.build_parser(), argv)
-    args = cli.parse_schema(argv)
-    if args is not None:
-        assert code is None and vars(args) == ns
-    elif code is not None:
-        main_out, main_err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(main_out), \
-                contextlib.redirect_stderr(main_err):
-            assert cli.main(argv) == code
-        assert (main_out.getvalue(), main_err.getvalue()) == (out, err)
-
-
 @settings(max_examples=1000, deadline=None)
 @given(data=st.data())
 def test_fuzz_argv_exits_cleanly(data, fuzz_paths):
@@ -775,3 +836,14 @@ def test_fuzz_argv_exits_cleanly(data, fuzz_paths):
         code = cli.main(argv)
     assert code in {0, cli.EXIT_USAGE, cli.EXIT_DOMAIN, cli.EXIT_CHECK}
     assert "Traceback" not in err.getvalue()
+    if code == cli.EXIT_USAGE:
+        # one line on stderr; the JSON body if the last --format asks for it
+        # (every flag is drawn in full)
+        formats = [b for a, b in zip(argv, argv[1:]) if a == "--format"]
+        last, *rest = err.getvalue().split("\n")[::-1]
+        assert (last, len(rest)) == ("", 1), err.getvalue()
+        line = rest[0]
+        if formats[-1:] == ["json"]:
+            assert json.loads(line)["error"] == "UsageError"
+        else:
+            assert line.startswith("usage error: ")

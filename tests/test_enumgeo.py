@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
-from math import comb
+from itertools import combinations, combinations_with_replacement
+from math import comb, prod
 
 import pytest
 
@@ -142,6 +143,39 @@ def test_sigma_degree_needs_no_product(monkeypatch):
     monkeypatch.setattr(enumgeo, "chern_direct", forbidden)
     monkeypatch.setattr(exactcore.MultiPoly, "mul_truncated", forbidden)
     assert sigma_degree(5, 6, 2) == expected
+
+
+def _bott_sigma_degree(d: int, m: int, r: int) -> F:
+    """deg Sigma(d,m,r) = the integral of c_top(Sym^d S^*) over
+    Gr_{r+1}(C^{m+1}) by Bott's formula (Ellingsrud and Stromme, 1996):
+    with distinct torus weights w_i = i^2 + 3i + 1 on C^{m+1}, the fixed
+    points are the (r+1)-subsets I, with tangent weights w_j - w_i for
+    i in I, j not in I; Sym^d S^* has one weight s_M = -sum_{i in M} w_i
+    per size-d multiset M of I, and c_top is their elementary symmetric
+    function e_top, top = (r+1)(m-r).  No Chern class, partition or Schur
+    function is computed."""
+    w = [i * i + 3 * i + 1 for i in range(m + 1)]
+    top = (r + 1) * (m - r)
+    total = F(0)
+    for I in combinations(range(m + 1), r + 1):
+        e = [1] + [0] * top             # e_0..e_top of the weights so far
+        for M in combinations_with_replacement(I, d):
+            s = -sum(w[i] for i in M)
+            for j in range(top, 0, -1):
+                e[j] += s * e[j - 1]
+        total += F(e[top], prod(w[j] - w[i] for i in I
+                                for j in range(m + 1) if j not in I))
+    return total
+
+
+def test_sigma_degree_matches_bott_localization():
+    # an oracle that shares no code with chern_values or the alternant
+    assert _bott_sigma_degree(3, 3, 1) == 27
+    assert _bott_sigma_degree(5, 4, 1) == 2875
+    wrong = [(d, m, r) for r in (1, 2, 3) for m in range(r + 1, 8)
+             for d in range(7)
+             if sigma_degree(d, m, r) != _bott_sigma_degree(d, m, r)]
+    assert wrong == []
 
 
 def test_chern_grassmannian_low_classes():

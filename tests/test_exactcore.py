@@ -15,7 +15,8 @@ from chernpol.exactcore import (DuplicateAbscissaError, InconsistentDataError,
                                 TruncationPolicy, UniPoly, _cleared, _rebuilt,
                                 interpolate, interpolate_integers,
                                 series_invert)
-from chernpol.roots import _divide_out
+from chernpol import roots as rootsmod
+from chernpol.roots import _divide_out, _square_free_part, _taylor_shift
 
 from polyhelpers import from_roots
 
@@ -214,6 +215,52 @@ def test_rational_roots_with_a_huge_constant_term():
     assert roots == [(1, 1), (F(-3, 2), 2)]
     assert cofactor == irreducible.scale(4)
     assert p == cofactor * from_roots([1, F(-3, 2), F(-3, 2)])
+
+
+def test_rational_roots_of_quadruple_roots_with_large_denominators():
+    # four roots of multiplicity 4 over denominators near 10^11: their
+    # intervals count 4 down to width 1/|a_N| (about 2^-620), so the search
+    # moves to the square-free part.  Bisecting p itself took 7049 Taylor
+    # shifts here, where the square-free part takes 95
+    quadruple = [F(100000000019, 99999999977), F(-299999999971, 100000000003),
+                 F(5, 99999999967), F(-100000000043, 100000000057)]
+    d = UniPoly.x()
+    rest = (d * d + 3) * (d * d - 5)
+    p = from_roots([r for r in quadruple for _ in range(4)]) * rest
+    assert p.degree() == 20
+    counts = []
+    for _ in range(2):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rootsmod, "_taylor_shift", lambda q: calls.append(1)
+                       or _taylor_shift(q))
+            mp.setattr(rootsmod, "_square_free_part", lambda a: calls.append(
+                0) or _square_free_part(a))
+            roots, cofactor = p.rational_roots()
+        assert sorted(roots) == sorted((r, 4) for r in quadruple)
+        assert cofactor == rest               # p is monic
+        assert calls.count(0) == 1          # one gcd, computed lazily
+        counts.append(calls.count(1))
+    assert counts[0] == counts[1] < 200
+
+
+@settings(max_examples=40)
+@given(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=5),
+                min_size=1, max_size=4),
+       st.lists(st.integers(1, 3), min_size=4, max_size=4),
+       st.integers(-3, 3).filter(bool))
+def test_square_free_part_keeps_each_root_once(roots, mults, scale):
+    roots = sorted(set(roots))
+    p = (from_roots([r for r, m in zip(roots, mults) for _ in range(m)])
+         * UniPoly({2: F(1), 0: F(3)})).scale(scale)
+    _, pairs = _cleared(p.terms)
+    a = [0] * (p.degree() + 1)
+    for e, n in pairs:
+        a[e] = n
+    free = UniPoly(dict(enumerate(_square_free_part(a))))
+    expected = from_roots(roots) * UniPoly({2: F(1), 0: F(3)})
+    assert free.degree() == expected.degree()
+    assert free == expected.scale(free.coeff(free.degree()))
 
 
 def test_zero_results_have_empty_terms():

@@ -147,13 +147,27 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
                             "--format", "json")["new"]
 
 
-def test_help_loads_argparse_and_no_symfunc():
-    # argparse prints help and usage errors only
+def test_help_and_usage_errors_load_no_argparse_and_no_symfunc():
+    # the flag schema reader prints help and usage errors itself
     for argv in (["--help"], ["chern", "--help"], ["chern", "--n", "2"]):
         report = _fresh(PROBE, *argv)
         assert report["code"] == (0 if "--help" in argv else 2), argv
-        assert "argparse" in report["new"], argv
+        assert not {"argparse", "gettext", "locale", "textwrap"} & set(
+            report["new"]), argv
         assert {m for m in report["new"] if m.startswith("chernpol")} == CORE
+
+
+def test_no_module_imports_argparse():
+    # one argv reader: cli.parse_args over the FLAGS/COMMANDS schema
+    for path in Path(chernpol.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Import)
+                 and any(a.name.split(".")[0] == "argparse"
+                         for a in node.names)
+                 or isinstance(node, ast.ImportFrom)
+                 and (node.module or "").split(".")[0] == "argparse"]
+        assert not found, f"{path.name}: argparse imported at lines {found}"
 
 
 def test_sigma_degree_loads_no_multipoly():
