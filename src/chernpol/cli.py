@@ -29,19 +29,15 @@ class UsageError(ValueError):
     pass
 
 
-# what main reports, as "label: message" on stderr, and its exit code
-ERRORS = {UsageError: ("usage error", EXIT_USAGE),
-          OutOfDomainError: ("domain error", EXIT_DOMAIN),
-          InconsistentDataError: ("check failed", EXIT_CHECK)}
-
-
 # ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------
 
 def default_cache_dir() -> str:
-    return (os.environ.get(CACHE_ENV)
-            or os.path.join(os.path.expanduser("~"), ".cache", "chernpol"))
+    env = os.environ.get(CACHE_ENV)
+    if env:
+        return env
+    return os.path.join(os.path.expanduser("~"), ".cache", "chernpol")
 
 
 def _cache_path(cache_dir: str, n: int, k: int) -> str:
@@ -127,8 +123,12 @@ def factored_str(p: UniPoly) -> str:
     roots, rest = p.rational_roots()
     parts = []
     for root, mult in roots:
-        base = (f"({var}{'-' if root > 0 else '+'}{rat_to_str(abs(root))})"
-                if root else var)
+        if root == 0:
+            base = var
+        elif root > 0:
+            base = f"({var}-{rat_to_str(root)})"
+        else:
+            base = f"({var}+{rat_to_str(-root)})"
         parts.append(base if mult == 1 else f"{base}^{mult}")
     if rest.degree() == 0 and not parts:
         return repr(rest)
@@ -136,15 +136,26 @@ def factored_str(p: UniPoly) -> str:
     return "*".join(parts + ([tail] if tail else [])) or "1"
 
 
+def _partition_label(lam, basis: str) -> str:
+    return f"{BASES[basis]}[{','.join(map(str, lam))}]"
+
+
 def _render_text(cp: record.ChernPolynomial, d, shown: dict) -> str:
     """Header for c_k at degree ``d`` (a number or "d"), then one line per
     basis element with its coefficient as shown."""
     lines = [f"c_{cp.k}(Pol^{d}(C^{cp.n})) in {cp.basis} basis:"]
-    lines += [f"  {BASES[cp.basis]}[{','.join(map(str, lam))}]: {v}"
+    lines += [f"  {_partition_label(lam, cp.basis)}: {v}"
               for lam, v in sorted(shown.items())]
     if len(lines) == 1:
         lines.append("  0")
     return "\n".join(lines)
+
+
+def render_chern(cp: record.ChernPolynomial, fmt: str, factored: bool) -> str:
+    if fmt == "json":
+        return _json(cp.to_json())
+    show = factored_str if factored else repr
+    return _render_text(cp, "d", {lam: show(p) for lam, p in cp.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +175,7 @@ def _get_chern(args) -> record.ChernPolynomial:
 
 
 def cmd_chern(args) -> str:
-    cp = _get_chern(args)
-    if args.format == "json":
-        return _json(cp.to_json())
-    show = factored_str if args.factored else repr
-    return _render_text(cp, "d", {lam: show(p) for lam, p in cp.terms.items()})
+    return render_chern(_get_chern(args), args.format, args.factored)
 
 
 def cmd_chern_eval(args) -> str:
@@ -216,10 +223,12 @@ def cmd_orbits(args) -> str:
         return _json({"n": args.n, "d": args.d,
                       "orbits": [[list(u), [list(v) for v in vs]]
                                  for u, vs in data.items()]})
-    return "\n".join(
-        f"type ({','.join(map(str, u))}): "
-        + (" ".join(f"({','.join(map(str, v))})" for v in vs) or "empty")
-        for u, vs in data.items())
+    lines = []
+    for u, vs in data.items():
+        label = ",".join(map(str, u))
+        body = " ".join("(" + ",".join(map(str, v)) + ")" for v in vs) or "empty"
+        lines.append(f"type ({label}): {body}")
+    return "\n".join(lines)
 
 
 def cmd_sigma_degree(args) -> str:
@@ -230,8 +239,10 @@ def cmd_sigma_degree(args) -> str:
         if args.format == "json":
             return _json({"d": args.d, "m": args.m, "r": args.r,
                           "degree": rat_to_str(val), "warnings": warnings})
-        return "\n".join([rat_to_str(val)]
-                         + [f"warning: {w}" for w in warnings])
+        out = rat_to_str(val)
+        for w in warnings:
+            out += f"\nwarning: {w}"
+        return out
     poly = enumgeo.sigma_degree_symbolic(args.m, args.r)
     if args.format == "json":
         return _json({"m": args.m, "r": args.r,
@@ -239,12 +250,9 @@ def cmd_sigma_degree(args) -> str:
     return factored_str(poly) if args.factored else repr(poly)
 
 
-def cmd_fano(args) -> str:
-    """``enumgeo.fano_<key>_lines(d, m, method)``, for the command
-    ``fano-<key>``, by each requested method; the methods must agree."""
-    from . import enumgeo
-    key = args.command[len("fano-"):]
-    invariant = getattr(enumgeo, f"fano_{key}_lines")
+def _fano(args, key: str, invariant) -> str:
+    """``invariant(d, m, method)`` by each requested method; the methods must
+    agree."""
     methods = (["closed", "integral"] if args.method == "both"
                else [args.method])
     vals = {meth: invariant(args.d, args.m, meth) for meth in methods}
@@ -255,6 +263,16 @@ def cmd_fano(args) -> str:
         return _json({"d": args.d, "m": args.m, key: val,
                       "methods": methods})
     return str(val)
+
+
+def cmd_fano_degree(args) -> str:
+    from . import enumgeo
+    return _fano(args, "degree", enumgeo.fano_degree_lines)
+
+
+def cmd_fano_chi(args) -> str:
+    from . import enumgeo
+    return _fano(args, "chi", enumgeo.fano_chi_lines)
 
 
 def cmd_verify(args) -> str:
@@ -288,9 +306,10 @@ def _basis_name(s: str) -> str:
 # flag -> its type, choices, default and help, shared by the subcommands that
 # take it; a flag whose default is False is a switch and takes no value
 FLAGS = {
-    **dict.fromkeys(("n", "k", "d", "m", "r"), {"type": int}),
+    "n": {"type": int}, "k": {"type": int}, "d": {"type": int},
+    "m": {"type": int}, "r": {"type": int},
     "basis": {"type": _basis_name, "choices": BASES, "default": "monomial",
-              "help": "or m, e, s, p"},
+              "help": "basis name or letter (m, e, s, p)"},
     "type": {"help": "comma-separated integer vector"},
     "format": {"choices": ["json", "text"], "default": "text"},
     "cache-dir": {"help": f"default ${CACHE_ENV} or ~/.cache/chernpol"},
@@ -312,8 +331,8 @@ COMMANDS = {
                        ("factored",)),
     "orbits": (cmd_orbits, ("n", "d"), ("type",)),
     "sigma-degree": (cmd_sigma_degree, ("m", "r"), ("d", "factored")),
-    "fano-degree": (cmd_fano, ("d", "m"), ("method",)),
-    "fano-chi": (cmd_fano, ("d", "m"), ("method",)),
+    "fano-degree": (cmd_fano_degree, ("d", "m"), ("method",)),
+    "fano-chi": (cmd_fano_chi, ("d", "m"), ("method",)),
     "verify": (cmd_verify, (), ()),
 }
 
@@ -324,17 +343,29 @@ enumerative invariants.  The commands and their flags ([optional]; each also
 takes --format and -h/--help; a flag may be shortened to a unique prefix):"""
 
 
+def _is_switch(flag: str) -> bool:
+    """Whether ``--flag`` is a switch, which takes no value."""
+    return FLAGS[flag].get("default") is False
+
+
 def _flag(token: str, flags: tuple) -> str:
     """The flag of ``flags``, or "help", that ``token`` names: ``-h``, or
     ``--`` and a name or a prefix of no other name, before any ``=value``."""
     name = token.partition("=")[0]
-    hits = [flag for flag in flags + ("help",) if len(name) > 2
-            and ("--" + flag).startswith(name)] + ["help"] * (name == "-h")
-    if name[2:] in hits or len(hits) == 1:
-        return name[2:] if name[2:] in hits else hits[0]
-    raise UsageError(f"ambiguous option: {name} could match --"
-                     + ", --".join(hits) if hits else
-                     f"unrecognized arguments: {token!r}")
+    if name == "-h":
+        return "help"
+    hits = []
+    if name.startswith("--") and len(name) > 2:
+        hits = [flag for flag in flags + ("help",)
+                if flag.startswith(name[2:])]
+    if name[2:] in hits:
+        return name[2:]
+    if len(hits) == 1:
+        return hits[0]
+    if hits:
+        raise UsageError(f"ambiguous option: {name} could match --"
+                         + ", --".join(hits))
+    raise UsageError(f"unrecognized arguments: {token!r}")
 
 
 def _value(flag: str, text: str):
@@ -351,36 +382,64 @@ def _value(flag: str, text: str):
     return value
 
 
+def _read_value(flag: str, token: str, tokens):
+    """The value of ``flag``, named by ``token``: True for a switch, else
+    the text after ``=`` in ``token`` or the next of ``tokens``, read by
+    the flag's type."""
+    _, eq, text = token.partition("=")
+    if _is_switch(flag):
+        if eq:
+            raise UsageError(f"argument --{flag}: takes no value")
+        return True
+    if not eq:
+        text = next(tokens, None)
+        if text is None:
+            raise UsageError(f"argument --{flag}: expected one argument")
+    return _value(flag, text)
+
+
 def parse_args(argv: list) -> SimpleNamespace:
     """The namespace of ``argv``, a command and its flags as COMMANDS and
     FLAGS give them, or a UsageError.  A flag is ``--flag value`` or
     ``--flag=value``, by its name or a prefix of no other flag's; the last
     of a repeated flag wins.  The namespace has ``command``, one attribute
-    per flag and ``help``: None, or the text that ``-h``/``--help`` asks."""
+    per flag and ``help``: None, or the text that ``-h``/``--help`` asks.
+
+    The whole argv is read before the first usage error found is raised,
+    with ``format`` set to the last valid ``--format``, so that it can be
+    reported in the form the argv asks for; without a command, only
+    ``--format`` is read."""
     command = argv[0] if argv else ""
-    if command.startswith("-"):
-        _flag(command, ())                  # raises for all but help
-        return SimpleNamespace(command=None, help=_help(None))
+    choices = f" (choose from {', '.join(COMMANDS)})"
+    tokens = argv[1:]
+    errors = []
+    if command.startswith("-"):     # a flag before any command
+        tokens = argv
+    elif command and command not in COMMANDS:
+        errors.append(UsageError(f"invalid command {command!r}" + choices))
     if command not in COMMANDS:
-        raise UsageError((f"invalid command {command!r}" if command else
-                          "no command") + f" (choose from {', '.join(COMMANDS)})")
-    _, required, optional = COMMANDS[command]
+        command = None
+    _, required, optional = COMMANDS.get(command, (None, (), ()))
     values = {flag: FLAGS[flag].get("default")
               for flag in required + optional + ("format",)}
-    tokens = iter(argv[1:])
+    tokens = iter(tokens)
     for token in tokens:
-        flag, (_, eq, value) = _flag(token, tuple(values)), token.partition("=")
-        if flag == "help":
-            return SimpleNamespace(command=command, help=_help(command))
-        takes_value = FLAGS[flag].get("default") is not False
-        if eq and not takes_value:
-            raise UsageError(f"argument --{flag}: takes no value")
-        if takes_value and not eq and (value := next(tokens, None)) is None:
-            raise UsageError(f"argument --{flag}: expected one argument")
-        values[flag] = _value(flag, value) if takes_value else True
-    missing = ", ".join("--" + flag for flag in required if values[flag] is None)
+        try:
+            flag = _flag(token, tuple(values))
+            if flag == "help":
+                return SimpleNamespace(command=command, help=_help(command))
+            values[flag] = _read_value(flag, token, tokens)
+        except UsageError as exc:
+            errors.append(exc)
+    if command is None:
+        errors.append(UsageError("no command" + choices))
+    missing = [flag for flag in required if values[flag] is None]
     if missing:
-        raise UsageError(f"the following arguments are required: {missing}")
+        errors.append(UsageError("the following arguments are required: "
+                                 + ", ".join("--" + flag for flag in missing)))
+    if errors:
+        errors[0].format = values["format"]
+        raise errors[0]
     return SimpleNamespace(command=command, help=None, **{
         flag.replace("-", "_"): value for flag, value in values.items()})
 
@@ -395,41 +454,55 @@ def _help(command: str | None) -> str:
     """The help of ``command``: its flags, with their choices and defaults;
     with none, the help of the program: every command with its flags."""
     if command is None:
-        return "\n".join([HELP] + [f"  {name:15} {_usage(name)}".rstrip()
-                                   for name in COMMANDS])
+        lines = [HELP]
+        for name in COMMANDS:
+            lines.append(f"  {name:15} {_usage(name)}".rstrip())
+        return "\n".join(lines)
     _, required, optional = COMMANDS[command]
     lines = [f"usage: chernpol {command} {_usage(command)}", "", "flags:"]
     for flag in required + optional + ("format",):
         spec = FLAGS[flag]
-        meta = ("" if spec.get("default") is False else
-                " {" + ",".join(spec["choices"]) + "}" if "choices" in spec
-                else " " + flag.upper().replace("-", "_"))
-        notes = [spec.get("help"), "required" * (flag in required),
-                 f"default {spec['default']}" if spec.get("default") else ""]
-        lines.append(f"  {'--' + flag + meta:21} "
-                     + "; ".join(filter(None, notes)))
-    return "\n".join([line.rstrip() for line in lines]
-                     + [f"  {'-h, --help':21} print this help"])
+        if _is_switch(flag):
+            meta = ""
+        elif "choices" in spec:
+            meta = " {" + ",".join(spec["choices"]) + "}"
+        else:
+            meta = " " + flag.upper().replace("-", "_")
+        notes = [spec["help"]] if "help" in spec else []
+        if flag in required:
+            notes.append("required")
+        if spec.get("default"):
+            notes.append(f"default {spec['default']}")
+        lines.append(f"  {'--' + flag + meta:21} {'; '.join(notes)}".rstrip())
+    lines.append(f"  {'-h, --help':21} print this help")
+    return "\n".join(lines)
+
+
+def _report(fmt: str, exc: Exception, label: str, code: int) -> int:
+    import json
+    err = {"error": type(exc).__name__, "message": str(exc)}
+    print(json.dumps(err) if fmt == "json" else f"{label}: {exc}",
+          file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    fmt = "text"        # for a usage error in argv: its last --format
-    for token, after in zip(argv, argv[1:] + [""]):
-        name, eq, value = token.partition("=")
-        fmt = (value if eq else after) if name == "--format" else fmt
     try:
         args = parse_args(argv)
-        fmt = getattr(args, "format", fmt)
-        out = args.help or COMMANDS[args.command][0](args)
-    except tuple(ERRORS) as exc:
-        import json
-        label, code = next(v for kind, v in ERRORS.items()
-                           if isinstance(exc, kind))
-        err = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(err) if fmt == "json" else f"{label}: {exc}",
-              file=sys.stderr)
-        return code
+    except UsageError as exc:
+        return _report(exc.format, exc, "usage error", EXIT_USAGE)
+    if args.help:
+        print(args.help)
+        return 0
+    try:
+        out = COMMANDS[args.command][0](args)
+    except UsageError as exc:
+        return _report(args.format, exc, "usage error", EXIT_USAGE)
+    except OutOfDomainError as exc:
+        return _report(args.format, exc, "domain error", EXIT_DOMAIN)
+    except InconsistentDataError as exc:
+        return _report(args.format, exc, "check failed", EXIT_CHECK)
     print(out)
     return 0
 

@@ -624,6 +624,10 @@ def test_parse_args_forms(argv, expected):
     ["chern", "--format=json", "--n", "x", "--k", "1"],
     ["chern", "--n", "2", "--k", "1", "--bogus", "--format", "json"],
     ["chern", "--format", "text", "--n", "2", "--format", "json"],
+    ["chern", "--n", "2", "--fo", "json"],
+    ["chern", "--n", "2", "--k", "1", "--format", "json", "--format", "jsn"],
+    ["bogus", "--n", "2", "--format", "json"],
+    ["--format=json"],
 ])
 def test_usage_error_in_argv_has_the_json_body(argv, capsys):
     code, out, err = run_cli(argv, capsys)
@@ -631,11 +635,17 @@ def test_usage_error_in_argv_has_the_json_body(argv, capsys):
     assert json.loads(err)["error"] == "UsageError"
 
 
-def test_usage_error_in_argv_is_one_line(capsys):
-    code, out, err = run_cli(["chern", "--n", "2", "--format", "json",
-                              "--format", "text"], capsys)
+@pytest.mark.parametrize("argv, message", [
+    (["chern", "--n", "2", "--format", "json", "--format", "text"],
+     "the following arguments are required: --k"),
+    # the --format that --cache-dir takes as its value asks for nothing
+    (["chern", "--n", "2", "--k", "1", "--cache-dir", "--format", "json"],
+     "unrecognized arguments: 'json'"),
+])
+def test_usage_error_in_argv_is_one_line(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
     assert (code, out) == (cli.EXIT_USAGE, "")
-    assert err == "usage error: the following arguments are required: --k\n"
+    assert err == f"usage error: {message}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -818,7 +828,7 @@ def _argv(draw, paths):
     argv = [command]
     for flag in flags:
         argv.append("--" + flag)
-        if cli.FLAGS[flag].get("action") != "store_true":
+        if not cli._is_switch(flag):
             argv.append(draw(_values(flag, paths)))
     if not draw(st.integers(0, 7)):
         argv.insert(draw(st.integers(0, len(argv))), draw(JUNK))
@@ -837,9 +847,10 @@ def test_fuzz_argv_exits_cleanly(data, fuzz_paths):
     assert code in {0, cli.EXIT_USAGE, cli.EXIT_DOMAIN, cli.EXIT_CHECK}
     assert "Traceback" not in err.getvalue()
     if code == cli.EXIT_USAGE:
-        # one line on stderr; the JSON body if the last --format asks for it
-        # (every flag is drawn in full)
-        formats = [b for a, b in zip(argv, argv[1:]) if a == "--format"]
+        # one line on stderr; the JSON body if the last valid --format asks
+        # for it (every flag is drawn in full, and no value is "--format")
+        formats = [b for a, b in zip(argv, argv[1:])
+                   if a == "--format" and b in cli.FLAGS["format"]["choices"]]
         last, *rest = err.getvalue().split("\n")[::-1]
         assert (last, len(rest)) == ("", 1), err.getvalue()
         line = rest[0]
