@@ -8,12 +8,12 @@ Closed form: c_k is the k-th elementary symmetric function of the forms w.x,
 |w| = d.  Their power sums p_j = sum over |alpha| = j of j!/alpha! *
 simplex_moment(alpha) * x^alpha are polynomial in d, so c_k is too, by
 Newton's identities m*c_m = sum_j (-1)^(j-1) p_j c_{m-j} (Macdonald, I.2).
-The recursion runs over partitions on Python ints at integer d >= 0: p_j and
-c_m are symmetric, kept as {partition: values}, m*c_m[nu] = sum over
-0 != alpha <= nu of (-1)^(|alpha|-1) p_|alpha|[sort alpha]
-c_(m-|alpha|)[sort(nu-alpha)], and the division by m is exact (each value
-is a coefficient of an integer product).  As deg_d c_k <= n*k, the values at
-d = 0..n*k give each coefficient by one interpolation.
+The recursion (chern_values) takes the power sums of any integral class,
+here Pol^d at integer d >= 0 (pol_power_sums), and runs over partitions on
+Python ints: m*c_m[nu] = sum over 0 != alpha <= nu of (-1)^(|alpha|-1)
+p_|alpha|[sort alpha] c_(m-|alpha|)[sort(nu-alpha)], an exact division.  As
+deg_d c_k <= n*k, the values at d = 0..n*k give each coefficient by one
+interpolation.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import islice, product
 from math import comb, factorial, prod
-from operator import le, mul, sub
+from operator import mul
 
-from .exactcore import (BASES, OutOfDomainError, TruncationPolicy, UniPoly,
-                        check_degree, interpolate_integers, xvars)
+from .exactcore import (BASES, InconsistentDataError, OutOfDomainError,
+                        TruncationPolicy, UniPoly, check_degree,
+                        interpolate_integers, xvars)
 from .symfunc import (check_partition, enumerate_partitions, multiplicities,
                       partition_of, syt_count, validate_basis_index)
 
@@ -45,6 +46,8 @@ def weight_vectors(n: int, d: int):
             yield (first,) + rest
 
 
+# no caller repeats a product, so nothing fills this; the benchmark's
+# tracer (bench/tracing.py) still clears it and reads it for hits
 _direct_cache: dict = {}
 
 
@@ -53,52 +56,59 @@ def chern_direct(n: int, d: int, policy: TruncationPolicy) -> MultiPoly:
     truncated.  d = -1 gives 1 (empty product); d = 0 gives 1."""
     from .multipoly import MultiPoly
     check_degree(d)
-    key = (n, d, policy.max_total_degree)
-    if key in _direct_cache:
-        return _direct_cache[key]
     out = MultiPoly.const(1, xvars(n))
     if d >= 1:
         for weights in weight_vectors(n, d):
             out = out.mul_truncated(MultiPoly.linear_factor(weights),
                                     policy.max_total_degree)
-    _direct_cache[key] = out
     return out
 
 
-def chern_values(n: int, k: int, ds, wanted) -> dict:
-    """{nu: [coefficient of m_nu in c_k at d for d in ds]} over the
-    partitions nu of k in ``wanted`` with at most n parts, for integers
-    d >= 0 (module docstring); p_j[lam] at d is j!/lam! * sum_s w_s
-    C(d+n-1, n-1+s), w = moment_weights(lam).  The recursion computes
-    c_m[nu] only for the padded nu that lie componentwise under some wanted
-    partition: that set is closed under nu -> sort(nu - alpha) and
-    sort(alpha) for alpha <= nu, so every value it reads is exact."""
+def pol_power_sums(n: int, k: int, ds):
+    """top -> [coefficient of x^top in p_|top| at d for d in ds] for the
+    forms w.x, |w| = d >= 0, n = len(top): j!/top! * sum_s w_s
+    C(d+n-1, n-1+s), j = |top| <= k, w = moment_weights(top)."""
     from .specialization import moment_weights
+    columns = [[comb(d + n - 1, n - 1 + s) for s in range(k + 1)] for d in ds]
+
+    def power_sums(top):
+        w = moment_weights(top)
+        scale = factorial(sum(top)) // prod(map(factorial, top))
+        return [scale * sum(map(mul, w, col)) for col in columns]
+    return power_sums
+
+
+def chern_values(n: int, k: int, power_sums, wanted, width: int = 1) -> dict:
+    """{nu: [coefficient of m_nu in c_k, one per column]} over the
+    partitions nu of k in ``wanted`` with at most n parts, for the integral
+    class in n Chern roots with ``power_sums(top)`` = [coefficient of x^top
+    in p_|top|], ``width`` columns (module docstring).  Only the padded nu
+    under some wanted partition are computed: that set is closed under
+    nu -> sort(nu - alpha) and sort(alpha) for alpha <= nu.  A remainder of
+    the division by m raises InconsistentDataError."""
     wanted = [tuple(w) for w in wanted]
     if any(sum(w) != k for w in wanted):
         raise ValueError(f"wanted partitions must have size {k}")
     ceilings = [tuple(sorted(w + (0,) * (n - len(w))))
                 for w in wanted if len(w) <= n]
-    columns = [[comb(d + n - 1, n - 1 + s) for s in range(k + 1)] for d in ds]
-    # p[j], c[m]: values of (-1)^(j-1) p_j, c_m by ascending padded partition
-    p, c = [None], [{(0,) * n: [1] * len(columns)}]
-    for m in range(1, k + 1):
-        p.append({})
-        c.append({})
-        for nu in enumerate_partitions(m, max_length=n):
-            top = tuple(sorted(nu + (0,) * (n - len(nu))))
-            if not any(all(map(le, top, w)) for w in ceilings):
-                continue
-            w = moment_weights(top)
-            scale = (-1) ** (m - 1) * factorial(m) // prod(map(factorial, top))
-            p[m][top] = [scale * sum(map(mul, w, col)) for col in columns]
-            total = [0] * len(columns)
-            for alpha in islice(product(*(range(e + 1) for e in top)), 1, None):
-                pj = p[sum(alpha)][tuple(sorted(alpha))]
-                rest = c[m - sum(alpha)][tuple(sorted(map(sub, top, alpha)))]
-                total = [t + a * b for t, a, b in zip(total, pj, rest)]
-            c[m][top] = [t // m for t in total]
-    return {partition_of(w): c[k][w] for w in ceilings}
+    # by size, as each box sum reads smaller ones; tops[0] is 0
+    tops = sorted({tuple(sorted(v)) for w in ceilings
+                   for v in product(*(range(e + 1) for e in w))}, key=sum)
+    # (-1)^(j-1) p_j and c_m by ascending padded partition
+    p, c = {}, {(0,) * n: [1] * width}
+    for top in tops[1:]:
+        m = sum(top)
+        p[top] = [(-1) ** (m - 1) * v for v in power_sums(top)]
+        # alpha runs over the box 0 != alpha <= top, top - alpha with it
+        pj = map(p.__getitem__, map(tuple, map(sorted, islice(
+            product(*(range(e + 1) for e in top)), 1, None))))
+        rest = map(c.__getitem__, map(tuple, map(sorted, islice(
+            product(*(range(e, -1, -1) for e in top)), 1, None))))
+        total = [sum(map(mul, a, b)) for a, b in zip(zip(*pj), zip(*rest))]
+        if any(t % m for t in total):
+            raise InconsistentDataError(f"c_{m} at x^{top} is not integral")
+        c[top] = [t // m for t in total]
+    return {partition_of(w): c[w] for w in ceilings}
 
 
 def chern_interpolated(n: int, k: int, basis: str = "monomial") -> ChernPolynomial:
@@ -108,8 +118,9 @@ def chern_interpolated(n: int, k: int, basis: str = "monomial") -> ChernPolynomi
         raise ValueError(f"unknown basis {basis!r}")
     if n < 1 or k < 0:
         raise OutOfDomainError("need n >= 1 and k >= 0")
-    values = chern_values(n, k, range(n * k + 1),
-                          enumerate_partitions(k, max_length=n))
+    ds = range(n * k + 1)
+    values = chern_values(n, k, pol_power_sums(n, k, ds),
+                          enumerate_partitions(k, max_length=n), len(ds))
     terms = {nu: interpolate_integers(v) for nu, v in values.items() if any(v)}
     from .record import ChernPolynomial
     return ChernPolynomial(n, k, "monomial", terms).in_basis(basis)
@@ -126,11 +137,8 @@ def euler_c2_closed(d: int) -> list:
     if d < 1:
         raise OutOfDomainError("d must be >= 1")
     from .specialization import stirling_first
-    out = []
-    for j in range((d + 1) // 2 + 1):
-        if j == 0:
-            out.append((0, 0))
-            continue
+    out = [(0, 0)]
+    for j in range(1, (d + 1) // 2 + 1):
         total = 0
         for k in range(j - 1, d - j + 1):
             total += ((-1) ** (k + j - 1) * comb(k, j - 1)

@@ -1,23 +1,25 @@
-"""Enumerative applications: integration over Grassmannians via Schur
-coefficients, Chern classes of Grassmannians, degrees of the varieties of
-hypersurfaces containing linear subspaces, and degrees and Euler
-characteristics of Fano schemes of lines, each in one closed form at every
-expected dimension.
+"""Enumerative applications: integration over Grassmannians, Chern classes of
+Grassmannians, degrees of the varieties of hypersurfaces containing linear
+subspaces, and degrees and Euler characteristics of Fano schemes of lines,
+each in one closed form at every expected dimension.
+
+Every integral is the alternant (grassmann_integral) on partitions, read
+from classes in the Chern roots of S^* that one integer Newton recursion
+(chern.chern_values) computes from their power sums.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import le, sub
 
-from .chern import chern_direct, chern_values, euler_c2_closed
+from .chern import (chern_direct, chern_values, euler_c2_closed,
+                    pol_power_sums, weight_vectors)
 from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly, as_integer,
-                        check_degree, interpolate_integers, xvars)
-from .symfunc import (NotSymmetricError, alternant_terms, catalan_triangle,
-                      expand_in_basis, partition_of, schur_coefficient)
-
-# multipoly is imported inside the functions that build a MultiPoly or invert
-# a series, so a Sigma degree, numeric or symbolic, does not load it
+                        check_degree, interpolate_integers)
+from .symfunc import (alternant_terms, catalan_triangle, convert_expansion,
+                      enumerate_partitions, partition_of, schur_coefficient)
 
 
 class EmptyFanoError(OutOfDomainError):
@@ -38,42 +40,38 @@ def expected_dimension(d: int, m: int, r: int) -> int:
     return (r + 1) * (m - r) - (comb(r + d, r) if d >= 0 else 0)
 
 
-def grassmann_integral(f: MultiPoly, k: int, n_amb: int) -> Fraction:
-    """Coefficient of the volume form s_((n_amb-k)^k) in the top-degree
-    component of a symmetric class on Gr_k(C^n_amb), read by the alternant
-    (``symfunc.schur_coefficient``) from the monomial coefficients."""
+def grassmann_integral(coef, k: int, n_amb: int):
+    """Coefficient of the volume form s_((n_amb-k)^k) in a symmetric class
+    on Gr_k(C^n_amb) with coefficient ``coef(alpha)`` at x^alpha, read by
+    the alternant (``symfunc.schur_coefficient``) at its at most k!
+    exponents, all of degree k(n_amb-k)."""
     if not (1 <= k <= n_amb):
         raise ValueError("need 1 <= k <= n_amb")
-    top = f.homogeneous_component(k * (n_amb - k))
-    if not top.is_symmetric():
-        raise NotSymmetricError("input is not symmetric in its variables")
-    n = len(f.vars)
-    if k > n:       # s_lam vanishes in fewer than k variables
-        return Fraction(0)
-    return Fraction(schur_coefficient(top.terms.get, (n_amb - k,) * k, n))
+    return schur_coefficient(coef, (n_amb - k,) * k, k)
 
 
-def chern_grassmannian(k: int, n_amb: int,
-                       policy: TruncationPolicy | None = None) -> MultiPoly:
-    """c(Gr_k(C^n_amb)) = prod (1+x_i)^n_amb / prod prod (1+x_j-x_i) in the
-    Chern roots x_1..x_k of the dual tautological bundle, truncated."""
-    from .multipoly import MultiPoly, series_invert
-    maxdeg = (policy.max_total_degree if policy is not None
-              else k * (n_amb - k))
-    xs = xvars(k)
-    one = MultiPoly.const(1, xs)
-    num = one
-    den = one
-    for i in range(k):
-        xi = MultiPoly.var(xs[i], xs)
-        num = num.mul_truncated(((one + xi) ** n_amb).truncate(maxdeg), maxdeg)
-        for j in range(k):
-            if i == j:
-                continue
-            den = den.mul_truncated(one + MultiPoly.var(xs[j], xs) - xi,
-                                    maxdeg)
-    return num.mul_truncated(series_invert(den, TruncationPolicy(maxdeg)),
-                             maxdeg)
+def chern_grassmannian(k: int, n_amb: int, degree: int, ds=()) -> dict:
+    """{nu: coefficient of m_nu} of c_degree(T Gr_k(C^n_amb) - sum over d
+    in ds of Sym^d S^*), by chern_values on the difference of power sums.
+    As T Gr = S^* (x) C^n_amb - S^* (x) S, p_j(T Gr) = n_amb p_j(x) - sum
+    over a != b of (x_a - x_b)^j: n_amb - (k-1)(1+(-1)^j) at x_a^j,
+    -C(j,i)((-1)^(j-i) + (-1)^i) at x_a^i x_b^(j-i), 0 at the rest."""
+    pol = pol_power_sums(k, degree, ds)
+
+    def power_sums(top):
+        parts = [e for e in top if e]
+        j = sum(parts)
+        if len(parts) == 1:
+            tangent = n_amb - (k - 1) * (1 + (-1) ** j)
+        elif len(parts) == 2:
+            tangent = -comb(j, parts[0]) * ((-1) ** parts[0] + (-1) ** parts[1])
+        else:
+            tangent = 0
+        return [tangent - sum(pol(top))]
+
+    values = chern_values(k, degree, power_sums,
+                          enumerate_partitions(degree, max_length=k))
+    return {nu: v for nu, (v,) in values.items() if v}
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +96,22 @@ def _check_sigma_domain(m: int, r: int) -> None:
         raise OutOfDomainError("need 0 <= r < m")
 
 
-def _sigma_values(m: int, r: int, ds) -> list:
-    """deg Sigma(d,m,r) at each d >= 0 of ds, by the alternant on
-    chern_values (its x^alpha coefficient is that of m_(sort alpha)),
-    computed only for the at most (r+1)! partitions the alternant reads."""
-    k, lam = r + 1, (m - r,) * (r + 1)
-    values = chern_values(k, k * (m - r), ds, {
-        partition_of(alpha) for _, alpha in alternant_terms(lam, k)})
-    return [schur_coefficient(lambda alpha: values[partition_of(alpha)][i],
-                              lam, k) for i in range(len(ds))]
+def _integrate_pol_class(k: int, n_amb: int, ds, delta: int, g: dict) -> list:
+    """[integral of c_(dim-delta)(Pol^d(S)) * g over Gr_k(C^n_amb) for d in
+    ds], g = {mu: coefficient of m_mu} of degree delta: the alternant reads
+    each exponent alpha as a box sum over the beta <= alpha of degree delta,
+    g at beta times the class at alpha - beta, computed only there."""
+    split = {alpha: [(g[mu], partition_of(map(sub, alpha, beta)))
+                     for beta in weight_vectors(k, delta)
+                     if all(map(le, beta, alpha))
+                     and (mu := partition_of(beta)) in g]
+             for _, alpha in alternant_terms((n_amb - k,) * k, k)}
+    top = k * (n_amb - k) - delta
+    values = chern_values(k, top, pol_power_sums(k, top, ds), {
+        rest for pairs in split.values() for _, rest in pairs}, len(ds))
+    return [grassmann_integral(
+        lambda alpha: sum(b * values[rest][i] for b, rest in split[alpha]),
+        k, n_amb) for i in range(len(ds))]
 
 
 def sigma_degree(d: int, m: int, r: int) -> Fraction:
@@ -114,7 +119,8 @@ def sigma_degree(d: int, m: int, r: int) -> Fraction:
     d = -1, where c is the empty product 1."""
     _check_sigma_domain(m, r)
     check_degree(d)
-    return Fraction(_sigma_values(m, r, [d])[0] if d >= 0 else 0)
+    return Fraction(_integrate_pol_class(r + 1, m + 1, [d], 0, {(): 1})[0]
+                    if d >= 0 else 0)
 
 
 def sigma_degree_symbolic(m: int, r: int) -> UniPoly:
@@ -126,18 +132,15 @@ def sigma_degree_symbolic(m: int, r: int) -> UniPoly:
         raise OutOfDomainError("r = 0: the expected dimension m - 1 is >= 0 "
                                "for every d, outside the formula's regime")
     return interpolate_integers(
-        _sigma_values(m, r, range((r + 1) ** 2 * (m - r) + 1)))
+        _integrate_pol_class(r + 1, m + 1, range((r + 1) ** 2 * (m - r) + 1),
+                             0, {(): 1}))
 
 
 def sigma_degree_leading(m: int, r: int):
     """(coefficient, d-exponent) of the leading term of the symbolic degree:
     1!*2!*...*r! / (m!*(m-1)!*...*(m-r)!) * (1/(r+1)!)^((r+1)(m-r))."""
-    num = 1
-    for i in range(1, r + 1):
-        num *= factorial(i)
-    den = 1
-    for j in range(m - r, m + 1):
-        den *= factorial(j)
+    num = prod(map(factorial, range(1, r + 1)))
+    den = prod(map(factorial, range(m - r, m + 1)))
     expo = (r + 1) ** 2 * (m - r)
     coeff = Fraction(num, den) * Fraction(1, factorial(r + 1)) ** ((r + 1) * (m - r))
     return coeff, expo
@@ -183,47 +186,36 @@ def fano_degree_lines(d: int, m: int, method: str = "closed") -> int:
     """deg F_1(d,m) under the Pluecker embedding, the integral of
     e(Pol^d(S)) * c_1(S^v)^delta over Gr_2(C^(m+1)). closed: the Euler-class
     pairing of sigma_1^delta = sum C(delta-j, j) s_(delta-j, j), the
-    Catalan triangle; integral: direct integration of the product."""
+    Catalan triangle; integral: the alternant on e * e_1^delta, which has
+    the multinomial delta!/mu! at m_mu."""
     delta = _check_fano_domain(d, m)
     if method == "closed":
         return _pair_with_euler_class(
             d, m, {(delta - j, j): catalan_triangle(delta, j)
                    for j in range(delta // 2 + 1)})
     if method == "integral":
-        from .multipoly import MultiPoly
-        xs = xvars(2)
-        e1 = MultiPoly(xs, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
-        val = grassmann_integral(euler_class_c2(d) * e1 ** delta, 2, m + 1)
+        e1_power = {mu: factorial(delta) // prod(map(factorial, mu))
+                    for mu in enumerate_partitions(delta, max_length=2)}
+        val = _integrate_pol_class(2, m + 1, [d], delta, e1_power)[0]
         return as_integer(val, f"Fano degree ({d}, {m})")
     raise UnsupportedMethodError(f"unknown method {method!r}")
 
 
 def fano_chi_lines(d: int, m: int, method: str = "closed") -> int:
     """Euler characteristic of F_1(d,m) for a generic hypersurface, the
-    integral of c(Gr_2(C^(m+1))) * e(Pol^d(S)) / c(Pol^d(S)). closed: the
-    Euler-class pairing of the Schur expansion of the quotient's degree-delta
-    part; integral: direct integration of the product, with c(Gr) and the
-    inverse built up to degree delta, all that reaches the top degree."""
-    from .multipoly import series_invert
+    integral of c(Gr_2(C^(m+1))) * e(Pol^d(S)) / c(Pol^d(S)), that is of e
+    * c_delta(T Gr - Pol^d(S)). closed: the Euler-class pairing of the
+    latter's Schur expansion; integral: the alternant on the product."""
     delta = _check_fano_domain(d, m)
+    if method not in ("closed", "integral"):
+        raise UnsupportedMethodError(f"unknown method {method!r}")
+    quotient = chern_grassmannian(2, m + 1, delta, (d,))
     if method == "closed":
-        policy = TruncationPolicy(delta)
-        r = chern_grassmannian(2, m + 1, policy).mul_truncated(
-            series_invert(chern_direct(2, d, policy), policy), delta)
         val = _pair_with_euler_class(
-            d, m, expand_in_basis(r.homogeneous_component(delta), "schur"))
-        return as_integer(val, f"Fano Euler characteristic ({d}, {m})")
-    if method == "integral":
-        # e has degree d+1 = dim - delta, so only the parts of c(Gr) and
-        # of the inverse up to degree delta reach the top degree dim
-        dim, policy = 2 * (m - 1), TruncationPolicy(delta)
-        cgr = chern_grassmannian(2, m + 1, policy)
-        e = euler_class_c2(d)
-        cinv = series_invert(chern_direct(2, d, policy), policy)
-        integrand = cgr.mul_truncated(e, dim).mul_truncated(cinv, dim)
-        val = grassmann_integral(integrand, 2, m + 1)
-        return as_integer(val, f"Fano Euler characteristic ({d}, {m})")
-    raise UnsupportedMethodError(f"unknown method {method!r}")
+            d, m, convert_expansion(quotient, "monomial", "schur", 2))
+    else:
+        val = _integrate_pol_class(2, m + 1, [d], delta, quotient)[0]
+    return as_integer(val, f"Fano Euler characteristic ({d}, {m})")
 
 
 def chi_deg_ratio_check(m: int) -> dict:

@@ -50,13 +50,6 @@ class MultiPoly(_Poly):
                 terms[tuple(1 if j == i else 0 for j in range(n))] = Fraction(w)
         return cls(xvars(n), terms)
 
-    @classmethod
-    def var(cls, name: str, vars: Sequence[str]) -> "MultiPoly":
-        vars = tuple(vars)
-        i = vars.index(name)
-        ev = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(vars, {ev: Fraction(1)})
-
     def _new(self, terms: dict) -> "MultiPoly":
         out = object.__new__(MultiPoly)
         out.vars, out.terms = self.vars, terms

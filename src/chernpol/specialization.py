@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial
+from operator import mul
 
 from .exactcore import UniPoly, interpolate_integers
 from .symfunc import mult_factorial
@@ -64,9 +65,10 @@ def moment_weights(alpha: tuple) -> list:
     gives c_s = sum over |beta| = s of prod_i S(alpha_i,beta_i) beta_i!,
     the convolution over the parts a of the rows S(a,b) b!."""
     by_size = [1]
-    for a in alpha:
-        by_size = [sum(x * stirling_second(a, s - i) * factorial(s - i)
-                       for i, x in enumerate(by_size[:s + 1]))
+    for a in filter(None, alpha):            # a zero part's row is [1]
+        row = [stirling_second(a, b) * factorial(b) for b in range(a, -1, -1)]
+        padded = [0] * a + by_size + [0] * a
+        by_size = [sum(map(mul, row, padded[s:s + a + 1]))
                    for s in range(len(by_size) + a)]
     return by_size
 

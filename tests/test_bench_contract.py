@@ -5,6 +5,8 @@ names fail the test suite, not only a traced benchmark run."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -53,3 +55,24 @@ def test_traced_replay_reaches_rising_and_grassmann_layers():
     assert [code for _, code, _ in results] == [0, 0, 0]
     assert tracer.counts["rising.stirling_coefficient.calls"] > 0
     assert tracer.counts["enumgeo.grassmann_integral.calls"] > 0
+
+
+def test_sigma_degree_alone_reaches_grassmann_integral():
+    # Sigma integrates through the same volume-form reader as the Fano
+    # integrals, so its traced time lands in that layer
+    tracing = _tracing()
+    replay = tracing.Replay(lambda: 60.0)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        _, results = replay.run(
+            [["sigma-degree", "--r", "2", "--d", "5", "--m", "6"]], tracer)
+    assert [code for _, code, _ in results] == [0]
+    assert tracer.counts["enumgeo.grassmann_integral.calls"] > 0
+
+
+def test_bench_selftest_passes():
+    # the benchmark's checker and tracer bind package names; their own
+    # self-test catches a package change that breaks them
+    proc = subprocess.run([sys.executable, str(ROOT / "bench" / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

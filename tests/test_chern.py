@@ -9,8 +9,9 @@ from chernpol.chern import (ChernPolynomial, OutOfDomainError, chern_direct,
                             chern_interpolated, chern_values,
                             elementary_degree_bound, euler_c2_closed,
                             leading_term, odd_grouped_coefficient,
-                            weight_vectors)
-from chernpol.exactcore import MultiPoly, TruncationPolicy, UniPoly
+                            pol_power_sums, weight_vectors)
+from chernpol.exactcore import (InconsistentDataError, MultiPoly,
+                                TruncationPolicy, UniPoly)
 from chernpol.rising import RisingProductSpec, stirling_coefficient
 from chernpol.symfunc import (enumerate_partitions, expand_in_basis,
                               partition_of, syt_count, to_x_expansion)
@@ -77,17 +78,33 @@ def test_chern_values_restricted_to_wanted():
             (3, 6, [2, 5]), (4, 5, range(3)), (4, 8, [0, 4]), (5, 6, [1, 3])]
     for n, k, ds in grid:
         every = enumerate_partitions(k)
-        full = chern_values(n, k, ds, every)
+        power_sums = pol_power_sums(n, k, ds)
+        full = chern_values(n, k, power_sums, every, len(ds))
         assert set(full) == {nu for nu in every if len(nu) <= n}
         subsets = [[nu] for nu in every] + [
             rng.sample(every, rng.randint(1, len(every))) for _ in range(5)]
         for wanted in subsets:
-            got = chern_values(n, k, ds, wanted)
+            got = chern_values(n, k, power_sums, wanted, len(ds))
             assert got == {nu: full[nu] for nu in wanted if nu in full}, \
                 (n, k, wanted)
-    assert chern_values(3, 2, [1], []) == {}
+    assert chern_values(3, 2, pol_power_sums(3, 2, [1]), []) == {}
     with pytest.raises(ValueError):
-        chern_values(3, 2, [1], [(1,)])
+        chern_values(3, 2, pol_power_sums(3, 2, [1]), [(1,)])
+
+
+def test_chern_values_division_is_exact(monkeypatch):
+    # one wrong p_2 value, the coefficient of x_2^2 at every d, makes
+    # 2*c_2[(2,)] odd at some d: the recursion must not floor it away
+    from chernpol import specialization
+    true_weights = specialization.moment_weights
+
+    def corrupted(alpha):
+        w = true_weights(alpha)
+        return [w[0] + 1] + w[1:] if alpha == (0, 2) else w
+
+    monkeypatch.setattr(specialization, "moment_weights", corrupted)
+    with pytest.raises(InconsistentDataError):
+        chern_interpolated(2, 2)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 6])

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 
@@ -18,10 +18,12 @@ from chernpol.enumgeo import (EmptyFanoError, UnsupportedDegreeError,
 from chernpol.exactcore import (InconsistentDataError, MultiPoly,
                                 OutOfDomainError, TruncationPolicy, UniPoly,
                                 xvars)
-from chernpol.symfunc import (NotSymmetricError, enumerate_partitions,
-                              expand_in_basis, to_x_expansion)
+from chernpol.multipoly import series_invert
+from chernpol.symfunc import (alternant_terms, convert_expansion,
+                              enumerate_partitions, expand_in_basis,
+                              partition_of, to_x_expansion)
 
-from polyhelpers import from_roots
+from polyhelpers import from_roots, variable
 
 
 def test_expected_dimension():
@@ -35,21 +37,33 @@ def test_expected_dimension():
 # integration over Grassmannians
 # ---------------------------------------------------------------------------
 
+def _lookup(terms: dict):
+    """The x^alpha coefficient of a symmetric class given as {partition:
+    coefficient of m_partition}."""
+    return lambda alpha: terms.get(partition_of(alpha), 0)
+
+
 def test_grassmann_integral_volume_form():
     s = to_x_expansion("schur", (2, 2), 2)
-    assert grassmann_integral(s, 2, 4) == 1
+    assert grassmann_integral(s.coeff, 2, 4) == 1
     # wrong-degree input integrates to zero
     s2 = to_x_expansion("schur", (2,), 2)
-    assert grassmann_integral(s2, 2, 4) == 0
+    assert grassmann_integral(s2.coeff, 2, 4) == 0
 
 
 def test_grassmann_integral_degree_of_grassmannian():
     # deg Gr_2(C^4) = int c_1(S^v)^4 = 2 lines meeting four general lines
     xs = ("x1", "x2")
     e1 = MultiPoly(xs, {(1, 0): F(1), (0, 1): F(1)})
-    assert grassmann_integral(e1 ** 4, 2, 4) == 2
+    assert grassmann_integral((e1 ** 4).coeff, 2, 4) == 2
     # deg Gr_2(C^5) = Catalan number 1/(k+1) binom(2k,k) pattern: 5
-    assert grassmann_integral(e1 ** 6, 2, 5) == 5
+    assert grassmann_integral((e1 ** 6).coeff, 2, 5) == 5
+    # the same from partitions: e_1^j has the multinomial j!/mu! at m_mu
+    for k, n_amb, deg in [(2, 4, 2), (2, 5, 5), (3, 6, 42)]:
+        j = k * (n_amb - k)
+        e1_power = {mu: factorial(j) // prod(map(factorial, mu))
+                    for mu in enumerate_partitions(j, max_length=k)}
+        assert grassmann_integral(_lookup(e1_power), k, n_amb) == deg
 
 
 def _schur_oracle(f, k, n_amb):
@@ -86,7 +100,7 @@ def test_grassmann_integral_matches_schur_expansion():
             for degrees in ([dim], [dim, dim, dim - 1, 0], [dim - 1, dim + 1],
                             [dim, rng.randint(0, dim + 2)]):
                 f = _random_symmetric(rng, k, degrees)
-                assert grassmann_integral(f, k, n_amb) == \
+                assert grassmann_integral(f.coeff, k, n_amb) == \
                     _schur_oracle(f, k, n_amb), (k, n_amb, f)
 
 
@@ -95,17 +109,19 @@ def test_grassmann_integral_over_a_point():
     # the constant term (the full Schur expansion has no key for s_())
     for k in (1, 2, 3):
         f = to_x_expansion("elementary", (1,), k) + 7
-        assert grassmann_integral(f, k, k) == 7
+        assert grassmann_integral(f.coeff, k, k) == 7
 
 
-def test_grassmann_integral_rejects_non_symmetric_top():
-    xs = ("x1", "x2")
-    top = MultiPoly(xs, {(2, 0): F(1)})          # x1^2 on Gr_2(C^3)
-    lower = MultiPoly(xs, {(1, 0): F(1)})        # non-symmetric, not top
-    with pytest.raises(NotSymmetricError):
-        grassmann_integral(top + 1, 2, 3)
-    assert grassmann_integral(lower + to_x_expansion("schur", (1, 1), 2),
-                              2, 3) == 1
+def test_grassmann_integral_reads_only_alternant_exponents():
+    # at most k! lookups, all of degree k(n_amb - k): a lower-degree part,
+    # symmetric or not, is never read
+    for k, n_amb in [(1, 4), (2, 3), (2, 5), (3, 6), (4, 6)]:
+        read = []
+        grassmann_integral(lambda alpha: read.append(alpha) or 1, k, n_amb)
+        assert read == [alpha for _, alpha in
+                        alternant_terms((n_amb - k,) * k, k)]
+        assert len(read) <= factorial(k)
+        assert {sum(alpha) for alpha in read} == {k * (n_amb - k)}
 
 
 def test_grassmann_integral_needs_no_schur_expansion(monkeypatch):
@@ -118,7 +134,7 @@ def test_grassmann_integral_needs_no_schur_expansion(monkeypatch):
 
     monkeypatch.setattr(symfunc, "expand_in_basis", forbidden)
     monkeypatch.setattr(symfunc, "_schur_x", forbidden)
-    assert grassmann_integral(f, 3, 5) == expected
+    assert grassmann_integral(f.coeff, 3, 5) == expected
 
 
 def test_sigma_degree_matches_schur_expansion():
@@ -168,6 +184,33 @@ def _bott_sigma_degree(d: int, m: int, r: int) -> F:
     return total
 
 
+def _bott_fano_lines(d: int, m: int) -> tuple:
+    """(degree, chi) of the Fano scheme of lines F_1(d, m) by Bott's
+    formula, with the torus weights of _bott_sigma_degree: at a fixed point
+    I = {i, j}, the Euler class of Sym^d S^* is the product of its weights
+    s, over the product of the tangent weights t.  The degree multiplies it
+    by c_1(S^*)^delta = (-w_i - w_j)^delta, and chi by c_delta(T Gr - E),
+    the eps^delta coefficient of exp(sum_l q_l eps^l (sum t^l - sum s^l))
+    with q_l = (-1)^(l-1)/l, the logarithm of 1 + x: one recursion
+    F_n = (1/n) sum_l l g_l F_(n-l) of length delta."""
+    w = [i * i + 3 * i + 1 for i in range(m + 1)]
+    delta = expected_dimension(d, m, 1)
+    degree = chi = F(0)
+    for I in combinations(range(m + 1), 2):
+        t = [w[j] - w[i] for i in I for j in range(m + 1) if j not in I]
+        s = [-sum(w[i] for i in M) for M in combinations_with_replacement(I, d)]
+        euler = F(prod(s), prod(t))
+        g = [0] + [F((-1) ** (l - 1), l)
+                   * (sum(x ** l for x in t) - sum(x ** l for x in s))
+                   for l in range(1, delta + 1)]
+        f = [F(1)]
+        for n in range(1, delta + 1):
+            f.append(sum(l * g[l] * f[n - l] for l in range(1, n + 1)) / n)
+        degree += euler * (-w[I[0]] - w[I[1]]) ** delta
+        chi += euler * f[delta]
+    return degree, chi
+
+
 def test_sigma_degree_matches_bott_localization():
     # an oracle that shares no code with chern_values or the alternant
     assert _bott_sigma_degree(3, 3, 1) == 27
@@ -178,25 +221,65 @@ def test_sigma_degree_matches_bott_localization():
     assert wrong == []
 
 
+def _multipoly_chern_grassmannian(k: int, n_amb: int,
+                                  maxdeg: int) -> MultiPoly:
+    """c(Gr_k(C^n_amb)) = prod (1+x_i)^n_amb / prod prod (1+x_j-x_i) in the
+    Chern roots x_1..x_k of S^*, as a MultiPoly truncated at maxdeg: the
+    products multiplied out and the denominator inverted as a series."""
+    xs = xvars(k)
+    one = MultiPoly.const(1, xs)
+    num = one
+    den = one
+    for i in range(k):
+        xi = variable(xs[i], xs)
+        num = num.mul_truncated(((one + xi) ** n_amb).truncate(maxdeg), maxdeg)
+        for j in range(k):
+            if i == j:
+                continue
+            den = den.mul_truncated(one + variable(xs[j], xs) - xi,
+                                    maxdeg)
+    return num.mul_truncated(series_invert(den, TruncationPolicy(maxdeg)),
+                             maxdeg)
+
+
 def test_chern_grassmannian_low_classes():
     # c_1 = n s_1, c_2 = (n^2-n+2)/2 s_2 + (n^2+n-6)/2 s_(1,1),
     # c_3 = n(n^2-3n+8)/6 s_3 + n(n^2-7)/3 s_(2,1)  for Gr_2(C^n)
+    def schur(n, degree):
+        return convert_expansion(chern_grassmannian(2, n, degree),
+                                 "monomial", "schur", 2)
+
     for n in (4, 5, 6, 7):
-        c = chern_grassmannian(2, n, TruncationPolicy(3))
-        assert expand_in_basis(c.homogeneous_component(1), "schur") == \
-            {(1,): F(n)}
-        assert expand_in_basis(c.homogeneous_component(2), "schur") == \
-            {(2,): F(n * n - n + 2, 2), (1, 1): F(n * n + n - 6, 2)}
-        assert expand_in_basis(c.homogeneous_component(3), "schur") == \
-            {(3,): F(n * (n * n - 3 * n + 8), 6),
-             (2, 1): F(n * (n * n - 7), 3)}
+        assert schur(n, 1) == {(1,): n}
+        assert schur(n, 2) == {(2,): F(n * n - n + 2, 2),
+                               (1, 1): F(n * n + n - 6, 2)}
+        assert schur(n, 3) == {(3,): F(n * (n * n - 3 * n + 8), 6),
+                               (2, 1): F(n * (n * n - 7), 3)}
 
 
 def test_chern_grassmannian_top_is_euler_count():
     # int c_top(Gr) = chi(Gr_k(C^n)) = binom(n, k)
-    for k, n in [(1, 3), (2, 4), (2, 5)]:
-        c = chern_grassmannian(k, n)
-        assert grassmann_integral(c, k, n) == comb(n, k)
+    for k, n in [(1, 3), (2, 4), (2, 5), (2, 6), (3, 5), (3, 6), (4, 7)]:
+        c = chern_grassmannian(k, n, k * (n - k))
+        assert grassmann_integral(_lookup(c), k, n) == comb(n, k), (k, n)
+
+
+def test_chern_grassmannian_matches_multipoly_quotient():
+    # c(T Gr - sum Sym^d S^*) from the power sums of the Newton recursion
+    # against c(Gr) multiplied out and divided by the direct products
+    for k, n_amb in [(1, 4), (2, 4), (2, 6), (3, 5), (3, 7)]:
+        for ds in [(), (2,), (3,), (2, 3), (1, 2, 2)]:
+            top = 4 if k < 3 else 3
+            policy = TruncationPolicy(top)
+            f = _multipoly_chern_grassmannian(k, n_amb, top)
+            for d in ds:
+                f = f.mul_truncated(
+                    series_invert(chern_direct(k, d, policy), policy), top)
+            for degree in range(top + 1):
+                want = expand_in_basis(f.homogeneous_component(degree),
+                                       "monomial")
+                assert chern_grassmannian(k, n_amb, degree, ds) == \
+                    {nu: c for nu, c in want.items() if c}, (k, n_amb, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +417,24 @@ def test_fano_degree_curve_sequence():
         assert fano_degree_lines(2 * m - 4, m, "closed") == val
 
 
+def _schur_path_fano_lines(d: int, m: int) -> tuple:
+    """(degree, chi) of F_1(d, m) with MultiPoly products: the Euler class
+    and the inverse of c(Pol^d(S)) from the direct product, c(Gr) from
+    _multipoly_chern_grassmannian, each volume form read off the full
+    Schur expansion.  It shares no code with chern_values or the
+    alternant."""
+    delta, dim = expected_dimension(d, m, 1), 2 * (m - 1)
+    policy = TruncationPolicy(delta)
+    e = euler_class_c2(d)
+    e1 = MultiPoly(xvars(2), {(1, 0): F(1), (0, 1): F(1)})
+    degree = _schur_oracle(e * e1 ** delta, 2, m + 1)
+    cgr = _multipoly_chern_grassmannian(2, m + 1, delta)
+    cinv = series_invert(chern_direct(2, d, policy), policy)
+    chi = _schur_oracle(cgr.mul_truncated(e, dim).mul_truncated(cinv, dim),
+                        2, m + 1)
+    return degree, chi
+
+
 FANO_GRID = [(2 * m - 3 - delta, m) for m in range(3, 13)
              for delta in range(9) if 2 * m - 3 - delta >= 2]
 
@@ -347,12 +448,22 @@ def test_fano_grid_size():
 @pytest.mark.parametrize("d, m", FANO_GRID)
 def test_fano_closed_equals_integral(d, m):
     # the closed forms pair Euler-class coefficients from the Stirling
-    # formula with a Schur expansion; the integrals multiply out the direct
-    # product and read the volume form by the alternant
-    assert fano_degree_lines(d, m, "closed") == \
-        fano_degree_lines(d, m, "integral"), (d, m)
-    assert fano_chi_lines(d, m, "closed") == \
-        fano_chi_lines(d, m, "integral"), (d, m)
+    # formula with a Schur expansion; the integrals read the Euler class
+    # from the Newton recursion and the volume form by the alternant.  Both
+    # must equal two oracles that share no code with the integrals or with
+    # each other: Bott's sum over the fixed lines, and the MultiPoly
+    # products read off their full Schur expansion
+    degree, chi = _bott_fano_lines(d, m)
+    assert (degree, chi) == _schur_path_fano_lines(d, m), (d, m)
+    for method in ("closed", "integral"):
+        assert fano_degree_lines(d, m, method) == degree, (d, m, method)
+        assert fano_chi_lines(d, m, method) == chi, (d, m, method)
+
+
+def test_fano_oracles_agree_on_classical_values():
+    assert _bott_fano_lines(3, 3) == _schur_path_fano_lines(3, 3) == (27, 27)
+    assert _bott_fano_lines(3, 4) == _schur_path_fano_lines(3, 4) == (45, 27)
+    assert _bott_fano_lines(5, 4) == (2875, 2875)
 
 
 def test_fano_chi_delta0():

@@ -18,7 +18,7 @@ from chernpol.exactcore import (DuplicateAbscissaError, InconsistentDataError,
 from chernpol import roots as rootsmod
 from chernpol.roots import _divide_out, _square_free_part, _taylor_shift
 
-from polyhelpers import from_roots
+from polyhelpers import from_roots, variable
 
 
 def test_unipoly_basics():
@@ -294,7 +294,7 @@ def test_multipoly_basics():
     assert g.total_degree() == 2
     assert g.homogeneous_component(2) == g
     assert f.is_symmetric()
-    assert not (f + MultiPoly.var("x1", xs)).is_symmetric()
+    assert not (f + variable("x1", xs)).is_symmetric()
     assert f.evaluate({"x1": 2, "x2": 3}) == 5
 
 
@@ -321,7 +321,7 @@ def test_multipoly_mul_truncated_is_pointwise(a, b, max_degree, point):
 
 def test_multipoly_mul_truncated_edges():
     xs = ("x1", "x2")
-    x1, x2 = MultiPoly.var("x1", xs), MultiPoly.var("x2", xs)
+    x1, x2 = variable("x1", xs), variable("x2", xs)
     # the x1*x2 terms cancel and leave no zero coefficient behind
     f, g = x1.scale(F(1, 2)) + x2.scale(F(1, 3)), x1.scale(F(1, 2)) - x2.scale(F(1, 3))
     assert f.mul_truncated(g, None).terms == {(2, 0): F(1, 4), (0, 2): F(-1, 9)}
@@ -403,7 +403,7 @@ def test_interpolate_duplicate_abscissa():
 def test_series_invert():
     xs = ("x1", "x2")
     one = MultiPoly.const(1, xs)
-    f = one + MultiPoly.var("x1", xs) + MultiPoly.var("x2", xs)
+    f = one + variable("x1", xs) + variable("x2", xs)
     policy = TruncationPolicy(4)
     inv = series_invert(f, policy)
     assert f.mul_truncated(inv, 4) == one

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import chernpol
-from chernpol import chern, cli, rising
+from chernpol import chern, cli, enumgeo, rising
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -170,6 +170,14 @@ def test_no_module_imports_argparse():
         assert not found, f"{path.name}: argparse imported at lines {found}"
 
 
+def test_enumgeo_imports_no_multipoly():
+    # the MultiPoly form of the Fano integrals lives in the tests only
+    tree = ast.parse(Path(enumgeo.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert "multipoly" not in imported and "exactcore" in imported
+
+
 def test_sigma_degree_loads_no_multipoly():
     # numeric and symbolic Sigma read chern_values through the alternant and
     # build no MultiPoly and no ChernPolynomial
@@ -182,11 +190,14 @@ def test_sigma_degree_loads_no_multipoly():
 
 
 def test_text_output_loads_no_json():
-    # both Fano methods: the integral one builds a MultiPoly, and neither
-    # a ChernPolynomial
-    assert _run(["fano-degree", "--d", "3", "--m", "3"], allow_json=False) \
-        == CORE | {"chernpol.symfunc", "chernpol.chern", "chernpol.multipoly",
+    # both methods of both Fano invariants read chern_values on partitions,
+    # so they build no MultiPoly and no ChernPolynomial
+    fano = CORE | {"chernpol.symfunc", "chernpol.chern",
                    "chernpol.specialization", "chernpol.enumgeo"}
+    for command, d, m in [("fano-degree", 3, 3), ("fano-degree", 13, 8),
+                          ("fano-chi", 4, 4), ("fano-chi", 10, 7)]:
+        assert _run([command, "--d", str(d), "--m", str(m), "--method",
+                     "both"], allow_json=False) == fano, command
     # the checks compile only for verify: the pins above hold no checks
     assert "chernpol.checks" in _run(["verify"], allow_json=False)
 

@@ -16,6 +16,8 @@ from chernpol.rising import (InvalidBoundError, OutOfDomainError,
 from chernpol.specialization import (M_plain, M_tilde, stirling_first,
                                      stirling_second)
 
+from polyhelpers import variable
+
 
 D = UniPoly.x("d")
 
@@ -45,7 +47,7 @@ def spec_two_vars():
 def spec_two_params():
     """prod_{t=0}^{d0+d1} of a table whose entries depend on d0 and d1."""
     params = ("d0", "d1")
-    d0, d1 = (MultiPoly.var(p, params) for p in params)
+    d0, d1 = (variable(p, params) for p in params)
     table = {((1, 0), 0): d0 + 1, ((1, 0), 1): d1,
              ((0, 1), 1): d0 * 2 - d1, ((0, 1), 2): -1,
              ((2, 0), 2): 1, ((1, 1), 0): d0 * d1 - 1}

@@ -15,6 +15,8 @@ from chernpol.symfunc import (BASES, InvalidIndexError, NotSymmetricError,
                               is_partition, multiplicities, partition_of,
                               schur_coefficient, syt_count, to_x_expansion)
 
+from polyhelpers import variable
+
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -214,7 +216,7 @@ def _random_symmetric(n, rng, max_weight=5):
 def test_expand_not_symmetric():
     xs = ("x1", "x2")
     with pytest.raises(NotSymmetricError):
-        expand_in_basis(MultiPoly.var("x1", xs), "schur")
+        expand_in_basis(variable("x1", xs), "schur")
 
 
 def test_expand_roundtrip_all_bases():
