@@ -73,6 +73,16 @@ def as_integer(q, what: str) -> int:
     return q.numerator
 
 
+def as_natural(x, what: str) -> int:
+    """``x`` as an int >= 0; ValueError if it is negative or not an integer
+    (an integral float such as 2.0 counts, a string or a bool does not)."""
+    if isinstance(x, float) and x.is_integer():
+        x = int(x)
+    if type(x) is not int or x < 0:
+        raise ValueError(f"{what} must be a non-negative integer, not {x!r}")
+    return x
+
+
 def xvars(n: int) -> tuple:
     """The variable names x1..xn."""
     return tuple(f"x{i+1}" for i in range(n))
@@ -301,7 +311,8 @@ class UniPoly(_Poly):
 
     @classmethod
     def from_json(cls, data: Sequence, var: str = "d") -> "UniPoly":
-        return cls({int(e): Fraction(c) for e, c in data}, var=var)
+        return cls({as_natural(e, "an exponent"): Fraction(c) for e, c in data},
+                   var=var)
 
     @staticmethod
     def _repr_key(e: int) -> int:

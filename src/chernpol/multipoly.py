@@ -1,11 +1,12 @@
 """Sparse multivariate polynomials over Q, Lagrange interpolation with
 consistency guards, and truncated power-series inversion.
 
-These serve the computations at a concrete d (``chern.chern_direct``, the
-Grassmann and Fano integrals, the orbit fits) and the Stirling coefficients;
-a cached Chern query runs none of them, so they live apart from
-``exactcore`` and load on first use.  ``MultiPoly`` shares its arithmetic
-with ``UniPoly`` through ``exactcore._Poly``.
+``MultiPoly`` has two roles: products in the variables x1..xn
+(``chern.chern_direct``, the orbit terms) and the parameter polynomials of
+rising products and their Stirling coefficients.  A cached Chern query runs
+none of this, so it lives apart from ``exactcore`` and loads on first use.
+``MultiPoly`` shares its arithmetic with ``UniPoly`` through
+``exactcore._Poly``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .exactcore import (DuplicateAbscissaError, InconsistentDataError,
                         NotInvertibleError, TruncationPolicy, UniPoly, _Poly,
-                        _cleared, _rebuilt, rat, rat_to_str, xvars)
+                        _cleared, _rebuilt, rat, xvars)
 
 
 class MultiPoly(_Poly):
@@ -109,11 +110,8 @@ class MultiPoly(_Poly):
     def truncate(self, m: int) -> "MultiPoly":
         return self._new({ev: c for ev, c in self.terms.items() if sum(ev) <= m})
 
-    def filter_terms(self, keep) -> "MultiPoly":
-        return self._new({ev: c for ev, c in self.terms.items() if keep(ev)})
-
     def homogeneous_component(self, k: int) -> "MultiPoly":
-        return self.filter_terms(lambda ev: sum(ev) == k)
+        return self._new({ev: c for ev, c in self.terms.items() if sum(ev) == k})
 
     def evaluate(self, values: Mapping[str, Fraction]):
         """Full evaluation at rational values for every variable."""
@@ -137,14 +135,6 @@ class MultiPoly(_Poly):
                 if self.terms.get(tuple(swapped), Fraction(0)) != c:
                     return False
         return True
-
-    def to_json(self) -> list:
-        return [[list(ev), rat_to_str(c)]
-                for ev, c in sorted(self.terms.items())]
-
-    @classmethod
-    def from_json(cls, data: Sequence, vars: Sequence[str]) -> "MultiPoly":
-        return cls(vars, {tuple(ev): Fraction(c) for ev, c in data})
 
     @staticmethod
     def _repr_key(ev: tuple) -> tuple:

@@ -66,59 +66,40 @@ def enumerate_orbit(u, d: int) -> list:
     return out
 
 
-def _evars(n: int) -> tuple:
-    return tuple(f"e{i+1}" for i in range(n))
-
-
-def _expansion_to_epoly(terms: dict, n: int) -> MultiPoly:
-    """{nu: c} in the elementary basis as a polynomial in e_1..e_n."""
-    from .multipoly import MultiPoly
-    from .symfunc import multiplicities
-    out = {}
-    for nu, c in terms.items():
-        H = multiplicities(nu)
-        out[tuple(H.get(i, 0) for i in range(1, n + 1))] = c
-    return MultiPoly(_evars(n), out)
-
-
-def orbit_term(values) -> MultiPoly:
+def orbit_term(values) -> dict:
     """p_(d_1..d_n): the product over the distinct permutations of the
-    weight tuple of (1 + sum_i w_i x_i), re-expressed exactly in e_1..e_n."""
+    weight tuple of (1 + sum_i w_i x_i), exactly in the elementary basis as
+    {partition: coefficient}."""
     from .multipoly import MultiPoly
     from .symfunc import expand_in_basis
     values = tuple(int(v) for v in values)
-    n = len(values)
-    out = MultiPoly.const(1, xvars(n))
+    out = MultiPoly.const(1, xvars(len(values)))
     for perm in sorted(set(itertools.permutations(values))):
         out = out * MultiPoly.linear_factor(perm)
-    return _expansion_to_epoly(expand_in_basis(out, "elementary"), n)
+    return expand_in_basis(out, "elementary")
 
 
-def weighted_truncate(f: MultiPoly, max_weight: int) -> MultiPoly:
-    """Keep terms of x-weight <= max_weight, where e_i carries weight i."""
-    return f.filter_terms(
-        lambda ev: sum((i + 1) * e for i, e in enumerate(ev)) <= max_weight)
-
-
-def chern_in_elementary(n: int, d: int, policy: TruncationPolicy) -> MultiPoly:
-    """chern_direct re-expressed in e_1..e_n, truncated by x-weight."""
-    from .chern import chern_direct
-    from .symfunc import expand_in_basis
-    f = chern_direct(n, d, policy)
-    return _expansion_to_epoly(expand_in_basis(f, "elementary"), n)
+def weighted_truncate(terms: dict, max_weight: int) -> dict:
+    """Keep the e_lam with |lam| <= max_weight (e_i has x-weight i)."""
+    return {lam: c for lam, c in terms.items() if sum(lam) <= max_weight}
 
 
 def orbit_factorization_check(n: int, d: int, policy: TruncationPolicy) -> bool:
     """Does the product of all orbit terms reproduce the total Chern class
-    (both sides truncated at the same x-weight)?"""
-    from .multipoly import MultiPoly
+    in the elementary basis (both sides truncated at the same x-weight)?
+    On partitions the product is concatenation, e_lam e_mu = e_(lam u mu)."""
+    from .chern import chern_direct
+    from .symfunc import expand_in_basis
     if d < 0:
         raise ValueError("d must be >= 0")
     maxw = policy.max_total_degree
-    rhs = MultiPoly.const(1, _evars(n))
+    rhs = {(): 1}
     for u in orbit_types(n):
         for values in enumerate_orbit(u, d):
-            rhs = weighted_truncate(rhs * orbit_term(values), maxw)
-    lhs = weighted_truncate(chern_in_elementary(n, d, policy), maxw)
-    return lhs == rhs
-
+            term, product = orbit_term(values), {}
+            for lam, a in rhs.items():
+                for mu, b in weighted_truncate(term, maxw - sum(lam)).items():
+                    nu = tuple(sorted(lam + mu, reverse=True))
+                    product[nu] = product.get(nu, 0) + a * b
+            rhs = {nu: c for nu, c in product.items() if c}
+    return expand_in_basis(chern_direct(n, d, policy), "elementary") == rhs

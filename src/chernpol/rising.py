@@ -13,7 +13,7 @@ from math import factorial, lcm
 from operator import mul
 
 from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly,
-                        _rebuilt, forward_differences, xvars)
+                        _rebuilt, as_natural, forward_differences, xvars)
 from .multipoly import MultiPoly
 from .specialization import M_tilde_values
 from .symfunc import dominance_key, mult_factorial
@@ -67,17 +67,18 @@ class RisingProductSpec:
 
     def __init__(self, params, table, K, nx: int):
         self.params = tuple(params)
-        self.nx = int(nx)
+        self.nx = as_natural(nx, "nx")
         self.table: dict[tuple, MultiPoly] = {}
         for (E, m), coeff in table.items():
-            E = tuple(int(e) for e in E)
+            E = tuple(as_natural(e, "an entry of E") for e in E)
+            m = as_natural(m, "m")
             if len(E) != self.nx:
                 raise ValueError("exponent vector length mismatch")
             if not any(E):
                 raise ValueError("P(d, t, 0) = 1: the table may not contain E = 0")
             coeff = self._coerce(coeff)
             if not coeff.is_zero():
-                self.table[(E, int(m))] = coeff
+                self.table[(E, m)] = coeff
         self.K = self._coerce(K)
 
     def _coerce(self, c) -> MultiPoly:
@@ -102,12 +103,7 @@ class RisingProductSpec:
     def single(cls, param: str, table, K, nx: int) -> "RisingProductSpec":
         """Spec with one parameter; table/K entries may be UniPoly, int or
         Fraction."""
-        def up(c):
-            if isinstance(c, UniPoly):
-                return c
-            return UniPoly.const(c, var=param)
-        table = {key: up(c) for key, c in table.items()}
-        return cls((param,), table, up(K), nx)
+        return cls((param,), table, K, nx)
 
     def _unipoly(self, p: MultiPoly) -> UniPoly:
         if len(self.params) != 1:

@@ -70,10 +70,9 @@ def mult_factorial(parts) -> int:
     return out
 
 
-def enumerate_partitions(weight: int, max_length: int | None = None,
-                         max_part: int | None = None) -> list[tuple]:
-    """All partitions of ``weight`` under the constraints, lexicographically
-    decreasing first part first."""
+def enumerate_partitions(weight: int, max_length: int | None = None) -> list[tuple]:
+    """All partitions of ``weight`` into at most ``max_length`` parts,
+    lexicographically decreasing first part first."""
     if weight < 0:
         raise ValueError("weight must be non-negative")
 
@@ -87,9 +86,8 @@ def enumerate_partitions(weight: int, max_length: int | None = None,
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
-    cap = weight if max_part is None else min(max_part, weight)
     slots = weight if max_length is None else max_length
-    return list(rec(weight, cap, slots))
+    return list(rec(weight, weight, slots))
 
 
 def dominance_key(parts) -> tuple:

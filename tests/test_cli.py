@@ -222,6 +222,22 @@ def test_stirling_coeff_wrong_length(capsys, tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("E, m, coeff", [
+    ([-1], 1, [[0, "1"]]), ([1], -1, [[0, "1"]]), ([1], 1.5, [[0, "1"]]),
+    ([1.7], 1, [[0, "1"]]), ([1], 1, [[0.5, "1"]]), ([1], 1, [[-2, "1"]]),
+])
+def test_stirling_coeff_bad_spec_is_usage_error(E, m, coeff, tmp_path):
+    # a subprocess with a timeout, so a spec that hangs fails the test
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"params": ["d"], "nx": 1, "K": [[1, "1"]],
+                                "table": [[E, m, coeff]]}))
+    proc = _python("-m", "chernpol.cli", "stirling-coeff", "--spec-file",
+                   str(path), "--type", "2", text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
+    assert proc.stderr.startswith("usage error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_orbits_text(capsys):
     code, out, _ = run_cli(["orbits", "--n", "4", "--d", "8",
                             "--type", "2,1,1"], capsys)
@@ -377,6 +393,20 @@ def test_cache_entry_of_old_format_is_recomputed(capsys, tmp_path):
         "chernpol-cache-2"
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (0, uncached, "")
+
+
+def test_cache_entry_with_bad_exponent_is_recomputed(capsys, tmp_path):
+    argv = ["chern", "--n", "2", "--k", "2", "--cache-dir", str(tmp_path)]
+    _, uncached, _ = run_cli(argv + ["--no-cache"], capsys)
+    payload = chern_interpolated(2, 2, "monomial").to_json()
+    path = tmp_path / "chern_n2_k2.json"
+    for bad in (0.5, -2):
+        payload["terms"][0][1][0][0] = bad
+        path.write_text(json.dumps({"checksum": cli._checksum(payload),
+                                    "payload": payload}))
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (0, uncached)
+        assert "warning: recomputing" in err and "exponent" in err
 
 
 def test_no_cache_skips_write(capsys, tmp_path):

@@ -60,6 +60,10 @@ def test_unipoly_composition_multipoly():
 def test_unipoly_json_roundtrip():
     p = UniPoly({3: F(1, 2), 0: F(-7)})
     assert UniPoly.from_json(p.to_json()) == p
+    assert UniPoly.from_json([[2.0, "1"]]) == UniPoly({2: F(1)})
+    for bad in (0.5, -2, "1", True):
+        with pytest.raises(ValueError):
+            UniPoly.from_json([[bad, "1"]])
 
 
 def test_unipoly_pow_derivative_scale():
@@ -364,12 +368,6 @@ def test_multipoly_truncation():
     assert p.truncate(2) == f.mul_truncated(f, 2).mul_truncated(f, 2) \
         .mul_truncated(f, 2).mul_truncated(f, 2)
     assert p.truncate(0) == 1
-
-
-def test_multipoly_substitute_and_json():
-    xs = ("x1", "x2")
-    f = MultiPoly(xs, {(2, 0): F(1), (0, 1): F(3)})
-    assert MultiPoly.from_json(f.to_json(), xs) == f
 
 
 def test_interpolate_exact():

@@ -334,6 +334,13 @@ def test_spec_json_roundtrip():
     assert back.nx == spec.nx
 
 
+@pytest.mark.parametrize("E, m", [((-1,), 1), ((1,), -1), ((1,), 1.5),
+                                  ((1.7,), 1), (("1",), 1)])
+def test_spec_rejects_non_natural_entries(E, m):
+    with pytest.raises(ValueError, match="non-negative integer"):
+        RisingProductSpec.single("d", {(E, m): 1}, D, 1)
+
+
 def test_spec_rejects_zero_exponent_vector():
     with pytest.raises(ValueError):
         RisingProductSpec.single("d", {((0,), 1): 1}, D, 1)
