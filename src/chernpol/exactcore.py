@@ -83,6 +83,11 @@ def as_natural(x, what: str) -> int:
     return x
 
 
+def naturals(xs, what: str) -> tuple:
+    """``xs`` as a tuple of ints >= 0, each by the rule of ``as_natural``."""
+    return tuple(as_natural(x, what) for x in xs)
+
+
 def xvars(n: int) -> tuple:
     """The variable names x1..xn."""
     return tuple(f"x{i+1}" for i in range(n))
@@ -110,9 +115,7 @@ class TruncationPolicy:
     __slots__ = ("max_total_degree",)
 
     def __init__(self, max_total_degree: int):
-        if max_total_degree < 0:
-            raise ValueError("max_total_degree must be non-negative")
-        self.max_total_degree = int(max_total_degree)
+        self.max_total_degree = as_natural(max_total_degree, "max_total_degree")
 
     def __repr__(self):
         return f"TruncationPolicy({self.max_total_degree})"
@@ -161,8 +164,7 @@ class _Poly:
         return self._coerce(other) - self
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
+        n = as_natural(n, "a power")
         result = self._coerce(1)
         base = self
         while n:
@@ -211,13 +213,11 @@ class UniPoly(_Poly):
     __slots__ = ("var",)
 
     def __init__(self, terms: Mapping[int, Fraction] | None = None, var: str = "d"):
-        self.var = var
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                c = rat(c)
-                if c != 0:
-                    self.terms[int(e)] = c
+        self.var, self.terms = var, {}
+        for e, c in (terms or {}).items():
+            e, c = as_natural(e, "an exponent"), rat(c)
+            if c != 0:
+                self.terms[e] = c
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -311,8 +311,7 @@ class UniPoly(_Poly):
 
     @classmethod
     def from_json(cls, data: Sequence, var: str = "d") -> "UniPoly":
-        return cls({as_natural(e, "an exponent"): Fraction(c) for e, c in data},
-                   var=var)
+        return cls({e: Fraction(c) for e, c in data}, var=var)
 
     @staticmethod
     def _repr_key(e: int) -> int:

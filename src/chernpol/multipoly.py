@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .exactcore import (DuplicateAbscissaError, InconsistentDataError,
                         NotInvertibleError, TruncationPolicy, UniPoly, _Poly,
-                        _cleared, _rebuilt, rat, xvars)
+                        _cleared, _rebuilt, naturals, rat, xvars)
 
 
 class MultiPoly(_Poly):
@@ -26,16 +26,13 @@ class MultiPoly(_Poly):
     __slots__ = ("vars",)
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Fraction] | None = None):
-        self.vars = tuple(vars)
-        self.terms = {}
-        if terms:
-            n = len(self.vars)
-            for ev, c in terms.items():
-                if len(ev) != n:
-                    raise ValueError("exponent vector length mismatch")
-                c = rat(c)
-                if c != 0:
-                    self.terms[tuple(int(e) for e in ev)] = c
+        self.vars, self.terms = tuple(vars), {}
+        for ev, c in (terms or {}).items():
+            if len(ev) != len(self.vars):
+                raise ValueError("exponent vector length mismatch")
+            ev, c = naturals(ev, "an exponent"), rat(c)
+            if c != 0:
+                self.terms[ev] = c
 
     @classmethod
     def const(cls, c, vars: Sequence[str]) -> "MultiPoly":
@@ -157,7 +154,7 @@ def interpolate(points, degree_bound: int, var: str = "d") -> UniPoly:
     InconsistentDataError when a guard point misses the curve (which signals
     a wrong degree bound upstream).
     """
-    pts = [(int(a), rat(v)) for a, v in points]
+    pts = [(rat(a), rat(v)) for a, v in points]
     if len({a for a, _ in pts}) != len(pts):
         raise DuplicateAbscissaError("duplicate interpolation abscissas")
     if len(pts) < degree_bound + 1:

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import itertools
 
-from .exactcore import OutOfDomainError, TruncationPolicy, xvars
+from .exactcore import (OutOfDomainError, TruncationPolicy, as_natural,
+                        naturals, xvars)
 
 # chern, multipoly and symfunc are imported inside the functions that use
 # them, so enumerating orbits loads none of them
@@ -44,8 +45,8 @@ def _min_type_sum(u) -> int:
 def enumerate_orbit(u, d: int) -> list:
     """O_u(d): all weakly increasing n-tuples summing to d whose distinct
     values have multiplicity pattern u, by the nested-range recursion."""
-    u = tuple(int(x) for x in u)
-    if any(x < 1 for x in u):
+    u = naturals(u, "an orbit type part")
+    if 0 in u:
         raise ValueError("orbit type parts must be positive")
     if d < 0:
         return []
@@ -66,16 +67,17 @@ def enumerate_orbit(u, d: int) -> list:
     return out
 
 
-def orbit_term(values) -> dict:
+def orbit_term(values, max_weight: int | None = None) -> dict:
     """p_(d_1..d_n): the product over the distinct permutations of the
     weight tuple of (1 + sum_i w_i x_i), exactly in the elementary basis as
-    {partition: coefficient}."""
+    {partition: coefficient}; with ``max_weight``, only the e_lam with
+    |lam| <= max_weight, from the x product truncated at that degree."""
     from .multipoly import MultiPoly
     from .symfunc import expand_in_basis
-    values = tuple(int(v) for v in values)
+    values = naturals(values, "a weight")
     out = MultiPoly.const(1, xvars(len(values)))
     for perm in sorted(set(itertools.permutations(values))):
-        out = out * MultiPoly.linear_factor(perm)
+        out = out.mul_truncated(MultiPoly.linear_factor(perm), max_weight)
     return expand_in_basis(out, "elementary")
 
 
@@ -90,13 +92,12 @@ def orbit_factorization_check(n: int, d: int, policy: TruncationPolicy) -> bool:
     On partitions the product is concatenation, e_lam e_mu = e_(lam u mu)."""
     from .chern import chern_direct
     from .symfunc import expand_in_basis
-    if d < 0:
-        raise ValueError("d must be >= 0")
+    d = as_natural(d, "d")
     maxw = policy.max_total_degree
     rhs = {(): 1}
     for u in orbit_types(n):
         for values in enumerate_orbit(u, d):
-            term, product = orbit_term(values), {}
+            term, product = orbit_term(values, maxw), {}
             for lam, a in rhs.items():
                 for mu, b in weighted_truncate(term, maxw - sum(lam)).items():
                     nu = tuple(sorted(lam + mu, reverse=True))

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .exactcore import UniPoly, check_degree
-from .symfunc import convert_expansion
+from .symfunc import check_partition, convert_expansion, validate_basis_index
 
 FORMAT_VERSION = "chernpol-cache-2"
 
@@ -86,8 +86,15 @@ class ChernPolynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "ChernPolynomial":
+        """The record of ``to_json``; ValueError on a stale format or a key
+        that is not a partition of k indexing the basis in n variables."""
         if data.get("format") != FORMAT_VERSION:
             raise ValueError("stale cache format")
-        terms = {tuple(lam): UniPoly.from_json(p, var="d")
-                 for lam, p in data["terms"]}
+        terms = {}
+        for lam, p in data["terms"]:
+            lam = check_partition(lam)
+            validate_basis_index(data["basis"], lam, data["n"])
+            if sum(lam) != data["k"]:
+                raise ValueError(f"{lam} is not a partition of k = {data['k']}")
+            terms[lam] = UniPoly.from_json(p, var="d")
         return cls(data["n"], data["k"], data["basis"], terms)

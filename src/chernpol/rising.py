@@ -13,7 +13,8 @@ from math import factorial, lcm
 from operator import mul
 
 from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly,
-                        _rebuilt, as_natural, forward_differences, xvars)
+                        _rebuilt, as_natural, forward_differences, naturals,
+                        xvars)
 from .multipoly import MultiPoly
 from .specialization import M_tilde_values
 from .symfunc import dominance_key, mult_factorial
@@ -30,9 +31,7 @@ class InvalidBoundError(ValueError):
 def vector_partitions(H) -> list[tuple]:
     """All multiset partitions of the vector H into nonzero vectors,
     blocks listed weakly decreasing in graded-lex order."""
-    H = tuple(int(h) for h in H)
-    if any(h < 0 for h in H):
-        raise ValueError("H must be non-negative")
+    H = naturals(H, "an entry of H")
 
     def blocks_below(rem, ceiling):
         ranges = [range(r, -1, -1) for r in rem]
@@ -70,7 +69,7 @@ class RisingProductSpec:
         self.nx = as_natural(nx, "nx")
         self.table: dict[tuple, MultiPoly] = {}
         for (E, m), coeff in table.items():
-            E = tuple(as_natural(e, "an entry of E") for e in E)
+            E = naturals(E, "an entry of E")
             m = as_natural(m, "m")
             if len(E) != self.nx:
                 raise ValueError("exponent vector length mismatch")
@@ -170,9 +169,9 @@ def stirling_coefficient(spec: RisingProductSpec, H) -> MultiPoly:
     one common denominator and evaluated by one Newton-form Horner pass,
     t = G_J, then t = t * (K - j) / (j + 1) + G_j for j = J-1, ..., 0.
     """
-    H = tuple(int(h) for h in H)
-    if len(H) != spec.nx or any(h < 0 for h in H):
-        raise ValueError("H must be a non-negative vector of length nx")
+    H = naturals(H, "an entry of H")
+    if len(H) != spec.nx:
+        raise ValueError("H must have length nx")
     Es = sorted({E for E, _ in spec.table})
     one = MultiPoly.const(1, spec.params)
 
@@ -217,8 +216,7 @@ def simple_coefficient(E, H) -> tuple[int, tuple]:
     (product of multinomial coefficients over the nonzero exponent groups,
     weak partition lambda) whose product with m_lambda(y_0..y_v) is the
     coefficient of x^H.  All H_s must be nonzero."""
-    E = tuple(int(e) for e in E)
-    H = tuple(int(h) for h in H)
+    E, H = naturals(E, "an entry of E"), naturals(H, "an entry of H")
     if len(E) != len(H):
         raise ValueError("E and H must have equal length")
     if any(h == 0 for h in H):
@@ -249,7 +247,7 @@ def _table_degree(spec: RisingProductSpec, E: tuple, m: int) -> int:
 
 def check_weight_bound(spec: RisingProductSpec, W) -> None:
     """Require deg(P_E(d, t)) <= W(E) for every table entry."""
-    W = tuple(int(w) for w in W)
+    W = naturals(W, "an entry of W")
     for (E, m) in spec.table:
         bound = sum(w * e for w, e in zip(W, E))
         if _table_degree(spec, E, m) > bound:
@@ -261,8 +259,8 @@ def check_weight_bound(spec: RisingProductSpec, W) -> None:
 
 def degree_bound(spec: RisingProductSpec, W, H) -> int:
     """W(H) + |H|, valid once the table satisfies the linear bound W."""
+    W, H = naturals(W, "an entry of W"), naturals(H, "an entry of H")
     check_weight_bound(spec, W)
-    H = tuple(int(h) for h in H)
     return sum(w * h for w, h in zip(W, H)) + sum(H)
 
 
@@ -274,14 +272,13 @@ def leading_coefficient(spec: RisingProductSpec, W, H) -> Fraction:
     (sharp exactly when every inner sum is nonzero).  Single-parameter specs
     with monic linear K only.
     """
+    W, H = naturals(W, "an entry of W"), naturals(H, "an entry of H")
     check_weight_bound(spec, W)
     if len(spec.params) != 1:
         raise ValueError("single-parameter spec required")
     K = spec.K_unipoly()
     if K.degree() != 1 or K.coeff(1) != 1:
         raise ValueError("K must be monic linear for the leading coefficient")
-    W = tuple(int(w) for w in W)
-    H = tuple(int(h) for h in H)
     out = Fraction(1)
     for i, h in enumerate(H):
         if h == 0:

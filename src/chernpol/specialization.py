@@ -13,7 +13,7 @@ from itertools import product
 from math import comb, factorial
 from operator import mul
 
-from .exactcore import UniPoly, interpolate_integers
+from .exactcore import UniPoly, interpolate_integers, naturals
 from .symfunc import mult_factorial
 
 
@@ -99,7 +99,7 @@ def faulhaber(q: int) -> UniPoly:
 # ---------------------------------------------------------------------------
 
 def _sorted_partition(parts) -> tuple:
-    return tuple(sorted(parts, reverse=True))
+    return tuple(sorted(naturals(parts, "a part"), reverse=True))
 
 
 def M_tilde_values(lams) -> dict:
@@ -114,9 +114,7 @@ def M_tilde_values(lams) -> dict:
     with f_{-1}(S) = 1 for the empty S and 0 otherwise (0**0 == 1 counts a
     zero part at v = 0).  One sweep over v gives every lam.
     """
-    lams = {_sorted_partition(int(p) for p in lam) for lam in lams}
-    if any(p < 0 for lam in lams for p in lam):
-        raise ValueError("weak partition parts must be non-negative")
+    lams = {_sorted_partition(lam) for lam in lams}
     parts = sorted({p for lam in lams for p in lam})
     counts = {lam: tuple(lam.count(p) for p in parts) for lam in lams}
     # the multiplicity vectors under some lam, larger first, so that an
@@ -141,7 +139,6 @@ def M_tilde_values(lams) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
 def M_tilde(lam: tuple) -> UniPoly:
     """Polynomial in v with M_tilde(lam)(v) = m~_lam(0, 1, ..., v) for v >= -1,
     of degree |lam| + len(lam), interpolated from its M_tilde_values at
@@ -150,12 +147,19 @@ def M_tilde(lam: tuple) -> UniPoly:
     sums 0^q + ... + v^q, times prod_{i<m0} (v+1-len(lam*)-i) for the m0
     zero parts.)
     """
-    lam = _sorted_partition(int(p) for p in lam)
+    return _M_tilde(_sorted_partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _M_tilde(lam: tuple) -> UniPoly:
+    # cached on the checked partition: (True,) must not read (1,)'s entry
     return interpolate_integers(M_tilde_values([lam])[lam], "v")
+
+
+M_tilde.cache_info, M_tilde.cache_clear = _M_tilde.cache_info, _M_tilde.cache_clear
 
 
 def M_plain(lam: tuple) -> UniPoly:
     """M_tilde divided by mult(lambda)!, i.e. the specialization of the plain
     monomial symmetric polynomial."""
-    lam = _sorted_partition(int(p) for p in lam)
     return M_tilde(lam).scale(Fraction(1, mult_factorial(lam)))

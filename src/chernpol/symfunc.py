@@ -13,7 +13,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
 
-from .exactcore import BASES, InconsistentDataError, as_integer, xvars
+from .exactcore import (BASES, InconsistentDataError, as_integer, as_natural,
+                        naturals, xvars)
 
 
 class InvalidIndexError(ValueError):
@@ -35,7 +36,7 @@ def is_partition(parts) -> bool:
 
 
 def check_partition(parts) -> tuple:
-    parts = tuple(int(p) for p in parts)
+    parts = naturals(parts, "a part")
     if not is_partition(parts):
         raise ValueError(f"not a partition: {parts}")
     return parts
@@ -73,8 +74,7 @@ def mult_factorial(parts) -> int:
 def enumerate_partitions(weight: int, max_length: int | None = None) -> list[tuple]:
     """All partitions of ``weight`` into at most ``max_length`` parts,
     lexicographically decreasing first part first."""
-    if weight < 0:
-        raise ValueError("weight must be non-negative")
+    weight = as_natural(weight, "weight")
 
     def rec(remaining, cap, slots):
         if remaining == 0:
@@ -86,7 +86,7 @@ def enumerate_partitions(weight: int, max_length: int | None = None) -> list[tup
             for rest in rec(remaining - first, first, slots - 1):
                 yield (first,) + rest
 
-    slots = weight if max_length is None else max_length
+    slots = weight if max_length is None else as_natural(max_length, "max_length")
     return list(rec(weight, weight, slots))
 
 

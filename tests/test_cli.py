@@ -409,6 +409,26 @@ def test_cache_entry_with_bad_exponent_is_recomputed(capsys, tmp_path):
         assert "warning: recomputing" in err and "exponent" in err
 
 
+@pytest.mark.parametrize("k, bad", [(2, [2.5]), (3, [1, 1, 1]),
+                                    (2, ["x"]), (2, [3])],
+                         ids=["fraction", "too-long", "string", "weight-3"])
+def test_cache_entry_with_bad_key_is_recomputed(k, bad, capsys, tmp_path):
+    # each key must be a partition of k that indexes the basis in n = 2
+    # variables; the checksum is valid, so only the key check can catch it
+    argv = ["chern", "--n", "2", "--k", str(k), "--basis", "e",
+            "--cache-dir", str(tmp_path)]
+    _, uncached, _ = run_cli(argv + ["--no-cache"], capsys)
+    payload = chern_interpolated(2, k, "monomial").to_json()
+    payload["terms"][0][0] = bad
+    path = tmp_path / f"chern_n2_k{k}.json"
+    path.write_text(json.dumps({"checksum": cli._checksum(payload),
+                                "payload": payload}))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (0, uncached)
+    assert err.count("warning: recomputing") == 1
+    assert len(err.splitlines()) == 1
+
+
 def test_no_cache_skips_write(capsys, tmp_path):
     code, _, _ = run_cli(["chern", "--n", "2", "--k", "1", "--no-cache",
                           "--cache-dir", str(tmp_path)], capsys)

@@ -96,6 +96,14 @@ def test_weighted_truncate():
     assert t == {(): 1, (1,): 6, (1, 1): 9, (2,): 9}
 
 
+@pytest.mark.parametrize("values", [(1, 1, 4), (0, 2), (0, 1, 2, 3), (3,)])
+def test_orbit_term_truncated_keeps_the_low_weights(values):
+    # the product truncated at x-degree w keeps exactly the e_lam, |lam| <= w
+    full = orbit_term(values)
+    for w in range(6):
+        assert orbit_term(values, w) == weighted_truncate(full, w)
+
+
 def test_factorization():
     for n in (1, 2, 3, 4):
         for d in range(0, 9):

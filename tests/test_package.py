@@ -11,6 +11,15 @@ import pytest
 
 import chernpol
 from chernpol import chern, cli, enumgeo, rising
+from chernpol.exactcore import MultiPoly, TruncationPolicy, UniPoly
+from chernpol.orbits import (enumerate_orbit, orbit_factorization_check,
+                             orbit_term)
+from chernpol.rising import (RisingProductSpec, check_weight_bound,
+                             degree_bound, leading_coefficient,
+                             simple_coefficient, stirling_coefficient,
+                             vector_partitions)
+from chernpol.specialization import M_plain, M_tilde, M_tilde_values
+from chernpol.symfunc import check_partition, enumerate_partitions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -168,6 +177,83 @@ def test_no_module_imports_argparse():
                  or isinstance(node, ast.ImportFrom)
                  and (node.module or "").split(".")[0] == "argparse"]
         assert not found, f"{path.name}: argparse imported at lines {found}"
+
+
+# where int() may still be called: it parses text, it is the rule itself,
+# and it counts a bool
+INT_CALLS_ALLOWED = {("cli", "_parse_vector"), ("exactcore", "as_natural"),
+                     ("symfunc", "_product_count")}
+
+
+def _int_calls(node, scope=None):
+    """(enclosing function, line) of every call to int below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == "int"):
+            yield scope, child.lineno
+        inner = (child.name if isinstance(child, (ast.FunctionDef,
+                                                  ast.AsyncFunctionDef))
+                 else scope)
+        yield from _int_calls(child, inner)
+
+
+def test_integer_inputs_are_checked_in_one_place():
+    # an integer input passes exactcore.as_natural or exactcore.naturals;
+    # an int() elsewhere would truncate 1.5 to 1 and take True for 1
+    for path in Path(chernpol.__file__).parent.glob("*.py"):
+        found = [(scope, line)
+                 for scope, line in _int_calls(ast.parse(path.read_text()))
+                 if (path.stem, scope) not in INT_CALLS_ALLOWED]
+        assert not found, f"{path.name}: int() called at {found}"
+
+
+_D = UniPoly.x("d")
+_SPEC = RisingProductSpec.single("d", {((1,), 1): 1}, _D, 1)  # prod (1 + t x)
+
+# an entry point for each integer input, as a function of that integer
+NATURAL_INPUTS = {
+    "TruncationPolicy": TruncationPolicy,
+    "UniPoly": lambda x: UniPoly({x: 2}),
+    "UniPoly.from_json": lambda x: UniPoly.from_json([[x, "1"]]),
+    "power": lambda x: (_D + 1) ** x,
+    "MultiPoly": lambda x: MultiPoly(("a",), {(x,): 1}),
+    "vector_partitions": lambda x: vector_partitions((x, 1)),
+    "RisingProductSpec-E": lambda x: RisingProductSpec.single(
+        "d", {((x,), 1): 1}, _D, 1).to_json(),
+    "RisingProductSpec-m": lambda x: RisingProductSpec.single(
+        "d", {((1,), x): 1}, _D, 1).to_json(),
+    "stirling_coefficient": lambda x: stirling_coefficient(_SPEC, (x,)),
+    "simple_coefficient-E": lambda x: simple_coefficient((x, 1), (1, 2)),
+    "simple_coefficient-H": lambda x: simple_coefficient((1, 1), (x, 1)),
+    "check_weight_bound": lambda x: check_weight_bound(_SPEC, (x,)),
+    "degree_bound-W": lambda x: degree_bound(_SPEC, (x,), (1,)),
+    "degree_bound-H": lambda x: degree_bound(_SPEC, (1,), (x,)),
+    "leading_coefficient-W": lambda x: leading_coefficient(_SPEC, (x,), (1,)),
+    "leading_coefficient-H": lambda x: leading_coefficient(_SPEC, (1,), (x,)),
+    "M_tilde_values": lambda x: M_tilde_values([(x, 1)]),
+    "M_tilde": lambda x: M_tilde((x, 1)),
+    "M_plain": lambda x: M_plain((x, 1)),
+    "check_partition": lambda x: check_partition((x, 1)),
+    "enumerate_partitions": enumerate_partitions,
+    "enumerate_partitions-max_length": lambda x: enumerate_partitions(3, x),
+    "leading_term": lambda x: chern.leading_term("monomial", (x,), 2),
+    "enumerate_orbit": lambda x: enumerate_orbit((x, 1), 4),
+    "orbit_term": lambda x: orbit_term((1, x)),
+    "orbit_factorization_check": lambda x: orbit_factorization_check(
+        2, x, TruncationPolicy(2)),
+}
+
+
+@pytest.mark.parametrize("name", NATURAL_INPUTS)
+def test_integer_inputs_follow_one_rule(name):
+    # an int >= 0 or an integral float; never a fraction, a negative
+    # number, a string or a bool (M_tilde is cached: (1, 1) comes first)
+    f = NATURAL_INPUTS[name]
+    f(1)
+    assert repr(f(2.0)) == repr(f(2))
+    for bad in (1.5, -1, "2", True):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            f(bad)
 
 
 def test_enumgeo_imports_no_multipoly():
