@@ -5,16 +5,20 @@ varieties of hypersurfaces containing linear subspaces.
 
 ``import chernpol`` loads no submodule: each exported name is looked up in
 its submodule when it is used (PEP 562), so a command imports only what it
-runs.
+runs.  ``BASES`` lives here, so that the CLI's flag schema, its help and
+its usage errors load no submodule.
 """
 
 from importlib import import_module
 
 __version__ = "1.0.0"
 
+# basis name -> the letter that labels its elements (m[2,1], e[1], ...)
+BASES = {"monomial": "m", "elementary": "e", "schur": "s", "power": "p"}
+
 # submodule -> the names this package exports from it
 _EXPORTS = {
-    "exactcore": ("BASES", "DuplicateAbscissaError", "InconsistentDataError",
+    "exactcore": ("DuplicateAbscissaError", "InconsistentDataError",
                   "NotInvertibleError", "OutOfDomainError", "TruncationPolicy",
                   "UniPoly"),
     "multipoly": ("MultiPoly", "interpolate", "series_invert"),
@@ -38,7 +42,7 @@ _EXPORTS = {
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_HOME)
+__all__ = sorted(["BASES", *_HOME])
 
 
 def __getattr__(name: str):

@@ -23,8 +23,9 @@ from itertools import islice, product
 from math import comb, factorial, prod
 from operator import mul
 
-from .exactcore import (BASES, InconsistentDataError, OutOfDomainError,
-                        TruncationPolicy, UniPoly, check_degree,
+from . import BASES
+from .exactcore import (InconsistentDataError, OutOfDomainError,
+                        TruncationPolicy, UniPoly, as_int, check_degree,
                         interpolate_integers, xvars)
 from .symfunc import (check_partition, enumerate_partitions, multiplicities,
                       partition_of, syt_count, validate_basis_index)
@@ -55,7 +56,7 @@ def chern_direct(n: int, d: int, policy: TruncationPolicy) -> MultiPoly:
     """prod over (d_1..d_n) with sum d of (1 + d_1 x_1 + ... + d_n x_n),
     truncated.  d = -1 gives 1 (empty product); d = 0 gives 1."""
     from .multipoly import MultiPoly
-    check_degree(d)
+    d = check_degree(d)
     out = MultiPoly.const(1, xvars(n))
     if d >= 1:
         for weights in weight_vectors(n, d):
@@ -116,6 +117,7 @@ def chern_interpolated(n: int, k: int, basis: str = "monomial") -> ChernPolynomi
     from chern_values at d = 0..n*k, converted exactly to the basis."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
+    n, k = as_int(n, "n"), as_int(k, "k")
     if n < 1 or k < 0:
         raise OutOfDomainError("need n >= 1 and k >= 0")
     ds = range(n * k + 1)
@@ -134,6 +136,7 @@ def euler_c2_closed(d: int) -> list:
     """Schur coefficients e^d_j of the top class c_{d+1} for n = 2:
     the two-sum formula in unsigned Stirling numbers of the first kind,
     for j = 0..floor((d+1)/2)."""
+    d = as_int(d, "d")
     if d < 1:
         raise OutOfDomainError("d must be >= 1")
     from .specialization import stirling_first

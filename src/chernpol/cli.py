@@ -10,13 +10,13 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .exactcore import (BASES, InconsistentDataError, OutOfDomainError,
-                        UniPoly, check_degree, rat_to_str)
+from . import BASES
 
-# the computing modules (chern, rising, orbits, enumgeo, checks) are imported
-# inside the handlers that run them, so each command loads only what it
-# executes; a cached chern query reads its record through ``record`` and
-# loads no chern.  json is imported where JSON is read or written
+# no submodule is imported here: each handler imports what it runs (a
+# cached chern query reads its record through ``record`` and loads no
+# chern), and main imports the error classes of exactcore only when a
+# handler raises, so help and usage errors load no arithmetic at all.
+# json is imported where JSON is read or written
 
 CACHE_ENV = "CHERNPOL_CACHE_DIR"
 
@@ -117,6 +117,7 @@ def _json(doc) -> str:
 
 def factored_str(p: UniPoly) -> str:
     """Display form with rational roots pulled out as linear factors."""
+    from .exactcore import rat_to_str
     if p.is_zero():
         return "0"
     var = p.var
@@ -179,6 +180,7 @@ def cmd_chern(args) -> str:
 
 
 def cmd_chern_eval(args) -> str:
+    from .exactcore import check_degree, rat_to_str
     check_degree(args.d, args.n)  # before anything is computed or cached
     cp = _get_chern(args)
     values = cp.evaluate(args.d)
@@ -233,6 +235,7 @@ def cmd_orbits(args) -> str:
 
 def cmd_sigma_degree(args) -> str:
     from . import enumgeo
+    from .exactcore import rat_to_str
     if args.d is not None:
         val = enumgeo.sigma_degree(args.d, args.m, args.r)
         warnings = enumgeo.sigma_validity_warnings(args.d, args.m, args.r)
@@ -257,6 +260,7 @@ def _fano(args, key: str, invariant) -> str:
                else [args.method])
     vals = {meth: invariant(args.d, args.m, meth) for meth in methods}
     if len(set(vals.values())) != 1:
+        from .exactcore import InconsistentDataError
         raise InconsistentDataError(f"method disagreement: {vals}")
     val = vals[methods[0]]
     if args.format == "json":
@@ -286,6 +290,7 @@ def cmd_verify(args) -> str:
              for name, ok, detail, _ in checks]
     lines.append("all checks passed" if all_ok else "some checks FAILED")
     if not all_ok:
+        from .exactcore import InconsistentDataError
         raise InconsistentDataError("\n".join(lines))
     if args.format == "json":
         return _json({"checks": [
@@ -479,10 +484,12 @@ def _help(command: str | None) -> str:
 
 
 def _report(fmt: str, exc: Exception, label: str, code: int) -> int:
-    import json
-    err = {"error": type(exc).__name__, "message": str(exc)}
-    print(json.dumps(err) if fmt == "json" else f"{label}: {exc}",
-          file=sys.stderr)
+    if fmt == "json":
+        import json
+        text = json.dumps({"error": type(exc).__name__, "message": str(exc)})
+    else:
+        text = f"{label}: {exc}"
+    print(text, file=sys.stderr)
     return code
 
 
@@ -499,10 +506,13 @@ def main(argv=None) -> int:
         out = COMMANDS[args.command][0](args)
     except UsageError as exc:
         return _report(args.format, exc, "usage error", EXIT_USAGE)
-    except OutOfDomainError as exc:
-        return _report(args.format, exc, "domain error", EXIT_DOMAIN)
-    except InconsistentDataError as exc:
-        return _report(args.format, exc, "check failed", EXIT_CHECK)
+    except ValueError as exc:       # the two below are ValueErrors
+        from .exactcore import InconsistentDataError, OutOfDomainError
+        if isinstance(exc, OutOfDomainError):
+            return _report(args.format, exc, "domain error", EXIT_DOMAIN)
+        if isinstance(exc, InconsistentDataError):
+            return _report(args.format, exc, "check failed", EXIT_CHECK)
+        raise
     print(out)
     return 0
 

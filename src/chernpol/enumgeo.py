@@ -16,8 +16,8 @@ from operator import le, sub
 
 from .chern import (chern_direct, chern_values, euler_c2_closed,
                     pol_power_sums, weight_vectors)
-from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly, as_integer,
-                        check_degree, interpolate_integers)
+from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly, as_int,
+                        as_integer, check_degree, interpolate_integers)
 from .symfunc import (alternant_terms, catalan_triangle, convert_expansion,
                       enumerate_partitions, partition_of, schur_coefficient)
 
@@ -37,6 +37,7 @@ class UnsupportedMethodError(OutOfDomainError):
 def expected_dimension(d: int, m: int, r: int) -> int:
     """delta(d,m,r) = (r+1)(m-r) - binom(r+d, r), the binomial being the
     number of degree-d monomials in r+1 variables (none for d < 0)."""
+    d, m, r = as_int(d, "d"), as_int(m, "m"), as_int(r, "r")
     return (r + 1) * (m - r) - (comb(r + d, r) if d >= 0 else 0)
 
 
@@ -91,9 +92,11 @@ def sigma_validity_warnings(d: int, m: int, r: int) -> list:
     return out
 
 
-def _check_sigma_domain(m: int, r: int) -> None:
+def _check_sigma_domain(m: int, r: int) -> tuple:
+    m, r = as_int(m, "m"), as_int(r, "r")
     if not 0 <= r < m:
         raise OutOfDomainError("need 0 <= r < m")
+    return m, r
 
 
 def _integrate_pol_class(k: int, n_amb: int, ds, delta: int, g: dict) -> list:
@@ -117,8 +120,8 @@ def _integrate_pol_class(k: int, n_amb: int, ds, delta: int, g: dict) -> list:
 def sigma_degree(d: int, m: int, r: int) -> Fraction:
     """deg Sigma(d,m,r) = coef(s_((m-r)^(r+1)), c(Pol^d(C^(r+1)))); 0 at
     d = -1, where c is the empty product 1."""
-    _check_sigma_domain(m, r)
-    check_degree(d)
+    m, r = _check_sigma_domain(m, r)
+    d = check_degree(d)
     return Fraction(_integrate_pol_class(r + 1, m + 1, [d], 0, {(): 1})[0]
                     if d >= 0 else 0)
 
@@ -127,7 +130,7 @@ def sigma_degree_symbolic(m: int, r: int) -> UniPoly:
     """deg Sigma(d,m,r) as a polynomial in d (valid in the regime d >= 3,
     expected dimension < 0), of degree at most (r+1)^2 (m-r): the
     alternant's values at d = 0..(r+1)^2 (m-r), interpolated."""
-    _check_sigma_domain(m, r)
+    m, r = _check_sigma_domain(m, r)
     if r == 0:
         raise OutOfDomainError("r = 0: the expected dimension m - 1 is >= 0 "
                                "for every d, outside the formula's regime")
@@ -161,16 +164,17 @@ def euler_class_c2(d: int) -> MultiPoly:
     return chern_direct(2, d, TruncationPolicy(d + 1)).homogeneous_component(d + 1)
 
 
-def _check_fano_domain(d: int, m: int) -> int:
+def _check_fano_domain(d: int, m: int) -> tuple:
     # d = 2 is allowed for lines: a generic quadric in P^m (m >= 3) does
     # carry lines and the closed formulas remain valid there
+    d, m = as_int(d, "d"), as_int(m, "m")
     if d < 2:
         raise UnsupportedDegreeError("need hypersurface degree d >= 2")
     delta = expected_dimension(d, m, 1)
     if delta < 0:
         raise EmptyFanoError(
             "negative expected dimension: the generic Fano scheme is empty")
-    return delta
+    return d, m, delta
 
 
 def _pair_with_euler_class(d: int, m: int, schur: dict):
@@ -188,7 +192,7 @@ def fano_degree_lines(d: int, m: int, method: str = "closed") -> int:
     pairing of sigma_1^delta = sum C(delta-j, j) s_(delta-j, j), the
     Catalan triangle; integral: the alternant on e * e_1^delta, which has
     the multinomial delta!/mu! at m_mu."""
-    delta = _check_fano_domain(d, m)
+    d, m, delta = _check_fano_domain(d, m)
     if method == "closed":
         return _pair_with_euler_class(
             d, m, {(delta - j, j): catalan_triangle(delta, j)
@@ -206,7 +210,7 @@ def fano_chi_lines(d: int, m: int, method: str = "closed") -> int:
     integral of c(Gr_2(C^(m+1))) * e(Pol^d(S)) / c(Pol^d(S)), that is of e
     * c_delta(T Gr - Pol^d(S)). closed: the Euler-class pairing of the
     latter's Schur expansion; integral: the alternant on the product."""
-    delta = _check_fano_domain(d, m)
+    d, m, delta = _check_fano_domain(d, m)
     if method not in ("closed", "integral"):
         raise UnsupportedMethodError(f"unknown method {method!r}")
     quotient = chern_grassmannian(2, m + 1, delta, (d,))

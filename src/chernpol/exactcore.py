@@ -1,6 +1,6 @@
 """Exact rational arithmetic: the shared errors, the domain check of the
-degree d, ``Fraction`` helpers, the variable and basis names, the
-polynomial core ``_Poly`` that univariate and multivariate polynomials
+degree d, ``Fraction`` helpers, the variable names, the polynomial
+core ``_Poly`` that univariate and multivariate polynomials
 share, univariate polynomials over Q, and interpolation in integers from
 the values at 0, 1, ..., N.
 
@@ -43,12 +43,15 @@ class NotInvertibleError(ValueError):
     """Series inversion of something without constant term 1."""
 
 
-def check_degree(d, n: int | None = None) -> None:
-    """c(Pol^d(C^n)) is defined for d >= -1 (d = -1 is the empty product);
-    for n = 1 its polynomials hold only for d >= 0 (c_1 = d)."""
+def check_degree(d, n: int | None = None) -> int:
+    """``d`` as an int (``as_int``), if c(Pol^d(C^n)) is defined there: for
+    d >= -1 (d = -1 is the empty product); for n = 1 its polynomials hold
+    only for d >= 0 (c_1 = d)."""
+    d = as_int(d, "d")
     if d < -1 or (n == 1 and d < 0):
         raise OutOfDomainError("d must be >= 0 for n = 1" if n == 1
                                else "d must be >= -1")
+    return d
 
 
 def rat(x) -> Fraction:
@@ -73,14 +76,31 @@ def as_integer(q, what: str) -> int:
     return q.numerator
 
 
+def _integral(x) -> int | None:
+    """``x`` as an int if it is one or an integral float such as 2.0, else
+    None: a bool or a string is no integer."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    return x if type(x) is int else None
+
+
 def as_natural(x, what: str) -> int:
     """``x`` as an int >= 0; ValueError if it is negative or not an integer
     (an integral float such as 2.0 counts, a string or a bool does not)."""
-    if isinstance(x, float) and x.is_integer():
-        x = int(x)
-    if type(x) is not int or x < 0:
+    n = _integral(x)
+    if n is None or n < 0:
         raise ValueError(f"{what} must be a non-negative integer, not {x!r}")
-    return x
+    return n
+
+
+def as_int(x, what: str) -> int:
+    """``x`` as an int by the rule of ``as_natural``, of either sign: for an
+    argument whose negative values its own domain check or range answers;
+    ValueError if it is not an integer."""
+    n = _integral(x)
+    if n is None:
+        raise ValueError(f"{what} must be an integer, not {x!r}")
+    return n
 
 
 def naturals(xs, what: str) -> tuple:
@@ -91,10 +111,6 @@ def naturals(xs, what: str) -> tuple:
 def xvars(n: int) -> tuple:
     """The variable names x1..xn."""
     return tuple(f"x{i+1}" for i in range(n))
-
-
-# basis name -> the letter that labels its elements (m[2,1], e[1], ...)
-BASES = {"monomial": "m", "elementary": "e", "schur": "s", "power": "p"}
 
 
 def _cleared(terms: Mapping) -> tuple:

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import itertools
 
-from .exactcore import (OutOfDomainError, TruncationPolicy, as_natural,
-                        naturals, xvars)
+from .exactcore import (OutOfDomainError, TruncationPolicy, as_int,
+                        as_natural, naturals, xvars)
 
 # chern, multipoly and symfunc are imported inside the functions that use
 # them, so enumerating orbits loads none of them
@@ -18,6 +18,7 @@ from .exactcore import (OutOfDomainError, TruncationPolicy, as_natural,
 def orbit_types(n: int) -> list:
     """All 2^(n-1) compositions of n, longest first, larger leading parts
     first within a length."""
+    n = as_int(n, "n")
     if n < 1:
         raise OutOfDomainError("n must be >= 1")
     out = []
@@ -48,6 +49,7 @@ def enumerate_orbit(u, d: int) -> list:
     u = naturals(u, "an orbit type part")
     if 0 in u:
         raise ValueError("orbit type parts must be positive")
+    d = as_int(d, "d")
     if d < 0:
         return []
     if len(u) == 1:

@@ -43,8 +43,8 @@ class ChernPolynomial:
 
     def evaluate(self, d) -> dict:
         """{partition: Fraction} at a concrete d >= -1 (d >= 0 for n = 1)."""
-        check_degree(d, self.n)
-        return {lam: p(Fraction(d)) for lam, p in self.terms.items()}
+        d = Fraction(check_degree(d, self.n))
+        return {lam: p(d) for lam, p in self.terms.items()}
 
     def in_basis(self, basis: str) -> "ChernPolynomial":
         if basis == self.basis:

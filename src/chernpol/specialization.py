@@ -13,28 +13,39 @@ from itertools import product
 from math import comb, factorial
 from operator import mul
 
-from .exactcore import UniPoly, interpolate_integers, naturals
+from .exactcore import UniPoly, as_int, interpolate_integers, naturals
 from .symfunc import mult_factorial
 
 
-@lru_cache(maxsize=None)
 def stirling_first(n: int, k: int) -> int:
-    """Unsigned Stirling number of the first kind [n, k]."""
+    """Unsigned Stirling number of the first kind [n, k]; 0 out of range."""
+    return _stirling_first(as_int(n, "n"), as_int(k, "k"))
+
+
+def stirling_second(n: int, k: int) -> int:
+    """Stirling number of the second kind {n, k}; 0 out of range."""
+    return _stirling_second(as_int(n, "n"), as_int(k, "k"))
+
+
+# the two recursions are cached on checked ints: 2.5 must not recurse to
+# a float, and True must not read the entry of 1
+
+@lru_cache(maxsize=None)
+def _stirling_first(n: int, k: int) -> int:
     if n == 0 and k == 0:
         return 1
     if n <= 0 or k <= 0 or k > n:
         return 0
-    return stirling_first(n - 1, k - 1) + (n - 1) * stirling_first(n - 1, k)
+    return _stirling_first(n - 1, k - 1) + (n - 1) * _stirling_first(n - 1, k)
 
 
 @lru_cache(maxsize=None)
-def stirling_second(n: int, k: int) -> int:
-    """Stirling number of the second kind {n, k}."""
+def _stirling_second(n: int, k: int) -> int:
     if n == 0 and k == 0:
         return 1
     if n <= 0 or k <= 0 or k > n:
         return 0
-    return stirling_second(n - 1, k - 1) + k * stirling_second(n - 1, k)
+    return _stirling_second(n - 1, k - 1) + k * _stirling_second(n - 1, k)
 
 
 @lru_cache(maxsize=None)
@@ -52,8 +63,9 @@ def eulerian_second(h: int, j: int) -> int:
         [d+1, d+1-h] = sum_{j=1..h} E2(h, j) * binom(d+j, 2h).
 
     This binomial identity is the defining property; the classical triangle
-    recurrence realizes it with the shift j -> j-1.
+    recurrence realizes it with the shift j -> j-1.  0 out of range.
     """
+    h, j = as_int(h, "h"), as_int(j, "j")
     if h < 1 or j < 1 or j > h:
         return 0
     return _eulerian2(h, j - 1)
@@ -66,24 +78,32 @@ def moment_weights(alpha: tuple) -> list:
     the convolution over the parts a of the rows S(a,b) b!."""
     by_size = [1]
     for a in filter(None, alpha):            # a zero part's row is [1]
-        row = [stirling_second(a, b) * factorial(b) for b in range(a, -1, -1)]
+        row = [_stirling_second(a, b) * factorial(b) for b in range(a, -1, -1)]
         padded = [0] * a + by_size + [0] * a
         by_size = [sum(map(mul, row, padded[s:s + a + 1]))
                    for s in range(len(by_size) + a)]
     return by_size
 
 
-@lru_cache(maxsize=None)
 def simplex_moment(alpha: tuple, var: str = "d") -> UniPoly:
     """sum of w^alpha over w in N^n with |w| = d, n = len(alpha), as a
     polynomial in d (0 at d = -1 for n >= 2) of degree n-1+|alpha|, read
     from its moment_weights at d = 0..n-1+|alpha|."""
-    if not alpha or min(alpha) < 0:
-        raise ValueError("alpha must be non-empty and non-negative")
+    if not alpha:
+        raise ValueError("alpha must be non-empty")
+    return _simplex_moment(naturals(alpha, "an exponent"), var)
+
+
+@lru_cache(maxsize=None)
+def _simplex_moment(alpha: tuple, var: str) -> UniPoly:
+    # cached on the checked exponents: (True, 0) must not read (1, 0)'s entry
     n, w = len(alpha), moment_weights(alpha)
     return interpolate_integers(
         [sum(c * comb(d + n - 1, n - 1 + s) for s, c in enumerate(w))
          for d in range(n + len(w) - 1)], var)
+
+
+simplex_moment.cache_clear = _simplex_moment.cache_clear
 
 
 def faulhaber(q: int) -> UniPoly:

@@ -13,7 +13,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial
 
-from .exactcore import (BASES, InconsistentDataError, as_integer, as_natural,
+from . import BASES
+from .exactcore import (InconsistentDataError, as_int, as_integer, as_natural,
                         naturals, xvars)
 
 
@@ -299,6 +300,7 @@ def syt_count(lam: tuple) -> int:
 
 def catalan_triangle(delta: int, j: int) -> int:
     """C(delta-j, j) = binom(delta,j) - binom(delta,j-1); 0 out of range."""
+    delta, j = as_int(delta, "delta"), as_int(j, "j")
     if delta < 0 or j < 0 or 2 * j > delta + 1:
         return 0
     return comb(delta, j) - (comb(delta, j - 1) if j >= 1 else 0)

@@ -765,6 +765,22 @@ def test_method_disagreement_exits_check(capsys, monkeypatch):
     assert json.loads(err)["error"] == "InconsistentDataError"
 
 
+@pytest.mark.parametrize("error", [RuntimeError("boom"), ValueError("boom")])
+def test_other_exceptions_escape_main(error, capsys, monkeypatch):
+    # only UsageError, OutOfDomainError and InconsistentDataError are
+    # mapped to an exit code; anything else escapes main as it was raised
+    def fail(args):
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "verify",
+                        (fail,) + cli.COMMANDS["verify"][1:])
+    with pytest.raises(type(error)) as caught:
+        cli.main(["verify"])
+    assert caught.value is error
+    assert caught.traceback[-1].name == "fail"
+    assert capsys.readouterr() == ("", "")
+
+
 def test_failed_verify_exits_check(capsys, monkeypatch):
     # each check forced false by one patch: (owner, name, replacement,
     # the start of its FAIL line)

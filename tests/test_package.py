@@ -10,16 +10,21 @@ from pathlib import Path
 import pytest
 
 import chernpol
-from chernpol import chern, cli, enumgeo, rising
-from chernpol.exactcore import MultiPoly, TruncationPolicy, UniPoly
+from chernpol import chern, cli, enumgeo, rising, symfunc
+from chernpol.exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy,
+                                UniPoly)
 from chernpol.orbits import (enumerate_orbit, orbit_factorization_check,
-                             orbit_term)
+                             orbit_term, orbit_types)
 from chernpol.rising import (RisingProductSpec, check_weight_bound,
                              degree_bound, leading_coefficient,
                              simple_coefficient, stirling_coefficient,
                              vector_partitions)
-from chernpol.specialization import M_plain, M_tilde, M_tilde_values
-from chernpol.symfunc import check_partition, enumerate_partitions
+from chernpol.specialization import (M_plain, M_tilde, M_tilde_values,
+                                     eulerian_second, faulhaber,
+                                     simplex_moment, stirling_first,
+                                     stirling_second)
+from chernpol.symfunc import (catalan_triangle, check_partition,
+                              enumerate_partitions)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -111,6 +116,13 @@ def test_one_out_of_domain_error():
     assert chern.OutOfDomainError is rising.OutOfDomainError
 
 
+def test_one_bases():
+    # defined in the package itself, where the CLI's flag schema reads it
+    assert chernpol.BASES is symfunc.BASES is chern.BASES is cli.BASES
+    assert not hasattr(importlib.import_module("chernpol.exactcore"),
+                       "BASES")
+
+
 def _fresh(*args) -> dict:
     env = dict(os.environ,
                PYTHONPATH=str(Path(chernpol.__file__).parents[1]))
@@ -131,7 +143,8 @@ def _run(argv, allow_json: bool = True) -> set:
     return {m for m in report["new"] if m.split(".")[0] == "chernpol"}
 
 
-CORE = {"chernpol", "chernpol.cli", "chernpol.exactcore"}
+FRONT = {"chernpol", "chernpol.cli"}
+CORE = FRONT | {"chernpol.exactcore"}
 
 
 def test_each_command_loads_only_what_it_runs(tmp_path):
@@ -157,13 +170,50 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
 
 
 def test_help_and_usage_errors_load_no_argparse_and_no_symfunc():
-    # the flag schema reader prints help and usage errors itself
-    for argv in (["--help"], ["chern", "--help"], ["chern", "--n", "2"]):
+    # the flag schema reader prints help and usage errors itself, and loads
+    # no arithmetic: no exactcore, fractions or decimal
+    for argv in (["--help"], ["chern", "--help"], ["chern", "--n", "2"],
+                 ["frobenius"], ["chern", "--n", "2", "--format", "json"],
+                 ["frobenius", "--format", "json"]):
         report = _fresh(PROBE, *argv)
         assert report["code"] == (0 if "--help" in argv else 2), argv
-        assert not {"argparse", "gettext", "locale", "textwrap"} & set(
-            report["new"]), argv
-        assert {m for m in report["new"] if m.startswith("chernpol")} == CORE
+        assert not {"argparse", "gettext", "locale", "textwrap", "fractions",
+                    "decimal"} & set(report["new"]), argv
+        assert "json" in argv or "json" not in report["new"], argv
+        assert {m for m in report["new"] if m.startswith("chernpol")} \
+            == FRONT, argv
+
+
+def _module_level(node):
+    """The nodes below ``node`` that run when its module is imported: all
+    but those inside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+            yield child
+            yield from _module_level(child)
+
+
+def test_cli_imports_no_submodule_at_module_level():
+    # help, usage errors and argv dispatch load only chernpol and cli: each
+    # handler imports what it runs
+    submodules = {path.stem for path in
+                  Path(chernpol.__file__).parent.glob("*.py")} - {"__init__"}
+    found = []
+    for node in _module_level(ast.parse(Path(cli.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names = [a.name.split(".")[1] for a in node.names
+                     if a.name.startswith("chernpol.")]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "chernpol"):
+            # the path below the package, else the names taken from it
+            below = (node.module or "").split(".")[0 if node.level else 1:]
+            names = below[:1] or [a.name for a in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name in submodules]
+    assert not found, f"cli.py imports submodules at module level: {found}"
 
 
 def test_no_module_imports_argparse():
@@ -181,7 +231,7 @@ def test_no_module_imports_argparse():
 
 # where int() may still be called: it parses text, it is the rule itself,
 # and it counts a bool
-INT_CALLS_ALLOWED = {("cli", "_parse_vector"), ("exactcore", "as_natural"),
+INT_CALLS_ALLOWED = {("cli", "_parse_vector"), ("exactcore", "_integral"),
                      ("symfunc", "_product_count")}
 
 
@@ -198,7 +248,7 @@ def _int_calls(node, scope=None):
 
 
 def test_integer_inputs_are_checked_in_one_place():
-    # an integer input passes exactcore.as_natural or exactcore.naturals;
+    # an integer input passes exactcore.as_natural, naturals or as_int;
     # an int() elsewhere would truncate 1.5 to 1 and take True for 1
     for path in Path(chernpol.__file__).parent.glob("*.py"):
         found = [(scope, line)
@@ -241,18 +291,58 @@ NATURAL_INPUTS = {
     "orbit_term": lambda x: orbit_term((1, x)),
     "orbit_factorization_check": lambda x: orbit_factorization_check(
         2, x, TruncationPolicy(2)),
+    "simplex_moment": lambda x: simplex_moment((x, 0)),
+    "faulhaber": faulhaber,
+}
+
+# an entry point for each integer input of either sign, as a function of
+# that integer, with a valid value and what -1 gives: its own domain error
+# (which the CLI reports with exit 3) or its value out of range
+SIGNED_INPUTS = {
+    "stirling_first-n": (lambda x: stirling_first(x, 1), 3, 0),
+    "stirling_first-k": (lambda x: stirling_first(3, x), 2, 0),
+    "stirling_second-n": (lambda x: stirling_second(x, 1), 3, 0),
+    "eulerian_second-h": (lambda x: eulerian_second(x, 1), 3, 0),
+    "catalan_triangle-delta": (lambda x: catalan_triangle(x, 1), 4, 0),
+    "catalan_triangle-j": (lambda x: catalan_triangle(4, x), 1, 0),
+    "chern_interpolated-k": (lambda x: chern.chern_interpolated(2, x), 2,
+                             OutOfDomainError),
+    "orbit_types": (orbit_types, 3, OutOfDomainError),
+    "enumerate_orbit-d": (lambda x: enumerate_orbit((1, 1), x), 4, []),
+    "euler_c2_closed": (chern.euler_c2_closed, 3, OutOfDomainError),
+    "expected_dimension-d": (lambda x: enumgeo.expected_dimension(x, 4, 1),
+                             3, 6),
+    "sigma_degree-d": (lambda x: enumgeo.sigma_degree(x, 3, 1), 4, 0),
+    "sigma_degree-m": (lambda x: enumgeo.sigma_degree(4, x, 1), 3,
+                       OutOfDomainError),
+    "fano_degree_lines-d": (lambda x: enumgeo.fano_degree_lines(x, 4), 3,
+                            OutOfDomainError),
+    "fano_degree_lines-m": (lambda x: enumgeo.fano_degree_lines(3, x), 4,
+                            OutOfDomainError),
 }
 
 
-@pytest.mark.parametrize("name", NATURAL_INPUTS)
+@pytest.mark.parametrize("name", [*NATURAL_INPUTS, *SIGNED_INPUTS])
 def test_integer_inputs_follow_one_rule(name):
-    # an int >= 0 or an integral float; never a fraction, a negative
-    # number, a string or a bool (M_tilde is cached: (1, 1) comes first)
-    f = NATURAL_INPUTS[name]
-    f(1)
-    assert repr(f(2.0)) == repr(f(2))
-    for bad in (1.5, -1, "2", True):
-        with pytest.raises(ValueError, match="non-negative integer"):
+    # an int or an integral float; never a fraction, a string or a bool.  A
+    # natural input refuses a negative number too (M_tilde is cached: (1, 1)
+    # comes first); a signed one answers it by its domain or its range
+    if name in NATURAL_INPUTS:
+        f, good, rule = NATURAL_INPUTS[name], 2, "non-negative integer"
+        f(1)
+        with pytest.raises(ValueError, match=rule):
+            f(-1)
+    else:
+        f, good, at_minus_one = SIGNED_INPUTS[name]
+        rule = "must be an integer"
+        if at_minus_one is OutOfDomainError:
+            with pytest.raises(OutOfDomainError):
+                f(-1)
+        else:
+            assert f(-1) == at_minus_one
+    assert repr(f(float(good))) == repr(f(good))
+    for bad in (1.5, "2", True):
+        with pytest.raises(ValueError, match=rule):
             f(bad)
 
 
