@@ -17,7 +17,8 @@ from operator import le, sub
 from .chern import (chern_direct, chern_values, euler_c2_closed,
                     pol_power_sums, weight_vectors)
 from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly, as_int,
-                        as_integer, check_degree, interpolate_integers)
+                        as_integer, as_natural, check_degree,
+                        interpolate_integers, naturals)
 from .symfunc import (alternant_terms, catalan_triangle, convert_expansion,
                       enumerate_partitions, partition_of, schur_coefficient)
 
@@ -46,6 +47,7 @@ def grassmann_integral(coef, k: int, n_amb: int):
     on Gr_k(C^n_amb) with coefficient ``coef(alpha)`` at x^alpha, read by
     the alternant (``symfunc.schur_coefficient``) at its at most k!
     exponents, all of degree k(n_amb-k)."""
+    k, n_amb = as_natural(k, "k"), as_natural(n_amb, "n_amb")
     if not (1 <= k <= n_amb):
         raise ValueError("need 1 <= k <= n_amb")
     return schur_coefficient(coef, (n_amb - k,) * k, k)
@@ -57,6 +59,8 @@ def chern_grassmannian(k: int, n_amb: int, degree: int, ds=()) -> dict:
     As T Gr = S^* (x) C^n_amb - S^* (x) S, p_j(T Gr) = n_amb p_j(x) - sum
     over a != b of (x_a - x_b)^j: n_amb - (k-1)(1+(-1)^j) at x_a^j,
     -C(j,i)((-1)^(j-i) + (-1)^i) at x_a^i x_b^(j-i), 0 at the rest."""
+    k, n_amb = as_natural(k, "k"), as_natural(n_amb, "n_amb")
+    degree, ds = as_natural(degree, "degree"), naturals(ds, "a form degree")
     pol = pol_power_sums(k, degree, ds)
 
     def power_sums(top):

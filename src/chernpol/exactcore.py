@@ -295,10 +295,11 @@ class UniPoly(_Poly):
         the polynomial divided by prod (var - root)^multiplicity.
 
         On one integer list A with coefficients a_0..a_N (denominators
-        cleared, d^low divided out): Descartes bisection of A(x) and A(-x)
-        (``roots._positive_root_candidates``) proposes the candidates, and
-        each p/q in lowest terms is divided out by synthetic division by
-        ``q·x − p`` for as long as that is exact (Gauss's lemma).
+        cleared, d^low divided out): a p-adic lift of the roots of A's
+        square-free part modulo a small prime (``roots._candidates``)
+        proposes the candidates, and each p/q in lowest terms is divided
+        out by synthetic division by ``q·x − p`` for as long as that is
+        exact (Gauss's lemma).
         """
         from .roots import rational_roots
         return rational_roots(self)

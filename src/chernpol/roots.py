@@ -1,9 +1,7 @@
 """Rational roots of univariate polynomials over Q, without factoring
-integers: Descartes bisection (Collins and Akritas, 1976) proposes the
-candidates and exact synthetic division tests them.  A repeated root
-keeps its interval's Descartes count at two or more, so an interval that
-still does so deep below the root bound moves the search to the square-free
-part, computed then and only then.
+integers: one p-adic lift (Loos, 1983) of the roots of the square-free part
+modulo a small prime proposes the candidates (``_candidates``), and exact
+synthetic division tests them.
 
 Only ``--factored`` output asks for roots, so ``UniPoly.rational_roots``
 imports this module when it is called.
@@ -12,15 +10,9 @@ imports this module when it is called.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .exactcore import _cleared, _rebuilt
-
-# levels of bisection below the root bound after which an interval that
-# still counts two or more roots sends the search to the square-free part.
-# On the 28 polynomials that the CLI's --factored golden queries factor, no
-# interval reaches depth 12
-SQUARE_FREE_DEPTH = 24
 
 
 def _divide_out(a: list, p: int, q: int):
@@ -38,20 +30,6 @@ def _divide_out(a: list, p: int, q: int):
             return None
         carry = b[i - 1] = s // q
     return b if a[0] + p * carry == 0 else None
-
-
-def _taylor_shift(p: list) -> list:
-    """The coefficients of ``P(x + 1)``."""
-    p = list(p)
-    for i in range(len(p) - 1):
-        for j in range(len(p) - 2, i - 1, -1):
-            p[j] += p[j + 1]
-    return p
-
-
-def _sign_changes(p: list) -> int:
-    signs = [v > 0 for v in p if v]
-    return sum(x != y for x, y in zip(signs, signs[1:]))
 
 
 def _primitive(a: list) -> list:
@@ -87,83 +65,49 @@ def _square_free_part(a: list) -> list:
     return q
 
 
-def _positive_root_candidates(b: list, depth: int | None = None) -> list | None:
-    """Fractions among which lie the positive rational roots of the integer
-    polynomial ``B = Σ b_i x^i`` with ``b_0 ≠ 0``: Descartes bisection
-    (Collins and Akritas, 1976), which needs no factoring.
+def _horner(a: list, x: int, m: int) -> tuple:
+    """``(A(x), A′(x)) mod m`` for the integer polynomial ``A = Σ a_i x^i``."""
+    v = dv = 0
+    for c in reversed(a):
+        v, dv = (v * x + c) % m, (dv * x + v) % m
+    return v, dv
 
-    Every positive root is below ``2^k``, k the least integer >= 1 with
-    ``|b_i| <= |b_N|·2^((k-1)(N-i))`` for each b_i of sign opposite to b_N.
-    An interval ``(c/2^s, (c+1)/2^s)`` carries an integer polynomial whose
-    roots in (0, 1) are B's roots in the interval; it is dropped when the
-    sign changes of ``(1+x)^N P(1/(1+x))`` (its Descartes count) are 0, and
-    halved by ``2^N P(x/2)`` and a Taylor shift, recording a root at the
-    midpoint exactly.  An interval with count 1 and no root at its right
-    end holds one simple root, and is halved by the sign of P at its
-    midpoint instead.  Every rational root p/q has q | b_N, so once
-    ``|b_N|·width < 1`` the one integer y with y/|b_N| inside the interval,
-    if any, is the only candidate there.
 
-    A root of multiplicity two or more keeps its interval's count at two
-    or more down to that width.  So with a ``depth``, an interval that
-    still counts two or more roots that many levels below the bound ends
-    the search, and the result is None.
+def _candidates(a: list) -> list:
+    """Fractions among which lie the rational roots of the square-free
+    integer polynomial ``A = Σ a_i x^i`` of degree N ≥ 1.
+
+    The prime l is the least with ``l ∤ a_N`` at which no root of A in
+    ``F_l`` is a root of A′ too; a prime that fails divides
+    ``a_N · disc(A) ≠ 0``, so the search ends.  Each root r mod l lifts by
+    ``r ← r − A(r)/A′(r) mod l^(2^i)`` until the modulus exceeds
+    ``2(|a_N| + max|a_i|)``.  A root p/q of A has ``q | a_N``, and lifts to
+    the r with ``a_N·r ≡ a_N·p/q``, an integer y with
+    ``|y| ≤ |a_N| + max|a_i|`` (Cauchy's bound): the candidate is y/a_N for
+    y the symmetric residue of ``a_N·r``.
     """
-    lead, top = abs(b[-1]), len(b) - 1
-    bits = []
-    for i, v in enumerate(b):
-        if (v < 0) != (b[-1] < 0):
-            e = max(0, abs(v).bit_length() - lead.bit_length())
-            e += abs(v) > lead << e               # least e: |b_i| <= |b_N|·2^e
-            bits.append(-(-e // (top - i)))
-    if not bits:
-        return []
-    k = 1 + max(bits)
-    found, stack = [], [(0, -k, [v << k * i for i, v in enumerate(b)])]
-    while stack:
-        c, s, p = stack.pop()
-        count = _sign_changes(_taylor_shift(p[::-1]))
-        if count == 1 and sum(p):
-            # one simple root: halve by the sign of P at the midpoint, which
-            # is 2^(tN) P(m/2^t) in integers for m/2^t in local coordinates
-            n, c0, s0 = len(p) - 1, c, s
-            while count and lead.bit_length() > s:
-                c, s = 2 * c + 1, s + 1
-                mid, t = c - (c0 << s - s0), s - s0
-                h = p[-1]
-                for i in range(n - 1, -1, -1):
-                    h = h * mid + (p[i] << t * (n - i))
-                if not h:
-                    found.append(c * Fraction(2) ** -s)
-                    count = 0
-                elif (h > 0) != (p[0] > 0):
-                    c -= 1
-        if not count:
+    lead, l = a[-1], 1
+    while True:
+        l += 1
+        if lead % l == 0 or any(l % p == 0 for p in range(2, isqrt(l) + 1)):
             continue
-        if lead.bit_length() <= s:                # |b_N|·width < 1
-            y = (lead * c >> s) + 1
-            if y << s < lead * (c + 1):
-                found.append(Fraction(y, lead))
-            continue
-        if depth is not None and count > 1 and s + k >= depth:
-            return None
-        left = [v << (len(p) - 1 - i) for i, v in enumerate(p)]
-        right = _taylor_shift(left)
-        if not right[0]:
-            found.append((2 * c + 1) * Fraction(2) ** -(s + 1))
-            while not right[0]:
-                right.pop(0)
-        stack += [(2 * c, s + 1, left), (2 * c + 1, s + 1, right)]
-    return found
-
-
-def _candidates(a: list, depth: int | None) -> list | None:
-    """The positive and the negative root candidates of A, or None if
-    either search ends at ``depth`` (``_positive_root_candidates``)."""
-    pos = _positive_root_candidates(a, depth)
-    neg = None if pos is None else _positive_root_candidates(
-        [-v if i % 2 else v for i, v in enumerate(a)], depth)
-    return None if neg is None else pos + [-r for r in neg]
+        roots = []
+        for r in range(l):
+            v, dv = _horner(a, r, l)
+            if not v:
+                if not dv:
+                    break
+                roots.append(r)
+        else:
+            break
+    bound, m = 2 * (abs(lead) + max(map(abs, a))), l
+    while m <= bound:
+        m *= m
+        for i, r in enumerate(roots):
+            v, dv = _horner(a, r, m)
+            roots[i] = (r - v * pow(dv, -1, m)) % m
+    ys = [lead * r % m for r in roots]
+    return [Fraction(y - m if 2 * y > m else y, lead) for y in ys]
 
 
 def rational_roots(poly) -> tuple:
@@ -176,9 +120,7 @@ def rational_roots(poly) -> tuple:
     a = [0] * (max(poly.terms) - low + 1)
     for e, n in pairs:
         a[e - low] = n
-    candidates = _candidates(a, SQUARE_FREE_DEPTH)
-    if candidates is None:              # most likely a repeated root
-        candidates = _candidates(_square_free_part(a), None)
+    candidates = _candidates(_square_free_part(a)) if len(a) > 1 else []
     candidates.sort(key=lambda r: (abs(r.numerator), r.denominator, r < 0))
     qs = 1                               # the product of the q divided out
     for r in candidates:

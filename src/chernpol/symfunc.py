@@ -50,7 +50,7 @@ def partition_of(exponents) -> tuple:
 
 
 def conjugate(parts) -> tuple:
-    parts = tuple(parts)
+    parts = naturals(parts, "a part")
     if not parts:
         return ()
     return tuple(sum(1 for p in parts if p > i) for i in range(parts[0]))

@@ -64,9 +64,7 @@ def _python(*args, **kwargs) -> subprocess.CompletedProcess:
 
 
 def test_entry_point_usage_exit():
-    proc = subprocess.run([sys.executable, "-m", "chernpol.cli"],
-                          capture_output=True)
-    assert proc.returncode == cli.EXIT_USAGE
+    assert _python("-m", "chernpol.cli").returncode == cli.EXIT_USAGE
 
 
 def test_entry_point_help():

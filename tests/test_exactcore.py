@@ -16,7 +16,7 @@ from chernpol.exactcore import (DuplicateAbscissaError, InconsistentDataError,
                                 interpolate, interpolate_integers,
                                 series_invert)
 from chernpol import roots as rootsmod
-from chernpol.roots import _divide_out, _square_free_part, _taylor_shift
+from chernpol.roots import _divide_out, _horner, _square_free_part
 
 from polyhelpers import from_roots, variable
 
@@ -161,7 +161,7 @@ def test_rational_roots_match_divisor_pairs(coeffs, roots, low):
 
 def test_rational_roots_edge_cases():
     d = UniPoly.x()
-    # roots at dyadic points, which bisection meets as exact midpoints
+    # roots at dyadic points, and -1/2 after 1/2, as the order asks
     p = from_roots([F(1, 2), F(3, 4), 8, -8, F(-1, 2)]) * (d * d + 3)
     assert p.rational_roots() == (
         [(F(1, 2), 1), (F(-1, 2), 1), (F(3, 4), 1), (8, 1), (-8, 1)],
@@ -188,7 +188,7 @@ def test_rational_roots_edge_cases():
 
 
 def test_rational_roots_of_two_large_prime_factors():
-    # the root is found by bisection, however its numerator factors
+    # the root is found by the lift, however its numerator factors
     n = 1000000007 * 998244353
     start = time.perf_counter()
     roots = UniPoly({1: 1, 0: -n}).rational_roots()
@@ -210,7 +210,7 @@ def test_rational_roots_of_three_large_prime_factors():
 
 
 def test_rational_roots_with_a_huge_constant_term():
-    # the constant term -2^64 * 3^42 has 2795 divisors, and bisection
+    # the constant term -2^64 * 3^42 has 2795 divisors, and the lift
     # lists none of them
     d = UniPoly.x()
     irreducible = d * d + 2 ** 64 * 3 ** 40
@@ -222,10 +222,9 @@ def test_rational_roots_with_a_huge_constant_term():
 
 
 def test_rational_roots_of_quadruple_roots_with_large_denominators():
-    # four roots of multiplicity 4 over denominators near 10^11: their
-    # intervals count 4 down to width 1/|a_N| (about 2^-620), so the search
-    # moves to the square-free part.  Bisecting p itself took 7049 Taylor
-    # shifts here, where the square-free part takes 95
+    # four roots of multiplicity 4 over denominators near 10^11: the lift
+    # runs on the square-free part, where each root is simple, and evaluates
+    # it by Horner 56 times here
     quadruple = [F(100000000019, 99999999977), F(-299999999971, 100000000003),
                  F(5, 99999999967), F(-100000000043, 100000000057)]
     d = UniPoly.x()
@@ -236,16 +235,46 @@ def test_rational_roots_of_quadruple_roots_with_large_denominators():
     for _ in range(2):
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rootsmod, "_taylor_shift", lambda q: calls.append(1)
-                       or _taylor_shift(q))
+            mp.setattr(rootsmod, "_horner", lambda *args: calls.append(1)
+                       or _horner(*args))
             mp.setattr(rootsmod, "_square_free_part", lambda a: calls.append(
                 0) or _square_free_part(a))
             roots, cofactor = p.rational_roots()
         assert sorted(roots) == sorted((r, 4) for r in quadruple)
         assert cofactor == rest               # p is monic
-        assert calls.count(0) == 1          # one gcd, computed lazily
+        assert calls.count(0) == 1          # one gcd
         counts.append(calls.count(1))
-    assert counts[0] == counts[1] < 200
+    assert counts[0] == counts[1] < 100
+
+
+def _lift_moduli(p):
+    """``p.rational_roots()`` and the moduli of its Horner evaluations."""
+    moduli = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootsmod, "_horner", lambda a, x, m: moduli.append(m)
+                   or _horner(a, x, m))
+        return p.rational_roots(), moduli
+
+
+def test_rational_roots_skip_primes_that_merge_roots_or_divide_a_n():
+    # two of the 61 roots -30..30 collide modulo every prime up to 59, so
+    # the lift runs modulo 61, where they fill F_61, and its powers
+    roots = list(range(-30, 31))
+    (found, cofactor), moduli = _lift_moduli(from_roots(roots))
+    primes = [l for l in range(2, 62) if all(l % p for p in range(2, l))]
+    assert sorted({m for m in moduli if m <= 61}) == primes
+    assert {m for m in moduli if m > 61} == {61 ** 2 ** i for i in range(1, 7)}
+    assert sorted(r for r, _ in found) == roots
+    assert all(m == 1 for _, m in found) and cofactor == 1
+    # 30030 = 2·3·5·7·11·13 is the leading coefficient, so the least prime
+    # that may carry the lift is 17
+    d = UniPoly.x()
+    p = (d.scale(30030) - 1) * (d * d + 3)
+    (found, cofactor), moduli = _lift_moduli(p)
+    assert min(moduli) == 17 and all(m % 17 == 0 for m in moduli)
+    assert found == [(F(1, 30030), 1)]
+    assert cofactor == (d * d + 3).scale(30030)
+    assert cofactor * (d - F(1, 30030)) == p
 
 
 @settings(max_examples=40)

@@ -293,6 +293,19 @@ NATURAL_INPUTS = {
         2, x, TruncationPolicy(2)),
     "simplex_moment": lambda x: simplex_moment((x, 0)),
     "faulhaber": faulhaber,
+    "chern_grassmannian-k": lambda x: enumgeo.chern_grassmannian(
+        x, 4, 1, (3,)),
+    "chern_grassmannian-n_amb": lambda x: enumgeo.chern_grassmannian(
+        2, x, 1, (3,)),
+    "chern_grassmannian-degree": lambda x: enumgeo.chern_grassmannian(
+        2, 4, x, (3,)),
+    "chern_grassmannian-ds": lambda x: enumgeo.chern_grassmannian(
+        2, 4, 1, (x,)),
+    "grassmann_integral-k": lambda x: enumgeo.grassmann_integral(
+        lambda alpha: 1, x, 3),
+    "grassmann_integral-n_amb": lambda x: enumgeo.grassmann_integral(
+        lambda alpha: 1, 1, x),
+    "conjugate": lambda x: symfunc.conjugate((x, 1)),
 }
 
 # an entry point for each integer input of either sign, as a function of
