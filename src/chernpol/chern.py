@@ -25,8 +25,8 @@ from operator import mul
 
 from . import BASES
 from .exactcore import (InconsistentDataError, OutOfDomainError,
-                        TruncationPolicy, UniPoly, as_int, check_degree,
-                        interpolate_integers, xvars)
+                        TruncationPolicy, UniPoly, as_int, as_natural,
+                        check_degree, interpolate_integers, xvars)
 from .symfunc import (check_partition, enumerate_partitions, multiplicities,
                       partition_of, syt_count, validate_basis_index)
 
@@ -56,7 +56,9 @@ def chern_direct(n: int, d: int, policy: TruncationPolicy) -> MultiPoly:
     """prod over (d_1..d_n) with sum d of (1 + d_1 x_1 + ... + d_n x_n),
     truncated.  d = -1 gives 1 (empty product); d = 0 gives 1."""
     from .multipoly import MultiPoly
-    d = check_degree(d)
+    n, d = as_int(n, "n"), check_degree(d)
+    if n < 1:
+        raise OutOfDomainError("n must be >= 1")
     out = MultiPoly.const(1, xvars(n))
     if d >= 1:
         for weights in weight_vectors(n, d):
@@ -209,6 +211,7 @@ def leading_term(basis: str, lam, n: int):
     single-part factors alone, and (sum_i a_i e_i)^r / r! has coefficient
     prod_i a_i^(H_i) / H_i! at prod_i e_i^(H_i): the coefficient below.
     """
+    n = as_natural(n, "n")
     lam = check_partition(lam) if lam else ()
     validate_basis_index(basis, lam, n)
     k = sum(lam)

@@ -44,65 +44,28 @@ def _cache_path(cache_dir: str, n: int, k: int) -> str:
     return os.path.join(cache_dir, f"chern_n{n}_k{k}.json")
 
 
-def _checksum(payload: dict) -> str:
-    import json
-    try:    # CPython's own SHA-256: hashlib's digest, without loading OpenSSL
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return sha256(blob).hexdigest()
-
-
 def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
                          no_cache: bool = False) -> record.ChernPolynomial:
-    """Monomial-basis ChernPolynomial for (n, k), through the JSON cache.
-
-    Unreadable, corrupt or stale files, and files holding another (n, k) or
-    basis, are recomputed and overwritten (with a warning); writes are
-    atomic (write-temp-then-rename), and a cache that cannot be written
-    gives a warning and the uncached answer.
-    """
+    """Monomial-basis ChernPolynomial for (n, k), through the cache file
+    of ``record``: a file it cannot read is recomputed and overwritten, and
+    one it cannot write gives the uncached answer, each with a warning."""
     if no_cache:
         from . import chern
         return chern.chern_interpolated(n, k, "monomial")
-    import json
     from . import record
-    cache_dir = cache_dir or default_cache_dir()
-    path = _cache_path(cache_dir, n, k)
+    path = _cache_path(cache_dir or default_cache_dir(), n, k)
     if os.path.exists(path):
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            payload = doc["payload"]
-            if doc.get("checksum") != _checksum(payload):
-                raise ValueError("checksum mismatch")
-            cp = record.ChernPolynomial.from_json(payload)
-            if (cp.n, cp.k, cp.basis) != (n, k, "monomial"):
-                raise ValueError(f"entry is for n={cp.n}, k={cp.k}, "
-                                 f"{cp.basis} basis")
-            return cp
-        except (OSError, ValueError, LookupError, TypeError,
-                AttributeError) as exc:
+            return record.read_entry(path, n, k)
+        except (OSError, ValueError) as exc:
             print(f"warning: recomputing corrupt/stale cache entry {path}: {exc}",
                   file=sys.stderr)
     from . import chern
     result = chern.chern_interpolated(n, k, "monomial")
-    payload = result.to_json()
-    doc = {"checksum": _checksum(payload), "payload": payload}
-    import tempfile
-    tmp = None
     try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
+        record.write_entry(path, result)
     except OSError as exc:
         print(f"warning: not caching {path}: {exc}", file=sys.stderr)
-    finally:
-        if tmp and os.path.exists(tmp):
-            os.unlink(tmp)
     return result
 
 
@@ -522,7 +485,7 @@ def run(argv=None) -> NoReturn:
     ``chernpol`` script: ``main``, then flush the output, run the atexit
     callbacks and end the process by ``os._exit``, skipping interpreter
     teardown (nothing is left to it: the cache file is closed inside
-    ``cache_get_or_compute``, and the package starts no thread and defines
+    ``record.write_entry``, and the package starts no thread and defines
     no finalizer); ``main`` never ends the process, so it stays safe to
     call in-process.  Output that cannot be written exits 1: silently on a
     broken pipe, with one stderr line for any other write error.  An

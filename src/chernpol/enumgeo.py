@@ -39,6 +39,8 @@ def expected_dimension(d: int, m: int, r: int) -> int:
     """delta(d,m,r) = (r+1)(m-r) - binom(r+d, r), the binomial being the
     number of degree-d monomials in r+1 variables (none for d < 0)."""
     d, m, r = as_int(d, "d"), as_int(m, "m"), as_int(r, "r")
+    if r < 0:
+        raise OutOfDomainError("r must be >= 0")
     return (r + 1) * (m - r) - (comb(r + d, r) if d >= 0 else 0)
 
 

@@ -17,7 +17,8 @@ from typing import Mapping, Sequence
 
 from .exactcore import (DuplicateAbscissaError, InconsistentDataError,
                         NotInvertibleError, TruncationPolicy, UniPoly, _Poly,
-                        _cleared, _rebuilt, naturals, rat, xvars)
+                        _cleared, _rebuilt, as_natural, naturals, rat,
+                        xvars)
 
 
 class MultiPoly(_Poly):
@@ -154,6 +155,7 @@ def interpolate(points, degree_bound: int, var: str = "d") -> UniPoly:
     InconsistentDataError when a guard point misses the curve (which signals
     a wrong degree bound upstream).
     """
+    degree_bound = as_natural(degree_bound, "degree_bound")
     pts = [(rat(a), rat(v)) for a, v in points]
     if len({a for a, _ in pts}) != len(pts):
         raise DuplicateAbscissaError("duplicate interpolation abscissas")

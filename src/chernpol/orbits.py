@@ -77,6 +77,8 @@ def orbit_term(values, max_weight: int | None = None) -> dict:
     from .multipoly import MultiPoly
     from .symfunc import expand_in_basis
     values = naturals(values, "a weight")
+    if max_weight is not None:
+        max_weight = as_natural(max_weight, "max_weight")
     out = MultiPoly.const(1, xvars(len(values)))
     for perm in sorted(set(itertools.permutations(values))):
         out = out.mul_truncated(MultiPoly.linear_factor(perm), max_weight)
@@ -94,7 +96,7 @@ def orbit_factorization_check(n: int, d: int, policy: TruncationPolicy) -> bool:
     On partitions the product is concatenation, e_lam e_mu = e_(lam u mu)."""
     from .chern import chern_direct
     from .symfunc import expand_in_basis
-    d = as_natural(d, "d")
+    n, d = as_int(n, "n"), as_natural(d, "d")
     maxw = policy.max_total_degree
     rhs = {(): 1}
     for u in orbit_types(n):

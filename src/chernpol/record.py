@@ -1,6 +1,7 @@
 """The ChernPolynomial record: the coefficients of c_k(Pol^d(C^n)) as
 polynomials in d, in one basis, with evaluation, basis change, the
-divisibility check and the JSON form the cache stores.
+divisibility check and the cache file that stores it: the JSON object
+{"checksum": SHA-256 of the sorted payload, "payload": ``to_json``}.
 
 It imports only ``exactcore`` and ``symfunc``, so a query answered from the
 cache reads, converts and prints a record without loading ``chern``, which
@@ -9,10 +10,12 @@ computes them.
 
 from __future__ import annotations
 
+import os
+import sys
 from fractions import Fraction
 from math import comb
 
-from .exactcore import UniPoly, check_degree
+from .exactcore import UniPoly, as_natural, check_degree
 from .symfunc import check_partition, convert_expansion, validate_basis_index
 
 FORMAT_VERSION = "chernpol-cache-2"
@@ -23,7 +26,8 @@ class ChernPolynomial:
 
     def __init__(self, n: int, k: int, basis: str, terms: dict | None = None,
                  samples: list | None = None):
-        self.n, self.k, self.basis = n, k, basis
+        self.n, self.k = as_natural(n, "n"), as_natural(k, "k")
+        self.basis = basis
         # partition -> UniPoly in d
         self.terms = {} if terms is None else terms
         # always []; kept for readers of the cache and the benchmark trace
@@ -98,3 +102,52 @@ class ChernPolynomial:
                 raise ValueError(f"{lam} is not a partition of k = {data['k']}")
             terms[lam] = UniPoly.from_json(p, var="d")
         return cls(data["n"], data["k"], data["basis"], terms)
+
+
+def _checksum(payload) -> str:
+    import json
+    # CPython's own SHA-256: hashlib's digest, without loading OpenSSL; the
+    # module is chosen by version, since a failed import searches sys.path
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+def read_entry(path: str, n: int, k: int) -> ChernPolynomial:
+    """The monomial record for (n, k) in the cache file at ``path``; OSError
+    if it cannot be read, ValueError if it is corrupt, stale or another's."""
+    import json
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if _checksum(doc["payload"]) != doc.get("checksum"):
+            raise ValueError("checksum mismatch")
+        cp = ChernPolynomial.from_json(doc["payload"])
+    except (LookupError, TypeError, AttributeError, RecursionError) as exc:
+        raise ValueError(str(exc)) from exc
+    if (cp.n, cp.k, cp.basis) != (n, k, "monomial"):
+        raise ValueError(f"entry is for n={cp.n}, k={cp.k}, {cp.basis} basis")
+    return cp
+
+
+def write_entry(path: str, cp: ChernPolynomial) -> None:
+    """Write ``cp`` to the cache file at ``path`` through a temporary file
+    renamed over it, so no reader sees a partial file; OSError if it cannot."""
+    import json
+    import tempfile
+    payload = cp.to_json()
+    cache_dir = os.path.dirname(path)
+    os.makedirs(cache_dir, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump({"checksum": _checksum(payload), "payload": payload}, fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):     # no temporary file is left behind
+            os.unlink(tmp)

@@ -177,7 +177,7 @@ def _schur_x(lam: tuple, n: int) -> MultiPoly:
 
 def to_x_expansion(basis: str, lam: tuple, n: int) -> MultiPoly:
     """The basis element as a polynomial in x1..xn, read from its row."""
-    lam = tuple(lam)
+    lam, n = tuple(lam), as_natural(n, "n")
     return (_schur_x(lam, n) if basis == "schur"
             else _row_x(_monomial_row(basis, lam, n), n))
 
@@ -247,6 +247,7 @@ def convert_expansion(terms: dict, src_basis: str, dst_basis: str, n: int) -> di
     pivot and adds only terms after it; a pivot that survives its own row
     raises InconsistentDataError.
     """
+    n = as_natural(n, "n")
     if src_basis == dst_basis:
         return dict(terms)
     if dst_basis not in BASES:

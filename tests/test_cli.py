@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chernpol import cli, enumgeo, symfunc
+from chernpol import cli, enumgeo, record, symfunc
 from chernpol.chern import ChernPolynomial, chern_interpolated
 from chernpol.exactcore import UniPoly
 from chernpol.rising import RisingProductSpec
@@ -130,7 +130,7 @@ def test_entry_point_writes_a_complete_cache_file(tmp_path):
     # no temporary file is left behind
     assert [p.name for p in tmp_path.iterdir()] == ["chern_n3_k2.json"]
     doc = json.loads((tmp_path / "chern_n3_k2.json").read_text())
-    assert doc["checksum"] == cli._checksum(doc["payload"])
+    assert doc["checksum"] == record._checksum(doc["payload"])
     assert ChernPolynomial.from_json(doc["payload"]) == chern_interpolated(3, 2)
 
 
@@ -348,6 +348,17 @@ def test_cache_corrupt_recovers(capsys, tmp_path):
     assert "warning" in err
 
 
+def test_cache_entry_nested_too_deep_is_recomputed(capsys, tmp_path):
+    # json.load raises RecursionError, which is no ValueError, on this file
+    argv = ["chern", "--n", "2", "--k", "1", "--cache-dir", str(tmp_path)]
+    _, cold, _ = run_cli(argv, capsys)
+    (tmp_path / "chern_n2_k1.json").write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (0, cold)
+    assert "warning: recomputing" in err and "recursion" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_cache_checksum_mismatch_recovers(capsys, tmp_path):
     argv = ["chern", "--n", "2", "--k", "1", "--format", "json",
             "--cache-dir", str(tmp_path)]
@@ -381,7 +392,7 @@ def test_cache_entry_of_old_format_is_recomputed(capsys, tmp_path):
     payload.update({"format": "chernpol-cache-1", "degree_bound": 4,
                     "samples": list(range(-1, 5))})
     path = tmp_path / "chern_n2_k2.json"
-    path.write_text(json.dumps({"checksum": cli._checksum(payload),
+    path.write_text(json.dumps({"checksum": record._checksum(payload),
                                 "payload": payload}))
     code, out, err = run_cli(argv, capsys)
     assert code == 0
@@ -400,7 +411,7 @@ def test_cache_entry_with_bad_exponent_is_recomputed(capsys, tmp_path):
     path = tmp_path / "chern_n2_k2.json"
     for bad in (0.5, -2):
         payload["terms"][0][1][0][0] = bad
-        path.write_text(json.dumps({"checksum": cli._checksum(payload),
+        path.write_text(json.dumps({"checksum": record._checksum(payload),
                                     "payload": payload}))
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (0, uncached)
@@ -419,7 +430,7 @@ def test_cache_entry_with_bad_key_is_recomputed(k, bad, capsys, tmp_path):
     payload = chern_interpolated(2, k, "monomial").to_json()
     payload["terms"][0][0] = bad
     path = tmp_path / f"chern_n2_k{k}.json"
-    path.write_text(json.dumps({"checksum": cli._checksum(payload),
+    path.write_text(json.dumps({"checksum": record._checksum(payload),
                                 "payload": payload}))
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (0, uncached)
@@ -829,7 +840,7 @@ def test_cache_rejects_payload_for_other_key(capsys, tmp_path):
     assert capsys.readouterr().err == ""
     # a checksummed payload that is not an object is stale too
     (tmp_path / "chern_n2_k2.json").write_text(json.dumps(
-        {"checksum": cli._checksum([]), "payload": []}))
+        {"checksum": record._checksum([]), "payload": []}))
     assert cli.cache_get_or_compute(2, 2, str(tmp_path)) == cp
     assert "warning" in capsys.readouterr().err
 

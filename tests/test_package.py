@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 import chernpol
 from chernpol import chern, cli, enumgeo, rising, symfunc
 from chernpol.exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy,
-                                UniPoly)
+                                UniPoly, interpolate)
 from chernpol.orbits import (enumerate_orbit, orbit_factorization_check,
                              orbit_term, orbit_types)
 from chernpol.rising import (RisingProductSpec, check_weight_bound,
@@ -216,6 +217,45 @@ def test_cli_imports_no_submodule_at_module_level():
     assert not found, f"cli.py imports submodules at module level: {found}"
 
 
+def _references(node) -> set:
+    """Every name, imported name or module, and ``name.attribute`` below
+    ``node``."""
+    refs = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            refs.add(child.id)
+        elif isinstance(child, ast.alias):
+            refs.add(child.name)
+        elif isinstance(child, ast.ImportFrom) and child.module:
+            refs.add(child.module)
+        elif (isinstance(child, ast.Attribute)
+              and isinstance(child.value, ast.Name)):
+            refs.add(f"{child.value.id}.{child.attr}")
+    return refs
+
+
+def test_cache_file_format_lives_in_record():
+    # cli chooses where and when to cache; record reads and writes the file:
+    # its JSON, its checksum and its atomic write
+    tree = ast.parse(Path(cli.__file__).read_text())
+    func = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "cache_get_or_compute")
+    found = {ref for ref in _references(func)
+             if ref.split(".")[0] in ("json", "tempfile")
+             or ref == "os.replace" or "sha256" in ref}
+    assert not found, f"cli.cache_get_or_compute handles the file: {found}"
+    owners = set()
+    for path in Path(chernpol.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.FunctionDef) and node.name == "_checksum"
+                    or isinstance(node, ast.Call)
+                    and "_checksum" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None))):
+                owners.add(path.stem)
+    assert owners == {"record"}
+
+
 def test_no_module_imports_argparse():
     # one argv reader: cli.parse_args over the FLAGS/COMMANDS schema
     for path in Path(chernpol.__file__).parent.glob("*.py"):
@@ -260,9 +300,13 @@ def test_integer_inputs_are_checked_in_one_place():
 _D = UniPoly.x("d")
 _SPEC = RisingProductSpec.single("d", {((1,), 1): 1}, _D, 1)  # prod (1 + t x)
 
-# an entry point for each integer input, as a function of that integer
+# an entry point for each integer input, as a function of that integer; the
+# key is "name-parameter", or "name" for a callable's only int parameter
 NATURAL_INPUTS = {
     "TruncationPolicy": TruncationPolicy,
+    "ChernPolynomial-n": lambda x: chernpol.ChernPolynomial(x, 2, "monomial"),
+    "ChernPolynomial-k": lambda x: chernpol.ChernPolynomial(2, x, "monomial"),
+    "interpolate": lambda x: interpolate([(0, 1), (1, 3), (2, 5)], x),
     "UniPoly": lambda x: UniPoly({x: 2}),
     "UniPoly.from_json": lambda x: UniPoly.from_json([[x, "1"]]),
     "power": lambda x: (_D + 1) ** x,
@@ -272,6 +316,8 @@ NATURAL_INPUTS = {
         "d", {((x,), 1): 1}, _D, 1).to_json(),
     "RisingProductSpec-m": lambda x: RisingProductSpec.single(
         "d", {((1,), x): 1}, _D, 1).to_json(),
+    "RisingProductSpec-nx": lambda x: RisingProductSpec.single(
+        "d", {}, _D, x).to_json(),
     "stirling_coefficient": lambda x: stirling_coefficient(_SPEC, (x,)),
     "simple_coefficient-E": lambda x: simple_coefficient((x, 1), (1, 2)),
     "simple_coefficient-H": lambda x: simple_coefficient((1, 1), (x, 1)),
@@ -284,12 +330,17 @@ NATURAL_INPUTS = {
     "M_tilde": lambda x: M_tilde((x, 1)),
     "M_plain": lambda x: M_plain((x, 1)),
     "check_partition": lambda x: check_partition((x, 1)),
-    "enumerate_partitions": enumerate_partitions,
+    "enumerate_partitions-weight": enumerate_partitions,
     "enumerate_partitions-max_length": lambda x: enumerate_partitions(3, x),
-    "leading_term": lambda x: chern.leading_term("monomial", (x,), 2),
+    "convert_expansion": lambda x: symfunc.convert_expansion(
+        {(1,): 1}, "monomial", "elementary", x),
+    "to_x_expansion": lambda x: symfunc.to_x_expansion("schur", (1,), x),
+    "leading_term": lambda x: chern.leading_term("monomial", (1,), x),
+    "leading_term-lam": lambda x: chern.leading_term("monomial", (x,), 2),
     "enumerate_orbit": lambda x: enumerate_orbit((x, 1), 4),
-    "orbit_term": lambda x: orbit_term((1, x)),
-    "orbit_factorization_check": lambda x: orbit_factorization_check(
+    "orbit_term": lambda x: orbit_term((1, 2), x),
+    "orbit_term-values": lambda x: orbit_term((1, x)),
+    "orbit_factorization_check-d": lambda x: orbit_factorization_check(
         2, x, TruncationPolicy(2)),
     "simplex_moment": lambda x: simplex_moment((x, 0)),
     "faulhaber": faulhaber,
@@ -315,23 +366,47 @@ SIGNED_INPUTS = {
     "stirling_first-n": (lambda x: stirling_first(x, 1), 3, 0),
     "stirling_first-k": (lambda x: stirling_first(3, x), 2, 0),
     "stirling_second-n": (lambda x: stirling_second(x, 1), 3, 0),
+    "stirling_second-k": (lambda x: stirling_second(3, x), 2, 0),
     "eulerian_second-h": (lambda x: eulerian_second(x, 1), 3, 0),
+    "eulerian_second-j": (lambda x: eulerian_second(3, x), 1, 0),
     "catalan_triangle-delta": (lambda x: catalan_triangle(x, 1), 4, 0),
     "catalan_triangle-j": (lambda x: catalan_triangle(4, x), 1, 0),
+    "chern_interpolated-n": (lambda x: chern.chern_interpolated(x, 2), 2,
+                             OutOfDomainError),
     "chern_interpolated-k": (lambda x: chern.chern_interpolated(2, x), 2,
                              OutOfDomainError),
+    "chern_direct-n": (lambda x: chern.chern_direct(x, 2, TruncationPolicy(2)),
+                       2, OutOfDomainError),
+    "chern_direct-d": (lambda x: chern.chern_direct(2, x, TruncationPolicy(2)),
+                       2, MultiPoly.const(1, ("x1", "x2"))),
     "orbit_types": (orbit_types, 3, OutOfDomainError),
+    "orbit_factorization_check-n": (lambda x: orbit_factorization_check(
+        x, 2, TruncationPolicy(2)), 2, OutOfDomainError),
     "enumerate_orbit-d": (lambda x: enumerate_orbit((1, 1), x), 4, []),
     "euler_c2_closed": (chern.euler_c2_closed, 3, OutOfDomainError),
     "expected_dimension-d": (lambda x: enumgeo.expected_dimension(x, 4, 1),
                              3, 6),
+    "expected_dimension-m": (lambda x: enumgeo.expected_dimension(3, x, 1),
+                             4, -8),
+    "expected_dimension-r": (lambda x: enumgeo.expected_dimension(3, 4, x),
+                             1, OutOfDomainError),
     "sigma_degree-d": (lambda x: enumgeo.sigma_degree(x, 3, 1), 4, 0),
     "sigma_degree-m": (lambda x: enumgeo.sigma_degree(4, x, 1), 3,
                        OutOfDomainError),
+    "sigma_degree-r": (lambda x: enumgeo.sigma_degree(4, 3, x), 1,
+                       OutOfDomainError),
+    "sigma_degree_symbolic-m": (lambda x: enumgeo.sigma_degree_symbolic(x, 1),
+                                2, OutOfDomainError),
+    "sigma_degree_symbolic-r": (lambda x: enumgeo.sigma_degree_symbolic(3, x),
+                                1, OutOfDomainError),
     "fano_degree_lines-d": (lambda x: enumgeo.fano_degree_lines(x, 4), 3,
                             OutOfDomainError),
     "fano_degree_lines-m": (lambda x: enumgeo.fano_degree_lines(3, x), 4,
                             OutOfDomainError),
+    "fano_chi_lines-d": (lambda x: enumgeo.fano_chi_lines(x, 4), 3,
+                         OutOfDomainError),
+    "fano_chi_lines-m": (lambda x: enumgeo.fano_chi_lines(3, x), 4,
+                         OutOfDomainError),
 }
 
 
@@ -357,6 +432,34 @@ def test_integer_inputs_follow_one_rule(name):
     for bad in (1.5, "2", True):
         with pytest.raises(ValueError, match=rule):
             f(bad)
+
+
+def _integer_parameters() -> list:
+    """(name, parameter, how many int parameters the callable has) of each
+    parameter annotated int or int | None on a callable the package exports,
+    a class by its constructor; annotations are strings, as every module
+    imports annotations from __future__."""
+    out = []
+    for name in chernpol.__all__:
+        obj = getattr(chernpol, name)
+        if not callable(obj) or (isinstance(obj, type)
+                                 and issubclass(obj, Exception)):
+            continue
+        params = [p.name for p in inspect.signature(obj).parameters.values()
+                  if p.annotation in ("int", "int | None")]
+        out += [(name, p, len(params)) for p in params]
+    return out
+
+
+def test_every_integer_input_has_a_rule_entry():
+    # the tables above cannot drift from the signatures they test
+    params = _integer_parameters()
+    assert ("RisingProductSpec", "nx", 1) in params
+    keys = {*NATURAL_INPUTS, *SIGNED_INPUTS}
+    missing = [f"{name}-{p}" for name, p, count in params
+               if f"{name}-{p}" not in keys
+               and not (count == 1 and name in keys)]
+    assert not missing
 
 
 def test_enumgeo_imports_no_multipoly():
@@ -391,8 +494,9 @@ def test_text_output_loads_no_json():
     assert "chernpol.checks" in _run(["verify"], allow_json=False)
 
 
-@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None,
-                    reason="no built-in _sha256 module")
+@pytest.mark.skipif(all(importlib.util.find_spec(name) is None
+                        for name in ("_sha2", "_sha256")),
+                    reason="no built-in SHA-256 module")
 def test_cache_hit_loads_no_openssl(tmp_path):
     argv = ["chern", "--n", "2", "--k", "3", "--cache-dir", str(tmp_path)]
     _run(argv)                                      # fills the cache
