@@ -156,13 +156,11 @@ def cmd_chern_eval(args) -> str:
 
 
 def cmd_stirling_coeff(args) -> str:
-    import json
     from . import rising
+    from .exactcore import read_json
     try:
-        with open(args.spec_file) as fh:
-            spec = rising.RisingProductSpec.from_json(json.load(fh))
-    except (OSError, ValueError, LookupError, TypeError,
-            ZeroDivisionError) as exc:
+        spec = read_json(args.spec_file, rising.RisingProductSpec.from_json)
+    except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read spec file {args.spec_file!r}: {exc}")
     H = _parse_vector(args.type)
     if len(H) != spec.nx or any(h < 0 for h in H):

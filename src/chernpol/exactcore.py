@@ -1,8 +1,8 @@
 """Exact rational arithmetic: the shared errors, the domain check of the
-degree d, ``Fraction`` helpers, the variable names, the polynomial
-core ``_Poly`` that univariate and multivariate polynomials
-share, univariate polynomials over Q, and interpolation in integers from
-the values at 0, 1, ..., N.
+degree d, the rules for numeric inputs and the reader of JSON input files,
+``Fraction`` helpers, the variable names, the polynomial core ``_Poly`` that
+univariate and multivariate polynomials share, univariate polynomials over
+Q, and interpolation in integers from the values at 0, 1, ..., N.
 
 All coefficients at the API are ``fractions.Fraction``; nothing here ever
 rounds.  Polynomial products and the rational-root test run on integer
@@ -55,10 +55,11 @@ def check_degree(d, n: int | None = None) -> int:
 
 
 def rat(x) -> Fraction:
-    """Coerce ints / strings / Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+    """``x`` as a Fraction: a Fraction, a string that Fraction reads ("1/10",
+    "0.1") or an integer by ``as_int``; never a float's binary value."""
+    if not isinstance(x, (Fraction, str)):
+        x = as_int(x, 'a number that is not a string ("1/10")')
+    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 def rat_to_str(q: Fraction) -> str:
@@ -106,6 +107,18 @@ def as_int(x, what: str) -> int:
 def naturals(xs, what: str) -> tuple:
     """``xs`` as a tuple of ints >= 0, each by the rule of ``as_natural``."""
     return tuple(as_natural(x, what) for x in xs)
+
+
+def read_json(path: str, parse):
+    """``parse`` of the JSON document in the file at ``path``; OSError if it
+    cannot be read, ValueError if the document is malformed."""
+    import json
+    with open(path) as fh:
+        try:
+            return parse(json.load(fh))
+        except (LookupError, TypeError, AttributeError, ArithmeticError,
+                RecursionError) as exc:
+            raise ValueError(str(exc)) from exc
 
 
 def xvars(n: int) -> tuple:
@@ -328,7 +341,7 @@ class UniPoly(_Poly):
 
     @classmethod
     def from_json(cls, data: Sequence, var: str = "d") -> "UniPoly":
-        return cls({e: Fraction(c) for e, c in data}, var=var)
+        return cls(dict(data), var=var)
 
     @staticmethod
     def _repr_key(e: int) -> int:

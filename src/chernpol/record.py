@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .exactcore import UniPoly, as_natural, check_degree
-from .symfunc import check_partition, convert_expansion, validate_basis_index
+from .exactcore import UniPoly, as_natural, check_degree, naturals, read_json
+from .symfunc import BASES, convert_expansion, validate_basis_index
 
 FORMAT_VERSION = "chernpol-cache-2"
 
@@ -27,9 +27,17 @@ class ChernPolynomial:
     def __init__(self, n: int, k: int, basis: str, terms: dict | None = None,
                  samples: list | None = None):
         self.n, self.k = as_natural(n, "n"), as_natural(k, "k")
+        if basis not in BASES:
+            raise ValueError(f"unknown basis {basis!r}")
         self.basis = basis
-        # partition -> UniPoly in d
-        self.terms = {} if terms is None else terms
+        # partition of k indexing the basis in n variables -> UniPoly in d
+        self.terms = {}
+        for lam, p in (terms or {}).items():
+            lam = naturals(lam, "a part")
+            validate_basis_index(basis, lam, self.n)
+            if sum(lam) != self.k:
+                raise ValueError(f"{lam} is not a partition of k = {self.k}")
+            self.terms[lam] = p
         # always []; kept for readers of the cache and the benchmark trace
         self.samples = [] if samples is None else samples
 
@@ -90,17 +98,10 @@ class ChernPolynomial:
 
     @classmethod
     def from_json(cls, data: dict) -> "ChernPolynomial":
-        """The record of ``to_json``; ValueError on a stale format or a key
-        that is not a partition of k indexing the basis in n variables."""
+        """The record of ``to_json``; ValueError on a stale format."""
         if data.get("format") != FORMAT_VERSION:
             raise ValueError("stale cache format")
-        terms = {}
-        for lam, p in data["terms"]:
-            lam = check_partition(lam)
-            validate_basis_index(data["basis"], lam, data["n"])
-            if sum(lam) != data["k"]:
-                raise ValueError(f"{lam} is not a partition of k = {data['k']}")
-            terms[lam] = UniPoly.from_json(p, var="d")
+        terms = {tuple(lam): UniPoly.from_json(p) for lam, p in data["terms"]}
         return cls(data["n"], data["k"], data["basis"], terms)
 
 
@@ -121,15 +122,11 @@ def _checksum(payload) -> str:
 def read_entry(path: str, n: int, k: int) -> ChernPolynomial:
     """The monomial record for (n, k) in the cache file at ``path``; OSError
     if it cannot be read, ValueError if it is corrupt, stale or another's."""
-    import json
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
+    def parse(doc) -> ChernPolynomial:
         if _checksum(doc["payload"]) != doc.get("checksum"):
             raise ValueError("checksum mismatch")
-        cp = ChernPolynomial.from_json(doc["payload"])
-    except (LookupError, TypeError, AttributeError, RecursionError) as exc:
-        raise ValueError(str(exc)) from exc
+        return ChernPolynomial.from_json(doc["payload"])
+    cp = read_json(path, parse)
     if (cp.n, cp.k, cp.basis) != (n, k, "monomial"):
         raise ValueError(f"entry is for n={cp.n}, k={cp.k}, {cp.basis} basis")
     return cp

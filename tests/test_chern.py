@@ -399,3 +399,21 @@ def test_chern_polynomial_json_roundtrip():
     with pytest.raises(ValueError):
         stale = cp.to_json() | {"format": "???"}
         ChernPolynomial.from_json(stale)
+
+
+@pytest.mark.parametrize("n, k, basis, terms, message", [
+    (2, 2, "bogus", None, "unknown basis 'bogus'"),
+    (2, 2, "monomial", {(5,): UniPoly.x()}, r"\(5,\) is not a partition of k"),
+    (2, 3, "monomial", {(1, 1, 1): UniPoly.x()}, "length > 2 variables"),
+    (2, 2, "power", {(1, 0, 1): UniPoly.x()}, "not a partition"),
+])
+def test_chern_polynomial_checks_its_keys(n, k, basis, terms, message):
+    # the constructor checks every record, built or read from the cache
+    with pytest.raises(ValueError, match=message):
+        ChernPolynomial(n, k, basis, terms)
+
+
+def test_chern_polynomial_keys_follow_the_integer_rule():
+    d = UniPoly.x()
+    assert repr(ChernPolynomial(2, 2, "monomial", {(1.0, 1): d}).terms) \
+        == repr({(1, 1): d})

@@ -477,6 +477,71 @@ def test_cache_entry_that_is_a_directory(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# malformed JSON input: cache entries and spec files
+# ---------------------------------------------------------------------------
+
+# each a document that the JSON reader refuses or that is no record or spec;
+# the fuzz test below also draws the first four as spec files
+MALFORMED = ["1/0", "Infinity", "deep", "0.1", "NaN", "list-root",
+             "missing-key", "bool-exponent"]
+
+
+def _malformed(case: str, doc: dict, poly: list, key: str,
+               seal=lambda doc: doc) -> str:
+    """The text of a file that holds ``doc`` made malformed by ``case``:
+    ``poly`` is one of its polynomials, ``key`` a key it needs, and
+    ``seal`` makes the document the file's root."""
+    if case == "deep":
+        return "[" * 100000 + "]" * 100000
+    if case == "missing-key":
+        del doc[key]
+    elif case == "bool-exponent":
+        poly[0][0] = True
+    elif case != "list-root":
+        poly[0][1] = {"1/0": "1/0", "Infinity": float("inf"),
+                      "NaN": float("nan"), "0.1": 0.1}[case]
+    root = seal(doc)
+    return json.dumps([root] if case == "list-root" else root)
+
+
+def _sealed(payload: dict) -> dict:
+    """The cache file of ``payload``, with its valid checksum."""
+    return {"checksum": record._checksum(payload), "payload": payload}
+
+
+def _bad_spec(case: str) -> str:
+    spec = RisingProductSpec.single("d", {((1,), 1): 1}, UniPoly.x("d"), 1)
+    doc = spec.to_json()
+    return _malformed(case, doc, doc["K"], "table")
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_cache_entry_is_recomputed(case, capsys, tmp_path):
+    argv = ["chern", "--n", "2", "--k", "2", "--cache-dir", str(tmp_path)]
+    _, fresh, _ = run_cli(argv + ["--no-cache"], capsys)
+    payload = chern_interpolated(2, 2).to_json()
+    path = tmp_path / "chern_n2_k2.json"
+    path.write_text(_malformed(case, payload, payload["terms"][0][1],
+                               "terms", _sealed))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (0, fresh)
+    assert err.startswith(f"warning: recomputing corrupt/stale cache entry "
+                          f"{path}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_spec_file_is_usage_error(case, capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(_bad_spec(case))
+    code, out, err = run_cli(["stirling-coeff", "--spec-file", str(path),
+                              "--type", "1"], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith(f"usage error: cannot read spec file {str(path)!r}: ")
+    assert len(err.splitlines()) == 1
+
+
+# ---------------------------------------------------------------------------
 # rendering helpers
 # ---------------------------------------------------------------------------
 
@@ -864,11 +929,14 @@ def fuzz_paths(tmp_path_factory):
     (root / "malformed.json").write_text("{not json")
     spec = RisingProductSpec.single("d", {((1,), 1): 1}, UniPoly.x("d"), 1)
     (root / "spec.json").write_text(json.dumps(spec.to_json()))
+    bad = [root / f"bad-spec-{i}.json" for i in range(4)]
+    for path, case in zip(bad, MALFORMED):
+        path.write_text(_bad_spec(case))
     return {"root": root,
             "cache-dir": [root / "cache", root / "file", root / "file" / "sub",
                           root / "spec.json"],
             "spec-file": [root / "spec.json", root / "malformed.json",
-                          root / "missing.json", root, root / "file"]}
+                          root / "missing.json", root, root / "file", *bad]}
 
 
 def _mostly(strategy):

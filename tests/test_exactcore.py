@@ -66,6 +66,18 @@ def test_unipoly_json_roundtrip():
             UniPoly.from_json([[bad, "1"]])
 
 
+def test_rational_inputs_follow_one_rule():
+    # a string that Fraction reads, or an integer by the rule of as_int: a
+    # float's binary value is never taken for the decimal it was written as
+    assert UniPoly.from_json([[0, "1/10"], [1, "0.1"], [2, 3.0], [3, 4]]) \
+        == UniPoly({0: F(1, 10), 1: F(1, 10), 2: F(3), 3: F(4)})
+    for bad in (0.1, True, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"not {bad!r}$"):
+            UniPoly.from_json([[0, bad]])
+        with pytest.raises(ValueError, match="not a string"):
+            exactcore.rat(bad)
+
+
 def test_unipoly_pow_derivative_scale():
     p = (UniPoly.x() + 1) ** 3
     assert p.coeff(1) == 3

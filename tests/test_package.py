@@ -256,6 +256,32 @@ def test_cache_file_format_lives_in_record():
     assert owners == {"record"}
 
 
+def _json_load_refs(node) -> list:
+    """The ``json.load`` references and ``from json import load`` below
+    ``node``."""
+    return [child for child in ast.walk(node)
+            if isinstance(child, ast.Attribute) and child.attr == "load"
+            and getattr(child.value, "id", None) == "json"
+            or isinstance(child, ast.ImportFrom) and child.module == "json"
+            and "load" in {a.name for a in child.names}]
+
+
+def test_json_input_files_have_one_reader():
+    # exactcore.read_json loads every outside JSON file and turns the errors
+    # of a malformed document into ValueError, so cli catches none of them
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(chernpol.__file__).parent.glob("*.py")}
+    found = {stem: len(_json_load_refs(tree)) for stem, tree in trees.items()}
+    assert {stem: n for stem, n in found.items() if n} == {"exactcore": 1}
+    assert _json_load_refs(next(node for node in trees["exactcore"].body
+                                if isinstance(node, ast.FunctionDef)
+                                and node.name == "read_json"))
+    caught = {node.id for handler in ast.walk(trees["cli"])
+              if isinstance(handler, ast.ExceptHandler) and handler.type
+              for node in ast.walk(handler.type) if isinstance(node, ast.Name)}
+    assert not caught & {"LookupError", "TypeError", "ZeroDivisionError"}
+
+
 def test_no_module_imports_argparse():
     # one argv reader: cli.parse_args over the FLAGS/COMMANDS schema
     for path in Path(chernpol.__file__).parent.glob("*.py"):
