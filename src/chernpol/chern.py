@@ -60,10 +60,10 @@ def chern_direct(n: int, d: int, policy: TruncationPolicy) -> MultiPoly:
     if n < 1:
         raise OutOfDomainError("n must be >= 1")
     out = MultiPoly.const(1, xvars(n))
-    if d >= 1:
-        for weights in weight_vectors(n, d):
-            out = out.mul_truncated(MultiPoly.linear_factor(weights),
-                                    policy.max_total_degree)
+    units = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+    for w in weight_vectors(n, d) if d >= 1 else ():
+        factor = MultiPoly(out.vars, {(0,) * n: 1, **dict(zip(units, w))})
+        out = out.mul_truncated(factor, policy.max_total_degree)
     return out
 
 
@@ -81,27 +81,25 @@ def pol_power_sums(n: int, k: int, ds):
     return power_sums
 
 
-def chern_values(n: int, k: int, power_sums, wanted, width: int = 1) -> dict:
-    """{nu: [coefficient of m_nu in c_k, one per column]} over the
-    partitions nu of k in ``wanted`` with at most n parts, for the integral
-    class in n Chern roots with ``power_sums(top)`` = [coefficient of x^top
-    in p_|top|], ``width`` columns (module docstring).  Only the padded nu
-    under some wanted partition are computed: that set is closed under
-    nu -> sort(nu - alpha) and sort(alpha) for alpha <= nu.  A remainder of
-    the division by m raises InconsistentDataError."""
-    wanted = [tuple(w) for w in wanted]
-    if any(sum(w) != k for w in wanted):
-        raise ValueError(f"wanted partitions must have size {k}")
+def chern_values(n: int, power_sums, wanted) -> dict:
+    """{nu: [coefficient of m_nu in c_|nu|, one per column]} over the
+    partitions nu in ``wanted``, of any sizes, with at most n parts, for the
+    integral class in n Chern roots with ``power_sums(top)`` = [coefficient
+    of x^top in p_|top|, one per column]; c_0 is [1] if none is read.  Only
+    the padded nu under some wanted partition are computed: that set is
+    closed under nu -> sort(nu - alpha) and sort(alpha) for alpha <= nu.  A
+    remainder of the division by m raises InconsistentDataError."""
     ceilings = [tuple(sorted(w + (0,) * (n - len(w))))
-                for w in wanted if len(w) <= n]
+                for w in map(tuple, wanted) if len(w) <= n]
     # by size, as each box sum reads smaller ones; tops[0] is 0
     tops = sorted({tuple(sorted(v)) for w in ceilings
                    for v in product(*(range(e + 1) for e in w))}, key=sum)
-    # (-1)^(j-1) p_j and c_m by ascending padded partition
-    p, c = {}, {(0,) * n: [1] * width}
+    # (-1)^(j-1) p_j, then c_m by ascending padded partition
+    p = {top: [(-1) ** (sum(top) - 1) * v for v in power_sums(top)]
+         for top in tops[1:]}
+    c = {(0,) * n: [1] * len(next(iter(p.values()), [1]))}
     for top in tops[1:]:
         m = sum(top)
-        p[top] = [(-1) ** (m - 1) * v for v in power_sums(top)]
         # alpha runs over the box 0 != alpha <= top, top - alpha with it
         pj = map(p.__getitem__, map(tuple, map(sorted, islice(
             product(*(range(e + 1) for e in top)), 1, None))))
@@ -123,8 +121,8 @@ def chern_interpolated(n: int, k: int, basis: str = "monomial") -> ChernPolynomi
     if n < 1 or k < 0:
         raise OutOfDomainError("need n >= 1 and k >= 0")
     ds = range(n * k + 1)
-    values = chern_values(n, k, pol_power_sums(n, k, ds),
-                          enumerate_partitions(k, max_length=n), len(ds))
+    values = chern_values(n, pol_power_sums(n, k, ds),
+                          enumerate_partitions(k, max_length=n))
     terms = {nu: interpolate_integers(v) for nu, v in values.items() if any(v)}
     from .record import ChernPolynomial
     return ChernPolynomial(n, k, "monomial", terms).in_basis(basis)

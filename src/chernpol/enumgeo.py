@@ -76,7 +76,7 @@ def chern_grassmannian(k: int, n_amb: int, degree: int, ds=()) -> dict:
             tangent = 0
         return [tangent - sum(pol(top))]
 
-    values = chern_values(k, degree, power_sums,
+    values = chern_values(k, power_sums,
                           enumerate_partitions(degree, max_length=k))
     return {nu: v for nu, (v,) in values.items() if v}
 
@@ -116,8 +116,8 @@ def _integrate_pol_class(k: int, n_amb: int, ds, delta: int, g: dict) -> list:
                      and (mu := partition_of(beta)) in g]
              for _, alpha in alternant_terms((n_amb - k,) * k, k)}
     top = k * (n_amb - k) - delta
-    values = chern_values(k, top, pol_power_sums(k, top, ds), {
-        rest for pairs in split.values() for _, rest in pairs}, len(ds))
+    values = chern_values(k, pol_power_sums(k, top, ds), {
+        rest for pairs in split.values() for _, rest in pairs})
     return [grassmann_integral(
         lambda alpha: sum(b * values[rest][i] for b, rest in split[alpha]),
         k, n_amb) for i in range(len(ds))]

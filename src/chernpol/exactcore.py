@@ -109,6 +109,17 @@ def naturals(xs, what: str) -> tuple:
     return tuple(as_natural(x, what) for x in xs)
 
 
+def unique_keys(pairs, what: str) -> dict:
+    """``dict(pairs)``, but a key that repeats, whose last value ``dict``
+    would keep, is a ValueError that names it."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated {what} {key!r}")
+        out[key] = value
+    return out
+
+
 def read_json(path: str, parse):
     """``parse`` of the JSON document in the file at ``path``; OSError if it
     cannot be read, ValueError if the document is malformed."""
@@ -341,7 +352,7 @@ class UniPoly(_Poly):
 
     @classmethod
     def from_json(cls, data: Sequence, var: str = "d") -> "UniPoly":
-        return cls(dict(data), var=var)
+        return cls(unique_keys(data, "exponent"), var=var)
 
     @staticmethod
     def _repr_key(e: int) -> int:

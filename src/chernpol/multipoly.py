@@ -1,10 +1,10 @@
 """Sparse multivariate polynomials over Q, Lagrange interpolation with
 consistency guards, and truncated power-series inversion.
 
-``MultiPoly`` has two roles: products in the variables x1..xn
-(``chern.chern_direct``, the orbit terms) and the parameter polynomials of
-rising products and their Stirling coefficients.  A cached Chern query runs
-none of this, so it lives apart from ``exactcore`` and loads on first use.
+``MultiPoly`` holds products in x1..xn, which only ``chern.chern_direct`` and
+the oracles build, and the parameter polynomials of rising products and their
+Stirling coefficients.  A cached Chern query runs none of this, so it lives
+apart from ``exactcore`` and loads on first use.
 ``MultiPoly`` shares its arithmetic with ``UniPoly`` through
 ``exactcore._Poly``.
 """
@@ -17,8 +17,7 @@ from typing import Mapping, Sequence
 
 from .exactcore import (DuplicateAbscissaError, InconsistentDataError,
                         NotInvertibleError, TruncationPolicy, UniPoly, _Poly,
-                        _cleared, _rebuilt, as_natural, naturals, rat,
-                        xvars)
+                        _cleared, _rebuilt, as_natural, naturals, rat)
 
 
 class MultiPoly(_Poly):
@@ -38,16 +37,6 @@ class MultiPoly(_Poly):
     @classmethod
     def const(cls, c, vars: Sequence[str]) -> "MultiPoly":
         return cls(vars, {(0,) * len(vars): rat(c)})
-
-    @classmethod
-    def linear_factor(cls, weights: Sequence[int]) -> "MultiPoly":
-        """1 + w_1 x_1 + ... + w_n x_n in the variables xvars(n)."""
-        n = len(weights)
-        terms = {(0,) * n: Fraction(1)}
-        for i, w in enumerate(weights):
-            if w:
-                terms[tuple(1 if j == i else 0 for j in range(n))] = Fraction(w)
-        return cls(xvars(n), terms)
 
     def _new(self, terms: dict) -> "MultiPoly":
         out = object.__new__(MultiPoly)

@@ -7,12 +7,13 @@ Chern class.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import factorial, prod
 
 from .exactcore import (OutOfDomainError, TruncationPolicy, as_int,
-                        as_natural, naturals, xvars)
+                        as_natural, naturals)
 
-# chern, multipoly and symfunc are imported inside the functions that use
-# them, so enumerating orbits loads none of them
+# chern and symfunc are imported where used: enumerating orbits loads neither
 
 
 def orbit_types(n: int) -> list:
@@ -70,19 +71,25 @@ def enumerate_orbit(u, d: int) -> list:
 
 
 def orbit_term(values, max_weight: int | None = None) -> dict:
-    """p_(d_1..d_n): the product over the distinct permutations of the
+    """p_(d_1..d_n): the product over the distinct permutations P of the
     weight tuple of (1 + sum_i w_i x_i), exactly in the elementary basis as
     {partition: coefficient}; with ``max_weight``, only the e_lam with
-    |lam| <= max_weight, from the x product truncated at that degree."""
-    from .multipoly import MultiPoly
-    from .symfunc import expand_in_basis
+    |lam| <= max_weight.  Its monomial coefficients come from chern_values
+    on the power sums |a|!/a! * sum over w in P of w^a at x^a."""
+    from .chern import chern_values
+    from .symfunc import convert_expansion, enumerate_partitions
     values = naturals(values, "a weight")
-    if max_weight is not None:
-        max_weight = as_natural(max_weight, "max_weight")
-    out = MultiPoly.const(1, xvars(len(values)))
-    for perm in sorted(set(itertools.permutations(values))):
-        out = out.mul_truncated(MultiPoly.linear_factor(perm), max_weight)
-    return expand_in_basis(out, "elementary")
+    n, perms = len(values), set(itertools.permutations(values))
+    top = len(perms) if max_weight is None else min(
+        as_natural(max_weight, "max_weight"), len(perms))
+
+    def power_sums(a):
+        return [factorial(sum(a)) // prod(map(factorial, a))
+                * sum(prod(map(pow, w, a)) for w in perms)]
+    mono = chern_values(n, power_sums, [
+        nu for j in range(top + 1) for nu in enumerate_partitions(j, n)])
+    return convert_expansion({nu: Fraction(c) for nu, (c,) in mono.items()},
+                             "monomial", "elementary", n)
 
 
 def weighted_truncate(terms: dict, max_weight: int) -> dict:

@@ -15,7 +15,8 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .exactcore import UniPoly, as_natural, check_degree, naturals, read_json
+from .exactcore import (UniPoly, as_natural, check_degree, naturals,
+                        read_json, unique_keys)
 from .symfunc import BASES, convert_expansion, validate_basis_index
 
 FORMAT_VERSION = "chernpol-cache-2"
@@ -101,7 +102,8 @@ class ChernPolynomial:
         """The record of ``to_json``; ValueError on a stale format."""
         if data.get("format") != FORMAT_VERSION:
             raise ValueError("stale cache format")
-        terms = {tuple(lam): UniPoly.from_json(p) for lam, p in data["terms"]}
+        terms = unique_keys(((tuple(lam), UniPoly.from_json(p))
+                             for lam, p in data["terms"]), "partition")
         return cls(data["n"], data["k"], data["basis"], terms)
 
 

@@ -1,6 +1,6 @@
 """Rising products and their Stirling coefficients: vector partitions, the
 coefficient formula through specializations of augmented monomial symmetric
-polynomials, the special-form multinomial shortcut, degree bounds and leading
+polynomials, the special-form multinomial shortcut, weight bounds and leading
 coefficients, and a brute-force product oracle.
 """
 
@@ -14,7 +14,7 @@ from operator import mul
 
 from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly,
                         _rebuilt, as_natural, forward_differences, naturals,
-                        xvars)
+                        unique_keys, xvars)
 from .multipoly import MultiPoly
 from .specialization import M_tilde_values
 from .symfunc import dominance_key, mult_factorial
@@ -126,8 +126,8 @@ class RisingProductSpec:
     @classmethod
     def from_json(cls, data: dict) -> "RisingProductSpec":
         (param,) = data["params"]
-        table = {(tuple(E), m): UniPoly.from_json(c, var=param)
-                 for E, m, c in data["table"]}
+        table = unique_keys((((tuple(E), m), UniPoly.from_json(c, var=param))
+                             for E, m, c in data["table"]), "table key")
         return cls.single(param, table, UniPoly.from_json(data["K"], var=param),
                           data["nx"])
 
@@ -237,7 +237,7 @@ def simple_coefficient(E, H) -> tuple[int, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# degree bounds and leading coefficients
+# weight bounds and leading coefficients
 # ---------------------------------------------------------------------------
 
 def _table_degree(spec: RisingProductSpec, E: tuple, m: int) -> int:
@@ -255,13 +255,6 @@ def check_weight_bound(spec: RisingProductSpec, W) -> None:
                 f"table entry at E={E}, m={m} violates the linear bound")
     if spec.K.total_degree() not in (None, 0, 1):
         raise InvalidBoundError("bound polynomial K must be linear")
-
-
-def degree_bound(spec: RisingProductSpec, W, H) -> int:
-    """W(H) + |H|, valid once the table satisfies the linear bound W."""
-    W, H = naturals(W, "an entry of W"), naturals(H, "an entry of H")
-    check_weight_bound(spec, W)
-    return sum(w * h for w, h in zip(W, H)) + sum(H)
 
 
 def leading_coefficient(spec: RisingProductSpec, W, H) -> Fraction:

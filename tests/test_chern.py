@@ -79,17 +79,24 @@ def test_chern_values_restricted_to_wanted():
     for n, k, ds in grid:
         every = enumerate_partitions(k)
         power_sums = pol_power_sums(n, k, ds)
-        full = chern_values(n, k, power_sums, every, len(ds))
+        full = chern_values(n, power_sums, every)
         assert set(full) == {nu for nu in every if len(nu) <= n}
         subsets = [[nu] for nu in every] + [
             rng.sample(every, rng.randint(1, len(every))) for _ in range(5)]
         for wanted in subsets:
-            got = chern_values(n, k, power_sums, wanted, len(ds))
+            got = chern_values(n, power_sums, wanted)
             assert got == {nu: full[nu] for nu in wanted if nu in full}, \
                 (n, k, wanted)
-    assert chern_values(3, 2, pol_power_sums(3, 2, [1]), []) == {}
-    with pytest.raises(ValueError):
-        chern_values(3, 2, pol_power_sums(3, 2, [1]), [(1,)])
+        # one call over the sizes 0..k gives each nu its coefficient in
+        # c_|nu|, as the calls of one size each do; c_0 is 1 in each column
+        by_size = {(): [1] * len(ds)}
+        for j in range(1, k + 1):
+            by_size.update(chern_values(n, power_sums, enumerate_partitions(j)))
+        mixed = [nu for j in range(k + 1) for nu in enumerate_partitions(j)]
+        assert chern_values(n, power_sums, mixed) == by_size, (n, k)
+    assert chern_values(3, pol_power_sums(3, 2, [1]), []) == {}
+    # with no power sum read the one column is all there is
+    assert chern_values(3, pol_power_sums(3, 2, [1, 2]), [()]) == {(): [1]}
 
 
 def test_chern_values_division_is_exact(monkeypatch):

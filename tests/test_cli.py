@@ -483,20 +483,27 @@ def test_cache_entry_that_is_a_directory(capsys, tmp_path):
 # each a document that the JSON reader refuses or that is no record or spec;
 # the fuzz test below also draws the first four as spec files
 MALFORMED = ["1/0", "Infinity", "deep", "0.1", "NaN", "list-root",
-             "missing-key", "bool-exponent"]
+             "missing-key", "bool-exponent", "repeated-exponent",
+             "repeated-key"]
 
 
 def _malformed(case: str, doc: dict, poly: list, key: str,
                seal=lambda doc: doc) -> str:
     """The text of a file that holds ``doc`` made malformed by ``case``:
-    ``poly`` is one of its polynomials, ``key`` a key it needs, and
-    ``seal`` makes the document the file's root."""
+    ``poly`` is one of its polynomials, ``key`` a key it needs, whose value
+    lists entries that end in a polynomial, and ``seal`` makes the document
+    the file's root."""
     if case == "deep":
         return "[" * 100000 + "]" * 100000
     if case == "missing-key":
         del doc[key]
     elif case == "bool-exponent":
         poly[0][0] = True
+    elif case == "repeated-exponent":
+        poly.append([poly[0][0], "5"])
+    elif case == "repeated-key":
+        # the first entry of doc[key] again, its polynomial last and now 5
+        doc[key].append([*doc[key][0][:-1], [[0, "5"]]])
     elif case != "list-root":
         poly[0][1] = {"1/0": "1/0", "Infinity": float("inf"),
                       "NaN": float("nan"), "0.1": 0.1}[case]

@@ -5,8 +5,9 @@ from math import comb, factorial, prod
 import pytest
 
 from chernpol.chern import chern_direct
-from chernpol.exactcore import (InconsistentDataError, TruncationPolicy,
-                                UniPoly, interpolate_integers)
+from chernpol.exactcore import (InconsistentDataError, MultiPoly,
+                                TruncationPolicy, UniPoly,
+                                interpolate_integers, xvars)
 from chernpol.orbits import (enumerate_orbit, orbit_factorization_check,
                              orbit_term, orbit_types, weighted_truncate)
 from chernpol.symfunc import expand_in_basis
@@ -102,6 +103,47 @@ def test_orbit_term_truncated_keeps_the_low_weights(values):
     full = orbit_term(values)
     for w in range(6):
         assert orbit_term(values, w) == weighted_truncate(full, w)
+
+
+def _factors_product(values, max_weight):
+    """The product over the distinct permutations w of ``values`` of
+    (1 + sum_i w_i x_i), multiplied out in x and truncated at max_weight."""
+    n = len(values)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    out = MultiPoly.const(1, xvars(n))
+    for w in set(itertools.permutations(values)):
+        factor = MultiPoly(xvars(n), {(0,) * n: 1, **dict(zip(units, w))})
+        out = out.mul_truncated(factor, max_weight)
+    return out
+
+
+def test_orbit_term_is_the_product_of_its_factors():
+    # the orbit term comes from the Newton recursion on its power sums; the
+    # oracle multiplies its linear factors and expands the product
+    for length in range(1, 4):
+        for values in itertools.combinations_with_replacement(range(5),
+                                                              length):
+            for w in (None, 0, 1, 2, 3, 4):
+                assert orbit_term(values, w) == expand_in_basis(
+                    _factors_product(values, w), "elementary"), (values, w)
+
+
+def test_orbit_check_is_independent_of_the_direct_product(monkeypatch):
+    # a product that scales every linear factor 1 + w.x to 1 + 2w.x must
+    # fail the check: the orbit terms take no x-product from chern_direct
+    true_mul = MultiPoly.mul_truncated
+
+    def doubled(self, other, max_degree):
+        if (isinstance(other, MultiPoly) and other.constant_term() == 1
+                and all(sum(ev) <= 1 for ev in other.terms)):
+            other = MultiPoly(other.vars, {ev: c * (1 + sum(ev))
+                                           for ev, c in other.terms.items()})
+        return true_mul(self, other, max_degree)
+
+    monkeypatch.setattr(MultiPoly, "mul_truncated", doubled)
+    for n, d in [(2, 4), (3, 6), (4, 5)]:
+        assert not orbit_factorization_check(n, d, TruncationPolicy(3)), \
+            (n, d)
 
 
 def test_factorization():

@@ -17,9 +17,8 @@ from chernpol.exactcore import (MultiPoly, OutOfDomainError, TruncationPolicy,
 from chernpol.orbits import (enumerate_orbit, orbit_factorization_check,
                              orbit_term, orbit_types)
 from chernpol.rising import (RisingProductSpec, check_weight_bound,
-                             degree_bound, leading_coefficient,
-                             simple_coefficient, stirling_coefficient,
-                             vector_partitions)
+                             leading_coefficient, simple_coefficient,
+                             stirling_coefficient, vector_partitions)
 from chernpol.specialization import (M_plain, M_tilde, M_tilde_values,
                                      eulerian_second, faulhaber,
                                      simplex_moment, stirling_first,
@@ -77,10 +76,33 @@ def test_no_assert_statements():
         assert not found, f"{path.name}: assert at lines {found}"
 
 
-def _scan(node, owners: tuple, defined: set, used: set) -> None:
+def _locals(func) -> set:
+    """The names a function or lambda binds: its parameters, and the names
+    its body assigns or defines outside the functions nested in it."""
+    a = func.args
+    names = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                             a.vararg, a.kwarg) if p}
+    todo = [func.body] if isinstance(func, ast.Lambda) else list(func.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _scan(node, owners: tuple, defined: set, used: set,
+          shadowed: frozenset = frozenset()) -> None:
     """Add to ``defined`` the functions and classes of a module or class
     body below ``node``, and to ``used`` every name referred to below it
-    outside the definitions of that name in ``owners``."""
+    outside the definitions of that name in ``owners``.  A name read inside
+    a function that binds it (``shadowed``) is that function's own, not a
+    reference."""
     for child in ast.iter_child_nodes(node):
         inner = owners
         if (isinstance(node, (ast.Module, ast.ClassDef))
@@ -88,12 +110,16 @@ def _scan(node, owners: tuple, defined: set, used: set) -> None:
             defined.add(child.name)
             inner = owners + (child.name,)
         name = (child.id if isinstance(child, ast.Name)
+                and child.id not in shadowed
                 else child.attr if isinstance(child, ast.Attribute)
                 else child.name if isinstance(child, ast.alias)
                 else None)
         if name not in owners:
             used.add(name)
-        _scan(child, inner, defined, used)
+        _scan(child, inner, defined, used,
+              shadowed | _locals(child) if isinstance(
+                  child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+              else shadowed)
 
 
 def _unreferenced_definitions() -> set:
@@ -348,8 +374,6 @@ NATURAL_INPUTS = {
     "simple_coefficient-E": lambda x: simple_coefficient((x, 1), (1, 2)),
     "simple_coefficient-H": lambda x: simple_coefficient((1, 1), (x, 1)),
     "check_weight_bound": lambda x: check_weight_bound(_SPEC, (x,)),
-    "degree_bound-W": lambda x: degree_bound(_SPEC, (x,), (1,)),
-    "degree_bound-H": lambda x: degree_bound(_SPEC, (1,), (x,)),
     "leading_coefficient-W": lambda x: leading_coefficient(_SPEC, (x,), (1,)),
     "leading_coefficient-H": lambda x: leading_coefficient(_SPEC, (1,), (x,)),
     "M_tilde_values": lambda x: M_tilde_values([(x, 1)]),

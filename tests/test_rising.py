@@ -9,10 +9,9 @@ from chernpol.chern import odd_spec
 from chernpol.exactcore import MultiPoly, TruncationPolicy, UniPoly
 from chernpol.rising import (InvalidBoundError, OutOfDomainError,
                              RisingProductSpec, check_weight_bound,
-                             degree_bound, direct_rising_oracle,
-                             leading_coefficient, mult_factorial,
-                             simple_coefficient, stirling_coefficient,
-                             vector_partitions)
+                             direct_rising_oracle, leading_coefficient,
+                             mult_factorial, simple_coefficient,
+                             stirling_coefficient, vector_partitions)
 from chernpol.specialization import (M_plain, M_tilde, stirling_first,
                                      stirling_second)
 
@@ -292,6 +291,13 @@ def test_check_weight_bound():
     quad_K = RisingProductSpec.single("d", {((1,), 1): 1}, D * D, 1)
     with pytest.raises(InvalidBoundError):
         check_weight_bound(quad_K, (1,))
+
+
+def degree_bound(spec: RisingProductSpec, W, H) -> int:
+    """W(H) + |H|, the d-degree of the Stirling coefficient at H once the
+    table satisfies the linear bound W."""
+    check_weight_bound(spec, W)
+    return sum(w * h for w, h in zip(W, H)) + sum(H)
 
 
 def test_degree_bound_and_leading_stirling_first():
