@@ -33,8 +33,6 @@ from .symfunc import (check_partition, enumerate_partitions, multiplicities,
 # multipoly, record, rising and specialization are imported inside the
 # functions that use them; the closed form loads only specialization, and
 # the Sigma and Fano invariants, which read chern_values, load no record.
-# ChernPolynomial lives in ``record`` and is re-exported here on first use,
-# so reading a cached ChernPolynomial loads no chern at all.
 
 
 def weight_vectors(n: int, d: int):
@@ -167,7 +165,7 @@ def odd_spec() -> RisingProductSpec:
         ((0, 1), 1): D({1: Fraction(-8), 0: Fraction(-4)}),
         ((0, 1), 2): D({0: Fraction(4)}),
     }
-    return RisingProductSpec.single("delta", table, UniPoly.x("delta"), 2)
+    return RisingProductSpec(("delta",), table, UniPoly.x("delta"), 2)
 
 
 def odd_grouped_coefficient(H) -> UniPoly:
@@ -233,12 +231,3 @@ def leading_term(basis: str, lam, n: int):
         return coeff, elementary_degree_bound(lam, n), not proved
     raise ValueError(f"no leading-term formula in basis {basis!r}")
 
-
-def __getattr__(name: str):
-    # PEP 562: ``chern.ChernPolynomial`` is ``record.ChernPolynomial``,
-    # loaded on first use; not stored here, so it always reads record's
-    # binding
-    if name != "ChernPolynomial":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import record
-    return record.ChernPolynomial

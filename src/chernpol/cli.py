@@ -81,10 +81,11 @@ def _json(doc) -> str:
 def factored_str(p: UniPoly) -> str:
     """Display form with rational roots pulled out as linear factors."""
     from .exactcore import rat_to_str
+    from .roots import rational_roots
     if p.is_zero():
         return "0"
     var = p.var
-    roots, rest = p.rational_roots()
+    roots, rest = rational_roots(p)
     parts = []
     for root, mult in roots:
         if root == 0:
@@ -126,13 +127,6 @@ def render_chern(cp: record.ChernPolynomial, fmt: str, factored: bool) -> str:
 # commands
 # ---------------------------------------------------------------------------
 
-def _parse_vector(s: str) -> tuple:
-    try:
-        return tuple(int(x) for x in s.split(",") if x != "")
-    except ValueError:
-        raise UsageError(f"not a comma-separated integer vector: {s!r}")
-
-
 def _get_chern(args) -> record.ChernPolynomial:
     cp = cache_get_or_compute(args.n, args.k, args.cache_dir, args.no_cache)
     return cp.in_basis(args.basis)
@@ -162,13 +156,11 @@ def cmd_stirling_coeff(args) -> str:
         spec = read_json(args.spec_file, rising.RisingProductSpec.from_json)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read spec file {args.spec_file!r}: {exc}")
-    H = _parse_vector(args.type)
-    if len(H) != spec.nx or any(h < 0 for h in H):
-        raise UsageError(f"exponent vector must have length {spec.nx} "
-                         f"and no negative entry")
-    poly = spec._unipoly(rising.stirling_coefficient(spec, H))
+    if len(args.type) != spec.nx:
+        raise UsageError(f"exponent vector must have length {spec.nx}")
+    poly = spec._unipoly(rising.stirling_coefficient(spec, args.type))
     if args.format == "json":
-        return _json({"H": list(H), "coefficient": poly.to_json()})
+        return _json({"H": list(args.type), "coefficient": poly.to_json()})
     return factored_str(poly) if args.factored else repr(poly)
 
 
@@ -177,10 +169,9 @@ def cmd_orbits(args) -> str:
     if args.type is None:
         types = orbits.orbit_types(args.n)
     else:
-        u = _parse_vector(args.type)
-        if not u or sum(u) != args.n or any(x < 1 for x in u):
+        if sum(args.type) != args.n or 0 in args.type:
             raise UsageError(f"--type must be a composition of n={args.n}")
-        types = [u]
+        types = [args.type]
     data = {u: orbits.enumerate_orbit(u, args.d) for u in types}
     if args.format == "json":
         return _json({"n": args.n, "d": args.d,
@@ -264,6 +255,24 @@ def cmd_verify(args) -> str:
 # argument parsing / dispatch
 # ---------------------------------------------------------------------------
 
+def _integer(text: str) -> int:
+    """``text`` as an int: ASCII decimal digits after an optional sign, and
+    nothing else (int() would also take spaces, ``_`` and other scripts'
+    digits)."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def _naturals(text: str) -> tuple:
+    """``text``, integers joined by commas, as a tuple of ints >= 0."""
+    vector = tuple(map(_integer, text.split(",")))
+    if min(vector) < 0:
+        raise ValueError(f"a negative entry: {text!r}")
+    return vector
+
+
 def _basis_name(s: str) -> str:
     """The basis name for a basis's letter (m, e, s, p); names pass through."""
     return next((name for name, letter in BASES.items() if letter == s), s)
@@ -272,11 +281,12 @@ def _basis_name(s: str) -> str:
 # flag -> its type, choices, default and help, shared by the subcommands that
 # take it; a flag whose default is False is a switch and takes no value
 FLAGS = {
-    "n": {"type": int}, "k": {"type": int}, "d": {"type": int},
-    "m": {"type": int}, "r": {"type": int},
+    "n": {"type": _integer}, "k": {"type": _integer},
+    "d": {"type": _integer}, "m": {"type": _integer}, "r": {"type": _integer},
     "basis": {"type": _basis_name, "choices": BASES, "default": "monomial",
               "help": "basis name or letter (m, e, s, p)"},
-    "type": {"help": "comma-separated integer vector"},
+    "type": {"type": _naturals,
+             "help": "comma-separated vector of non-negative integers"},
     "format": {"choices": ["json", "text"], "default": "text"},
     "cache-dir": {"help": f"default ${CACHE_ENV} or ~/.cache/chernpol"},
     "no-cache": {"default": False, "help": "do not use the cache"},

@@ -312,22 +312,6 @@ class UniPoly(_Poly):
                 sums[e] = sums.get(e, 0) + n1 * n2
         return self._new(_rebuilt(sums, D1 * D2))
 
-    def rational_roots(self) -> tuple:
-        """``(roots, cofactor)``: [(root, multiplicity)] of every rational
-        root of a nonzero polynomial, 0 first, then the others in the order
-        of (|numerator|, denominator, sign), positive before negative; and
-        the polynomial divided by prod (var - root)^multiplicity.
-
-        On one integer list A with coefficients a_0..a_N (denominators
-        cleared, d^low divided out): a p-adic lift of the roots of A's
-        square-free part modulo a small prime (``roots._candidates``)
-        proposes the candidates, and each p/q in lowest terms is divided
-        out by synthetic division by ``q·x − p`` for as long as that is
-        exact (Gauss's lemma).
-        """
-        from .roots import rational_roots
-        return rational_roots(self)
-
     # -- evaluation / composition ---------------------------------------
     def __call__(self, value):
         """Horner evaluation; ``value`` may be a Fraction, int, UniPoly or

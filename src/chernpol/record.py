@@ -25,8 +25,7 @@ FORMAT_VERSION = "chernpol-cache-2"
 class ChernPolynomial:
     """Coefficients of c_k as polynomials in d, in one basis."""
 
-    def __init__(self, n: int, k: int, basis: str, terms: dict | None = None,
-                 samples: list | None = None):
+    def __init__(self, n: int, k: int, basis: str, terms: dict | None = None):
         self.n, self.k = as_natural(n, "n"), as_natural(k, "k")
         if basis not in BASES:
             raise ValueError(f"unknown basis {basis!r}")
@@ -40,7 +39,7 @@ class ChernPolynomial:
                 raise ValueError(f"{lam} is not a partition of k = {self.k}")
             self.terms[lam] = p
         # always []; kept for readers of the cache and the benchmark trace
-        self.samples = [] if samples is None else samples
+        self.samples = []
 
     def _key(self) -> tuple:
         return self.n, self.k, self.basis, self.terms, self.samples

@@ -61,7 +61,8 @@ class RisingProductSpec:
     integer-valued bound polynomial K(d).
 
     ``params`` are the parameter names (d_0, ..., d_r); coefficients and K
-    are MultiPoly over the parameters.  ``nx`` is the number of x-variables.
+    are MultiPoly over the parameters, and may be given as a number or, with
+    one parameter, as a UniPoly in it.  ``nx`` is the number of x-variables.
     """
 
     def __init__(self, params, table, K, nx: int):
@@ -97,28 +98,19 @@ class RisingProductSpec:
         E = tuple(E)
         return sorted(m for (e, m) in self.table if e == E)
 
-    # -- single-parameter helpers --------------------------------------
-    @classmethod
-    def single(cls, param: str, table, K, nx: int) -> "RisingProductSpec":
-        """Spec with one parameter; table/K entries may be UniPoly, int or
-        Fraction."""
-        return cls((param,), table, K, nx)
-
+    # -- single-parameter helper ---------------------------------------
     def _unipoly(self, p: MultiPoly) -> UniPoly:
         if len(self.params) != 1:
             raise ValueError("single-parameter spec required")
         return UniPoly({ev[0]: c for ev, c in p.terms.items()},
                        var=self.params[0])
 
-    def K_unipoly(self) -> UniPoly:
-        return self._unipoly(self.K)
-
     # -- serialization (single parameter) -------------------------------
     def to_json(self) -> dict:
         return {
             "params": list(self.params),
             "nx": self.nx,
-            "K": self.K_unipoly().to_json(),
+            "K": self._unipoly(self.K).to_json(),
             "table": [[list(E), m, self._unipoly(c).to_json()]
                       for (E, m), c in sorted(self.table.items())],
         }
@@ -128,8 +120,8 @@ class RisingProductSpec:
         (param,) = data["params"]
         table = unique_keys((((tuple(E), m), UniPoly.from_json(c, var=param))
                              for E, m, c in data["table"]), "table key")
-        return cls.single(param, table, UniPoly.from_json(data["K"], var=param),
-                          data["nx"])
+        return cls((param,), table, UniPoly.from_json(data["K"], var=param),
+                   data["nx"])
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +261,7 @@ def leading_coefficient(spec: RisingProductSpec, W, H) -> Fraction:
     check_weight_bound(spec, W)
     if len(spec.params) != 1:
         raise ValueError("single-parameter spec required")
-    K = spec.K_unipoly()
+    K = spec._unipoly(spec.K)
     if K.degree() != 1 or K.coeff(1) != 1:
         raise ValueError("K must be monic linear for the leading coefficient")
     out = Fraction(1)

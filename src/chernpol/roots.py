@@ -3,8 +3,8 @@ integers: one p-adic lift (Loos, 1983) of the roots of the square-free part
 modulo a small prime proposes the candidates (``_candidates``), and exact
 synthetic division tests them.
 
-Only ``--factored`` output asks for roots, so ``UniPoly.rational_roots``
-imports this module when it is called.
+Only ``--factored`` output asks for roots, so ``cli.factored_str`` imports
+this module when it is called.
 """
 
 from __future__ import annotations
@@ -111,7 +111,13 @@ def _candidates(a: list) -> list:
 
 
 def rational_roots(poly) -> tuple:
-    """``poly.rational_roots()`` for a ``UniPoly``: see that method."""
+    """``(roots, cofactor)`` of a nonzero ``UniPoly``: [(root,
+    multiplicity)] of every rational root, 0 first, then the others in the
+    order of (|numerator|, denominator, sign), positive before negative;
+    and the polynomial divided by prod (var - root)^multiplicity.  Each
+    candidate p/q of ``_candidates``, in lowest terms, is divided out of the
+    integer coefficients a_0..a_N (denominators cleared, d^low divided out)
+    by ``q·x − p`` for as long as that is exact (Gauss's lemma)."""
     if not poly.terms:
         raise ValueError("the zero polynomial has every root")
     low = min(poly.terms)

@@ -56,7 +56,7 @@ def binom_poly(shift, q):
 @criterion(1, "Stirling identities and second-order Eulerian expansion "
               "(d <= 12, h <= 5)")
 def test_criterion_01_stirling_identities():
-    spec = RisingProductSpec.single("d", {((1,), 1): 1}, D, 1)
+    spec = RisingProductSpec(("d",), {((1,), 1): 1}, D, 1)
     for h in range(0, 6):
         p = spec._unipoly(stirling_coefficient(spec, (h,)))
         for d in range(0, 13):
@@ -100,14 +100,14 @@ def test_criterion_03_oracle_equivalence():
                 assert got == direct.terms.get(H, F(0)), (H, d)
 
     # the four worked examples: 1+tx, truncated 1/(1-tx), 1+t x1+t^2 x2, 1+x
-    compare(RisingProductSpec.single("d", {((1,), 1): 1}, D, 1))
-    compare(RisingProductSpec.single(
-        "d", {((a,), a): 1 for a in range(1, 4)}, D, 1))
-    compare(RisingProductSpec.single(
-        "d", {((1, 0), 1): 1, ((0, 1), 2): 1}, D, 2))
-    compare(RisingProductSpec.single("d", {((1,), 0): 1}, D, 1))
+    compare(RisingProductSpec(("d",), {((1,), 1): 1}, D, 1))
+    compare(RisingProductSpec(
+        ("d",), {((a,), a): 1 for a in range(1, 4)}, D, 1))
+    compare(RisingProductSpec(
+        ("d",), {((1, 0), 1): 1, ((0, 1), 2): 1}, D, 2))
+    compare(RisingProductSpec(("d",), {((1,), 0): 1}, D, 1))
     # and 1 + t^2 x (level-2 generalized Stirling numbers)
-    compare(RisingProductSpec.single("d", {((1,), 2): 1}, D, 1))
+    compare(RisingProductSpec(("d",), {((1,), 2): 1}, D, 1))
 
     rng = random.Random(1729)
     for _ in range(20):
@@ -123,8 +123,8 @@ def test_criterion_03_oracle_equivalence():
                         table[(E, m)] = c
         if not table:
             table[(exps[0], 1)] = UniPoly.const(1, var="d")
-        compare(RisingProductSpec.single(
-            "d", table, D + rng.choice([-1, 0, 1]), nx))
+        compare(RisingProductSpec(
+            ("d",), table, D + rng.choice([-1, 0, 1]), nx))
 
 
 @criterion(4, "interpolated Schur coefficients of c_3 for n = 2 and n = 3 "

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chernpol import cli, enumgeo, record, symfunc
-from chernpol.chern import ChernPolynomial, chern_interpolated
+from chernpol.chern import chern_interpolated
 from chernpol.exactcore import UniPoly
+from chernpol.record import ChernPolynomial
 from chernpol.rising import RisingProductSpec
 
 from polyhelpers import from_roots
@@ -190,6 +191,20 @@ def test_chern_eval(capsys, tmp_path):
                            capsys)
     assert code == 0
     assert "e[1]: 6" in out
+    code, out, _ = run_cli(["chern-eval", "--n", "2", "--k", "1", "--d", "3",
+                            "--basis", "e", "--format", "json",
+                            "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert json.loads(out) == {"n": 2, "k": 1, "basis": "elementary", "d": 3,
+                               "terms": [[[1], "6"]]}
+    # d = -1 is the empty product: every coefficient of c_3 is 0
+    argv = ["chern-eval", "--n", "2", "--k", "3", "--d", "-1",
+            "--cache-dir", str(tmp_path)]
+    assert run_cli(argv, capsys) == (
+        0, "c_3(Pol^-1(C^2)) in monomial basis:\n  0\n", "")
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["terms"] == [[[2, 1], "0"], [[3], "0"]]
 
 
 def test_chern_factored(capsys, tmp_path):
@@ -198,10 +213,15 @@ def test_chern_factored(capsys, tmp_path):
                            capsys)
     assert code == 0
     assert "d*(d+1)*(1/2)" in out.replace(" ", "")
+    # c_0 = 1, a nonzero constant with no root
+    code, out, _ = run_cli(["chern", "--n", "2", "--k", "0", "--factored",
+                            "--cache-dir", str(tmp_path)], capsys)
+    assert code == 0
+    assert out == "c_0(Pol^d(C^2)) in monomial basis:\n  m[]: 1\n"
 
 
 def test_stirling_coeff(capsys, tmp_path):
-    spec = RisingProductSpec.single("d", {((1,), 1): 1}, UniPoly.x("d"), 1)
+    spec = RisingProductSpec(("d",), {((1,), 1): 1}, UniPoly.x("d"), 1)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec.to_json()))
     code, out, _ = run_cli(["stirling-coeff", "--spec-file", str(path),
@@ -212,7 +232,7 @@ def test_stirling_coeff(capsys, tmp_path):
 
 
 def test_stirling_coeff_wrong_length(capsys, tmp_path):
-    spec = RisingProductSpec.single("d", {((1,), 1): 1}, UniPoly.x("d"), 1)
+    spec = RisingProductSpec(("d",), {((1,), 1): 1}, UniPoly.x("d"), 1)
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec.to_json()))
     code, _, err = run_cli(["stirling-coeff", "--spec-file", str(path),
@@ -280,6 +300,13 @@ def test_sigma_degree_warning(capsys):
                             "--d", "2"], capsys)
     assert code == 0
     assert "warning" in out
+    code, out, _ = run_cli(["sigma-degree", "--m", "3", "--r", "1",
+                            "--d", "2", "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc == {"d": 2, "m": 3, "r": 1, "degree": "0",
+                   "warnings": enumgeo.sigma_validity_warnings(2, 3, 1)}
+    assert len(doc["warnings"]) == 2
 
 
 def test_fano_degree(capsys):
@@ -450,6 +477,11 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     code, _, _ = run_cli(["chern", "--n", "2", "--k", "1"], capsys)
     assert code == 0
     assert (tmp_path / "chern_n2_k1.json").exists()
+    # without the variable, the cache is under the home directory
+    monkeypatch.delenv(cli.CACHE_ENV)
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    assert cli.default_cache_dir() == str(
+        tmp_path / "home" / ".cache" / "chernpol")
 
 
 def test_unusable_cache_dir_warns_and_answers(capsys, tmp_path):
@@ -517,7 +549,7 @@ def _sealed(payload: dict) -> dict:
 
 
 def _bad_spec(case: str) -> str:
-    spec = RisingProductSpec.single("d", {((1,), 1): 1}, UniPoly.x("d"), 1)
+    spec = RisingProductSpec(("d",), {((1,), 1): 1}, UniPoly.x("d"), 1)
     doc = spec.to_json()
     return _malformed(case, doc, doc["K"], "table")
 
@@ -623,7 +655,7 @@ def test_readme_examples_parse():
 # the reader makes of it
 FLAG_VALUES = {"n": ("3", 3), "k": ("2", 2), "d": ("4", 4), "m": ("3", 3),
                "r": ("1", 1), "basis": ("e", "elementary"),
-               "type": ("2,1", "2,1"), "format": ("json", "json"),
+               "type": ("2,1", (2, 1)), "format": ("json", "json"),
                "cache-dir": ("cache", "cache"), "no-cache": (None, True),
                "method": ("closed", "closed"),
                "spec-file": ("spec.json", "spec.json"),
@@ -693,8 +725,9 @@ def test_help_lists_every_command_and_its_flags(argv, capsys):
 
 @pytest.mark.parametrize("argv, expected", [
     (["chern-eval", "--n", "2", "--k", "1", "--d", "-1"], {"d": -1}),
-    (["orbits", "--n", "3", "--d", "4", "--type", "-1"], {"type": "-1"}),
-    (["chern", "--n", "\u0663", "--k", " 2 ", "--basis", "schur"],
+    (["orbits", "--n", "3", "--d", "4", "--type", "-1"],
+     "--type: invalid value: '-1'"),
+    (["chern", "--n", "+3", "--k", "2", "--basis", "schur"],
      {"n": 3, "k": 2, "basis": "schur"}),
     (["fano-degree", "--d", "3", "--m", "3", "--meth", "closed"],
      {"method": "closed"}),
@@ -704,13 +737,15 @@ def test_help_lists_every_command_and_its_flags(argv, capsys):
      {"basis": "schur"}),
     (["chern", "--n", "2", "--k", "1", "--c", "dir", "--fa"],
      {"cache_dir": "dir", "factored": True}),
-    (["sigma-degree", "--m", "3", "--r", "1", "--d", "--1"], None),
+    (["sigma-degree", "--m", "3", "--r", "1", "--d", "--1"],
+     "--d: invalid value: '--1'"),
 ], ids=["negative", "negative-type", "int-and-basis-name", "abbreviated",
         "equals", "last-wins", "abbreviated-switch", "flag-like-value"])
 def test_parse_args_reads_values(argv, expected):
-    # the token after a flag is always its value
-    if expected is None:
-        with pytest.raises(cli.UsageError, match="--d: invalid value: '--1'"):
+    # the token after a flag is always its value; a string: the usage error
+    # that value gives
+    if isinstance(expected, str):
+        with pytest.raises(cli.UsageError, match=expected):
             cli.parse_args(argv)
     else:
         args = vars(cli.parse_args(argv))
@@ -728,7 +763,7 @@ def test_parse_args_reads_values(argv, expected):
      "unrecognized arguments: '--'"),
     (["chern", "--n", "2", "--k"], "--k: expected one argument"),
     (["chern", "--n", "-x", "--k", "1"], "--n: invalid value: '-x'"),
-    (["orbits", "--n", "3", "--d", "4", "--type", "-1,2"], {"type": "-1,2"}),
+    (["orbits", "--n", "3", "--d", "4", "--type", "1,2"], {"type": (1, 2)}),
     (["chern", "--n", "1.5", "--k", "1"], "--n: invalid value: '1.5'"),
     (["chern", "--n", "2", "--k", "1", "x"], "unrecognized arguments: 'x'"),
     (["chern", "--n", "2", "--k", "1", "--f"],
@@ -779,6 +814,26 @@ def test_usage_error_in_argv_is_one_line(argv, message, capsys):
     assert err == f"usage error: {message}\n"
 
 
+ODD_SPEC = str(Path(__file__).resolve().parents[1] / "bench" / "odd_spec.json")
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("type", "5,,4"), ("type", ",5,4,"), ("type", "5,4,"), ("type", ""),
+    ("type", "5,-4"), ("type", "5, 4"), ("type", "5_0,4"),
+    ("type", "5,\u0664"), ("n", "1_0"), ("n", " 2"), ("n", "\u0663"),
+    ("n", "\u00b2"), ("n", ""), ("n", "+"), ("n", "--"),
+])
+def test_integers_are_ascii_decimal(flag, value, capsys):
+    # an integer is ASCII digits after an optional sign, and a --type entry
+    # is one that is not negative: int() alone would read "1_0" as 10, and
+    # an empty entry of a vector used to be dropped
+    argv = {"type": ["stirling-coeff", "--spec-file", ODD_SPEC],
+            "n": ["chern", "--k", "1", "--no-cache"]}[flag]
+    code, out, err = run_cli(argv + ["--" + flag, value], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"usage error: argument --{flag}: invalid value: {value!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # invalid input and failed cross-checks
 # ---------------------------------------------------------------------------
@@ -806,7 +861,7 @@ def test_invalid_input_exits_cleanly(argv, expected, capsys, tmp_path,
     cache = tmp_path / "cache"
     monkeypatch.setenv(cli.CACHE_ENV, str(cache))
     (tmp_path / "malformed.json").write_text("{not json")
-    spec = RisingProductSpec.single("d", {((1,), 1): 1}, UniPoly.x("d"), 1)
+    spec = RisingProductSpec(("d",), {((1,), 1): 1}, UniPoly.x("d"), 1)
     (tmp_path / "spec.json").write_text(json.dumps(spec.to_json()))
     code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv], capsys)
     assert code == expected
@@ -934,7 +989,7 @@ def fuzz_paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     (root / "file").write_text("")
     (root / "malformed.json").write_text("{not json")
-    spec = RisingProductSpec.single("d", {((1,), 1): 1}, UniPoly.x("d"), 1)
+    spec = RisingProductSpec(("d",), {((1,), 1): 1}, UniPoly.x("d"), 1)
     (root / "spec.json").write_text(json.dumps(spec.to_json()))
     bad = [root / f"bad-spec-{i}.json" for i in range(4)]
     for path, case in zip(bad, MALFORMED):

@@ -38,7 +38,6 @@ SPEC = "bench/odd_spec.json"      # relative to ROOT, the cwd of every query
 README_EXAMPLES = [
     ["chern", "--n", "2", "--k", "1", "--basis", "e"],
     ["chern-eval", "--n", "2", "--k", "1", "--d", "3", "--basis", "e"],
-    ["stirling-coeff", "--spec-file", SPEC, "--type", "2"],
     ["stirling-coeff", "--spec-file", SPEC, "--type", "2,1"],
     ["orbits", "--n", "4", "--d", "8", "--type", "2,1,1"],
     ["sigma-degree", "--m", "3", "--r", "1", "--factored"],

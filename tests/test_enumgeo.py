@@ -19,6 +19,7 @@ from chernpol.exactcore import (InconsistentDataError, MultiPoly,
                                 OutOfDomainError, TruncationPolicy, UniPoly,
                                 xvars)
 from chernpol.multipoly import series_invert
+from chernpol.roots import rational_roots
 from chernpol.symfunc import (alternant_terms, convert_expansion,
                               enumerate_partitions, expand_in_basis,
                               partition_of, to_x_expansion)
@@ -334,7 +335,7 @@ def test_sigma_symbolic_r0_has_no_regime():
 def test_sigma_symbolic_8_3_factors():
     # degree 80; a_0 of the cleared polynomial has 1.9 million divisors
     p = sigma_degree_symbolic(8, 3)
-    roots, cofactor = p.rational_roots()
+    roots, cofactor = rational_roots(p)
     assert roots == [(r, 1) for r in (0, 1, -1, 2, -2, -3)]
     assert p == cofactor * from_roots([0, 1, -1, 2, -2, -3])
 

@@ -4,8 +4,10 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -42,8 +44,9 @@ EXPORTED = {
     "rising": ("RisingProductSpec", "direct_rising_oracle",
                "leading_coefficient", "simple_coefficient",
                "stirling_coefficient", "vector_partitions"),
-    "chern": ("ChernPolynomial", "chern_direct", "chern_interpolated",
-              "euler_c2_closed", "leading_term", "odd_grouped_coefficient"),
+    "record": ("ChernPolynomial",),
+    "chern": ("chern_direct", "chern_interpolated", "euler_c2_closed",
+              "leading_term", "odd_grouped_coefficient"),
     "orbits": ("enumerate_orbit", "orbit_factorization_check", "orbit_term",
                "orbit_types"),
     "enumgeo": ("chern_grassmannian", "expected_dimension", "fano_chi_lines",
@@ -321,9 +324,25 @@ def test_no_module_imports_argparse():
         assert not found, f"{path.name}: argparse imported at lines {found}"
 
 
+def test_only_the_package_and_exactcore_resolve_names_lazily():
+    # a module-level __getattr__ (PEP 562) gives a name a second home: the
+    # package's lazy namespace and exactcore's names from multipoly are the
+    # only ones, so a re-export such as chern.ChernPolynomial cannot return
+    found = []
+    for path in sorted(Path(chernpol.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [node])
+            if "__getattr__" in {getattr(t, "name", getattr(t, "id", None))
+                                 for t in targets}:
+                found.append(path.name)
+    assert found == ["__init__.py", "exactcore.py"]
+
+
 # where int() may still be called: it parses text, it is the rule itself,
 # and it counts a bool
-INT_CALLS_ALLOWED = {("cli", "_parse_vector"), ("exactcore", "_integral"),
+INT_CALLS_ALLOWED = {("cli", "_integer"), ("exactcore", "_integral"),
                      ("symfunc", "_product_count")}
 
 
@@ -350,7 +369,7 @@ def test_integer_inputs_are_checked_in_one_place():
 
 
 _D = UniPoly.x("d")
-_SPEC = RisingProductSpec.single("d", {((1,), 1): 1}, _D, 1)  # prod (1 + t x)
+_SPEC = RisingProductSpec(("d",), {((1,), 1): 1}, _D, 1)  # prod (1 + t x)
 
 # an entry point for each integer input, as a function of that integer; the
 # key is "name-parameter", or "name" for a callable's only int parameter
@@ -364,12 +383,12 @@ NATURAL_INPUTS = {
     "power": lambda x: (_D + 1) ** x,
     "MultiPoly": lambda x: MultiPoly(("a",), {(x,): 1}),
     "vector_partitions": lambda x: vector_partitions((x, 1)),
-    "RisingProductSpec-E": lambda x: RisingProductSpec.single(
-        "d", {((x,), 1): 1}, _D, 1).to_json(),
-    "RisingProductSpec-m": lambda x: RisingProductSpec.single(
-        "d", {((1,), x): 1}, _D, 1).to_json(),
-    "RisingProductSpec-nx": lambda x: RisingProductSpec.single(
-        "d", {}, _D, x).to_json(),
+    "RisingProductSpec-E": lambda x: RisingProductSpec(
+        ("d",), {((x,), 1): 1}, _D, 1).to_json(),
+    "RisingProductSpec-m": lambda x: RisingProductSpec(
+        ("d",), {((1,), x): 1}, _D, 1).to_json(),
+    "RisingProductSpec-nx": lambda x: RisingProductSpec(
+        ("d",), {}, _D, x).to_json(),
     "stirling_coefficient": lambda x: stirling_coefficient(_SPEC, (x,)),
     "simple_coefficient-E": lambda x: simple_coefficient((x, 1), (1, 2)),
     "simple_coefficient-H": lambda x: simple_coefficient((1, 1), (x, 1)),
@@ -482,6 +501,83 @@ def test_integer_inputs_follow_one_rule(name):
     for bad in (1.5, "2", True):
         with pytest.raises(ValueError, match=rule):
             f(bad)
+
+
+_TWO = ("d0", "d1")
+_TWO_PARAMS = RisingProductSpec(_TWO, {((1,), 1): 1},
+                                MultiPoly(_TWO, {(1, 0): 1, (0, 1): 1}), 1)
+
+# an entry point for each ValueError branch of the library that rejects a
+# malformed argument: (the call, the exact class, a fragment of the message)
+VALUE_ERRORS = {
+    "chern_interpolated-basis": (
+        lambda: chern.chern_interpolated(2, 1, "x"), ValueError,
+        "unknown basis 'x'"),
+    "convert_expansion-basis": (
+        lambda: symfunc.convert_expansion({(1,): 1}, "monomial", "x", 2),
+        ValueError, "unknown basis 'x'"),
+    "expand_in_basis-basis": (
+        lambda: symfunc.expand_in_basis(MultiPoly(("x1",), {(1,): 1}), "x"),
+        ValueError, "unknown basis 'x'"),
+    "leading_term-power": (
+        lambda: chern.leading_term("power", (1,), 2), ValueError,
+        "no leading-term formula in basis 'power'"),
+    "grassmann_integral-k": (
+        lambda: enumgeo.grassmann_integral(lambda alpha: 1, 3, 2),
+        ValueError, "need 1 <= k <= n_amb"),
+    "fano_chi_lines-method": (
+        lambda: enumgeo.fano_chi_lines(4, 4, method="x"),
+        enumgeo.UnsupportedMethodError, "unknown method 'x'"),
+    "enumerate_orbit-zero-part": (
+        lambda: enumerate_orbit((0, 2), 4), ValueError,
+        "orbit type parts must be positive"),
+    "simplex_moment-empty": (
+        lambda: simplex_moment(()), ValueError, "alpha must be non-empty"),
+    "MultiPoly-exponent-length": (
+        lambda: MultiPoly(("a", "b"), {(1,): 1}), ValueError,
+        "exponent vector length mismatch"),
+    "interpolate-too-few-points": (
+        lambda: interpolate([(0, 1)], 1), ValueError,
+        "need at least degree_bound+1 points"),
+    "RisingProductSpec-E-length": (
+        lambda: RisingProductSpec(("d",), {((1, 0), 1): 1}, _D, 1),
+        ValueError, "exponent vector length mismatch"),
+    "RisingProductSpec-MultiPoly-parameter": (
+        lambda: RisingProductSpec(("d",), {((1,), 1): MultiPoly(
+            ("e",), {(1,): 1})}, _D, 1), ValueError, "parameter mismatch"),
+    "RisingProductSpec-UniPoly-parameter": (
+        lambda: RisingProductSpec(("d",), {((1,), 1): UniPoly.x("e")}, _D,
+                                  1), ValueError, "parameter mismatch"),
+    "_unipoly-two-parameters": (
+        lambda: _TWO_PARAMS._unipoly(_TWO_PARAMS.K), ValueError,
+        "single-parameter spec required"),
+    "stirling_coefficient-H-length": (
+        lambda: stirling_coefficient(_SPEC, (1, 1)), ValueError,
+        "H must have length nx"),
+    "simple_coefficient-length": (
+        lambda: simple_coefficient((1,), (1, 1)), ValueError,
+        "E and H must have equal length"),
+    "leading_coefficient-two-parameters": (
+        lambda: leading_coefficient(_TWO_PARAMS, (1,), (1,)), ValueError,
+        "single-parameter spec required"),
+    "leading_coefficient-K-not-monic": (
+        lambda: leading_coefficient(RisingProductSpec(
+            ("d",), {((1,), 1): 1}, 2 * _D, 1), (1,), (1,)), ValueError,
+        "K must be monic linear"),
+    "direct_rising_oracle-K-not-integral": (
+        lambda: rising.direct_rising_oracle(RisingProductSpec(
+            ("d",), {((1,), 1): 1}, _D.scale(F(1, 2)), 1), (1,),
+            TruncationPolicy(1)),
+        OutOfDomainError, "K must evaluate to an integer"),
+}
+
+
+@pytest.mark.parametrize("name", VALUE_ERRORS)
+def test_malformed_arguments_raise_value_errors(name):
+    call, cls, fragment = VALUE_ERRORS[name]
+    with pytest.raises(ValueError, match=re.escape(fragment)) as info:
+        call()
+    assert type(info.value) is cls
 
 
 def _integer_parameters() -> list:

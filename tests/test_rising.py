@@ -23,24 +23,24 @@ D = UniPoly.x("d")
 
 def spec_stirling_first():
     """prod_{t=0}^d (1 + t x)."""
-    return RisingProductSpec.single("d", {((1,), 1): 1}, D, 1)
+    return RisingProductSpec(("d",), {((1,), 1): 1}, D, 1)
 
 
 def spec_binomial():
     """prod_{t=0}^d (1 + x) = (1+x)^(d+1)."""
-    return RisingProductSpec.single("d", {((1,), 0): 1}, D, 1)
+    return RisingProductSpec(("d",), {((1,), 0): 1}, D, 1)
 
 
 def spec_stirling_second(A=4):
     """prod_{t=0}^d (1 + t x + t^2 x^2 + ... + t^A x^A)."""
-    return RisingProductSpec.single(
-        "d", {((a,), a): 1 for a in range(1, A + 1)}, D, 1)
+    return RisingProductSpec(
+        ("d",), {((a,), a): 1 for a in range(1, A + 1)}, D, 1)
 
 
 def spec_two_vars():
     """prod_{t=0}^d (1 + t x1 + t^2 x2)."""
-    return RisingProductSpec.single(
-        "d", {((1, 0), 1): 1, ((0, 1), 2): 1}, D, 2)
+    return RisingProductSpec(
+        ("d",), {((1, 0), 1): 1, ((0, 1), 2): 1}, D, 2)
 
 
 def spec_two_params():
@@ -157,7 +157,7 @@ def _random_spec(rng):
     if not table:
         table[(exps[0], 1)] = UniPoly.const(1, var="d")
     K = D + rng.choice([-1, 0, 1])
-    return RisingProductSpec.single("d", table, K, nx)
+    return RisingProductSpec(("d",), table, K, nx)
 
 
 def test_formula_matches_oracle_two_params():
@@ -240,7 +240,7 @@ def test_stirling_coefficient_needs_no_vector_partitions(monkeypatch):
 
 
 def test_empty_product_and_domain():
-    spec = RisingProductSpec.single("d", {((1,), 1): 1}, D - 1, 1)
+    spec = RisingProductSpec(("d",), {((1,), 1): 1}, D - 1, 1)
     out = direct_rising_oracle(spec, (0,), TruncationPolicy(3))
     assert out == MultiPoly.const(1, ("x1",))  # K = -1: empty product
     with pytest.raises(OutOfDomainError):
@@ -270,7 +270,7 @@ def test_simple_coefficient_agrees_with_formula():
         nx = len(E)
         table = {(tuple(1 if j == s else 0 for j in range(nx)), E[s]): 1
                  for s in range(nx)}
-        spec = RisingProductSpec.single("d", table, D, nx)
+        spec = RisingProductSpec(("d",), table, D, nx)
         for H in itertools.product(range(1, 3), repeat=nx):
             sc = spec._unipoly(stirling_coefficient(spec, H))
             multinom, lam = simple_coefficient(E, H)
@@ -288,7 +288,7 @@ def test_check_weight_bound():
     check_weight_bound(spec, (1,))
     with pytest.raises(InvalidBoundError):
         check_weight_bound(spec, (0,))
-    quad_K = RisingProductSpec.single("d", {((1,), 1): 1}, D * D, 1)
+    quad_K = RisingProductSpec(("d",), {((1,), 1): 1}, D * D, 1)
     with pytest.raises(InvalidBoundError):
         check_weight_bound(quad_K, (1,))
 
@@ -344,9 +344,9 @@ def test_spec_json_roundtrip():
                                   ((1.7,), 1), (("1",), 1)])
 def test_spec_rejects_non_natural_entries(E, m):
     with pytest.raises(ValueError, match="non-negative integer"):
-        RisingProductSpec.single("d", {(E, m): 1}, D, 1)
+        RisingProductSpec(("d",), {(E, m): 1}, D, 1)
 
 
 def test_spec_rejects_zero_exponent_vector():
     with pytest.raises(ValueError):
-        RisingProductSpec.single("d", {((0,), 1): 1}, D, 1)
+        RisingProductSpec(("d",), {((0,), 1): 1}, D, 1)
