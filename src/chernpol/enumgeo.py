@@ -23,18 +23,6 @@ from .symfunc import (alternant_terms, catalan_triangle, convert_expansion,
                       enumerate_partitions, partition_of, schur_coefficient)
 
 
-class EmptyFanoError(OutOfDomainError):
-    """The expected dimension is negative: the generic Fano scheme is empty."""
-
-
-class UnsupportedDegreeError(OutOfDomainError):
-    """Hypersurface degree outside the supported regime."""
-
-
-class UnsupportedMethodError(OutOfDomainError):
-    pass
-
-
 def expected_dimension(d: int, m: int, r: int) -> int:
     """delta(d,m,r) = (r+1)(m-r) - binom(r+d, r), the binomial being the
     number of degree-d monomials in r+1 variables (none for d < 0)."""
@@ -44,14 +32,20 @@ def expected_dimension(d: int, m: int, r: int) -> int:
     return (r + 1) * (m - r) - (comb(r + d, r) if d >= 0 else 0)
 
 
+def _check_grassmannian(k: int, n_amb: int) -> tuple:
+    """(k, n_amb) as naturals, if Gr_k(C^n_amb) exists: 1 <= k <= n_amb."""
+    k, n_amb = as_natural(k, "k"), as_natural(n_amb, "n_amb")
+    if not 1 <= k <= n_amb:
+        raise ValueError("need 1 <= k <= n_amb")
+    return k, n_amb
+
+
 def grassmann_integral(coef, k: int, n_amb: int):
     """Coefficient of the volume form s_((n_amb-k)^k) in a symmetric class
     on Gr_k(C^n_amb) with coefficient ``coef(alpha)`` at x^alpha, read by
     the alternant (``symfunc.schur_coefficient``) at its at most k!
     exponents, all of degree k(n_amb-k)."""
-    k, n_amb = as_natural(k, "k"), as_natural(n_amb, "n_amb")
-    if not (1 <= k <= n_amb):
-        raise ValueError("need 1 <= k <= n_amb")
+    k, n_amb = _check_grassmannian(k, n_amb)
     return schur_coefficient(coef, (n_amb - k,) * k, k)
 
 
@@ -61,7 +55,7 @@ def chern_grassmannian(k: int, n_amb: int, degree: int, ds=()) -> dict:
     As T Gr = S^* (x) C^n_amb - S^* (x) S, p_j(T Gr) = n_amb p_j(x) - sum
     over a != b of (x_a - x_b)^j: n_amb - (k-1)(1+(-1)^j) at x_a^j,
     -C(j,i)((-1)^(j-i) + (-1)^i) at x_a^i x_b^(j-i), 0 at the rest."""
-    k, n_amb = as_natural(k, "k"), as_natural(n_amb, "n_amb")
+    k, n_amb = _check_grassmannian(k, n_amb)
     degree, ds = as_natural(degree, "degree"), naturals(ds, "a form degree")
     pol = pol_power_sums(k, degree, ds)
 
@@ -175,10 +169,10 @@ def _check_fano_domain(d: int, m: int) -> tuple:
     # carry lines and the closed formulas remain valid there
     d, m = as_int(d, "d"), as_int(m, "m")
     if d < 2:
-        raise UnsupportedDegreeError("need hypersurface degree d >= 2")
+        raise OutOfDomainError("need hypersurface degree d >= 2")
     delta = expected_dimension(d, m, 1)
     if delta < 0:
-        raise EmptyFanoError(
+        raise OutOfDomainError(
             "negative expected dimension: the generic Fano scheme is empty")
     return d, m, delta
 
@@ -208,7 +202,7 @@ def fano_degree_lines(d: int, m: int, method: str = "closed") -> int:
                     for mu in enumerate_partitions(delta, max_length=2)}
         val = _integrate_pol_class(2, m + 1, [d], delta, e1_power)[0]
         return as_integer(val, f"Fano degree ({d}, {m})")
-    raise UnsupportedMethodError(f"unknown method {method!r}")
+    raise ValueError(f"unknown method {method!r}")
 
 
 def fano_chi_lines(d: int, m: int, method: str = "closed") -> int:
@@ -218,7 +212,7 @@ def fano_chi_lines(d: int, m: int, method: str = "closed") -> int:
     latter's Schur expansion; integral: the alternant on the product."""
     d, m, delta = _check_fano_domain(d, m)
     if method not in ("closed", "integral"):
-        raise UnsupportedMethodError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {method!r}")
     quotient = chern_grassmannian(2, m + 1, delta, (d,))
     if method == "closed":
         val = _pair_with_euler_class(

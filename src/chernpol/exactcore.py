@@ -11,9 +11,9 @@ products turn their integer sums back into ``Fraction``s once, on exit
 (``_rebuilt``).  Arithmetic results are built by ``_new``, which trusts its
 terms; ``__init__`` validates terms that come from outside.
 
-This is all a cached query needs.  ``MultiPoly``, Lagrange ``interpolate``
-and ``series_invert`` live in ``multipoly`` and the rational-root search in
-``roots``; both load on first use.  Those three names also resolve here
+This is all a cached query needs.  ``MultiPoly``, ``interpolate`` (Newton's
+divided differences) and ``series_invert`` live in ``multipoly`` and the
+rational-root search in ``roots``; both load on first use.  Those three names also resolve here
 (``exactcore.MultiPoly`` is ``multipoly.MultiPoly``).
 """
 

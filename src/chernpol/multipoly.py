@@ -1,5 +1,5 @@
-"""Sparse multivariate polynomials over Q, Lagrange interpolation with
-consistency guards, and truncated power-series inversion.
+"""Sparse multivariate polynomials over Q, interpolation by Newton's divided
+differences with consistency guards, and truncated power-series inversion.
 
 ``MultiPoly`` holds products in x1..xn, which only ``chern.chern_direct`` and
 the oracles build, and the parameter polynomials of rising products and their

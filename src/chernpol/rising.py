@@ -20,10 +20,6 @@ from .specialization import M_tilde_values
 from .symfunc import dominance_key, mult_factorial
 
 
-class InvalidBoundError(ValueError):
-    """The proposed linear form does not bound the coefficient table."""
-
-
 # ---------------------------------------------------------------------------
 # vector partitions
 # ---------------------------------------------------------------------------
@@ -60,13 +56,20 @@ class RisingProductSpec:
     """A finitely supported coefficient table P_{E,m}(d) together with the
     integer-valued bound polynomial K(d).
 
-    ``params`` are the parameter names (d_0, ..., d_r); coefficients and K
-    are MultiPoly over the parameters, and may be given as a number or, with
-    one parameter, as a UniPoly in it.  ``nx`` is the number of x-variables.
+    ``params`` are the parameter names (d_0, ..., d_r), distinct
+    identifiers; coefficients and K are MultiPoly over the parameters, and
+    may be given as a number or, with one parameter, as a UniPoly in it.
+    ``nx`` is the number of x-variables.  K must be an integer at every
+    a in N^(r+1) with |a| <= deg K, which makes it integer-valued: its
+    Newton coefficients are integer combinations of those values.
     """
 
     def __init__(self, params, table, K, nx: int):
         self.params = tuple(params)
+        if len(set(self.params)) != len(self.params) or not all(
+                isinstance(p, str) and p.isidentifier() for p in self.params):
+            raise ValueError(f"parameter names must be distinct identifiers,"
+                             f" not {list(self.params)!r}")
         self.nx = as_natural(nx, "nx")
         self.table: dict[tuple, MultiPoly] = {}
         for (E, m), coeff in table.items():
@@ -80,6 +83,15 @@ class RisingProductSpec:
             if not coeff.is_zero():
                 self.table[(E, m)] = coeff
         self.K = self._coerce(K)
+        # a point a with |a| <= deg K: deg K picks among the parameters and
+        # one slack
+        for picks in itertools.combinations_with_replacement(
+                range(len(self.params) + 1), self.K.total_degree() or 0):
+            point = [picks.count(i) for i in range(len(self.params))]
+            value = self.K.evaluate(dict(zip(self.params, point)))
+            if value.denominator != 1:
+                raise ValueError(f"K must be integer-valued, but K"
+                                 f"({', '.join(map(str, point))}) = {value}")
 
     def _coerce(self, c) -> MultiPoly:
         if isinstance(c, MultiPoly):
@@ -243,10 +255,10 @@ def check_weight_bound(spec: RisingProductSpec, W) -> None:
     for (E, m) in spec.table:
         bound = sum(w * e for w, e in zip(W, E))
         if _table_degree(spec, E, m) > bound:
-            raise InvalidBoundError(
+            raise ValueError(
                 f"table entry at E={E}, m={m} violates the linear bound")
     if spec.K.total_degree() not in (None, 0, 1):
-        raise InvalidBoundError("bound polynomial K must be linear")
+        raise ValueError("bound polynomial K must be linear")
 
 
 def leading_coefficient(spec: RisingProductSpec, W, H) -> Fraction:

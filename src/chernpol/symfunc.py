@@ -18,14 +18,6 @@ from .exactcore import (InconsistentDataError, as_int, as_integer, as_natural,
                         naturals, xvars)
 
 
-class InvalidIndexError(ValueError):
-    """Partition does not index a basis element in this many variables."""
-
-
-class NotSymmetricError(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
@@ -141,11 +133,9 @@ def validate_basis_index(basis: str, lam: tuple, n: int) -> None:
         raise ValueError(f"unknown basis {basis!r}")
     check_partition(lam)
     if basis in ("monomial", "schur") and len(lam) > n:
-        raise InvalidIndexError(
-            f"{basis} index {lam} has length > {n} variables")
+        raise ValueError(f"{basis} index {lam} has length > {n} variables")
     if basis == "elementary" and any(p > n for p in lam):
-        raise InvalidIndexError(
-            f"elementary index {lam} has a part > {n} variables")
+        raise ValueError(f"elementary index {lam} has a part > {n} variables")
 
 
 def _monomial_row(basis: str, lam: tuple, n: int) -> dict:
@@ -229,7 +219,7 @@ def expand_in_basis(f: MultiPoly, basis: str) -> dict:
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
     if not f.is_symmetric():
-        raise NotSymmetricError("input is not symmetric in its variables")
+        raise ValueError("input is not symmetric in its variables")
     mono = {partition_of(ev): c for ev, c in f.terms.items()}
     return convert_expansion(mono, "monomial", basis, len(f.vars))
 

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chernpol import cli, enumgeo, record, symfunc
+from chernpol import chern, cli, enumgeo, orbits, record, symfunc
 from chernpol.chern import chern_interpolated
 from chernpol.exactcore import UniPoly
 from chernpol.record import ChernPolynomial
@@ -45,13 +45,15 @@ def test_unknown_command_is_usage_error(capsys):
 
 
 def test_domain_error_exit_code(capsys):
-    code, out, err = run_cli(["fano-degree", "--d", "4", "--m", "3"], capsys)
-    assert code == cli.EXIT_DOMAIN
-    assert "domain error" in err
-    code, out, err = run_cli(["fano-degree", "--d", "4", "--m", "3",
-                              "--format", "json"], capsys)
-    assert code == cli.EXIT_DOMAIN
-    assert json.loads(err)["error"] == "EmptyFanoError"
+    # an empty Fano scheme, and a degree d < 2: one error name for exit 3
+    for d in ("4", "1"):
+        code, out, err = run_cli(["fano-degree", "--d", d, "--m", "3"], capsys)
+        assert code == cli.EXIT_DOMAIN
+        assert err.startswith("domain error: ")
+        code, out, err = run_cli(["fano-degree", "--d", d, "--m", "3",
+                                  "--format", "json"], capsys)
+        assert code == cli.EXIT_DOMAIN
+        assert json.loads(err)["error"] == "OutOfDomainError"
 
 
 def _python(*args, **kwargs) -> subprocess.CompletedProcess:
@@ -919,8 +921,23 @@ def test_other_exceptions_escape_main(error, capsys, monkeypatch):
 
 def test_failed_verify_exits_check(capsys, monkeypatch):
     # each check forced false by one patch: (owner, name, replacement,
-    # the start of its FAIL line)
+    # the start of its FAIL line); a check that raises fails with the
+    # message as its detail
+    def no_closed_form(d, m):
+        raise ArithmeticError("no closed form")
+
     patches = [
+        (ChernPolynomial, "evaluate", lambda self, d: {},
+         "FAIL: closed form matches direct product"),
+        (chern, "euler_c2_closed", lambda d: [(0, -1)],
+         "FAIL: Euler closed formula"),
+        (enumgeo, "fano_degree_lines",
+         lambda d, m, method: {"closed": 27, "integral": 28}[method],
+         "FAIL: Fano degree methods agree"),
+        (orbits, "orbit_factorization_check", lambda n, d, policy: False,
+         "FAIL: orbit factorization"),
+        (enumgeo, "sigma_degree_hyperplane", no_closed_form,
+         "FAIL: Sigma closed form for r = m-1 (d=4, m=3) (no closed form)\n"),
         (enumgeo, "fano_chi_lines",
          lambda d, m, method: {"closed": 1, "integral": 2}[method],
          "FAIL: Fano chi closed"),
@@ -1051,11 +1068,17 @@ def test_fuzz_argv_exits_cleanly(data, fuzz_paths):
         code = cli.main(argv)
     assert code in {0, cli.EXIT_USAGE, cli.EXIT_DOMAIN, cli.EXIT_CHECK}
     assert "Traceback" not in err.getvalue()
+    # the last valid --format decides (every flag is drawn in full, and no
+    # value is "--format")
+    formats = [b for a, b in zip(argv, argv[1:])
+               if a == "--format" and b in cli.FLAGS["format"]["choices"]]
+    if code in (cli.EXIT_DOMAIN, cli.EXIT_CHECK) and formats[-1:] == ["json"]:
+        # one error name for each exit code; warnings may come first
+        name = json.loads(err.getvalue().splitlines()[-1])["error"]
+        assert name == {cli.EXIT_DOMAIN: "OutOfDomainError",
+                        cli.EXIT_CHECK: "InconsistentDataError"}[code], argv
     if code == cli.EXIT_USAGE:
-        # one line on stderr; the JSON body if the last valid --format asks
-        # for it (every flag is drawn in full, and no value is "--format")
-        formats = [b for a, b in zip(argv, argv[1:])
-                   if a == "--format" and b in cli.FLAGS["format"]["choices"]]
+        # one line on stderr; the JSON body if --format asks for it
         last, *rest = err.getvalue().split("\n")[::-1]
         assert (last, len(rest)) == ("", 1), err.getvalue()
         line = rest[0]

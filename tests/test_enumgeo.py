@@ -7,14 +7,12 @@ import pytest
 
 from chernpol import enumgeo
 from chernpol.chern import chern_direct, chern_interpolated, euler_c2_closed
-from chernpol.enumgeo import (EmptyFanoError, UnsupportedDegreeError,
-                              UnsupportedMethodError, chern_grassmannian,
-                              chi_deg_ratio_check, euler_class_c2,
-                              expected_dimension, fano_chi_lines,
-                              fano_degree_lines, grassmann_integral,
-                              sigma_degree, sigma_degree_hyperplane,
-                              sigma_degree_leading, sigma_degree_symbolic,
-                              sigma_validity_warnings)
+from chernpol.enumgeo import (chern_grassmannian, chi_deg_ratio_check,
+                              euler_class_c2, expected_dimension,
+                              fano_chi_lines, fano_degree_lines,
+                              grassmann_integral, sigma_degree,
+                              sigma_degree_hyperplane, sigma_degree_leading,
+                              sigma_degree_symbolic, sigma_validity_warnings)
 from chernpol.exactcore import (InconsistentDataError, MultiPoly,
                                 OutOfDomainError, TruncationPolicy, UniPoly,
                                 xvars)
@@ -395,12 +393,14 @@ def _euler_coefficient(d, j):
 
 
 def test_fano_domain_checks():
-    with pytest.raises(EmptyFanoError):
+    with pytest.raises(OutOfDomainError, match="Fano scheme is empty"):
         fano_degree_lines(4, 3)
-    with pytest.raises(UnsupportedDegreeError):
+    with pytest.raises(OutOfDomainError, match="degree d >= 2"):
         fano_degree_lines(1, 5)
-    with pytest.raises(UnsupportedMethodError):
+    # a malformed argument, not an input outside the domain
+    with pytest.raises(ValueError, match="unknown method 'guess'") as info:
         fano_degree_lines(3, 3, "guess")
+    assert type(info.value) is ValueError
     # d = 2 with lines present is in-domain
     assert fano_degree_lines(2, 3, "closed") == \
         fano_degree_lines(2, 3, "integral")

@@ -326,10 +326,12 @@ def test_shared_arithmetic_on_both_classes():
     assert repr(f ** 2 - 1) == "-1 + 1/4*x2^2 - x1*x2 + x1^2"
     assert repr(3 - f.scale(2)) == "3 + x2 - 2*x1"
     assert f * F(2) == f.scale(2) == f + f
-    assert (f - f).is_zero()
+    assert (f - f).is_zero() and (-f + f).is_zero()
+    assert repr(-f) == "1/2*x2 - x1" and isinstance(-f, MultiPoly)
     p = UniPoly({2: F(-1), 0: F(1, 3)})
     assert repr(p ** 2 - 1) == "d^4 - 2/3*d^2 - 8/9"
     assert repr(2 - p.scale(3)) == "3*d^2 + 1"
+    assert repr(-p) == "d^2 - 1/3" and isinstance(-p, UniPoly)
     assert repr(UniPoly({1: F(-1)})) == "-d"
 
 

@@ -146,6 +146,28 @@ def test_one_out_of_domain_error():
     assert chern.OutOfDomainError is rising.OutOfDomainError
 
 
+# the package's exception classes: a malformed argument is a plain
+# ValueError, so each CLI exit code reaches a JSON reader under one error
+# name; DuplicateAbscissaError and NotInvertibleError are exported, and go
+# with interpolate and series_invert, the only code that raises them
+ERROR_CLASSES = {("cli", "UsageError"), ("exactcore", "OutOfDomainError"),
+                 ("exactcore", "InconsistentDataError"),
+                 ("exactcore", "DuplicateAbscissaError"),
+                 ("exactcore", "NotInvertibleError")}
+
+
+def test_the_package_defines_no_other_error_classes():
+    found = set()
+    for path in Path(chernpol.__file__).parent.glob("*.py"):
+        name = "chernpol" + ("" if path.stem == "__init__"
+                             else "." + path.stem)
+        module = importlib.import_module(name)
+        found |= {(path.stem, obj.__name__) for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == name}
+    assert found == ERROR_CLASSES
+
+
 def test_one_bases():
     # defined in the package itself, where the CLI's flag schema reads it
     assert chernpol.BASES is symfunc.BASES is chern.BASES is cli.BASES
@@ -416,7 +438,7 @@ NATURAL_INPUTS = {
     "chern_grassmannian-k": lambda x: enumgeo.chern_grassmannian(
         x, 4, 1, (3,)),
     "chern_grassmannian-n_amb": lambda x: enumgeo.chern_grassmannian(
-        2, x, 1, (3,)),
+        1, x, 1, (3,)),
     "chern_grassmannian-degree": lambda x: enumgeo.chern_grassmannian(
         2, 4, x, (3,)),
     "chern_grassmannian-ds": lambda x: enumgeo.chern_grassmannian(
@@ -525,9 +547,12 @@ VALUE_ERRORS = {
     "grassmann_integral-k": (
         lambda: enumgeo.grassmann_integral(lambda alpha: 1, 3, 2),
         ValueError, "need 1 <= k <= n_amb"),
+    "chern_grassmannian-k": (
+        lambda: enumgeo.chern_grassmannian(3, 2, 1), ValueError,
+        "need 1 <= k <= n_amb"),
     "fano_chi_lines-method": (
-        lambda: enumgeo.fano_chi_lines(4, 4, method="x"),
-        enumgeo.UnsupportedMethodError, "unknown method 'x'"),
+        lambda: enumgeo.fano_chi_lines(4, 4, method="x"), ValueError,
+        "unknown method 'x'"),
     "enumerate_orbit-zero-part": (
         lambda: enumerate_orbit((0, 2), 4), ValueError,
         "orbit type parts must be positive"),
@@ -564,10 +589,22 @@ VALUE_ERRORS = {
         lambda: leading_coefficient(RisingProductSpec(
             ("d",), {((1,), 1): 1}, 2 * _D, 1), (1,), (1,)), ValueError,
         "K must be monic linear"),
+    "RisingProductSpec-params-not-names": (
+        lambda: RisingProductSpec((5,), {}, 1, 1), ValueError,
+        "parameter names must be distinct identifiers, not [5]"),
+    "RisingProductSpec-params-repeated": (
+        lambda: RisingProductSpec(("d", "d"), {}, 1, 1), ValueError,
+        "parameter names must be distinct identifiers"),
+    "RisingProductSpec-K-not-integral": (
+        lambda: RisingProductSpec(("d",), {}, F(1, 2), 1), ValueError,
+        "K must be integer-valued, but K(0) = 1/2"),
+    "RisingProductSpec-K-not-integer-valued": (
+        lambda: RisingProductSpec(_TWO, {}, MultiPoly(_TWO, {(1, 1): F(1, 2)}),
+                                  1), ValueError,
+        "K must be integer-valued, but K(1, 1) = 1/2"),
     "direct_rising_oracle-K-not-integral": (
-        lambda: rising.direct_rising_oracle(RisingProductSpec(
-            ("d",), {((1,), 1): 1}, _D.scale(F(1, 2)), 1), (1,),
-            TruncationPolicy(1)),
+        lambda: rising.direct_rising_oracle(_SPEC, (F(1, 2),),
+                                            TruncationPolicy(1)),
         OutOfDomainError, "K must evaluate to an integer"),
 }
 

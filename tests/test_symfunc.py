@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from chernpol import symfunc
 from chernpol.exactcore import InconsistentDataError, MultiPoly, UniPoly, xvars
-from chernpol.symfunc import (BASES, InvalidIndexError, NotSymmetricError,
-                              catalan_triangle, check_partition, conjugate,
-                              convert_expansion, dominance_key,
+from chernpol.symfunc import (BASES, catalan_triangle, check_partition,
+                              conjugate, convert_expansion, dominance_key,
                               enumerate_partitions, expand_in_basis,
                               is_partition, multiplicities, partition_of,
                               schur_coefficient, syt_count, to_x_expansion)
@@ -188,11 +187,11 @@ def test_products_are_their_factors_multiplied():
 
 
 def test_invalid_indices():
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(ValueError, match="has length > 2 variables"):
         to_x_expansion("monomial", (1, 1, 1), 2)
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(ValueError, match="has length > 2 variables"):
         to_x_expansion("schur", (2, 1, 1), 2)
-    with pytest.raises(InvalidIndexError):
+    with pytest.raises(ValueError, match="has a part > 2 variables"):
         to_x_expansion("elementary", (3,), 2)
     with pytest.raises(ValueError):
         to_x_expansion("fourier", (1,), 2)
@@ -214,7 +213,7 @@ def _random_symmetric(n, rng, max_weight=5):
 
 def test_expand_not_symmetric():
     xs = ("x1", "x2")
-    with pytest.raises(NotSymmetricError):
+    with pytest.raises(ValueError, match="not symmetric"):
         expand_in_basis(variable("x1", xs), "schur")
 
 
