@@ -18,9 +18,8 @@ BASES = {"monomial": "m", "elementary": "e", "schur": "s", "power": "p"}
 
 # submodule -> the names this package exports from it
 _EXPORTS = {
-    "exactcore": ("DuplicateAbscissaError", "InconsistentDataError",
-                  "NotInvertibleError", "OutOfDomainError", "TruncationPolicy",
-                  "UniPoly"),
+    "exactcore": ("InconsistentDataError", "OutOfDomainError",
+                  "TruncationPolicy", "UniPoly"),
     "multipoly": ("MultiPoly", "interpolate", "series_invert"),
     "symfunc": ("catalan_triangle", "conjugate", "convert_expansion",
                 "enumerate_partitions", "expand_in_basis", "syt_count",

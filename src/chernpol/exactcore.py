@@ -25,10 +25,6 @@ from operator import add, sub
 from typing import Mapping, Sequence
 
 
-class DuplicateAbscissaError(ValueError):
-    pass
-
-
 class InconsistentDataError(ValueError):
     """An internal cross-check failed: an interpolation guard point is off
     the fitted polynomial, a result that must be an integer is not, or two
@@ -37,10 +33,6 @@ class InconsistentDataError(ValueError):
 
 class OutOfDomainError(ValueError):
     """Input outside the domain where the requested quantity is defined."""
-
-
-class NotInvertibleError(ValueError):
-    """Series inversion of something without constant term 1."""
 
 
 def check_degree(d, n: int | None = None) -> int:

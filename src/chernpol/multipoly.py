@@ -15,9 +15,8 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping, Sequence
 
-from .exactcore import (DuplicateAbscissaError, InconsistentDataError,
-                        NotInvertibleError, TruncationPolicy, UniPoly, _Poly,
-                        _cleared, _rebuilt, as_natural, naturals, rat)
+from .exactcore import (InconsistentDataError, TruncationPolicy, UniPoly,
+                        _Poly, _cleared, _rebuilt, as_natural, naturals, rat)
 
 
 class MultiPoly(_Poly):
@@ -140,14 +139,14 @@ def interpolate(points, degree_bound: int, var: str = "d") -> UniPoly:
     """Unique polynomial of degree <= degree_bound through the first
     degree_bound+1 points; any extra points act as consistency guards.
 
-    Raises DuplicateAbscissaError on repeated abscissas and
-    InconsistentDataError when a guard point misses the curve (which signals
-    a wrong degree bound upstream).
+    Raises ValueError on repeated abscissas and InconsistentDataError when
+    a guard point misses the curve (which signals a wrong degree bound
+    upstream).
     """
     degree_bound = as_natural(degree_bound, "degree_bound")
     pts = [(rat(a), rat(v)) for a, v in points]
     if len({a for a, _ in pts}) != len(pts):
-        raise DuplicateAbscissaError("duplicate interpolation abscissas")
+        raise ValueError("duplicate interpolation abscissas")
     if len(pts) < degree_bound + 1:
         raise ValueError("need at least degree_bound+1 points")
     base = pts[: degree_bound + 1]
@@ -177,7 +176,7 @@ def interpolate(points, degree_bound: int, var: str = "d") -> UniPoly:
 def series_invert(f: MultiPoly, policy: TruncationPolicy) -> MultiPoly:
     """Multiplicative inverse of a series with constant term 1, truncated."""
     if f.constant_term() != 1:
-        raise NotInvertibleError("series inversion needs constant term 1")
+        raise ValueError("series inversion needs constant term 1")
     m = policy.max_total_degree
     g = f.truncate(m)
     h = MultiPoly.const(1, f.vars) - g      # no constant term

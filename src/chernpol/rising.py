@@ -129,7 +129,11 @@ class RisingProductSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "RisingProductSpec":
-        (param,) = data["params"]
+        params = data["params"]
+        if not isinstance(params, list) or len(params) != 1:
+            raise ValueError(f"a spec file has exactly one parameter: params"
+                             f" must be a list of one name, not {params!r}")
+        (param,) = params
         table = unique_keys((((tuple(E), m), UniPoly.from_json(c, var=param))
                              for E, m, c in data["table"]), "table key")
         return cls((param,), table, UniPoly.from_json(data["K"], var=param),
@@ -176,6 +180,9 @@ def stirling_coefficient(spec: RisingProductSpec, H) -> MultiPoly:
     H = naturals(H, "an entry of H")
     if len(H) != spec.nx:
         raise ValueError("H must have length nx")
+    if not spec.K.total_degree() and spec.K.constant_term() < -1:
+        # no parameter value gives the product prod_{t=0}^{K} a meaning
+        raise OutOfDomainError("K(params) < -1")
     Es = sorted({E for E, _ in spec.table})
     one = MultiPoly.const(1, spec.params)
 
@@ -271,8 +278,6 @@ def leading_coefficient(spec: RisingProductSpec, W, H) -> Fraction:
     """
     W, H = naturals(W, "an entry of W"), naturals(H, "an entry of H")
     check_weight_bound(spec, W)
-    if len(spec.params) != 1:
-        raise ValueError("single-parameter spec required")
     K = spec._unipoly(spec.K)
     if K.degree() != 1 or K.coeff(1) != 1:
         raise ValueError("K must be monic linear for the leading coefficient")

@@ -91,19 +91,10 @@ def simplex_moment(alpha: tuple, var: str = "d") -> UniPoly:
     from its moment_weights at d = 0..n-1+|alpha|."""
     if not alpha:
         raise ValueError("alpha must be non-empty")
-    return _simplex_moment(naturals(alpha, "an exponent"), var)
-
-
-@lru_cache(maxsize=None)
-def _simplex_moment(alpha: tuple, var: str) -> UniPoly:
-    # cached on the checked exponents: (True, 0) must not read (1, 0)'s entry
-    n, w = len(alpha), moment_weights(alpha)
+    n, w = len(alpha), moment_weights(naturals(alpha, "an exponent"))
     return interpolate_integers(
         [sum(c * comb(d + n - 1, n - 1 + s) for s, c in enumerate(w))
          for d in range(n + len(w) - 1)], var)
-
-
-simplex_moment.cache_clear = _simplex_moment.cache_clear
 
 
 def faulhaber(q: int) -> UniPoly:

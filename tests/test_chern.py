@@ -131,7 +131,7 @@ def test_n2_rising_product_matches_chern_values(k):
 
 
 def test_closed_form_needs_no_sampling(monkeypatch):
-    from chernpol import chern, exactcore, specialization, symfunc
+    from chernpol import chern, exactcore, symfunc
     expected = {b: chern_interpolated(3, 3, b) for b in symfunc.BASES}
 
     def forbidden(*args, **kwargs):
@@ -140,7 +140,6 @@ def test_closed_form_needs_no_sampling(monkeypatch):
     monkeypatch.setattr(chern, "chern_direct", forbidden)
     monkeypatch.setattr(exactcore, "interpolate", forbidden)
     monkeypatch.setattr(exactcore.MultiPoly, "mul_truncated", forbidden)
-    specialization.simplex_moment.cache_clear()
     # every basis row is a count on partitions: no polynomial product either
     symfunc._schur_x.cache_clear()
     symfunc._kostka.cache_clear()

@@ -44,16 +44,28 @@ def test_unknown_command_is_usage_error(capsys):
     assert code == cli.EXIT_USAGE
 
 
-def test_domain_error_exit_code(capsys):
-    # an empty Fano scheme, and a degree d < 2: one error name for exit 3
-    for d in ("4", "1"):
-        code, out, err = run_cli(["fano-degree", "--d", d, "--m", "3"], capsys)
+def _spec_below_minus_one(tmp_path) -> str:
+    """A spec file of prod_{t=0}^{-5} (1 + t x), a product with no meaning."""
+    path = tmp_path / "below.json"
+    path.write_text(json.dumps({"params": ["d"], "nx": 1, "K": [[0, "-5"]],
+                                "table": [[[1], 1, [[0, "1"]]]]}))
+    return str(path)
+
+
+def test_domain_error_exit_code(capsys, tmp_path):
+    # an empty Fano scheme, a degree d < 2 and a constant bound K < -1: one
+    # error name for exit 3
+    below = ["stirling-coeff", "--spec-file", _spec_below_minus_one(tmp_path),
+             "--type", "1"]
+    for argv in (["fano-degree", "--d", "4", "--m", "3"],
+                 ["fano-degree", "--d", "1", "--m", "3"], below):
+        code, out, err = run_cli(argv, capsys)
         assert code == cli.EXIT_DOMAIN
         assert err.startswith("domain error: ")
-        code, out, err = run_cli(["fano-degree", "--d", d, "--m", "3",
-                                  "--format", "json"], capsys)
+        code, out, err = run_cli(argv + ["--format", "json"], capsys)
         assert code == cli.EXIT_DOMAIN
         assert json.loads(err)["error"] == "OutOfDomainError"
+    assert run_cli(below, capsys)[2] == "domain error: K(params) < -1\n"
 
 
 def _python(*args, **kwargs) -> subprocess.CompletedProcess:
@@ -240,6 +252,31 @@ def test_stirling_coeff_wrong_length(capsys, tmp_path):
     code, _, err = run_cli(["stirling-coeff", "--spec-file", str(path),
                             "--type", "1,2"], capsys)
     assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("params", [["d", "e"], [], "d"])
+def test_spec_file_has_exactly_one_parameter(params, capsys, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"params": params, "nx": 1, "K": [[1, "1"]],
+                                "table": [[[1], 1, [[0, "1"]]]]}))
+    code, out, err = run_cli(["stirling-coeff", "--spec-file", str(path),
+                              "--type", "1"], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("usage error: ") and len(err.splitlines()) == 1
+    assert "a spec file has exactly one parameter: params" in err
+
+
+def test_checks_hold_under_optimize(tmp_path):
+    # python -O strips assert statements: no check may be one
+    def run(*argv):
+        return _python("-O", "-m", "chernpol.cli", *argv, text=True)
+    proc = run("verify")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "all checks passed"
+    assert run("fano-degree", "--d", "4", "--m", "3").returncode == \
+        cli.EXIT_DOMAIN
+    assert run("stirling-coeff", "--spec-file", _spec_below_minus_one(tmp_path),
+               "--type", "1").returncode == cli.EXIT_DOMAIN
 
 
 @pytest.mark.parametrize("E, m, coeff", [

@@ -32,8 +32,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # every name the package exported when its __init__ imported all submodules
 EXPORTED = {
-    "exactcore": ("DuplicateAbscissaError", "InconsistentDataError",
-                  "MultiPoly", "NotInvertibleError", "OutOfDomainError",
+    "exactcore": ("InconsistentDataError", "MultiPoly", "OutOfDomainError",
                   "TruncationPolicy", "UniPoly", "interpolate",
                   "series_invert"),
     "symfunc": ("BASES", "catalan_triangle", "conjugate", "convert_expansion",
@@ -146,14 +145,11 @@ def test_one_out_of_domain_error():
     assert chern.OutOfDomainError is rising.OutOfDomainError
 
 
-# the package's exception classes: a malformed argument is a plain
-# ValueError, so each CLI exit code reaches a JSON reader under one error
-# name; DuplicateAbscissaError and NotInvertibleError are exported, and go
-# with interpolate and series_invert, the only code that raises them
+# the package's exception classes, one per CLI exit code: a malformed
+# argument is a plain ValueError, so each exit code reaches a JSON reader
+# under one error name
 ERROR_CLASSES = {("cli", "UsageError"), ("exactcore", "OutOfDomainError"),
-                 ("exactcore", "InconsistentDataError"),
-                 ("exactcore", "DuplicateAbscissaError"),
-                 ("exactcore", "NotInvertibleError")}
+                 ("exactcore", "InconsistentDataError")}
 
 
 def test_the_package_defines_no_other_error_classes():

@@ -141,6 +141,12 @@ def test_formula_matches_oracle_examples():
     _compare_with_oracle(spec_binomial(), 4, range(0, 7))
     _compare_with_oracle(spec_stirling_second(3), 4, range(0, 7))
     _compare_with_oracle(spec_two_vars(), 4, range(0, 7))
+    # constant bounds: one factor (K = 0, a zero polynomial) and the empty
+    # product (K = -1)
+    for K in (0, -1):
+        spec = RisingProductSpec(("d",), {((1,), 0): D, ((1,), 1): 1,
+                                          ((2,), 2): D - 1}, K, 1)
+        _compare_with_oracle(spec, 4, range(0, 4))
 
 
 def _random_spec(rng):
@@ -245,6 +251,14 @@ def test_empty_product_and_domain():
     assert out == MultiPoly.const(1, ("x1",))  # K = -1: empty product
     with pytest.raises(OutOfDomainError):
         direct_rising_oracle(spec, (-1,), TruncationPolicy(3))
+    # a constant K < -1 is below -1 at every parameter value; a K that is
+    # not constant gives the product wherever it is >= -1
+    below = RisingProductSpec(("d",), {((1,), 1): 1}, -5, 1)
+    with pytest.raises(OutOfDomainError, match=r"K\(params\) < -1"):
+        direct_rising_oracle(below, (0,), TruncationPolicy(3))
+    with pytest.raises(OutOfDomainError, match=r"K\(params\) < -1"):
+        stirling_coefficient(below, (1,))
+    assert stirling_coefficient(spec, (1,)).evaluate({"d": 0}) == 0
 
 
 # ---------------------------------------------------------------------------
