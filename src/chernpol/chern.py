@@ -18,8 +18,9 @@ interpolation.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from itertools import islice, product
+from itertools import combinations, islice, product
 from math import comb, factorial, prod
 from operator import mul
 
@@ -27,8 +28,8 @@ from . import BASES
 from .exactcore import (InconsistentDataError, OutOfDomainError,
                         TruncationPolicy, UniPoly, as_int, as_natural,
                         check_degree, interpolate_integers, xvars)
-from .symfunc import (check_partition, enumerate_partitions, multiplicities,
-                      partition_of, syt_count, validate_basis_index)
+from .symfunc import (check_partition, enumerate_partitions, partition_of,
+                      syt_count, validate_basis_index)
 
 # multipoly, record, rising and specialization are imported inside the
 # functions that use them; the closed form loads only specialization, and
@@ -36,13 +37,12 @@ from .symfunc import (check_partition, enumerate_partitions, multiplicities,
 
 
 def weight_vectors(n: int, d: int):
-    """Lattice points of the d-dilated standard simplex in N^n (odometer)."""
-    if n == 1:
-        yield (d,)
-        return
-    for first in range(d + 1):
-        for rest in weight_vectors(n - 1, d - first):
-            yield (first,) + rest
+    """Lattice points of the d-dilated standard simplex in N^n (none for d
+    < 0), in lexicographic order: the gaps between n-1 bars placed among
+    d+n-1 slots, the bars' positions in lexicographic order."""
+    slots = d + n - 1
+    for bars in combinations(range(slots), n - 1) if d >= 0 else ():
+        yield tuple(b - a - 1 for a, b in zip((-1,) + bars, bars + (slots,)))
 
 
 # no caller repeats a product, so nothing fills this; the benchmark's
@@ -188,7 +188,9 @@ def elementary_degree_bound(lam, n: int) -> int:
 
 def leading_term(basis: str, lam, n: int):
     """Predicted (coefficient, d-exponent, conjectural-flag) for the leading
-    term of the coefficient of the basis element indexed by lam in c_k.
+    term of the coefficient of the basis element indexed by lam in c_k, for
+    n >= 2 or k <= 1: with one variable c_k = 0 for k >= 2, and those
+    raise OutOfDomainError.
 
     Monomial and Schur predictions are exact; elementary predictions are
     proved for lam = (1^k) for all n and for all lam at n = 2, and flagged
@@ -211,6 +213,10 @@ def leading_term(basis: str, lam, n: int):
     lam = check_partition(lam) if lam else ()
     validate_basis_index(basis, lam, n)
     k = sum(lam)
+    if basis == "power":
+        raise ValueError(f"no leading-term formula in basis {basis!r}")
+    if n == 1 and k >= 2:
+        raise OutOfDomainError(f"c_{k}(Pol^d(C^1)) = 0: no leading term")
     if basis == "monomial":
         coeff = Fraction(1)
         for p in lam:
@@ -220,14 +226,11 @@ def leading_term(basis: str, lam, n: int):
         coeff = (Fraction(syt_count(lam), factorial(k))
                  * Fraction(1, factorial(n)) ** k)
         return coeff, n * k, False
-    if basis == "elementary":
-        H = multiplicities(lam)
-        coeff = Fraction(1)
-        for i in range(1, n + 1):
-            h = H.get(i, 0)
-            coeff *= (Fraction(factorial(i - 1), factorial(n + i - 1)) ** h
-                      / factorial(h))
-        proved = (set(lam) <= {1}) or n == 2
-        return coeff, elementary_degree_bound(lam, n), not proved
-    raise ValueError(f"no leading-term formula in basis {basis!r}")
+    H = Counter(lam)
+    coeff = Fraction(1)
+    for i in range(1, n + 1):
+        coeff *= (Fraction(factorial(i - 1), factorial(n + i - 1)) ** H[i]
+                  / factorial(H[i]))
+    proved = (set(lam) <= {1}) or n == 2
+    return coeff, elementary_degree_bound(lam, n), not proved
 

@@ -80,7 +80,6 @@ def _json(doc) -> str:
 
 def factored_str(p: UniPoly) -> str:
     """Display form with rational roots pulled out as linear factors."""
-    from .exactcore import rat_to_str
     from .roots import rational_roots
     if p.is_zero():
         return "0"
@@ -91,9 +90,9 @@ def factored_str(p: UniPoly) -> str:
         if root == 0:
             base = var
         elif root > 0:
-            base = f"({var}-{rat_to_str(root)})"
+            base = f"({var}-{root})"
         else:
-            base = f"({var}+{rat_to_str(-root)})"
+            base = f"({var}+{-root})"
         parts.append(base if mult == 1 else f"{base}^{mult}")
     if rest.degree() == 0 and not parts:
         return repr(rest)
@@ -137,15 +136,15 @@ def cmd_chern(args) -> str:
 
 
 def cmd_chern_eval(args) -> str:
-    from .exactcore import check_degree, rat_to_str
+    from .exactcore import check_degree
     check_degree(args.d, args.n)  # before anything is computed or cached
     cp = _get_chern(args)
     values = cp.evaluate(args.d)
     if args.format == "json":
         return _json({"n": cp.n, "k": cp.k, "basis": cp.basis, "d": args.d,
-                      "terms": [[list(lam), rat_to_str(v)]
+                      "terms": [[list(lam), str(v)]
                                 for lam, v in sorted(values.items())]})
-    return _render_text(cp, args.d, {lam: rat_to_str(v)
+    return _render_text(cp, args.d, {lam: str(v)
                                      for lam, v in values.items() if v})
 
 
@@ -187,14 +186,13 @@ def cmd_orbits(args) -> str:
 
 def cmd_sigma_degree(args) -> str:
     from . import enumgeo
-    from .exactcore import rat_to_str
     if args.d is not None:
         val = enumgeo.sigma_degree(args.d, args.m, args.r)
         warnings = enumgeo.sigma_validity_warnings(args.d, args.m, args.r)
         if args.format == "json":
             return _json({"d": args.d, "m": args.m, "r": args.r,
-                          "degree": rat_to_str(val), "warnings": warnings})
-        out = rat_to_str(val)
+                          "degree": str(val), "warnings": warnings})
+        out = str(val)
         for w in warnings:
             out += f"\nwarning: {w}"
         return out
@@ -465,6 +463,22 @@ def _report(fmt: str, exc: Exception, label: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the command of ``argv`` (default ``sys.argv[1:]``); its exit
+    code.  Exact answers print in full: while it runs, the interpreter's
+    limit on the digits of an int's ``str()`` and ``int()``, where it has
+    one, is lifted, so argv integers may be of any length too."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:
+        return _main(argv)
+    saved = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _main(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def _main(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parse_args(argv)

@@ -92,10 +92,15 @@ def sigma_validity_warnings(d: int, m: int, r: int) -> list:
     return out
 
 
-def _check_sigma_domain(m: int, r: int) -> tuple:
+def _check_sigma_domain(m: int, r: int, symbolic: bool = False) -> tuple:
+    """(m, r) as ints, if 0 <= r < m; ``symbolic``, the regime of the
+    polynomial in d, also needs r >= 1."""
     m, r = as_int(m, "m"), as_int(r, "r")
     if not 0 <= r < m:
         raise OutOfDomainError("need 0 <= r < m")
+    if symbolic and r == 0:
+        raise OutOfDomainError("r = 0: the expected dimension m - 1 is >= 0 "
+                               "for every d, outside the formula's regime")
     return m, r
 
 
@@ -130,10 +135,7 @@ def sigma_degree_symbolic(m: int, r: int) -> UniPoly:
     """deg Sigma(d,m,r) as a polynomial in d (valid in the regime d >= 3,
     expected dimension < 0), of degree at most (r+1)^2 (m-r): the
     alternant's values at d = 0..(r+1)^2 (m-r), interpolated."""
-    m, r = _check_sigma_domain(m, r)
-    if r == 0:
-        raise OutOfDomainError("r = 0: the expected dimension m - 1 is >= 0 "
-                               "for every d, outside the formula's regime")
+    m, r = _check_sigma_domain(m, r, symbolic=True)
     return interpolate_integers(
         _integrate_pol_class(r + 1, m + 1, range((r + 1) ** 2 * (m - r) + 1),
                              0, {(): 1}))
@@ -141,7 +143,9 @@ def sigma_degree_symbolic(m: int, r: int) -> UniPoly:
 
 def sigma_degree_leading(m: int, r: int):
     """(coefficient, d-exponent) of the leading term of the symbolic degree:
-    1!*2!*...*r! / (m!*(m-1)!*...*(m-r)!) * (1/(r+1)!)^((r+1)(m-r))."""
+    1!*2!*...*r! / (m!*(m-1)!*...*(m-r)!) * (1/(r+1)!)^((r+1)(m-r)), on
+    the symbolic degree's domain."""
+    m, r = _check_sigma_domain(m, r, symbolic=True)
     num = prod(map(factorial, range(1, r + 1)))
     den = prod(map(factorial, range(m - r, m + 1)))
     expo = (r + 1) ** 2 * (m - r)
@@ -151,8 +155,13 @@ def sigma_degree_leading(m: int, r: int):
 
 def sigma_degree_hyperplane(d: int, m: int) -> int:
     """Closed form for r = m-1 (hypersurfaces with a linear component):
-    binom(binom(d+m-1, m) + m - 1, m)."""
-    return comb(comb(d + m - 1, m) + m - 1, m)
+    binom(binom(d+m-1, m) + m - 1, m), sigma_degree(d, m, m-1) on its
+    domain: d >= -1 (0 at d = -1) and m >= 1."""
+    m = as_int(m, "m")
+    if m < 1:
+        raise OutOfDomainError("need m >= 1")
+    d = check_degree(d)
+    return comb(comb(d + m - 1, m) + m - 1, m) if d >= 0 else 0
 
 
 # ---------------------------------------------------------------------------

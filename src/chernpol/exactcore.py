@@ -54,13 +54,6 @@ def rat(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def rat_to_str(q: Fraction) -> str:
-    q = rat(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def as_integer(q, what: str) -> int:
     """``q`` as an int; InconsistentDataError if it is not integral."""
     q = rat(q)
@@ -225,13 +218,13 @@ class _Poly:
             c = self.terms[e]
             mono = self._mono(e)
             if not mono:
-                parts.append(rat_to_str(c))
+                parts.append(str(c))
             elif c == 1:
                 parts.append(mono)
             elif c == -1:
                 parts.append(f"-{mono}")
             else:
-                parts.append(f"{rat_to_str(c)}*{mono}")
+                parts.append(f"{c}*{mono}")
         return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -324,7 +317,7 @@ class UniPoly(_Poly):
 
     # -- io ---------------------------------------------------------------
     def to_json(self) -> list:
-        return [[e, rat_to_str(c)] for e, c in sorted(self.terms.items())]
+        return [[e, str(c)] for e, c in sorted(self.terms.items())]
 
     @classmethod
     def from_json(cls, data: Sequence, var: str = "d") -> "UniPoly":

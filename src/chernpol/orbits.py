@@ -17,23 +17,14 @@ from .exactcore import (OutOfDomainError, TruncationPolicy, as_int,
 
 
 def orbit_types(n: int) -> list:
-    """All 2^(n-1) compositions of n, longest first, larger leading parts
-    first within a length."""
+    """All 2^(n-1) compositions of n, the gaps between the cut positions
+    of each subset of 1..n-1, longest first, larger leading parts first
+    within a length."""
     n = as_int(n, "n")
     if n < 1:
         raise OutOfDomainError("n must be >= 1")
-    out = []
-    for cuts in itertools.product((0, 1), repeat=n - 1):
-        comp = []
-        run = 1
-        for c in cuts:
-            if c:
-                comp.append(run)
-                run = 1
-            else:
-                run += 1
-        comp.append(run)
-        out.append(tuple(comp))
+    out = [tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+           for r in range(n) for cuts in itertools.combinations(range(1, n), r)]
     out.sort(key=lambda u: (-len(u), tuple(-x for x in u)))
     return out
 

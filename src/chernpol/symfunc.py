@@ -1,21 +1,23 @@
 """Partitions and the classical bases of symmetric polynomials in n
 variables (monomial, elementary, Schur, power-sum), exact basis conversion,
-Schur coefficients by the alternant, standard Young tableau counts and
-Catalan triangle numbers.  Each basis element is a row of monomial
-coefficients counted on partitions (Kostka numbers by horizontal strips; e
-and p by the last factor's variable set); its x polynomial is read from it.
+Schur coefficients by the alternant, standard Young tableau counts (the
+Kostka numbers K(lam, 1^k)) and Catalan triangle numbers.  Each basis
+element is a row of monomial coefficients counted on partitions (Kostka
+numbers by horizontal strips; e and p by the last factor's variable set);
+its x polynomial is read from it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from . import BASES
-from .exactcore import (InconsistentDataError, as_int, as_integer, as_natural,
-                        naturals, xvars)
+from .exactcore import (InconsistentDataError, as_int, as_natural, naturals,
+                        xvars)
 
 
 # ---------------------------------------------------------------------------
@@ -48,20 +50,9 @@ def conjugate(parts) -> tuple:
     return tuple(sum(1 for p in parts if p > i) for i in range(parts[0]))
 
 
-def multiplicities(parts) -> dict:
-    """Value -> multiplicity (includes zeros if present)."""
-    out: dict[int, int] = {}
-    for p in parts:
-        out[p] = out.get(p, 0) + 1
-    return out
-
-
 def mult_factorial(parts) -> int:
     """mult(lambda)! = prod over the distinct parts of (multiplicity)!."""
-    out = 1
-    for m in multiplicities(parts).values():
-        out *= factorial(m)
-    return out
+    return prod(map(factorial, Counter(parts).values()))
 
 
 def enumerate_partitions(weight: int, max_length: int | None = None) -> list[tuple]:
@@ -270,21 +261,10 @@ def convert_expansion(terms: dict, src_basis: str, dst_basis: str, n: int) -> di
 # ---------------------------------------------------------------------------
 
 def syt_count(lam: tuple) -> int:
-    """Number of standard Young tableaux of shape lambda
-    (Frobenius determinant-free product formula)."""
+    """f^lambda, the standard Young tableaux of shape lambda: the Kostka
+    number K(lambda, 1^|lambda|) (Macdonald, I.5)."""
     lam = check_partition(lam) if lam else ()
-    if not lam:
-        return 1
-    k = sum(lam)
-    l = len(lam)
-    num = factorial(k)
-    for i in range(l):
-        for j in range(i + 1, l):
-            num *= lam[i] - lam[j] + j - i
-    den = 1
-    for i in range(l):
-        den *= factorial(lam[i] + l - 1 - i)
-    return as_integer(Fraction(num, den), f"syt_count{lam}")
+    return _kostka(lam, (1,) * sum(lam))
 
 
 def catalan_triangle(delta: int, j: int) -> int:

@@ -27,8 +27,20 @@ D = UniPoly.x("d")
 # ---------------------------------------------------------------------------
 
 def test_weight_vectors():
-    assert sorted(weight_vectors(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+    # lexicographic, the order chern_direct multiplies and
+    # _integrate_pol_class reads in
+    assert list(weight_vectors(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+    assert list(weight_vectors(3, 2)) == [(0, 0, 2), (0, 1, 1), (0, 2, 0),
+                                          (1, 0, 1), (1, 1, 0), (2, 0, 0)]
     assert len(list(weight_vectors(3, 4))) == comb(6, 2)
+    for n in range(1, 5):
+        assert list(weight_vectors(n, -1)) == []
+        for d in range(6):
+            ws = list(weight_vectors(n, d))
+            assert ws == sorted(set(ws))
+            assert len(ws) == comb(d + n - 1, n - 1)
+            assert all(len(w) == n and sum(w) == d and min(w) >= 0
+                       for w in ws)
 
 
 def test_chern_direct_degenerate():
@@ -334,6 +346,21 @@ def test_leading_term_elementary_proved_cases():
         assert not conj
         p = chern_interpolated(3, k, "elementary").terms[(1,) * k]
         assert (p.degree(), p.coeff(p.degree())) == (expo, coeff)
+
+
+def test_leading_term_n1():
+    # one variable: c_k = 0 for k >= 2, so m_(k), s_(k) and e_(1^k) have
+    # no leading term; k <= 1 keeps c_0 = 1 and c_1 = d
+    for k in (2, 3):
+        assert chern_interpolated(1, k).terms == {}
+        for basis, lam in (("monomial", (k,)), ("schur", (k,)),
+                           ("elementary", (1,) * k)):
+            with pytest.raises(OutOfDomainError, match=r"Pol\^d\(C\^1\)"):
+                leading_term(basis, lam, 1)
+    for basis in ("monomial", "schur", "elementary"):
+        assert leading_term(basis, (), 1) == (1, 0, False)
+        assert leading_term(basis, (1,), 1) == (1, 1, False)
+    assert chern_interpolated(1, 1).terms == {(1,): D}
 
 
 def test_leading_term_elementary_flags_open_cases():

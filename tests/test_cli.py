@@ -221,6 +221,66 @@ def test_chern_eval(capsys, tmp_path):
     assert json.loads(out)["terms"] == [[[2, 1], "0"], [[3], "0"]]
 
 
+@contextlib.contextmanager
+def _no_digit_limit():
+    """The interpreter's limit on the digits of int <-> str lifted, where
+    it has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_exact_answers_of_any_length_print(capsys, tmp_path):
+    # c_4(Pol^d(C^3)) and deg Sigma(d, 4, 1) at a 401-digit d have about
+    # 4,800 digits, past the 4,300 that str() of an int allows by default:
+    # main lifts that limit while it runs and gives it back
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    d = 10 ** 400
+    eval_argv = ["chern-eval", "--n", "3", "--k", "4", "--d", str(d),
+                 "--cache-dir", str(tmp_path)]
+    text = run_cli(eval_argv, capsys)
+    js = run_cli(eval_argv + ["--format", "json"], capsys)
+    sigma_argv = ["sigma-degree", "--m", "4", "--r", "1", "--d", str(d)]
+    sigma = run_cli(sigma_argv, capsys)
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    values = chern_interpolated(3, 4).evaluate(d)
+    degree = enumgeo.sigma_degree_symbolic(4, 1)(d)
+    with _no_digit_limit():
+        assert max(len(str(v)) for v in values.values()) > 4300
+        assert len(str(degree)) > 4300
+        assert text == (0, f"c_4(Pol^{d}(C^3)) in monomial basis:\n" + "".join(
+            f"  m[{','.join(map(str, lam))}]: {v}\n"
+            for lam, v in sorted(values.items())), "")
+        assert js[0] == 0 and json.loads(js[1])["terms"] == [
+            [list(lam), str(v)] for lam, v in sorted(values.items())]
+        assert sigma == (0, f"{degree}\n", "")
+    # the process entry point too: it used to end with exit 1 and a
+    # traceback from the conversion
+    done = _python("-m", "chernpol.cli", *sigma_argv)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert len(done.stdout) == len(sigma[1])
+
+
+def test_argv_integers_of_any_length(capsys, tmp_path):
+    # with the limit lifted an argv integer past 4,300 digits is read too,
+    # where it used to be a usage error
+    digits = "1" + "0" * 5000
+    code, out, err = run_cli(["chern-eval", "--n", "2", "--k", "1", "--d",
+                              digits, "--basis", "e", "--cache-dir",
+                              str(tmp_path)], capsys)
+    d = 10 ** 5000
+    with _no_digit_limit():
+        assert (code, out, err) == (0, (
+            f"c_1(Pol^{d}(C^2)) in elementary basis:\n"
+            f"  e[1]: {d * (d + 1) // 2}\n"), "")
+
+
 def test_chern_factored(capsys, tmp_path):
     code, out, _ = run_cli(["chern", "--n", "2", "--k", "1", "--basis", "e",
                             "--factored", "--cache-dir", str(tmp_path)],

@@ -356,10 +356,27 @@ def test_sigma_degree_leading_matches_symbolic_manivel_cases():
         assert (p.degree(), p.coeff(expo)) == (expo, coeff), (m, r)
 
 
+def test_sigma_degree_leading_domain():
+    # the symbolic degree's domain: 0 < r < m, integers
+    for m, r in [(3, 0), (3, 3), (4, -1), (3, 5)]:
+        with pytest.raises(OutOfDomainError):
+            sigma_degree_symbolic(m, r)
+        with pytest.raises(OutOfDomainError):
+            sigma_degree_leading(m, r)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        sigma_degree_leading(2.5, 1)
+
+
 def test_sigma_hyperplane_closed_form():
-    for m in (2, 3):
-        for d in (3, 4, 5):
+    for m in (1, 2, 3):
+        for d in (-1, 0, 1, 3, 4, 5):
             assert sigma_degree(d, m, m - 1) == sigma_degree_hyperplane(d, m)
+    # and on sigma_degree's domain only
+    for d, m in [(-2, 3), (1, 0), (1, -1)]:
+        with pytest.raises(OutOfDomainError):
+            sigma_degree(d, m, m - 1)
+        with pytest.raises(OutOfDomainError):
+            sigma_degree_hyperplane(d, m)
 
 
 def test_sigma_validity_warnings():

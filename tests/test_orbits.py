@@ -26,11 +26,15 @@ def test_orbit_types():
     assert orbit_types(1) == [(1,)]
     assert set(orbit_types(2)) == {(1, 1), (2,)}
     assert set(orbit_types(3)) == {(1, 1, 1), (2, 1), (1, 2), (3,)}
-    for n in range(1, 6):
+    assert orbit_types(4) == [(1, 1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2),
+                              (3, 1), (2, 2), (1, 3), (4,)]
+    for n in range(1, 9):
         types = orbit_types(n)
         assert len(types) == 2 ** (n - 1)
-        assert all(sum(u) == n for u in types)
+        assert all(sum(u) == n and min(u) >= 1 for u in types)
         assert len(set(types)) == len(types)
+        # longest first, larger leading parts first within a length
+        assert types == sorted(types, key=lambda u: (-len(u), [-x for x in u]))
 
 
 def test_orbit_type_of():

@@ -486,6 +486,14 @@ SIGNED_INPUTS = {
                                 2, OutOfDomainError),
     "sigma_degree_symbolic-r": (lambda x: enumgeo.sigma_degree_symbolic(3, x),
                                 1, OutOfDomainError),
+    "sigma_degree_leading-m": (lambda x: enumgeo.sigma_degree_leading(x, 1),
+                               3, OutOfDomainError),
+    "sigma_degree_leading-r": (lambda x: enumgeo.sigma_degree_leading(3, x),
+                               1, OutOfDomainError),
+    "sigma_degree_hyperplane-d": (
+        lambda x: enumgeo.sigma_degree_hyperplane(x, 3), 4, 0),
+    "sigma_degree_hyperplane-m": (
+        lambda x: enumgeo.sigma_degree_hyperplane(4, x), 3, OutOfDomainError),
     "fano_degree_lines-d": (lambda x: enumgeo.fano_degree_lines(x, 4), 3,
                             OutOfDomainError),
     "fano_degree_lines-m": (lambda x: enumgeo.fano_degree_lines(3, x), 4,
@@ -540,6 +548,18 @@ VALUE_ERRORS = {
     "leading_term-power": (
         lambda: chern.leading_term("power", (1,), 2), ValueError,
         "no leading-term formula in basis 'power'"),
+    "sigma_degree_leading-r-zero": (
+        lambda: enumgeo.sigma_degree_leading(3, 0), OutOfDomainError,
+        "r = 0: the expected dimension m - 1 is >= 0"),
+    "sigma_degree_leading-r-ge-m": (
+        lambda: enumgeo.sigma_degree_leading(3, 3), OutOfDomainError,
+        "need 0 <= r < m"),
+    "sigma_degree_hyperplane-d": (
+        lambda: enumgeo.sigma_degree_hyperplane(-2, 3), OutOfDomainError,
+        "d must be >= -1"),
+    "sigma_degree_hyperplane-m": (
+        lambda: enumgeo.sigma_degree_hyperplane(4, 0), OutOfDomainError,
+        "need m >= 1"),
     "grassmann_integral-k": (
         lambda: enumgeo.grassmann_integral(lambda alpha: 1, 3, 2),
         ValueError, "need 1 <= k <= n_amb"),
