@@ -6,6 +6,7 @@ invariants, with JSON/text rendering and a persistent Chern-coefficient cache.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import os
 import sys
 from types import SimpleNamespace
@@ -462,20 +463,28 @@ def _report(fmt: str, exc: Exception, label: str, code: int) -> int:
     return code
 
 
-def main(argv=None) -> int:
-    """Run the command of ``argv`` (default ``sys.argv[1:]``); its exit
-    code.  Exact answers print in full: while it runs, the interpreter's
-    limit on the digits of an int's ``str()`` and ``int()``, where it has
-    one, is lifted, so argv integers may be of any length too."""
-    limit = getattr(sys, "get_int_max_str_digits", None)
-    if limit is None:
-        return _main(argv)
-    saved = limit()
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Lift the interpreter's limit on the digits of an int's ``str()``
+    and ``int()``, where it has one, and restore it on exit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _main(argv)
+        yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def main(argv=None) -> int:
+    """Run the command of ``argv`` (default ``sys.argv[1:]``); its exit
+    code.  Exact answers print in full: the whole run is under
+    ``unlimited_int_digits``, so integers of any length are also read from
+    argv, spec files and cache files."""
+    with unlimited_int_digits():
+        return _main(argv)
 
 
 def _main(argv) -> int:

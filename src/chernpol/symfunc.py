@@ -1,10 +1,9 @@
 """Partitions and the classical bases of symmetric polynomials in n
 variables (monomial, elementary, Schur, power-sum), exact basis conversion,
-Schur coefficients by the alternant, standard Young tableau counts (the
-Kostka numbers K(lam, 1^k)) and Catalan triangle numbers.  Each basis
-element is a row of monomial coefficients counted on partitions (Kostka
-numbers by horizontal strips; e and p by the last factor's variable set);
-its x polynomial is read from it.
+Schur coefficients by the alternant, standard Young tableau counts and
+Catalan triangle numbers.  Each basis element is a row of monomial
+coefficients counted on partitions (Kostka numbers by horizontal strips; e
+and p by the last factor's variable set); its x polynomial is read from it.
 """
 
 from __future__ import annotations
@@ -261,10 +260,13 @@ def convert_expansion(terms: dict, src_basis: str, dst_basis: str, n: int) -> di
 # ---------------------------------------------------------------------------
 
 def syt_count(lam: tuple) -> int:
-    """f^lambda, the standard Young tableaux of shape lambda: the Kostka
-    number K(lambda, 1^|lambda|) (Macdonald, I.5)."""
+    """f^lambda, the standard Young tableaux of shape lambda, by the hook
+    length formula: |lambda|! over the product of the hook lengths."""
     lam = check_partition(lam) if lam else ()
-    return _kostka(lam, (1,) * sum(lam))
+    cols = conjugate(lam)
+    return factorial(sum(lam)) // prod(row - j + cols[j] - i - 1
+                                       for i, row in enumerate(lam)
+                                       for j in range(row))
 
 
 def catalan_triangle(delta: int, j: int) -> int:

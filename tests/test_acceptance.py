@@ -302,7 +302,7 @@ def test_criterion_13_property_suite():
         for j in range(0, delta // 2 + 1):
             lam = (delta - j, j) if j else (delta,)
             assert kostka.get(lam, F(0)) == catalan_triangle(delta, j)
-    # SYT product formula against exhaustive growth counting
+    # SYT hook length formula against exhaustive growth counting
     def grow(lam):
         if sum(lam) == 0:
             return 1

@@ -221,21 +221,6 @@ def test_chern_eval(capsys, tmp_path):
     assert json.loads(out)["terms"] == [[[2, 1], "0"], [[3], "0"]]
 
 
-@contextlib.contextmanager
-def _no_digit_limit():
-    """The interpreter's limit on the digits of int <-> str lifted, where
-    it has one."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 def test_exact_answers_of_any_length_print(capsys, tmp_path):
     # c_4(Pol^d(C^3)) and deg Sigma(d, 4, 1) at a 401-digit d have about
     # 4,800 digits, past the 4,300 that str() of an int allows by default:
@@ -251,7 +236,7 @@ def test_exact_answers_of_any_length_print(capsys, tmp_path):
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
     values = chern_interpolated(3, 4).evaluate(d)
     degree = enumgeo.sigma_degree_symbolic(4, 1)(d)
-    with _no_digit_limit():
+    with cli.unlimited_int_digits():
         assert max(len(str(v)) for v in values.values()) > 4300
         assert len(str(degree)) > 4300
         assert text == (0, f"c_4(Pol^{d}(C^3)) in monomial basis:\n" + "".join(
@@ -275,7 +260,7 @@ def test_argv_integers_of_any_length(capsys, tmp_path):
                               digits, "--basis", "e", "--cache-dir",
                               str(tmp_path)], capsys)
     d = 10 ** 5000
-    with _no_digit_limit():
+    with cli.unlimited_int_digits():
         assert (code, out, err) == (0, (
             f"c_1(Pol^{d}(C^2)) in elementary basis:\n"
             f"  e[1]: {d * (d + 1) // 2}\n"), "")

