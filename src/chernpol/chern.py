@@ -210,8 +210,7 @@ def leading_term(basis: str, lam, n: int):
     prod_i a_i^(H_i) / H_i! at prod_i e_i^(H_i): the coefficient below.
     """
     n = as_natural(n, "n")
-    lam = check_partition(lam) if lam else ()
-    validate_basis_index(basis, lam, n)
+    lam = validate_basis_index(basis, lam, n)
     k = sum(lam)
     if basis == "power":
         raise ValueError(f"no leading-term formula in basis {basis!r}")

@@ -101,26 +101,15 @@ def factored_str(p: UniPoly) -> str:
     return "*".join(parts + ([tail] if tail else [])) or "1"
 
 
-def _partition_label(lam, basis: str) -> str:
-    return f"{BASES[basis]}[{','.join(map(str, lam))}]"
-
-
 def _render_text(cp: record.ChernPolynomial, d, shown: dict) -> str:
     """Header for c_k at degree ``d`` (a number or "d"), then one line per
     basis element with its coefficient as shown."""
     lines = [f"c_{cp.k}(Pol^{d}(C^{cp.n})) in {cp.basis} basis:"]
-    lines += [f"  {_partition_label(lam, cp.basis)}: {v}"
+    lines += [f"  {BASES[cp.basis]}[{','.join(map(str, lam))}]: {v}"
               for lam, v in sorted(shown.items())]
     if len(lines) == 1:
         lines.append("  0")
     return "\n".join(lines)
-
-
-def render_chern(cp: record.ChernPolynomial, fmt: str, factored: bool) -> str:
-    if fmt == "json":
-        return _json(cp.to_json())
-    show = factored_str if factored else repr
-    return _render_text(cp, "d", {lam: show(p) for lam, p in cp.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +122,11 @@ def _get_chern(args) -> record.ChernPolynomial:
 
 
 def cmd_chern(args) -> str:
-    return render_chern(_get_chern(args), args.format, args.factored)
+    cp = _get_chern(args)
+    if args.format == "json":
+        return _json(cp.to_json())
+    show = factored_str if args.factored else repr
+    return _render_text(cp, "d", {lam: show(p) for lam, p in cp.terms.items()})
 
 
 def cmd_chern_eval(args) -> str:
@@ -387,11 +380,11 @@ def parse_args(argv: list) -> SimpleNamespace:
     command = argv[0] if argv else ""
     choices = f" (choose from {', '.join(COMMANDS)})"
     tokens = argv[1:]
-    errors = []
+    error = None
     if command.startswith("-"):     # a flag before any command
         tokens = argv
     elif command and command not in COMMANDS:
-        errors.append(UsageError(f"invalid command {command!r}" + choices))
+        error = UsageError(f"invalid command {command!r}" + choices)
     if command not in COMMANDS:
         command = None
     _, required, optional = COMMANDS.get(command, (None, (), ()))
@@ -405,16 +398,16 @@ def parse_args(argv: list) -> SimpleNamespace:
                 return SimpleNamespace(command=command, help=_help(command))
             values[flag] = _read_value(flag, token, tokens)
         except UsageError as exc:
-            errors.append(exc)
+            error = error or exc
     if command is None:
-        errors.append(UsageError("no command" + choices))
+        error = error or UsageError("no command" + choices)
     missing = [flag for flag in required if values[flag] is None]
     if missing:
-        errors.append(UsageError("the following arguments are required: "
-                                 + ", ".join("--" + flag for flag in missing)))
-    if errors:
-        errors[0].format = values["format"]
-        raise errors[0]
+        error = error or UsageError("the following arguments are required: "
+                                    + ", ".join(f"--{f}" for f in missing))
+    if error:
+        error.format = values["format"]
+        raise error
     return SimpleNamespace(command=command, help=None, **{
         flag.replace("-", "_"): value for flag, value in values.items()})
 
@@ -483,32 +476,28 @@ def main(argv=None) -> int:
     code.  Exact answers print in full: the whole run is under
     ``unlimited_int_digits``, so integers of any length are also read from
     argv, spec files and cache files."""
-    with unlimited_int_digits():
-        return _main(argv)
-
-
-def _main(argv) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = parse_args(argv)
-    except UsageError as exc:
-        return _report(exc.format, exc, "usage error", EXIT_USAGE)
-    if args.help:
-        print(args.help)
+    with unlimited_int_digits():
+        try:
+            args = parse_args(argv)
+        except UsageError as exc:
+            return _report(exc.format, exc, "usage error", EXIT_USAGE)
+        if args.help:
+            print(args.help)
+            return 0
+        try:
+            out = COMMANDS[args.command][0](args)
+        except UsageError as exc:
+            return _report(args.format, exc, "usage error", EXIT_USAGE)
+        except ValueError as exc:       # the two below are ValueErrors
+            from .exactcore import InconsistentDataError, OutOfDomainError
+            if isinstance(exc, OutOfDomainError):
+                return _report(args.format, exc, "domain error", EXIT_DOMAIN)
+            if isinstance(exc, InconsistentDataError):
+                return _report(args.format, exc, "check failed", EXIT_CHECK)
+            raise
+        print(out)
         return 0
-    try:
-        out = COMMANDS[args.command][0](args)
-    except UsageError as exc:
-        return _report(args.format, exc, "usage error", EXIT_USAGE)
-    except ValueError as exc:       # the two below are ValueErrors
-        from .exactcore import InconsistentDataError, OutOfDomainError
-        if isinstance(exc, OutOfDomainError):
-            return _report(args.format, exc, "domain error", EXIT_DOMAIN)
-        if isinstance(exc, InconsistentDataError):
-            return _report(args.format, exc, "check failed", EXIT_CHECK)
-        raise
-    print(out)
-    return 0
 
 
 def run(argv=None) -> NoReturn:

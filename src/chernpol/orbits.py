@@ -29,16 +29,12 @@ def orbit_types(n: int) -> list:
     return out
 
 
-def _min_type_sum(u) -> int:
-    # the values of a type-u element are strictly increasing, so the j-th
-    # distinct value is at least j-1
-    return sum(uj * j for j, uj in enumerate(u))
-
-
 def enumerate_orbit(u, d: int) -> list:
     """O_u(d): all weakly increasing n-tuples summing to d whose distinct
     values have multiplicity pattern u, by the nested-range recursion."""
     u = naturals(u, "an orbit type part")
+    if not u:                       # the type of a 0-tuple
+        raise OutOfDomainError("n must be >= 1")
     if 0 in u:
         raise ValueError("orbit type parts must be positive")
     d = as_int(d, "d")
@@ -50,11 +46,14 @@ def enumerate_orbit(u, d: int) -> list:
     N1 = sum(u)
     rest = u[1:]
     N2 = sum(rest)
+    # the distinct values of a type-rest element are strictly increasing,
+    # so the j-th is at least j-1
+    least = sum(uj * j for j, uj in enumerate(rest))
     out = []
     t1 = 0
     # peeling off (t1^{u_1}, (t1+1)^{N2}) reduces to type u[1:] and total
     # d - N1*t1 - N2
-    while d - N1 * t1 - N2 >= _min_type_sum(rest):
+    while d - N1 * t1 - N2 >= least:
         for tail in enumerate_orbit(rest, d - N1 * t1 - N2):
             out.append((t1,) * u[0] + tuple(x + t1 + 1 for x in tail))
         t1 += 1

@@ -15,8 +15,7 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .exactcore import (UniPoly, as_natural, check_degree, naturals,
-                        read_json, unique_keys)
+from .exactcore import UniPoly, as_natural, check_degree, read_json, unique_keys
 from .symfunc import BASES, convert_expansion, validate_basis_index
 
 FORMAT_VERSION = "chernpol-cache-2"
@@ -33,8 +32,7 @@ class ChernPolynomial:
         # partition of k indexing the basis in n variables -> UniPoly in d
         self.terms = {}
         for lam, p in (terms or {}).items():
-            lam = naturals(lam, "a part")
-            validate_basis_index(basis, lam, self.n)
+            lam = validate_basis_index(basis, lam, self.n)
             if sum(lam) != self.k:
                 raise ValueError(f"{lam} is not a partition of k = {self.k}")
             self.terms[lam] = p

@@ -134,6 +134,9 @@ class RisingProductSpec:
             raise ValueError(f"a spec file has exactly one parameter: params"
                              f" must be a list of one name, not {params!r}")
         (param,) = params
+        if data["nx"] == 0:     # no --type has length 0
+            raise ValueError("a spec file has at least one x-variable: nx"
+                             " must be >= 1, not 0")
         table = unique_keys((((tuple(E), m), UniPoly.from_json(c, var=param))
                              for E, m, c in data["table"]), "table key")
         return cls((param,), table, UniPoly.from_json(data["K"], var=param),
@@ -251,17 +254,12 @@ def simple_coefficient(E, H) -> tuple[int, tuple]:
 # weight bounds and leading coefficients
 # ---------------------------------------------------------------------------
 
-def _table_degree(spec: RisingProductSpec, E: tuple, m: int) -> int:
-    """Total degree of P_{E,m}(d) * t^m in (params, t)."""
-    return spec.table[(E, m)].total_degree() + m
-
-
 def check_weight_bound(spec: RisingProductSpec, W) -> None:
     """Require deg(P_E(d, t)) <= W(E) for every table entry."""
     W = naturals(W, "an entry of W")
-    for (E, m) in spec.table:
+    for (E, m), coeff in spec.table.items():
         bound = sum(w * e for w, e in zip(W, E))
-        if _table_degree(spec, E, m) > bound:
+        if coeff.total_degree() + m > bound:      # the degree of P_{E,m} t^m
             raise ValueError(
                 f"table entry at E={E}, m={m} violates the linear bound")
     if spec.K.total_degree() not in (None, 0, 1):

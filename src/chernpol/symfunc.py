@@ -118,14 +118,16 @@ def _product_count(basis: str, lam: tuple, nu: tuple) -> int:
     return sum(_product_count(basis, lam[:-1], partition_of(r)) for r in rests)
 
 
-def validate_basis_index(basis: str, lam: tuple, n: int) -> None:
+def validate_basis_index(basis: str, lam, n: int) -> tuple:
+    """``lam`` as a partition indexing a basis element in n variables."""
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}")
-    check_partition(lam)
+    lam = check_partition(lam)
     if basis in ("monomial", "schur") and len(lam) > n:
         raise ValueError(f"{basis} index {lam} has length > {n} variables")
     if basis == "elementary" and any(p > n for p in lam):
         raise ValueError(f"elementary index {lam} has a part > {n} variables")
+    return lam
 
 
 def _monomial_row(basis: str, lam: tuple, n: int) -> dict:

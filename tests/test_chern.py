@@ -11,7 +11,8 @@ from chernpol.chern import (OutOfDomainError, chern_direct,
                             leading_term, odd_grouped_coefficient,
                             pol_power_sums, weight_vectors)
 from chernpol.exactcore import (InconsistentDataError, MultiPoly,
-                                TruncationPolicy, UniPoly)
+                                TruncationPolicy, UniPoly, series_invert,
+                                xvars)
 from chernpol.record import ChernPolynomial
 from chernpol.rising import RisingProductSpec, stirling_coefficient
 from chernpol.symfunc import (enumerate_partitions, expand_in_basis,
@@ -209,6 +210,45 @@ def test_interpolated_bases_rebuild_direct_product():
                            for lam, c in values.items()),
                           MultiPoly.const(0, direct.vars))
             assert rebuilt == direct, (n, k, basis)
+
+
+def _interior_points(n: int, t: int) -> list:
+    """The b in N^n with every b_i >= 1 and |b| = t, the interior lattice
+    points of the t-simplex: the gaps between n-1 cuts of 1..t-1."""
+    if t < n:
+        return []
+    return [tuple(hi - lo for lo, hi in zip((0,) + cuts, cuts + (t,)))
+            for cuts in itertools.combinations(range(1, t), n - 1)]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_interpolated_reciprocity_at_negative_d(n):
+    # Ehrhart-Macdonald reciprocity: p_j(d) = sum over |a| = d of (a.x)^j
+    # is at d = -t the sum of (-1)^(n-1) (-b.x)^j over the interior points
+    # b, so the total Chern class at d = -t is prod_b (1 - b.x) for odd n
+    # and its inverse for even n; built here by mul_truncated alone
+    K = 4
+    xs = xvars(n)
+    cps = [chern_interpolated(n, k) for k in range(K + 1)]
+    for t in range(9):
+        product = MultiPoly.const(1, xs)
+        for b in _interior_points(n, t):
+            product = product.mul_truncated(
+                MultiPoly(xs, {(0,) * n: 1, **{
+                    tuple(int(i == j) for i in range(n)): -bj
+                    for j, bj in enumerate(b)}}), K)
+        if n % 2 == 0:
+            product = series_invert(product, TruncationPolicy(K))
+        for k, cp in enumerate(cps):
+            values = {lam + (0,) * (n - len(lam)): p(F(-t))
+                      for lam, p in cp.terms.items()}
+            expected = {ev: c for ev, c in product.terms.items()
+                        if sum(ev) == k and list(ev) == sorted(ev)[::-1]}
+            assert {ev: v for ev, v in values.items() if v} == expected, (
+                n, k, t)
+    # the reciprocity is an oracle only: the record keeps its domain
+    with pytest.raises(OutOfDomainError):
+        cps[K].evaluate(-2)
 
 
 def test_c1_closed_form():

@@ -664,6 +664,20 @@ def test_malformed_spec_file_is_usage_error(case, capsys, tmp_path):
     assert len(err.splitlines()) == 1
 
 
+def test_spec_file_without_x_variables_is_usage_error(capsys, tmp_path):
+    # no --type has length 0; the library constructor still takes nx = 0
+    doc = RisingProductSpec(("d",), {}, UniPoly.x("d"), 0).to_json()
+    assert doc["nx"] == 0
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["stirling-coeff", "--spec-file", str(path),
+                              "--type", "1"], capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == (f"usage error: cannot read spec file {str(path)!r}: a spec"
+                   f" file has at least one x-variable: nx must be >= 1,"
+                   f" not 0\n")
+
+
 # ---------------------------------------------------------------------------
 # rendering helpers
 # ---------------------------------------------------------------------------
@@ -896,6 +910,32 @@ def test_usage_error_in_argv_is_one_line(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err == f"usage error: {message}\n"
+
+
+# of several usage errors in one argv, the first is reported: an invalid
+# command, then the flags' errors in argv order, then a missing command,
+# then missing required flags
+@pytest.mark.parametrize("argv, message", [
+    (["bogus", "--zzz", "--format", "json"],
+     "invalid command 'bogus' (choose from " + ", ".join(cli.COMMANDS) + ")"),
+    (["chern", "--n", "x", "--zzz"], "argument --n: invalid value: 'x'"),
+    (["chern", "--zzz", "--n", "x"], "unrecognized arguments: '--zzz'"),
+    (["--zzz"], "unrecognized arguments: '--zzz'"),
+    (["chern", "--n", "2"], "the following arguments are required: --k"),
+])
+def test_the_first_usage_error_is_reported(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    if "json" in argv:
+        assert json.loads(err) == {"error": "UsageError", "message": message}
+    else:
+        assert err == f"usage error: {message}\n"
+
+
+def test_help_wins_over_a_usage_error(capsys):
+    code, out, err = run_cli(["chern", "--zzz", "--help"], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: chernpol chern --n --k")
 
 
 ODD_SPEC = str(Path(__file__).resolve().parents[1] / "bench" / "odd_spec.json")

@@ -20,7 +20,7 @@ from chernpol.multipoly import series_invert
 from chernpol.roots import rational_roots
 from chernpol.symfunc import (alternant_terms, convert_expansion,
                               enumerate_partitions, expand_in_basis,
-                              partition_of, to_x_expansion)
+                              partition_of, syt_count, to_x_expansion)
 
 from polyhelpers import from_roots, variable
 
@@ -336,6 +336,36 @@ def test_sigma_symbolic_8_3_factors():
     roots, cofactor = rational_roots(p)
     assert roots == [(r, 1) for r in (0, 1, -1, 2, -2, -3)]
     assert p == cofactor * from_roots([0, 1, -1, 2, -2, -3])
+
+
+# the 14 pairs with m <= 7, r <= 3 and at most 60 interpolation points
+SIGMA_SMALL = [(m, r) for r in (1, 2, 3) for m in range(r + 1, 8)
+               if (r + 1) ** 2 * (m - r) <= 60]
+
+
+def test_sigma_symbolic_at_minus_r_minus_1_is_a_grassmannian_degree():
+    # for odd r, at d = -(r+1) the polynomial reads deg Gr_{r+1}(C^{m+1}),
+    # the count of standard tableaux of the (r+1) x (m-r) rectangle
+    assert len(SIGMA_SMALL) == 14
+    values = {(m, r): sigma_degree_symbolic(m, r)(-(r + 1))
+              for m, r in SIGMA_SMALL if r % 2}
+    assert values == {(m, r): syt_count((m - r,) * (r + 1)) for m, r in values}
+    assert [values[m, 1] for m in range(2, 8)] == [1, 2, 5, 14, 42, 132]
+    assert [values[m, 3] for m in range(4, 7)] == [1, 14, 462]
+
+
+def test_sigma_symbolic_negative_roots():
+    # simple, exactly -1..-r, and for even r also each -t with t > r and
+    # C(t-1, r) < (r+1)(m-r)
+    for m, r in SIGMA_SMALL:
+        p = sigma_degree_symbolic(m, r)
+        roots, _ = rational_roots(p)
+        expected = list(range(1, r + 1))
+        if r % 2 == 0:
+            expected += [t for t in range(r + 1, p.degree() + 1)
+                         if comb(t - 1, r) < (r + 1) * (m - r)]
+        assert sorted((-root, mult) for root, mult in roots if root < 0) == [
+            (t, 1) for t in expected], (m, r)
 
 
 def test_sigma_degree_leading():

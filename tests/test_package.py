@@ -569,6 +569,8 @@ VALUE_ERRORS = {
     "fano_chi_lines-method": (
         lambda: enumgeo.fano_chi_lines(4, 4, method="x"), ValueError,
         "unknown method 'x'"),
+    "enumerate_orbit-empty-type": (
+        lambda: enumerate_orbit((), 4), OutOfDomainError, "n must be >= 1"),
     "enumerate_orbit-zero-part": (
         lambda: enumerate_orbit((0, 2), 4), ValueError,
         "orbit type parts must be positive"),
