@@ -182,8 +182,7 @@ def odd_grouped_coefficient(H) -> UniPoly:
 
 def elementary_degree_bound(lam, n: int) -> int:
     """n*H_1 + (n+1)*H_2 + ... + (2n-1)*H_n for lam = (1^H_1,...,n^H_n)."""
-    lam = check_partition(lam) if lam else ()
-    return sum(n + p - 1 for p in lam)
+    return sum(n + p - 1 for p in check_partition(lam))
 
 
 def leading_term(basis: str, lam, n: int):

@@ -257,6 +257,8 @@ def simple_coefficient(E, H) -> tuple[int, tuple]:
 def check_weight_bound(spec: RisingProductSpec, W) -> None:
     """Require deg(P_E(d, t)) <= W(E) for every table entry."""
     W = naturals(W, "an entry of W")
+    if len(W) != spec.nx:
+        raise ValueError("W must have length nx")
     for (E, m), coeff in spec.table.items():
         bound = sum(w * e for w, e in zip(W, E))
         if coeff.total_degree() + m > bound:      # the degree of P_{E,m} t^m
@@ -275,6 +277,8 @@ def leading_coefficient(spec: RisingProductSpec, W, H) -> Fraction:
     with monic linear K only.
     """
     W, H = naturals(W, "an entry of W"), naturals(H, "an entry of H")
+    if len(H) != spec.nx:
+        raise ValueError("H must have length nx")
     check_weight_bound(spec, W)
     K = spec._unipoly(spec.K)
     if K.degree() != 1 or K.coeff(1) != 1:
@@ -301,6 +305,8 @@ def direct_rising_oracle(spec: RisingProductSpec, params,
                          policy: TruncationPolicy) -> MultiPoly:
     """Expand prod_{t=0}^{K(params)} P(params, t, x) directly, truncated.
     K(params) = -1 yields 1."""
+    if len(params) != len(spec.params):
+        raise ValueError("params must have one value per parameter")
     values = dict(zip(spec.params, params))
     k0 = spec.K.evaluate(values)
     if k0.denominator != 1:

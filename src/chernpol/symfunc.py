@@ -43,7 +43,7 @@ def partition_of(exponents) -> tuple:
 
 
 def conjugate(parts) -> tuple:
-    parts = naturals(parts, "a part")
+    parts = check_partition(parts)
     if not parts:
         return ()
     return tuple(sum(1 for p in parts if p > i) for i in range(parts[0]))
@@ -134,8 +134,8 @@ def _monomial_row(basis: str, lam: tuple, n: int) -> dict:
     """The basis element indexed by lam as {nu: coefficient of m_nu}, over
     the nu |- |lam| with at most n parts, nonzero coefficients only: the
     Kostka numbers K(lam, nu) for s_lam (Macdonald, I.6), the counts of
-    _product_count for e_lam and p_lam."""
-    validate_basis_index(basis, lam, n)
+    _product_count for e_lam and p_lam.  Callers pass lam checked by
+    validate_basis_index."""
     if basis == "monomial":
         return {lam: 1}
     count = _kostka if basis == "schur" else partial(_product_count, basis)
@@ -159,7 +159,8 @@ def _schur_x(lam: tuple, n: int) -> MultiPoly:
 
 def to_x_expansion(basis: str, lam: tuple, n: int) -> MultiPoly:
     """The basis element as a polynomial in x1..xn, read from its row."""
-    lam, n = tuple(lam), as_natural(n, "n")
+    n = as_natural(n, "n")
+    lam = validate_basis_index(basis, lam, n)
     return (_schur_x(lam, n) if basis == "schur"
             else _row_x(_monomial_row(basis, lam, n), n))
 
@@ -228,12 +229,11 @@ def convert_expansion(terms: dict, src_basis: str, dst_basis: str, n: int) -> di
     raises InconsistentDataError.
     """
     n = as_natural(n, "n")
-    if src_basis == dst_basis:
-        return dict(terms)
     if dst_basis not in BASES:
         raise ValueError(f"unknown basis {dst_basis!r}")
     rem: dict[tuple, object] = {}
     for lam, c in terms.items():
+        lam = validate_basis_index(src_basis, lam, n)
         for mu, k in _monomial_row(src_basis, lam, n).items():
             rem[mu] = rem[mu] + c * k if mu in rem else c * k
     rem = {mu: c for mu, c in rem.items() if c != 0}
@@ -264,7 +264,7 @@ def convert_expansion(terms: dict, src_basis: str, dst_basis: str, n: int) -> di
 def syt_count(lam: tuple) -> int:
     """f^lambda, the standard Young tableaux of shape lambda, by the hook
     length formula: |lambda|! over the product of the hook lengths."""
-    lam = check_partition(lam) if lam else ()
+    lam = check_partition(lam)
     cols = conjugate(lam)
     return factorial(sum(lam)) // prod(row - j + cols[j] - i - 1
                                        for i, row in enumerate(lam)

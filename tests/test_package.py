@@ -422,6 +422,9 @@ NATURAL_INPUTS = {
     "convert_expansion": lambda x: symfunc.convert_expansion(
         {(1,): 1}, "monomial", "elementary", x),
     "to_x_expansion": lambda x: symfunc.to_x_expansion("schur", (1,), x),
+    "to_x_expansion-lam": lambda x: symfunc.to_x_expansion("schur", (x, 1), 3),
+    "convert_expansion-key": lambda x: symfunc.convert_expansion(
+        {(x, 1): 1}, "elementary", "monomial", 3),
     "leading_term": lambda x: chern.leading_term("monomial", (1,), x),
     "leading_term-lam": lambda x: chern.leading_term("monomial", (x,), 2),
     "enumerate_orbit": lambda x: enumerate_orbit((x, 1), 4),
@@ -542,6 +545,21 @@ VALUE_ERRORS = {
     "convert_expansion-basis": (
         lambda: symfunc.convert_expansion({(1,): 1}, "monomial", "x", 2),
         ValueError, "unknown basis 'x'"),
+    "convert_expansion-same-unknown-basis": (
+        lambda: symfunc.convert_expansion({(2,): 1}, "x", "x", 2),
+        ValueError, "unknown basis 'x'"),
+    "convert_expansion-same-basis-not-partition": (
+        lambda: symfunc.convert_expansion({(1, 3): 1}, "monomial",
+                                          "monomial", 2),
+        ValueError, "not a partition"),
+    "convert_expansion-same-basis-length": (
+        lambda: symfunc.convert_expansion({(1, 1, 1): 1}, "monomial",
+                                          "monomial", 2),
+        ValueError, "length > 2"),
+    "conjugate-increasing": (
+        lambda: symfunc.conjugate((1, 3)), ValueError, "not a partition"),
+    "conjugate-zero-part": (
+        lambda: symfunc.conjugate((0,)), ValueError, "not a partition"),
     "expand_in_basis-basis": (
         lambda: symfunc.expand_in_basis(MultiPoly(("x1",), {(1,): 1}), "x"),
         ValueError, "unknown basis 'x'"),
@@ -597,6 +615,23 @@ VALUE_ERRORS = {
     "stirling_coefficient-H-length": (
         lambda: stirling_coefficient(_SPEC, (1, 1)), ValueError,
         "H must have length nx"),
+    "leading_coefficient-H-too-long": (
+        lambda: leading_coefficient(chern.odd_spec(), (1, 2), (1, 1, 1)),
+        ValueError, "H must have length nx"),
+    "leading_coefficient-H-too-short": (
+        lambda: leading_coefficient(chern.odd_spec(), (1, 2), (1,)),
+        ValueError, "H must have length nx"),
+    "leading_coefficient-W-too-short": (
+        lambda: leading_coefficient(chern.odd_spec(), (1,), (1, 1)),
+        ValueError, "W must have length nx"),
+    "direct_rising_oracle-no-params": (
+        lambda: rising.direct_rising_oracle(chern.odd_spec(), (),
+                                            TruncationPolicy(2)),
+        ValueError, "params must have one value per parameter"),
+    "direct_rising_oracle-extra-param": (
+        lambda: rising.direct_rising_oracle(chern.odd_spec(), (1, 2),
+                                            TruncationPolicy(2)),
+        ValueError, "params must have one value per parameter"),
     "simple_coefficient-length": (
         lambda: simple_coefficient((1,), (1, 1)), ValueError,
         "E and H must have equal length"),

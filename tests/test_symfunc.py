@@ -235,6 +235,10 @@ def test_convert_expansion_roundtrip():
             there = convert_expansion(mono, "monomial", basis, n)
             back = convert_expansion(there, basis, "monomial", n)
             assert back == {lam: c for lam, c in mono.items() if c}
+            assert convert_expansion(there, basis, basis, n) == there, basis
+    # a power index longer than n comes back in the l(lam) <= n power basis
+    # (p_1^2 = x1^2 = p_2 in one variable), as every conversion into it does
+    assert convert_expansion({(1, 1): 1}, "power", "power", 1) == {(2,): 1}
 
 
 def test_convert_expansion_polynomial_coeffs():
@@ -245,6 +249,8 @@ def test_convert_expansion_polynomial_coeffs():
     # e_2 = m_(1,1); e_1^2 = m_(2) + 2 m_(1,1)
     assert out[(2,)] == d + 1
     assert out[(1, 1)] == d * d + (d + 1).scale(2)
+    for basis in BASES:
+        assert convert_expansion(terms, basis, basis, 2) == terms, basis
 
 
 def test_wrong_pivot_row_fails_the_cross_check(monkeypatch):
