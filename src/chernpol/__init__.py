@@ -6,9 +6,12 @@ varieties of hypersurfaces containing linear subspaces.
 ``import chernpol`` loads no submodule: each exported name is looked up in
 its submodule when it is used (PEP 562), so a command imports only what it
 runs.  ``BASES`` lives here, so that the CLI's flag schema, its help and
-its usage errors load no submodule.
+its usage errors load no submodule, and so do the SHA-256 and the atomic
+write that the cache files of ``record`` and the CLI's answer files share.
 """
 
+import os
+import sys
 from importlib import import_module
 
 __version__ = "1.0.0"
@@ -38,6 +41,37 @@ _EXPORTS = {
                 "fano_degree_lines", "grassmann_integral", "sigma_degree",
                 "sigma_degree_symbolic"),
 }
+
+
+def sha256_hex(text: str) -> str:
+    """The SHA-256 of ``text``'s UTF-8 bytes, in hex.  CPython's own module
+    gives hashlib's digest without loading OpenSSL; it is chosen by
+    version, since a failed import searches sys.path."""
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+    return sha256(text.encode()).hexdigest()
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file renamed over it,
+    so no reader sees a partial file; OSError if it cannot."""
+    import tempfile
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):     # no temporary file is left behind
+            os.unlink(tmp)
+
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

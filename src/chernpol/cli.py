@@ -1,6 +1,7 @@
 """Command-line interface: compute Chern-class coefficient polynomials,
 Stirling coefficients of rising products, orbit enumerations and enumerative
-invariants, with JSON/text rendering and a persistent Chern-coefficient cache.
+invariants, with JSON/text rendering, a persistent Chern-coefficient cache
+and the answer files that serve a repeated chern or chern-eval request.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import BASES
+from . import BASES, sha256_hex, write_atomic
 
 # no submodule is imported here: each handler imports what it runs (a
 # cached chern query reads its record through ``record`` and loads no
@@ -68,6 +69,50 @@ def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
     except OSError as exc:
         print(f"warning: not caching {path}: {exc}", file=sys.stderr)
     return result
+
+
+# a chern or chern-eval answer is stored as its exact stdout under one
+# header line, "chernpol-answer <SHA-256 of the body> <source identity>", in
+# one file per request, so a repeated request prints it and loads no
+# arithmetic; after a package edit the identity differs and it is recomputed
+ANSWER_TAG = "chernpol-answer"
+
+
+def _answer_path(args) -> str | None:
+    """The answer file of a cached chern or chern-eval request, named by
+    its command and every flag value but the cache's own; else None."""
+    if args.command not in ("chern", "chern-eval") or args.no_cache:
+        return None
+    flags = "".join(f"_{key}-{value}"
+                    for key, value in sorted(vars(args).items())
+                    if key not in ("command", "help", "cache_dir", "no_cache"))
+    return os.path.join(args.cache_dir or default_cache_dir(),
+                        f"answer_{args.command}{flags}.txt")
+
+
+def _source_identity() -> str:
+    """The SHA-256 of the (name, size, mtime_ns) of the package's modules."""
+    with os.scandir(os.path.dirname(__file__)) as entries:
+        files = sorted((e.name, e.stat().st_size, e.stat().st_mtime_ns)
+                       for e in entries if e.name.endswith(".py"))
+    return sha256_hex(repr(files))
+
+
+def _read_answer(path: str, identity: str) -> str | None:
+    """The body of the answer file at ``path``; None if it is missing,
+    unreadable, corrupt (with a warning) or of another package source."""
+    try:    # a byte that is no UTF-8 is read as U+FFFD: a checksum mismatch
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            header, _, body = fh.read().partition("\n")
+    except OSError:
+        return None
+    if not header.endswith(f" {identity}"):
+        return None
+    if header != f"{ANSWER_TAG} {sha256_hex(body)} {identity}":
+        print(f"warning: recomputing corrupt answer file {path}: checksum "
+              "mismatch", file=sys.stderr)
+        return None
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +520,8 @@ def main(argv=None) -> int:
     """Run the command of ``argv`` (default ``sys.argv[1:]``); its exit
     code.  Exact answers print in full: the whole run is under
     ``unlimited_int_digits``, so integers of any length are also read from
-    argv, spec files and cache files."""
+    argv, spec files and cache files.  A chern or chern-eval request whose
+    answer file is valid prints its stored answer and runs no handler."""
     argv = sys.argv[1:] if argv is None else list(argv)
     with unlimited_int_digits():
         try:
@@ -485,6 +531,13 @@ def main(argv=None) -> int:
         if args.help:
             print(args.help)
             return 0
+        answer = _answer_path(args)
+        if answer:
+            identity = _source_identity()
+            body = _read_answer(answer, identity)
+            if body is not None:
+                sys.stdout.write(body)
+                return 0
         try:
             out = COMMANDS[args.command][0](args)
         except UsageError as exc:
@@ -497,6 +550,11 @@ def main(argv=None) -> int:
                 return _report(args.format, exc, "check failed", EXIT_CHECK)
             raise
         print(out)
+        if answer:      # a write that fails leaves the answer uncached
+            with contextlib.suppress(OSError):
+                body = out + "\n"
+                write_atomic(answer, f"{ANSWER_TAG} {sha256_hex(body)} "
+                                     f"{identity}\n{body}")
         return 0
 
 
@@ -504,8 +562,8 @@ def run(argv=None) -> NoReturn:
     """The process entry point of ``python -m chernpol.cli`` and of the
     ``chernpol`` script: ``main``, then flush the output, run the atexit
     callbacks and end the process by ``os._exit``, skipping interpreter
-    teardown (nothing is left to it: the cache file is closed inside
-    ``record.write_entry``, and the package starts no thread and defines
+    teardown (nothing is left to it: every cache and answer file is closed
+    where it is read or written, and the package starts no thread and defines
     no finalizer); ``main`` never ends the process, so it stays safe to
     call in-process.  Output that cannot be written exits 1: silently on a
     broken pipe, with one stderr line for any other write error.  An

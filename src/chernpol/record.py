@@ -10,11 +10,10 @@ computes them.
 
 from __future__ import annotations
 
-import os
-import sys
 from fractions import Fraction
 from math import comb
 
+from . import sha256_hex, write_atomic
 from .exactcore import UniPoly, as_natural, check_degree, read_json, unique_keys
 from .symfunc import BASES, convert_expansion, validate_basis_index
 
@@ -106,16 +105,7 @@ class ChernPolynomial:
 
 def _checksum(payload) -> str:
     import json
-    # CPython's own SHA-256: hashlib's digest, without loading OpenSSL; the
-    # module is chosen by version, since a failed import searches sys.path
-    try:
-        if sys.version_info >= (3, 12):
-            from _sha2 import sha256
-        else:
-            from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
-    return sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    return sha256_hex(json.dumps(payload, sort_keys=True))
 
 
 def read_entry(path: str, n: int, k: int) -> ChernPolynomial:
@@ -132,18 +122,9 @@ def read_entry(path: str, n: int, k: int) -> ChernPolynomial:
 
 
 def write_entry(path: str, cp: ChernPolynomial) -> None:
-    """Write ``cp`` to the cache file at ``path`` through a temporary file
-    renamed over it, so no reader sees a partial file; OSError if it cannot."""
+    """Write ``cp`` to the cache file at ``path`` by ``write_atomic``;
+    OSError if it cannot."""
     import json
-    import tempfile
     payload = cp.to_json()
-    cache_dir = os.path.dirname(path)
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump({"checksum": _checksum(payload), "payload": payload}, fh)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):     # no temporary file is left behind
-            os.unlink(tmp)
+    write_atomic(path, json.dumps({"checksum": _checksum(payload),
+                                   "payload": payload}))

@@ -229,8 +229,9 @@ def convert_expansion(terms: dict, src_basis: str, dst_basis: str, n: int) -> di
     raises InconsistentDataError.
     """
     n = as_natural(n, "n")
-    if dst_basis not in BASES:
-        raise ValueError(f"unknown basis {dst_basis!r}")
+    for basis in (src_basis, dst_basis):
+        if basis not in BASES:
+            raise ValueError(f"unknown basis {basis!r}")
     rem: dict[tuple, object] = {}
     for lam, c in terms.items():
         lam = validate_basis_index(src_basis, lam, n)

@@ -23,7 +23,8 @@ def _tracing():
 def test_traced_replay_runs_and_reports_every_layer(tmp_path):
     tracing = _tracing()
     chern = ["chern", "--n", "2", "--k", "2", "--cache-dir", str(tmp_path)]
-    queries = [chern, chern,            # cold, then warm
+    # cold, then the stored answer, then the record in another basis
+    queries = [chern, chern, chern + ["--basis", "s"],
                ["sigma-degree", "--m", "3", "--r", "1", "--d", "4"],
                ["orbits", "--n", "3", "--d", "4"]]
     # as in bench/run.py, the replay finds the lru caches before the layers
@@ -32,7 +33,7 @@ def test_traced_replay_runs_and_reports_every_layer(tmp_path):
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
         wall, results = replay.run(queries, tracer)
-    assert [code for _, code, _ in results] == [0, 0, 0, 0]
+    assert [code for _, code, _ in results] == [0, 0, 0, 0, 0]
     assert results[0][2] == results[1][2]
     metrics = tracing.layer_metrics(tracer, wall)
     assert (metrics["cli.cache.misses"], metrics["cli.cache.hits"]) == (1, 1)

@@ -143,7 +143,9 @@ def test_entry_point_writes_a_complete_cache_file(tmp_path):
                    "--cache-dir", str(tmp_path))
     assert proc.returncode == 0
     # no temporary file is left behind
-    assert [p.name for p in tmp_path.iterdir()] == ["chern_n3_k2.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "answer_chern_basis-monomial_factored-False_format-text_k-2_n-3.txt",
+        "chern_n3_k2.json"]
     doc = json.loads((tmp_path / "chern_n3_k2.json").read_text())
     assert doc["checksum"] == record._checksum(doc["payload"])
     assert ChernPolynomial.from_json(doc["payload"]) == chern_interpolated(3, 2)
@@ -437,6 +439,12 @@ def test_verify_json(capsys):
 # cache behavior
 # ---------------------------------------------------------------------------
 
+def _forget_answers(cache_dir):
+    """Remove the answer files, so that a repeated query reads the record."""
+    for path in cache_dir.glob("answer_*"):
+        path.unlink()
+
+
 def test_cache_cold_warm_identical(capsys, tmp_path):
     argv = ["chern", "--n", "2", "--k", "2", "--format", "json",
             "--cache-dir", str(tmp_path)]
@@ -453,6 +461,7 @@ def test_cache_corrupt_recovers(capsys, tmp_path):
             "--cache-dir", str(tmp_path)]
     _, cold, _ = run_cli(argv, capsys)
     (tmp_path / "chern_n2_k1.json").write_text("{not json")
+    _forget_answers(tmp_path)
     code, out, err = run_cli(argv, capsys)
     assert code == 0
     assert out == cold
@@ -464,6 +473,7 @@ def test_cache_entry_nested_too_deep_is_recomputed(capsys, tmp_path):
     argv = ["chern", "--n", "2", "--k", "1", "--cache-dir", str(tmp_path)]
     _, cold, _ = run_cli(argv, capsys)
     (tmp_path / "chern_n2_k1.json").write_text("[" * 100000 + "]" * 100000)
+    _forget_answers(tmp_path)
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (0, cold)
     assert "warning: recomputing" in err and "recursion" in err
@@ -478,6 +488,7 @@ def test_cache_checksum_mismatch_recovers(capsys, tmp_path):
     doc = json.loads(path.read_text())
     doc["checksum"] = "0" * 64
     path.write_text(json.dumps(doc))
+    _forget_answers(tmp_path)
     code, out, err = run_cli(argv, capsys)
     assert code == 0
     assert out == cold
@@ -524,6 +535,7 @@ def test_cache_entry_with_bad_exponent_is_recomputed(capsys, tmp_path):
         payload["terms"][0][1][0][0] = bad
         path.write_text(json.dumps({"checksum": record._checksum(payload),
                                     "payload": payload}))
+        _forget_answers(tmp_path)
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (0, uncached)
         assert "warning: recomputing" in err and "exponent" in err
@@ -589,7 +601,141 @@ def test_cache_entry_that_is_a_directory(capsys, tmp_path):
     assert out == uncached
     assert "warning: recomputing" in err and "warning: not caching" in err
     assert "Traceback" not in err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["chern_n2_k1.json"]
+    # the answer is stored; no temporary file is left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "answer_chern_basis-elementary_factored-False_format-text_k-1_n-2.txt",
+        "chern_n2_k1.json"]
+
+
+# ---------------------------------------------------------------------------
+# answer files: a repeated chern / chern-eval request prints its stored answer
+# ---------------------------------------------------------------------------
+
+def _no_record(*args, **kwargs):
+    raise AssertionError("the request read the record")
+
+
+def _answer_file(cache_dir) -> Path:
+    (path,) = cache_dir.glob("answer_*")
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["chern", "--n", "3", "--k", "3", "--basis", "e"],
+    ["chern", "--n", "3", "--k", "3", "--basis", "s", "--factored"],
+    ["chern", "--n", "3", "--k", "3", "--format", "json"],
+    ["chern-eval", "--n", "3", "--k", "3", "--basis", "p", "--d", "7"],
+    ["chern-eval", "--n", "3", "--k", "3", "--d", "7", "--format", "json"],
+], ids=["text", "factored", "json", "eval-text", "eval-json"])
+def test_answer_hit_prints_the_same_bytes(argv, capsys, tmp_path,
+                                          monkeypatch):
+    _, uncached, _ = run_cli(argv + ["--no-cache"], capsys)
+    argv = argv + ["--cache-dir", str(tmp_path)]
+    assert run_cli(argv, capsys) == (0, uncached, "")
+    header, _, body = _answer_file(tmp_path).read_text().partition("\n")
+    assert body == uncached
+    assert header.split()[:2] == ["chernpol-answer",
+                                  hashlib.sha256(body.encode()).hexdigest()]
+    monkeypatch.setattr(cli, "cache_get_or_compute", _no_record)
+    assert run_cli(argv, capsys) == (0, uncached, "")
+
+
+def test_a_basis_letter_and_its_name_share_one_answer(capsys, tmp_path,
+                                                      monkeypatch):
+    argv = ["chern", "--n", "2", "--k", "3", "--cache-dir", str(tmp_path),
+            "--basis"]
+    _, cold, _ = run_cli(argv + ["s"], capsys)
+    monkeypatch.setattr(cli, "cache_get_or_compute", _no_record)
+    assert run_cli(argv + ["schur"], capsys) == (0, cold, "")
+    assert len(list(tmp_path.glob("answer_*"))) == 1
+
+
+def test_corrupt_answer_is_recomputed_with_one_warning(capsys, tmp_path):
+    argv = ["chern-eval", "--n", "2", "--k", "2", "--d", "5",
+            "--cache-dir", str(tmp_path)]
+    _, cold, _ = run_cli(argv, capsys)
+    path = _answer_file(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"m[", b"\xffm["))
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (0, cold)
+    assert "warning: recomputing corrupt answer file" in err
+    assert len(err.splitlines()) == 1
+    assert run_cli(argv, capsys) == (0, cold, "")     # rewritten
+
+
+def test_answer_of_another_package_source_is_recomputed(capsys, tmp_path,
+                                                        monkeypatch):
+    argv = ["chern", "--n", "2", "--k", "2", "--cache-dir", str(tmp_path)]
+    _, cold, _ = run_cli(argv, capsys)
+    calls = []
+    monkeypatch.setattr(cli, "_source_identity", lambda: "edited")
+    monkeypatch.setattr(cli, "cache_get_or_compute",
+                        lambda *a: calls.append(a) or chern_interpolated(2, 2))
+    assert run_cli(argv, capsys) == (0, cold, "")
+    assert len(calls) == 1
+    assert _answer_file(tmp_path).read_text().split("\n")[0].endswith(
+        " edited")
+    assert run_cli(argv, capsys) == (0, cold, "")
+    assert len(calls) == 1
+
+
+def test_source_identity_follows_the_module_files(tmp_path):
+    # the identity of a copied package changes when one of its files does
+    package = tmp_path / "chernpol"
+    shutil.copytree(Path(cli.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    probe = "from chernpol import cli; print(cli._source_identity())"
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+
+    def identity() -> str:
+        return subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True,
+                              check=True).stdout
+    before = identity()
+    assert identity() == before
+    with open(package / "roots.py", "a") as fh:
+        fh.write("\n")
+    assert identity() != before
+
+
+def test_no_cache_reads_no_answer_file(capsys, tmp_path):
+    argv = ["chern", "--n", "2", "--k", "1", "--cache-dir", str(tmp_path)]
+    _, cold, _ = run_cli(argv, capsys)
+    path = _answer_file(tmp_path)
+    header = path.read_text().split("\n")[0].split()
+    body = "forged\n"
+    header[1] = hashlib.sha256(body.encode()).hexdigest()
+    path.write_text(" ".join(header) + "\n" + body)
+    assert run_cli(argv, capsys) == (0, body, "")
+    assert run_cli(argv + ["--no-cache"], capsys) == (0, cold, "")
+
+
+def test_domain_error_stores_no_answer(capsys, tmp_path):
+    code, out, err = run_cli(["chern-eval", "--n", "2", "--k", "2", "--d",
+                              "-2", "--cache-dir", str(tmp_path)], capsys)
+    assert (code, out) == (cli.EXIT_DOMAIN, "")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_answer_write_changes_nothing(capsys, tmp_path):
+    # below a regular file nothing is written: one warning, for the record
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["chern", "--n", "2", "--k", "1", "--basis", "e"]
+    _, uncached, _ = run_cli(argv + ["--no-cache"], capsys)
+    code, out, err = run_cli(argv + ["--cache-dir", str(blocker / "sub")],
+                             capsys)
+    assert (code, out) == (0, uncached)
+    assert err.startswith("warning: not caching")
+    assert len(err.splitlines()) == 1
+    # the record is written, the answer cannot be: no warning at all
+    argv += ["--cache-dir", str(tmp_path / "cache")]
+    run_cli(argv, capsys)
+    path = _answer_file(tmp_path / "cache")
+    path.unlink()
+    path.mkdir()                # no file can be renamed over it
+    assert run_cli(argv, capsys) == (0, uncached, "")
+    assert path.is_dir() and not list(path.parent.glob("*.tmp"))
 
 
 # ---------------------------------------------------------------------------

@@ -200,10 +200,15 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     chern_argv = ["chern", "--n", "4", "--k", "3", "--basis", "s",
                   "--cache-dir", str(tmp_path)]
     _run(chern_argv)                                # fills the cache
-    # a cache hit reads the record and computes nothing
+    # a repeated request prints its stored answer: no arithmetic, no json
+    assert _run(chern_argv, allow_json=False) == FRONT
+    # a record hit reads the record and computes nothing: a request the
+    # cache has not answered, or one whose answer file is gone
     warm = core | {"chernpol.record"}
-    assert _run(chern_argv) == warm
     assert _run(chern_argv + ["--factored"]) == warm | {"chernpol.roots"}
+    for path in tmp_path.glob("answer_*"):
+        path.unlink()
+    assert _run(chern_argv) == warm
     assert _run(chern_argv + ["--no-cache"]) == warm | {
         "chernpol.chern", "chernpol.specialization"}
     assert _run(["stirling-coeff", "--spec-file",
@@ -544,6 +549,9 @@ VALUE_ERRORS = {
         "unknown basis 'x'"),
     "convert_expansion-basis": (
         lambda: symfunc.convert_expansion({(1,): 1}, "monomial", "x", 2),
+        ValueError, "unknown basis 'x'"),
+    "convert_expansion-empty-unknown-source": (
+        lambda: symfunc.convert_expansion({}, "x", "monomial", 2),
         ValueError, "unknown basis 'x'"),
     "convert_expansion-same-unknown-basis": (
         lambda: symfunc.convert_expansion({(2,): 1}, "x", "x", 2),
