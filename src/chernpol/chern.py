@@ -21,15 +21,15 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice, product
-from math import comb, factorial, prod
+from math import comb, factorial
 from operator import mul
 
 from . import BASES
 from .exactcore import (InconsistentDataError, OutOfDomainError,
                         TruncationPolicy, UniPoly, as_int, as_natural,
                         check_degree, interpolate_integers, xvars)
-from .symfunc import (check_partition, enumerate_partitions, partition_of,
-                      syt_count, validate_basis_index)
+from .symfunc import (check_partition, enumerate_partitions, multinomial,
+                      partition_of, syt_count, validate_basis_index)
 
 # multipoly, record, rising and specialization are imported inside the
 # functions that use them; the closed form loads only specialization, and
@@ -74,7 +74,7 @@ def pol_power_sums(n: int, k: int, ds):
 
     def power_sums(top):
         w = moment_weights(top)
-        scale = factorial(sum(top)) // prod(map(factorial, top))
+        scale = multinomial(top)
         return [scale * sum(map(mul, w, col)) for col in columns]
     return power_sums
 

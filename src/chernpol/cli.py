@@ -1,7 +1,6 @@
 """Command-line interface: compute Chern-class coefficient polynomials,
 Stirling coefficients of rising products, orbit enumerations and enumerative
-invariants, with JSON/text rendering, a persistent Chern-coefficient cache
-and the answer files that serve a repeated chern or chern-eval request.
+invariants, with JSON/text rendering and a cache of chern answers.
 """
 
 from __future__ import annotations
@@ -35,47 +34,16 @@ class UsageError(ValueError):
 # cache
 # ---------------------------------------------------------------------------
 
-def default_cache_dir() -> str:
-    env = os.environ.get(CACHE_ENV)
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "chernpol")
-
-
-def _cache_path(cache_dir: str, n: int, k: int) -> str:
-    return os.path.join(cache_dir, f"chern_n{n}_k{k}.json")
-
-
-def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
-                         no_cache: bool = False) -> record.ChernPolynomial:
-    """Monomial-basis ChernPolynomial for (n, k), through the cache file
-    of ``record``: a file it cannot read is recomputed and overwritten, and
-    one it cannot write gives the uncached answer, each with a warning."""
-    if no_cache:
-        from . import chern
-        return chern.chern_interpolated(n, k, "monomial")
-    from . import record
-    path = _cache_path(cache_dir or default_cache_dir(), n, k)
-    if os.path.exists(path):
-        try:
-            return record.read_entry(path, n, k)
-        except (OSError, ValueError) as exc:
-            print(f"warning: recomputing corrupt/stale cache entry {path}: {exc}",
-                  file=sys.stderr)
-    from . import chern
-    result = chern.chern_interpolated(n, k, "monomial")
-    try:
-        record.write_entry(path, result)
-    except OSError as exc:
-        print(f"warning: not caching {path}: {exc}", file=sys.stderr)
-    return result
-
-
-# a chern or chern-eval answer is stored as its exact stdout under one
-# header line, "chernpol-answer <SHA-256 of the body> <source identity>", in
-# one file per request, so a repeated request prints it and loads no
-# arithmetic; after a package edit the identity differs and it is recomputed
+# a cache file holds a chern or chern-eval request's exact stdout under the
+# line "chernpol-answer <SHA-256 of the body> <source identity>": a repeated
+# request prints it and loads no arithmetic, and after a package edit it is
+# recomputed.  That of "chern --n N --k K --format json" is (n, k)'s record
 ANSWER_TAG = "chernpol-answer"
+
+
+def default_cache_dir() -> str:
+    return os.environ.get(CACHE_ENV) or os.path.join(
+        os.path.expanduser("~"), ".cache", "chernpol")
 
 
 def _answer_path(args) -> str | None:
@@ -90,11 +58,21 @@ def _answer_path(args) -> str | None:
                         f"answer_{args.command}{flags}.txt")
 
 
-def _source_identity() -> str:
-    """The SHA-256 of the (name, size, mtime_ns) of the package's modules."""
-    with os.scandir(os.path.dirname(__file__)) as entries:
-        files = sorted((e.name, e.stat().st_size, e.stat().st_mtime_ns)
-                       for e in entries if e.name.endswith(".py"))
+def _cache_path(cache_dir: str, n: int, k: int) -> str:
+    """The record of (n, k): the answer file of its monomial JSON request."""
+    argv = ["chern", f"--n={n}", f"--k={k}", "--format=json", "--cache-dir"]
+    return _answer_path(parse_args(argv + [cache_dir]))
+
+
+def _source_identity() -> str | None:
+    """The SHA-256 of the (name, size, mtime_ns) of the package's modules;
+    None if they cannot be listed (a package imported from a zip file)."""
+    try:
+        with os.scandir(os.path.dirname(__file__)) as entries:
+            files = sorted((e.name, e.stat().st_size, e.stat().st_mtime_ns)
+                           for e in entries if e.name.endswith(".py"))
+    except OSError:
+        return None
     return sha256_hex(repr(files))
 
 
@@ -113,6 +91,42 @@ def _read_answer(path: str, identity: str) -> str | None:
               "mismatch", file=sys.stderr)
         return None
     return body
+
+
+def _write_answer(path: str, body: str, identity: str) -> None:
+    """Store ``body`` under its header at ``path``; OSError if it cannot."""
+    write_atomic(path, f"{ANSWER_TAG} {sha256_hex(body)} {identity}\n{body}")
+
+
+def cache_get_or_compute(n: int, k: int, cache_dir: str | None = None,
+                         no_cache: bool = False) -> record.ChernPolynomial:
+    """Monomial-basis ChernPolynomial for (n, k), through its record: a
+    record it cannot read is recomputed and overwritten, and one it cannot
+    write gives the uncached answer, each with a warning."""
+    identity = None if no_cache else _source_identity()
+    if not identity:
+        from . import chern
+        return chern.chern_interpolated(n, k, "monomial")
+    from . import record
+    from .exactcore import parse_json
+    path = _cache_path(cache_dir or default_cache_dir(), n, k)
+    body = _read_answer(path, identity)
+    if body is not None:
+        try:
+            cp = parse_json(body, record.ChernPolynomial.from_json)
+            if (cp.n, cp.k, cp.basis) == (n, k, "monomial"):
+                return cp
+            raise ValueError(f"entry is for n={cp.n}, k={cp.k}, {cp.basis}")
+        except ValueError as exc:
+            print(f"warning: recomputing corrupt/stale cache entry {path}: "
+                  f"{exc}", file=sys.stderr)
+    from . import chern
+    result = chern.chern_interpolated(n, k, "monomial")
+    try:
+        _write_answer(path, _json(result.to_json()) + "\n", identity)
+    except OSError as exc:
+        print(f"warning: not caching {path}: {exc}", file=sys.stderr)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +546,8 @@ def main(argv=None) -> int:
             print(args.help)
             return 0
         answer = _answer_path(args)
-        if answer:
-            identity = _source_identity()
+        identity = answer and _source_identity()
+        if identity:
             body = _read_answer(answer, identity)
             if body is not None:
                 sys.stdout.write(body)
@@ -550,11 +564,9 @@ def main(argv=None) -> int:
                 return _report(args.format, exc, "check failed", EXIT_CHECK)
             raise
         print(out)
-        if answer:      # a write that fails leaves the answer uncached
+        if identity:    # a write that fails leaves the answer uncached
             with contextlib.suppress(OSError):
-                body = out + "\n"
-                write_atomic(answer, f"{ANSWER_TAG} {sha256_hex(body)} "
-                                     f"{identity}\n{body}")
+                _write_answer(answer, out + "\n", identity)
         return 0
 
 

@@ -20,7 +20,8 @@ from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly, as_int,
                         as_integer, as_natural, check_degree,
                         interpolate_integers, naturals)
 from .symfunc import (alternant_terms, catalan_triangle, convert_expansion,
-                      enumerate_partitions, partition_of, schur_coefficient)
+                      enumerate_partitions, multinomial, partition_of,
+                      schur_coefficient)
 
 
 def expected_dimension(d: int, m: int, r: int) -> int:
@@ -207,7 +208,7 @@ def fano_degree_lines(d: int, m: int, method: str = "closed") -> int:
             d, m, {(delta - j, j): catalan_triangle(delta, j)
                    for j in range(delta // 2 + 1)})
     if method == "integral":
-        e1_power = {mu: factorial(delta) // prod(map(factorial, mu))
+        e1_power = {mu: multinomial(mu)
                     for mu in enumerate_partitions(delta, max_length=2)}
         val = _integrate_pol_class(2, m + 1, [d], delta, e1_power)[0]
         return as_integer(val, f"Fano degree ({d}, {m})")

@@ -105,16 +105,21 @@ def unique_keys(pairs, what: str) -> dict:
     return out
 
 
-def read_json(path: str, parse):
-    """``parse`` of the JSON document in the file at ``path``; OSError if it
-    cannot be read, ValueError if the document is malformed."""
+def parse_json(text: str, parse):
+    """``parse`` of the JSON document ``text``; ValueError if the document
+    is malformed."""
     import json
+    try:
+        return parse(json.loads(text))
+    except (LookupError, TypeError, AttributeError, ArithmeticError,
+            RecursionError) as exc:
+        raise ValueError(str(exc)) from exc
+
+
+def read_json(path: str, parse):
+    """``parse_json`` of the file at ``path``; OSError if it cannot be read."""
     with open(path) as fh:
-        try:
-            return parse(json.load(fh))
-        except (LookupError, TypeError, AttributeError, ArithmeticError,
-                RecursionError) as exc:
-            raise ValueError(str(exc)) from exc
+        return parse_json(fh.read(), parse)
 
 
 def xvars(n: int) -> tuple:

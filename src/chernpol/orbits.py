@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 
 from .exactcore import (OutOfDomainError, TruncationPolicy, as_int,
                         as_natural, naturals)
@@ -67,15 +67,14 @@ def orbit_term(values, max_weight: int | None = None) -> dict:
     |lam| <= max_weight.  Its monomial coefficients come from chern_values
     on the power sums |a|!/a! * sum over w in P of w^a at x^a."""
     from .chern import chern_values
-    from .symfunc import convert_expansion, enumerate_partitions
+    from .symfunc import convert_expansion, enumerate_partitions, multinomial
     values = naturals(values, "a weight")
     n, perms = len(values), set(itertools.permutations(values))
     top = len(perms) if max_weight is None else min(
         as_natural(max_weight, "max_weight"), len(perms))
 
     def power_sums(a):
-        return [factorial(sum(a)) // prod(map(factorial, a))
-                * sum(prod(map(pow, w, a)) for w in perms)]
+        return [multinomial(a) * sum(prod(map(pow, w, a)) for w in perms)]
     mono = chern_values(n, power_sums, [
         nu for j in range(top + 1) for nu in enumerate_partitions(j, n)])
     return convert_expansion({nu: Fraction(c) for nu, (c,) in mono.items()},

@@ -1,7 +1,8 @@
 """The ChernPolynomial record: the coefficients of c_k(Pol^d(C^n)) as
 polynomials in d, in one basis, with evaluation, basis change, the
-divisibility check and the cache file that stores it: the JSON object
-{"checksum": SHA-256 of the sorted payload, "payload": ``to_json``}.
+divisibility check and its JSON form (``to_json``, ``from_json``).  It reads
+and writes no file: the CLI's cache stores a record as the answer of its
+monomial ``--format json`` request.
 
 It imports only ``exactcore`` and ``symfunc``, so a query answered from the
 cache reads, converts and prints a record without loading ``chern``, which
@@ -13,8 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from . import sha256_hex, write_atomic
-from .exactcore import UniPoly, as_natural, check_degree, read_json, unique_keys
+from .exactcore import UniPoly, as_natural, check_degree, unique_keys
 from .symfunc import BASES, convert_expansion, validate_basis_index
 
 FORMAT_VERSION = "chernpol-cache-2"
@@ -101,30 +101,3 @@ class ChernPolynomial:
         terms = unique_keys(((tuple(lam), UniPoly.from_json(p))
                              for lam, p in data["terms"]), "partition")
         return cls(data["n"], data["k"], data["basis"], terms)
-
-
-def _checksum(payload) -> str:
-    import json
-    return sha256_hex(json.dumps(payload, sort_keys=True))
-
-
-def read_entry(path: str, n: int, k: int) -> ChernPolynomial:
-    """The monomial record for (n, k) in the cache file at ``path``; OSError
-    if it cannot be read, ValueError if it is corrupt, stale or another's."""
-    def parse(doc) -> ChernPolynomial:
-        if _checksum(doc["payload"]) != doc.get("checksum"):
-            raise ValueError("checksum mismatch")
-        return ChernPolynomial.from_json(doc["payload"])
-    cp = read_json(path, parse)
-    if (cp.n, cp.k, cp.basis) != (n, k, "monomial"):
-        raise ValueError(f"entry is for n={cp.n}, k={cp.k}, {cp.basis} basis")
-    return cp
-
-
-def write_entry(path: str, cp: ChernPolynomial) -> None:
-    """Write ``cp`` to the cache file at ``path`` by ``write_atomic``;
-    OSError if it cannot."""
-    import json
-    payload = cp.to_json()
-    write_atomic(path, json.dumps({"checksum": _checksum(payload),
-                                   "payload": payload}))

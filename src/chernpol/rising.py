@@ -17,7 +17,7 @@ from .exactcore import (OutOfDomainError, TruncationPolicy, UniPoly,
                         unique_keys, xvars)
 from .multipoly import MultiPoly
 from .specialization import M_tilde_values
-from .symfunc import dominance_key, mult_factorial
+from .symfunc import dominance_key, mult_factorial, multinomial
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +242,7 @@ def simple_coefficient(E, H) -> tuple[int, tuple]:
     lam_parts = []
     for j, hs in groups.items():
         if j != 0:
-            m = factorial(sum(hs))
-            for h in hs:
-                m //= factorial(h)
-            multinom *= m
+            multinom *= multinomial(hs)
         lam_parts.extend([j] * sum(hs))
     return multinom, tuple(sorted(lam_parts, reverse=True))
 

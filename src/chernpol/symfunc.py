@@ -54,6 +54,11 @@ def mult_factorial(parts) -> int:
     return prod(map(factorial, Counter(parts).values()))
 
 
+def multinomial(a) -> int:
+    """|a|!/a! = |a|! / prod_i a_i!, the multinomial coefficient of a."""
+    return factorial(sum(a)) // prod(map(factorial, a))
+
+
 def enumerate_partitions(weight: int, max_length: int | None = None) -> list[tuple]:
     """All partitions of ``weight`` into at most ``max_length`` parts,
     lexicographically decreasing first part first."""

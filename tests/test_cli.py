@@ -7,6 +7,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import zipfile
 from fractions import Fraction as F
 from pathlib import Path
 from unittest import mock
@@ -14,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chernpol import chern, cli, enumgeo, orbits, record, symfunc
+from chernpol import chern, cli, enumgeo, orbits, symfunc
 from chernpol.chern import chern_interpolated
 from chernpol.exactcore import UniPoly
 from chernpol.record import ChernPolynomial
@@ -142,13 +143,14 @@ def test_entry_point_writes_a_complete_cache_file(tmp_path):
     proc = _python("-m", "chernpol.cli", "chern", "--n", "3", "--k", "2",
                    "--cache-dir", str(tmp_path))
     assert proc.returncode == 0
-    # no temporary file is left behind
+    # the answer and the record; no temporary file is left behind
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "answer_chern_basis-monomial_factored-False_format-text_k-2_n-3.txt",
-        "chern_n3_k2.json"]
-    doc = json.loads((tmp_path / "chern_n3_k2.json").read_text())
-    assert doc["checksum"] == record._checksum(doc["payload"])
-    assert ChernPolynomial.from_json(doc["payload"]) == chern_interpolated(3, 2)
+        "answer_chern_basis-monomial_factored-False_format-json_k-2_n-3.txt",
+        "answer_chern_basis-monomial_factored-False_format-text_k-2_n-3.txt"]
+    header, _, body = _record(tmp_path, 3, 2).read_text().partition("\n")
+    assert header.split()[1] == hashlib.sha256(body.encode()).hexdigest()
+    cp = ChernPolynomial.from_json(json.loads(body))
+    assert cp == chern_interpolated(3, 2)
 
 
 def test_broken_pipe_exits_quietly():
@@ -439,10 +441,22 @@ def test_verify_json(capsys):
 # cache behavior
 # ---------------------------------------------------------------------------
 
-def _forget_answers(cache_dir):
-    """Remove the answer files, so that a repeated query reads the record."""
-    for path in cache_dir.glob("answer_*"):
-        path.unlink()
+def _answer_file(argv) -> Path:
+    """The answer file of the cached request ``argv``."""
+    return Path(cli._answer_path(cli.parse_args(argv)))
+
+
+def _record(cache_dir, n: int, k: int) -> Path:
+    """The record of (n, k): the answer file of its monomial JSON request."""
+    return _answer_file(["chern", "--n", str(n), "--k", str(k), "--format",
+                         "json", "--cache-dir", str(cache_dir)])
+
+
+def _seal(path: Path, body: str) -> None:
+    """Write ``body`` to ``path`` under a valid answer header."""
+    path.write_text(f"chernpol-answer "
+                    f"{hashlib.sha256(body.encode()).hexdigest()} "
+                    f"{cli._source_identity()}\n{body}")
 
 
 def test_cache_cold_warm_identical(capsys, tmp_path):
@@ -450,30 +464,30 @@ def test_cache_cold_warm_identical(capsys, tmp_path):
             "--cache-dir", str(tmp_path)]
     code1, cold, _ = run_cli(argv, capsys)
     assert code1 == 0
-    assert (tmp_path / "chern_n2_k2.json").exists()
+    assert _record(tmp_path, 2, 2).exists()
     code2, warm, _ = run_cli(argv, capsys)
     assert code2 == 0
     assert warm == cold
 
 
 def test_cache_corrupt_recovers(capsys, tmp_path):
-    argv = ["chern", "--n", "2", "--k", "1", "--format", "json",
-            "--cache-dir", str(tmp_path)]
+    argv = ["chern", "--n", "2", "--k", "1", "--basis", "e", "--format",
+            "json", "--cache-dir", str(tmp_path)]
     _, cold, _ = run_cli(argv, capsys)
-    (tmp_path / "chern_n2_k1.json").write_text("{not json")
-    _forget_answers(tmp_path)
+    _seal(_record(tmp_path, 2, 1), "{not json")
+    _answer_file(argv).unlink()
     code, out, err = run_cli(argv, capsys)
     assert code == 0
     assert out == cold
-    assert "warning" in err
+    assert "warning" in err and len(err.splitlines()) == 1
 
 
 def test_cache_entry_nested_too_deep_is_recomputed(capsys, tmp_path):
     # json.load raises RecursionError, which is no ValueError, on this file
     argv = ["chern", "--n", "2", "--k", "1", "--cache-dir", str(tmp_path)]
     _, cold, _ = run_cli(argv, capsys)
-    (tmp_path / "chern_n2_k1.json").write_text("[" * 100000 + "]" * 100000)
-    _forget_answers(tmp_path)
+    _seal(_record(tmp_path, 2, 1), "[" * 100000 + "]" * 100000)
+    _answer_file(argv).unlink()
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (0, cold)
     assert "warning: recomputing" in err and "recursion" in err
@@ -481,64 +495,83 @@ def test_cache_entry_nested_too_deep_is_recomputed(capsys, tmp_path):
 
 
 def test_cache_checksum_mismatch_recovers(capsys, tmp_path):
-    argv = ["chern", "--n", "2", "--k", "1", "--format", "json",
-            "--cache-dir", str(tmp_path)]
+    argv = ["chern", "--n", "2", "--k", "1", "--basis", "e", "--format",
+            "json", "--cache-dir", str(tmp_path)]
     _, cold, _ = run_cli(argv, capsys)
-    path = tmp_path / "chern_n2_k1.json"
-    doc = json.loads(path.read_text())
-    doc["checksum"] = "0" * 64
-    path.write_text(json.dumps(doc))
-    _forget_answers(tmp_path)
+    path = _record(tmp_path, 2, 1)
+    header = path.read_text().split("\n")[0].split()
+    path.write_text(path.read_text().replace(header[1], "0" * 64))
+    _answer_file(argv).unlink()
     code, out, err = run_cli(argv, capsys)
     assert code == 0
     assert out == cold
-    assert "warning" in err
+    assert err.startswith(f"warning: recomputing corrupt answer file {path}")
+    assert len(err.splitlines()) == 1
 
 
-def test_cache_checksum_is_sha256_of_the_sorted_payload(capsys, tmp_path):
-    # the chernpol-cache-2 checksum, whichever SHA-256 implementation runs
-    run_cli(["chern", "--n", "2", "--k", "2", "--cache-dir", str(tmp_path)],
-            capsys)
-    doc = json.loads((tmp_path / "chern_n2_k2.json").read_text())
-    blob = json.dumps(doc["payload"], sort_keys=True).encode()
-    assert doc["checksum"] == hashlib.sha256(blob).hexdigest()
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (3, 4)])
+def test_record_is_the_monomial_json_answer(n, k, capsys, tmp_path):
+    # byte for byte what "chern --format json" prints, under a header whose
+    # checksum is the SHA-256 of those bytes, whichever implementation runs
+    argv = ["chern", "--n", str(n), "--k", str(k), "--format", "json"]
+    _, uncached, _ = run_cli(argv + ["--no-cache"], capsys)
+    cli.cache_get_or_compute(n, k, str(tmp_path))
+    header, _, body = _record(tmp_path, n, k).read_text().partition("\n")
+    assert body == uncached
+    assert header == (f"chernpol-answer "
+                      f"{hashlib.sha256(body.encode()).hexdigest()} "
+                      f"{cli._source_identity()}")
 
 
 def test_cache_entry_of_old_format_is_recomputed(capsys, tmp_path):
     argv = ["chern", "--n", "2", "--k", "2", "--basis", "e",
             "--cache-dir", str(tmp_path)]
     _, uncached, _ = run_cli(argv + ["--no-cache"], capsys)
-    # an entry as the sampling version wrote it: its own format tag, the
+    # a record as the sampling version wrote it: its own format tag, the
     # degree bound and the sample points
     payload = chern_interpolated(2, 2).to_json()
     payload.update({"format": "chernpol-cache-1", "degree_bound": 4,
                     "samples": list(range(-1, 5))})
-    path = tmp_path / "chern_n2_k2.json"
-    path.write_text(json.dumps({"checksum": record._checksum(payload),
-                                "payload": payload}))
+    path = _record(tmp_path, 2, 2)
+    _seal(path, json.dumps(payload))
     code, out, err = run_cli(argv, capsys)
     assert code == 0
     assert out == uncached
     assert "warning: recomputing" in err and "stale cache format" in err
-    assert json.loads(path.read_text())["payload"]["format"] == \
+    assert json.loads(path.read_text().partition("\n")[2])["format"] == \
         "chernpol-cache-2"
     code, out, err = run_cli(argv, capsys)
     assert (code, out, err) == (0, uncached, "")
+
+
+def test_old_layout_cache_file_is_not_read(capsys, tmp_path):
+    # a checksummed {"checksum", "payload"} file of the old layout, here
+    # one that holds a wrong answer, is neither read nor removed
+    argv = ["chern", "--n", "2", "--k", "1", "--cache-dir", str(tmp_path)]
+    _, uncached, _ = run_cli(argv + ["--no-cache"], capsys)
+    payload = chern_interpolated(2, 1).to_json()
+    payload["terms"][0][1] = [[0, "7"]]
+    blob = json.dumps(payload, sort_keys=True).encode()
+    old = tmp_path / "chern_n2_k1.json"
+    old.write_text(json.dumps({"checksum": hashlib.sha256(blob).hexdigest(),
+                               "payload": payload}))
+    text = old.read_text()
+    assert run_cli(argv, capsys) == (0, uncached, "")
+    assert old.read_text() == text
 
 
 def test_cache_entry_with_bad_exponent_is_recomputed(capsys, tmp_path):
     argv = ["chern", "--n", "2", "--k", "2", "--cache-dir", str(tmp_path)]
     _, uncached, _ = run_cli(argv + ["--no-cache"], capsys)
     payload = chern_interpolated(2, 2, "monomial").to_json()
-    path = tmp_path / "chern_n2_k2.json"
     for bad in (0.5, -2):
         payload["terms"][0][1][0][0] = bad
-        path.write_text(json.dumps({"checksum": record._checksum(payload),
-                                    "payload": payload}))
-        _forget_answers(tmp_path)
+        _seal(_record(tmp_path, 2, 2), json.dumps(payload))
+        _answer_file(argv).unlink(missing_ok=True)
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (0, uncached)
         assert "warning: recomputing" in err and "exponent" in err
+        assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("k, bad", [(2, [2.5]), (3, [1, 1, 1]),
@@ -546,15 +579,13 @@ def test_cache_entry_with_bad_exponent_is_recomputed(capsys, tmp_path):
                          ids=["fraction", "too-long", "string", "weight-3"])
 def test_cache_entry_with_bad_key_is_recomputed(k, bad, capsys, tmp_path):
     # each key must be a partition of k that indexes the basis in n = 2
-    # variables; the checksum is valid, so only the key check can catch it
+    # variables; the header is valid, so only the key check can catch it
     argv = ["chern", "--n", "2", "--k", str(k), "--basis", "e",
             "--cache-dir", str(tmp_path)]
     _, uncached, _ = run_cli(argv + ["--no-cache"], capsys)
     payload = chern_interpolated(2, k, "monomial").to_json()
     payload["terms"][0][0] = bad
-    path = tmp_path / f"chern_n2_k{k}.json"
-    path.write_text(json.dumps({"checksum": record._checksum(payload),
-                                "payload": payload}))
+    _seal(_record(tmp_path, 2, k), json.dumps(payload))
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (0, uncached)
     assert err.count("warning: recomputing") == 1
@@ -572,7 +603,7 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, _, _ = run_cli(["chern", "--n", "2", "--k", "1"], capsys)
     assert code == 0
-    assert (tmp_path / "chern_n2_k1.json").exists()
+    assert _record(tmp_path, 2, 1).exists()
     # without the variable, the cache is under the home directory
     monkeypatch.delenv(cli.CACHE_ENV)
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
@@ -590,21 +621,23 @@ def test_unusable_cache_dir_warns_and_answers(capsys, tmp_path):
     assert code == 0
     assert out == uncached
     assert "warning: not caching" in err and "Traceback" not in err
+    assert len(err.splitlines()) == 1
 
 
 def test_cache_entry_that_is_a_directory(capsys, tmp_path):
-    (tmp_path / "chern_n2_k1.json").mkdir()
+    # it cannot be read, which is silent, nor written over: one warning
+    _record(tmp_path, 2, 1).mkdir()
     argv = ["chern", "--n", "2", "--k", "1", "--basis", "e"]
     _, uncached, _ = run_cli(argv + ["--no-cache"], capsys)
     code, out, err = run_cli(argv + ["--cache-dir", str(tmp_path)], capsys)
     assert code == 0
     assert out == uncached
-    assert "warning: recomputing" in err and "warning: not caching" in err
-    assert "Traceback" not in err
+    assert err.startswith("warning: not caching")
+    assert len(err.splitlines()) == 1
     # the answer is stored; no temporary file is left behind
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "answer_chern_basis-elementary_factored-False_format-text_k-1_n-2.txt",
-        "chern_n2_k1.json"]
+        _record(tmp_path, 2, 1).name]
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +646,6 @@ def test_cache_entry_that_is_a_directory(capsys, tmp_path):
 
 def _no_record(*args, **kwargs):
     raise AssertionError("the request read the record")
-
-
-def _answer_file(cache_dir) -> Path:
-    (path,) = cache_dir.glob("answer_*")
-    return path
 
 
 @pytest.mark.parametrize("argv", [
@@ -632,7 +660,7 @@ def test_answer_hit_prints_the_same_bytes(argv, capsys, tmp_path,
     _, uncached, _ = run_cli(argv + ["--no-cache"], capsys)
     argv = argv + ["--cache-dir", str(tmp_path)]
     assert run_cli(argv, capsys) == (0, uncached, "")
-    header, _, body = _answer_file(tmp_path).read_text().partition("\n")
+    header, _, body = _answer_file(argv).read_text().partition("\n")
     assert body == uncached
     assert header.split()[:2] == ["chernpol-answer",
                                   hashlib.sha256(body.encode()).hexdigest()]
@@ -647,14 +675,16 @@ def test_a_basis_letter_and_its_name_share_one_answer(capsys, tmp_path,
     _, cold, _ = run_cli(argv + ["s"], capsys)
     monkeypatch.setattr(cli, "cache_get_or_compute", _no_record)
     assert run_cli(argv + ["schur"], capsys) == (0, cold, "")
-    assert len(list(tmp_path.glob("answer_*"))) == 1
+    # the answer and the record
+    assert sorted(tmp_path.iterdir()) == [_record(tmp_path, 2, 3),
+                                          _answer_file(argv + ["s"])]
 
 
 def test_corrupt_answer_is_recomputed_with_one_warning(capsys, tmp_path):
     argv = ["chern-eval", "--n", "2", "--k", "2", "--d", "5",
             "--cache-dir", str(tmp_path)]
     _, cold, _ = run_cli(argv, capsys)
-    path = _answer_file(tmp_path)
+    path = _answer_file(argv)
     path.write_bytes(path.read_bytes().replace(b"m[", b"\xffm["))
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (0, cold)
@@ -673,7 +703,7 @@ def test_answer_of_another_package_source_is_recomputed(capsys, tmp_path,
                         lambda *a: calls.append(a) or chern_interpolated(2, 2))
     assert run_cli(argv, capsys) == (0, cold, "")
     assert len(calls) == 1
-    assert _answer_file(tmp_path).read_text().split("\n")[0].endswith(
+    assert _answer_file(argv).read_text().split("\n")[0].endswith(
         " edited")
     assert run_cli(argv, capsys) == (0, cold, "")
     assert len(calls) == 1
@@ -701,7 +731,7 @@ def test_source_identity_follows_the_module_files(tmp_path):
 def test_no_cache_reads_no_answer_file(capsys, tmp_path):
     argv = ["chern", "--n", "2", "--k", "1", "--cache-dir", str(tmp_path)]
     _, cold, _ = run_cli(argv, capsys)
-    path = _answer_file(tmp_path)
+    path = _answer_file(argv)
     header = path.read_text().split("\n")[0].split()
     body = "forged\n"
     header[1] = hashlib.sha256(body.encode()).hexdigest()
@@ -731,11 +761,76 @@ def test_failed_answer_write_changes_nothing(capsys, tmp_path):
     # the record is written, the answer cannot be: no warning at all
     argv += ["--cache-dir", str(tmp_path / "cache")]
     run_cli(argv, capsys)
-    path = _answer_file(tmp_path / "cache")
+    path = _answer_file(argv)
     path.unlink()
     path.mkdir()                # no file can be renamed over it
     assert run_cli(argv, capsys) == (0, uncached, "")
     assert path.is_dir() and not list(path.parent.glob("*.tmp"))
+
+
+def test_record_of_another_package_source_is_recomputed(capsys, tmp_path,
+                                                        monkeypatch):
+    # a record written before a package edit is recomputed, not converted
+    argv = ["chern", "--n", "2", "--k", "2", "--cache-dir", str(tmp_path),
+            "--basis"]
+    cli.cache_get_or_compute(2, 2, str(tmp_path))
+    _, uncached, _ = run_cli(argv + ["s", "--no-cache"], capsys)
+    calls = []
+    original = chern.chern_interpolated
+    monkeypatch.setattr(cli, "_source_identity", lambda: "edited")
+    monkeypatch.setattr(chern, "chern_interpolated",
+                        lambda *a: calls.append(a) or original(*a))
+    assert run_cli(argv + ["s"], capsys) == (0, uncached, "")
+    assert len(calls) == 1
+    assert _record(tmp_path, 2, 2).read_text().split("\n")[0].endswith(
+        " edited")
+    run_cli(argv + ["e"], capsys)           # the rewritten record answers
+    assert len(calls) == 1
+
+
+def test_monomial_json_request_is_answered_by_the_record(capsys, tmp_path,
+                                                         monkeypatch):
+    argv = ["chern", "--n", "3", "--k", "3", "--cache-dir", str(tmp_path)]
+    run_cli(argv + ["--basis", "s"], capsys)
+    _, uncached, _ = run_cli(argv + ["--format", "json", "--no-cache"],
+                             capsys)
+    monkeypatch.setattr(cli, "cache_get_or_compute", _no_record)
+    assert run_cli(argv + ["--format", "json"], capsys) == (0, uncached, "")
+
+
+def test_every_cache_file_is_an_answer_file(capsys, tmp_path):
+    for argv in (["chern", "--n", "2", "--k", "3", "--basis", "s"],
+                 ["chern", "--n", "3", "--k", "2", "--format", "json"],
+                 ["chern-eval", "--n", "2", "--k", "2", "--d", "4"]):
+        run_cli(argv + ["--cache-dir", str(tmp_path)], capsys)
+    # two answers and three records, one of them also the answer asked for
+    files = sorted(tmp_path.iterdir())
+    assert len(files) == 5
+    for path in files:
+        assert path.name.startswith("answer_") and path.suffix == ".txt"
+        assert path.read_text().startswith("chernpol-answer ")
+
+
+def test_package_in_a_zip_answers_uncached(tmp_path):
+    # its module files cannot be listed, so no cache file is read or written
+    archive = tmp_path / "pkg.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for path in Path(cli.__file__).parent.glob("*.py"):
+            zf.write(path, f"chernpol/{path.name}")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(archive))
+
+    def chern_query(*extra) -> tuple:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chernpol.cli", "chern", "--n", "2", "--k",
+             "1", "--cache-dir", str(cache), *extra],
+            env=env, capture_output=True, text=True, timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+    uncached = chern_query("--no-cache")
+    assert uncached[0] == 0 and uncached[1]
+    assert chern_query() == chern_query() == uncached
+    assert list(cache.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -749,12 +844,10 @@ MALFORMED = ["1/0", "Infinity", "deep", "0.1", "NaN", "list-root",
              "repeated-key"]
 
 
-def _malformed(case: str, doc: dict, poly: list, key: str,
-               seal=lambda doc: doc) -> str:
-    """The text of a file that holds ``doc`` made malformed by ``case``:
-    ``poly`` is one of its polynomials, ``key`` a key it needs, whose value
-    lists entries that end in a polynomial, and ``seal`` makes the document
-    the file's root."""
+def _malformed(case: str, doc: dict, poly: list, key: str) -> str:
+    """The text of a JSON document ``doc`` made malformed by ``case``:
+    ``poly`` is one of its polynomials and ``key`` a key it needs, whose
+    value lists entries that end in a polynomial."""
     if case == "deep":
         return "[" * 100000 + "]" * 100000
     if case == "missing-key":
@@ -769,13 +862,7 @@ def _malformed(case: str, doc: dict, poly: list, key: str,
     elif case != "list-root":
         poly[0][1] = {"1/0": "1/0", "Infinity": float("inf"),
                       "NaN": float("nan"), "0.1": 0.1}[case]
-    root = seal(doc)
-    return json.dumps([root] if case == "list-root" else root)
-
-
-def _sealed(payload: dict) -> dict:
-    """The cache file of ``payload``, with its valid checksum."""
-    return {"checksum": record._checksum(payload), "payload": payload}
+    return json.dumps([doc] if case == "list-root" else doc)
 
 
 def _bad_spec(case: str) -> str:
@@ -789,9 +876,8 @@ def test_malformed_cache_entry_is_recomputed(case, capsys, tmp_path):
     argv = ["chern", "--n", "2", "--k", "2", "--cache-dir", str(tmp_path)]
     _, fresh, _ = run_cli(argv + ["--no-cache"], capsys)
     payload = chern_interpolated(2, 2).to_json()
-    path = tmp_path / "chern_n2_k2.json"
-    path.write_text(_malformed(case, payload, payload["terms"][0][1],
-                               "terms", _sealed))
+    path = _record(tmp_path, 2, 2)
+    _seal(path, _malformed(case, payload, payload["terms"][0][1], "terms"))
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (0, fresh)
     assert err.startswith(f"warning: recomputing corrupt/stale cache entry "
@@ -1244,15 +1330,15 @@ def test_failed_basis_change_exits_check(capsys, monkeypatch):
 
 def test_cache_rejects_payload_for_other_key(capsys, tmp_path):
     cli.cache_get_or_compute(2, 1, str(tmp_path))
-    shutil.copy(tmp_path / "chern_n2_k1.json", tmp_path / "chern_n2_k2.json")
+    shutil.copy(_record(tmp_path, 2, 1), _record(tmp_path, 2, 2))
     cp = cli.cache_get_or_compute(2, 2, str(tmp_path))
-    assert "warning" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "warning" in err and len(err.splitlines()) == 1
     assert cp == chern_interpolated(2, 2)
     assert cli.cache_get_or_compute(2, 2, str(tmp_path)) == cp
     assert capsys.readouterr().err == ""
-    # a checksummed payload that is not an object is stale too
-    (tmp_path / "chern_n2_k2.json").write_text(json.dumps(
-        {"checksum": record._checksum([]), "payload": []}))
+    # a sealed record that is not an object is stale too
+    _seal(_record(tmp_path, 2, 2), "[]")
     assert cli.cache_get_or_compute(2, 2, str(tmp_path)) == cp
     assert "warning" in capsys.readouterr().err
 

@@ -206,8 +206,7 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     # cache has not answered, or one whose answer file is gone
     warm = core | {"chernpol.record"}
     assert _run(chern_argv + ["--factored"]) == warm | {"chernpol.roots"}
-    for path in tmp_path.glob("answer_*"):
-        path.unlink()
+    os.unlink(cli._answer_path(cli.parse_args(chern_argv)))
     assert _run(chern_argv) == warm
     assert _run(chern_argv + ["--no-cache"]) == warm | {
         "chernpol.chern", "chernpol.specialization"}
@@ -286,48 +285,44 @@ def _references(node) -> set:
     return refs
 
 
-def test_cache_file_format_lives_in_record():
-    # cli chooses where and when to cache; record reads and writes the file:
-    # its JSON, its checksum and its atomic write
-    tree = ast.parse(Path(cli.__file__).read_text())
-    func = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef)
-                and node.name == "cache_get_or_compute")
-    found = {ref for ref in _references(func)
-             if ref.split(".")[0] in ("json", "tempfile")
-             or ref == "os.replace" or "sha256" in ref}
-    assert not found, f"cli.cache_get_or_compute handles the file: {found}"
-    owners = set()
-    for path in Path(chernpol.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.FunctionDef) and node.name == "_checksum"
-                    or isinstance(node, ast.Call)
-                    and "_checksum" in (getattr(node.func, "id", None),
-                                        getattr(node.func, "attr", None))):
-                owners.add(path.stem)
-    assert owners == {"record"}
+def test_only_cli_reads_or_writes_cache_files():
+    # every cache file is an answer file, which cli alone reads and writes,
+    # with the SHA-256 and the atomic write of chernpol; record holds the
+    # JSON form of a record and does no file I/O
+    refs = {path.stem: _references(ast.parse(path.read_text()))
+            for path in Path(chernpol.__file__).parent.glob("*.py")}
+    users = {stem for stem, found in refs.items()
+             if {"sha256_hex", "write_atomic", "ANSWER_TAG"} & found}
+    assert users == {"cli"}
+    found = {ref for ref in refs["record"]
+             if ref.split(".")[0] in ("json", "tempfile", "os", "open",
+                                      "sha256_hex", "write_atomic",
+                                      "read_json", "parse_json")}
+    assert not found, f"record handles a file: {found}"
 
 
 def _json_load_refs(node) -> list:
-    """The ``json.load`` references and ``from json import load`` below
-    ``node``."""
+    """The ``json.load`` and ``json.loads`` references and the imports of
+    either from json below ``node``."""
     return [child for child in ast.walk(node)
-            if isinstance(child, ast.Attribute) and child.attr == "load"
+            if isinstance(child, ast.Attribute)
+            and child.attr in ("load", "loads")
             and getattr(child.value, "id", None) == "json"
             or isinstance(child, ast.ImportFrom) and child.module == "json"
-            and "load" in {a.name for a in child.names}]
+            and {"load", "loads"} & {a.name for a in child.names}]
 
 
 def test_json_input_files_have_one_reader():
-    # exactcore.read_json loads every outside JSON file and turns the errors
-    # of a malformed document into ValueError, so cli catches none of them
+    # exactcore.parse_json reads every outside JSON document, a spec file
+    # or a cache record, and turns the errors of a malformed one into
+    # ValueError, so cli catches none of them
     trees = {path.stem: ast.parse(path.read_text())
              for path in Path(chernpol.__file__).parent.glob("*.py")}
     found = {stem: len(_json_load_refs(tree)) for stem, tree in trees.items()}
     assert {stem: n for stem, n in found.items() if n} == {"exactcore": 1}
     assert _json_load_refs(next(node for node in trees["exactcore"].body
                                 if isinstance(node, ast.FunctionDef)
-                                and node.name == "read_json"))
+                                and node.name == "parse_json"))
     caught = {node.id for handler in ast.walk(trees["cli"])
               if isinstance(handler, ast.ExceptHandler) and handler.type
               for node in ast.walk(handler.type) if isinstance(node, ast.Name)}

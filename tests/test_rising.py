@@ -14,6 +14,7 @@ from chernpol.rising import (OutOfDomainError, RisingProductSpec,
                              vector_partitions)
 from chernpol.specialization import (M_plain, M_tilde, stirling_first,
                                      stirling_second)
+from chernpol.symfunc import multinomial
 
 from polyhelpers import variable
 
@@ -87,6 +88,14 @@ def test_mult_factorial():
     assert mult_factorial(((1,), (1,), (1,))) == 6
     assert mult_factorial(((2,), (1,))) == 1
     assert mult_factorial(()) == 1
+
+
+@pytest.mark.parametrize("parts", [(), (0,), (3,), (2, 1), (1, 1, 1),
+                                   (2, 0, 2), (4, 2, 1)])
+def test_multinomial_counts_the_distinct_words(parts):
+    # |a|!/a! words have a_i letters i
+    word = [i for i, a in enumerate(parts) for _ in range(a)]
+    assert multinomial(parts) == len(set(itertools.permutations(word)))
 
 
 # ---------------------------------------------------------------------------
